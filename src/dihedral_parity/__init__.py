@@ -71,4 +71,4 @@ from .tower import (
 )
 from .verdicts import ConstantVerdict, DeltaVerdict
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"

@@ -2,8 +2,8 @@
 
 Configs and reports are JSON; curve lists are CSV with header
 ``label,a1,a2,a3,a4,a6``.  Exit codes: 0 success (Undetermined rows allowed),
-2 validation or config failure, 3 internal Mismatch FAILURE, 4 Undetermined
-present under ``--strict``.
+2 validation, config or analysis-input failure, 3 internal Mismatch FAILURE,
+4 Undetermined present under ``--strict``.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ import argparse
 import csv
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Optional
 
 from .curves import SingularCurveError, WeierstrassCurve
@@ -133,7 +132,7 @@ def _parse_overrides(raw: Any, errors: list) -> dict[int, SiteOverrides]:
                 "good", "multiplicative_split", "multiplicative_nonsplit",
                 "additive"):
             errors.append(f"overrides.{key}.reduction_over_Kv_override: "
-                          "unknown value {red!r}")
+                          f"unknown value {red!r}")
             continue
         out[ell] = SiteOverrides(defect=defect, anomalous=anomalous,
                                  reduction_over_Kv=red)
@@ -418,7 +417,11 @@ def run_analyze(config_path: str, *, fmt: str = "json", strict: bool = False,
         _emit("\n".join(f"{v.code}: {v.message} [{v.citation}]"
                         for v in violations) + "\n", quiet)
         return EXIT_INVALID
-    rep = analyze(E, T, dim_Sp_E_K=dim)
+    try:
+        rep = analyze(E, T, dim_Sp_E_K=dim)
+    except ValueError as exc:
+        _emit(f"error: {exc}\n", quiet)
+        return EXIT_INVALID
     d = report_to_dict(rep)
     _emit(json.dumps(d, indent=2) + "\n" if fmt == "json" else render_text(d),
           quiet)
@@ -478,6 +481,8 @@ def run_batch(curves_path: str, config_path: str, *, fmt: str = "json",
         _emit("\n".join(exc.messages) + "\n", quiet)
         return EXIT_INVALID
     if jobs > 1:
+        # imported only here: a one-job run needs neither its memory nor its import time
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             reports = list(pool.map(
                 lambda lc: _analyze_one(lc[0], lc[1], T, dim), rows))

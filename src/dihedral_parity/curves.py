@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 from typing import Optional, Union
 
@@ -23,7 +24,6 @@ from .localarith import (
     is_squarefree,
     padic_valuation,
     quadratic_character_type,
-    smallest_nonresidue,
 )
 
 # Naive point counting is O(ell); this bound keeps it at desk scale.
@@ -183,10 +183,6 @@ class LocalReductionData:
     potentially_multiplicative: bool
     minimal_model: WeierstrassCurve
 
-    @property
-    def potentially_good(self) -> bool:
-        return not self.potentially_multiplicative
-
 
 def local_reduction(E: WeierstrassCurve, ell: int) -> LocalReductionData:
     """Reduction trichotomy of E over Q_ell, from an ell-minimal model."""
@@ -254,12 +250,20 @@ class SemistabilityDefect:
         return isinstance(self.e, int)
 
 
-def _twist_reps(ell: int) -> list[int]:
-    """Squarefree integers covering the nontrivial square classes of Q_ell^x."""
-    if ell == 2:
-        return [-1, 2, -2, 5, -5, 10, -10]
-    r = smallest_nonresidue(ell)
-    return [r, ell, r * ell] if r != ell else [ell]
+def good_twist_at(E: WeierstrassCurve,
+                  ell: int) -> Optional[tuple[int, LocalReductionData]]:
+    """For E additive at ell: a squarefree d with quadratic_twist(E, d) good at
+    ell, if one exists, and the twist's reduction data.
+
+    A twist by an unramified class keeps the reduction type, so only one
+    representative of each ramified square class of Q_ell^x modulo the
+    unramified one is tried.
+    """
+    for d in ([-1, 2, -2] if ell == 2 else [ell]):
+        red = local_reduction(quadratic_twist(E, d), ell)
+        if red.reduction_type == "good":
+            return d, red
+    return None
 
 
 def semistability_defect(E: WeierstrassCurve, ell: int) -> SemistabilityDefect:
@@ -270,17 +274,7 @@ def semistability_defect(E: WeierstrassCurve, ell: int) -> SemistabilityDefect:
     of E has good reduction at ell the defect is 2 (or 1); otherwise UNKNOWN
     is returned rather than guessing among the wild possibilities.
     """
-    red = local_reduction(E, ell)
-    if red.potentially_multiplicative:
-        raise ValueError(f"E has potentially multiplicative reduction at {ell}")
-    if red.reduction_type == "good":
-        return SemistabilityDefect(1)
-    if ell >= 5:
-        return SemistabilityDefect(12 // gcd(red.v_disc_min, 12))
-    for d in _twist_reps(ell):
-        if local_reduction(quadratic_twist(E, d), ell).reduction_type == "good":
-            return SemistabilityDefect(2)
-    return SemistabilityDefect(UNKNOWN)
+    return LocalData(E, ell).defect
 
 
 @dataclass(frozen=True)
@@ -303,19 +297,18 @@ class Ramified:
 LocalExtension = Union[Split, Inert, Ramified]
 
 
-def _ext_spec(ext: LocalExtension):
-    """Map to the quadratic-extension descriptor of localarith (None for Split)."""
-    if isinstance(ext, Split):
-        return None
-    if isinstance(ext, Inert):
-        return UnramifiedQuadratic()
-    return RamifiedQuadratic(ext.d)
-
-
 @dataclass(frozen=True)
 class KvReduction:
     reduction_type: str  # "good" | "multiplicative" | "additive" | "unknown"
     split: Optional[bool]
+
+
+_KV_OVERRIDES = {
+    "good": KvReduction("good", None),
+    "multiplicative_split": KvReduction("multiplicative", True),
+    "multiplicative_nonsplit": KvReduction("multiplicative", False),
+    "additive": KvReduction("additive", None),
+}
 
 
 def reduction_over_Kv(E: WeierstrassCurve, ell: int, ext: LocalExtension,
@@ -327,39 +320,8 @@ def reduction_over_Kv(E: WeierstrassCurve, ell: int, ext: LocalExtension,
     types at ell >= 5 (and tame cases at 2, 3) by comparing the defect e with
     the ramification of K_v.  A defect override may be passed in.
     """
-    red = local_reduction(E, ell)
-    if isinstance(ext, Split):
-        return KvReduction(red.reduction_type, red.split)
-    if isinstance(ext, Ramified):
-        ok = (ext.d % ell == 0) if ell != 2 else (ext.d % 4 in (2, 3))
-        if not ok or not is_squarefree(ext.d):
-            raise ValueError(f"{ext} is not a ramified quadratic extension of Q_{ell}")
-    if red.reduction_type == "good":
-        return KvReduction("good", None)
-    if red.potentially_multiplicative:
-        c6 = invariants(red.minimal_model).c6
-        ctype = quadratic_character_type(-c6, ell, _ext_spec(ext))
-        if ctype == "trivial":
-            return KvReduction("multiplicative", True)
-        if ctype == "unramified":
-            return KvReduction("multiplicative", False)
-        return KvReduction("additive", None)
-    # potentially good, additive over Q_ell
-    if defect is None:
-        defect = semistability_defect(E, ell)
-    if not defect.known_cyclic:
-        return KvReduction("unknown", None)
-    e = defect.e
-    if isinstance(ext, Inert):
-        # K_v^ur = Q_ell^ur, so good reduction over K_v would force e = 1,
-        # contradicting additive reduction over Q_ell.
-        return KvReduction("additive", None)
-    if e % ell != 0:
-        # tame: the totally ramified cyclic degree-e extension of Q_ell^ur is
-        # unique, so good reduction over K_v is exactly e | e(K_v) = 2.
-        return KvReduction("good" if 2 % e == 0 else "additive", None)
-    # wild ramified case (ell in {2, 3} with ell | e): not decided here
-    return KvReduction("unknown", None)
+    overrides = SiteOverrides(defect=None if defect is None else defect.e)
+    return LocalData(E, ell, ext, overrides).kv
 
 
 @dataclass(frozen=True)
@@ -407,9 +369,13 @@ def count_points(E: WeierstrassCurve, ell: int) -> int:
 
 def frobenius_data(E: WeierstrassCurve, ell: int, p: int) -> FrobeniusData:
     """Trace of Frobenius and ordinariness data at a good prime ell."""
+    return _frobenius(local_reduction(E, ell), p)
+
+
+def _frobenius(red: LocalReductionData, p: int) -> FrobeniusData:
+    ell = red.ell
     if ell > POINT_COUNT_BOUND:
         raise ValueError(f"ell = {ell} exceeds the counting bound {POINT_COUNT_BOUND}")
-    red = local_reduction(E, ell)
     if red.reduction_type != "good":
         raise ValueError(f"E has bad reduction at {ell}")
     a = ell + 1 - count_points(red.minimal_model, ell)
@@ -423,9 +389,124 @@ def frobenius_data(E: WeierstrassCurve, ell: int, p: int) -> FrobeniusData:
     )
 
 
-def good_twist_at(E: WeierstrassCurve, ell: int) -> Optional[int]:
-    """A squarefree d with quadratic_twist(E, d) good at ell, if one exists."""
-    for d in _twist_reps(ell):
-        if local_reduction(quadratic_twist(E, d), ell).reduction_type == "good":
-            return d
-    return None
+@dataclass(frozen=True)
+class ResidueFrobenius:
+    """Frobenius data of the reduction of E over a local field above p."""
+
+    q: int  # residue field size
+    a_q: int
+    ordinary: bool
+    anomalous: bool
+
+
+@dataclass(frozen=True)
+class SiteOverrides:
+    """Optional per-prime data the implemented criteria cannot certify."""
+
+    defect: Union[int, str, None] = None  # 1|2|3|4|6 or "noncyclic"
+    anomalous: Optional[bool] = None
+    reduction_over_Kv: Optional[str] = None  # "good"|"multiplicative_split"|
+    # "multiplicative_nonsplit"|"additive"
+
+
+@dataclass(frozen=True)
+class LocalData:
+    """Every local fact the case engines read about E at one prime ell, with
+    K_v = ext above ell and the user's overrides at ell.  Each fact is computed
+    lazily, at most once per record; a record lives for one analysis only."""
+
+    E: WeierstrassCurve
+    ell: int
+    ext: LocalExtension = Split()
+    overrides: SiteOverrides = SiteOverrides()
+
+    @cached_property
+    def red(self) -> LocalReductionData:
+        """The reduction of E over Q_ell, with its ell-minimal model."""
+        return local_reduction(self.E, self.ell)
+
+    @cached_property
+    def good_twist(self) -> Optional[tuple[int, LocalReductionData]]:
+        return good_twist_at(self.E, self.ell)
+
+    @cached_property
+    def defect(self) -> SemistabilityDefect:
+        """The semistability defect: the override, or computed."""
+        if self.overrides.defect is not None:
+            return SemistabilityDefect(self.overrides.defect)
+        red = self.red
+        if red.potentially_multiplicative:
+            raise ValueError(f"E has potentially multiplicative reduction at {self.ell}")
+        if red.reduction_type == "good":
+            return SemistabilityDefect(1)
+        if self.ell >= 5:
+            return SemistabilityDefect(12 // gcd(red.v_disc_min, 12))
+        return SemistabilityDefect(UNKNOWN if self.good_twist is None else 2)
+
+    @cached_property
+    def kv(self) -> KvReduction:
+        """The reduction of E over K_v: the override, or computed."""
+        if self.overrides.reduction_over_Kv is not None:
+            return _KV_OVERRIDES[self.overrides.reduction_over_Kv]
+        red, ell, ext = self.red, self.ell, self.ext
+        if isinstance(ext, Split):
+            return KvReduction(red.reduction_type, red.split)
+        if isinstance(ext, Inert):
+            spec = UnramifiedQuadratic()
+        else:
+            spec = RamifiedQuadratic(ext.d)
+            ok = (ext.d % ell == 0) if ell != 2 else (ext.d % 4 in (2, 3))
+            if not ok or not is_squarefree(ext.d):
+                raise ValueError(f"{ext} is not a ramified quadratic extension "
+                                 f"of Q_{ell}")
+        if red.reduction_type == "good":
+            return KvReduction("good", None)
+        if red.potentially_multiplicative:
+            c6 = invariants(red.minimal_model).c6
+            ctype = quadratic_character_type(-c6, ell, spec)
+            if ctype == "trivial":
+                return KvReduction("multiplicative", True)
+            if ctype == "unramified":
+                return KvReduction("multiplicative", False)
+            return KvReduction("additive", None)
+        # potentially good, additive over Q_ell
+        if not self.defect.known_cyclic:
+            return KvReduction("unknown", None)
+        e = self.defect.e
+        if isinstance(ext, Inert):
+            # K_v^ur = Q_ell^ur, so good reduction over K_v would force e = 1,
+            # contradicting additive reduction over Q_ell.
+            return KvReduction("additive", None)
+        if e % ell != 0:
+            # tame: the totally ramified cyclic degree-e extension of Q_ell^ur is
+            # unique, so good reduction over K_v is exactly e | e(K_v) = 2.
+            return KvReduction("good" if 2 % e == 0 else "additive", None)
+        # wild ramified case (ell in {2, 3} with ell | e): not decided here
+        return KvReduction("unknown", None)
+
+    @cached_property
+    def twist_frobenius(self) -> Optional[tuple[int, FrobeniusData]]:
+        """The good twist class t and the twist's Frobenius data at ell."""
+        if self.good_twist is None:
+            return None
+        t, red = self.good_twist
+        return t, _frobenius(red, self.ell)
+
+    @cached_property
+    def residue_frobenius(self) -> Optional[ResidueFrobenius]:
+        """Frobenius data of E's reduction over K_v, with ell in the role of p:
+        read from E when E is good over Q_ell, from the good twist when K_v is
+        ramified, and None otherwise."""
+        ell, ext = self.ell, self.ext
+        if self.red.reduction_type == "good":
+            fd = _frobenius(self.red, ell)
+            q = ell * ell if isinstance(ext, Inert) else ell
+            return ResidueFrobenius(q, q + 1 - fd.point_count(q), fd.ordinary,
+                                    fd.anomalous_over(q))
+        if not isinstance(ext, Ramified) or self.twist_frobenius is None:
+            return None
+        t, fd = self.twist_frobenius
+        # E over K_v is the twist of E^t by the unit class d/t; a nonsquare
+        # unit twist negates the trace of Frobenius on the residue curve.
+        a = fd.a_ell if is_local_square(ext.d * t, ell) else -fd.a_ell
+        return ResidueFrobenius(ell, a, a % ell != 0, (ell + 1 - a) % ell == 0)

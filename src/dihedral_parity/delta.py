@@ -10,22 +10,11 @@ one known theorem.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from . import verdicts as V
-from .curves import (
-    Inert,
-    Ramified,
-    WeierstrassCurve,
-    frobenius_data,
-    local_reduction,
-    quadratic_twist,
-    _twist_reps,
-)
-from .gamma import _defect, _kv_reduction
-from .localarith import is_local_square
-from .tower import SPLIT, PrimeSite, TowerSpec, validate_tower
+from .curves import Inert, LocalData, ResidueFrobenius, WeierstrassCurve
+from .tower import SPLIT, PrimeSite, TowerSpec, check_tower, local_data
 from .verdicts import DeltaVerdict
 
 CITATIONS = {
@@ -66,16 +55,6 @@ def _verdict(value, tag, detail="", pair_sum=None) -> DeltaVerdict:
                         detail=detail, pair_sum=pair_sum)
 
 
-@dataclass(frozen=True)
-class ResidueFrobenius:
-    """Frobenius data of the reduction of E over a local field above p."""
-
-    q: int  # residue field size
-    a_q: int
-    ordinary: bool
-    anomalous: bool
-
-
 def residue_frobenius_over_Kv(E: WeierstrassCurve, T: TowerSpec,
                               site: PrimeSite) -> Optional[ResidueFrobenius]:
     """Frobenius data of E's reduction over K_v at a good-over-K_v site above p.
@@ -84,41 +63,16 @@ def residue_frobenius_over_Kv(E: WeierstrassCurve, T: TowerSpec,
     by the quadratic twist matching K_v's square class; None when no such
     twist is available (the defect exceeds 2).
     """
-    p = site.ell
-    red = local_reduction(E, p)
-    ext = site.local_extension(T.K)
-    if red.reduction_type == "good":
-        fd = frobenius_data(E, p, p)
-        if isinstance(ext, Inert):
-            q = p * p
-            return ResidueFrobenius(q, fd.a_ell2, fd.ordinary,
-                                    (q + 1 - fd.a_ell2) % p == 0)
-        return ResidueFrobenius(p, fd.a_ell, fd.ordinary, fd.anomalous_over(p))
-    if not isinstance(ext, Ramified):
-        return None
-    # additive over Q_p, good over the ramified K_v: find the good twist class
-    for t in _twist_reps(p):
-        if local_reduction(quadratic_twist(E, t), p).reduction_type != "good":
-            continue
-        fd = frobenius_data(quadratic_twist(E, t), p, p)
-        a = fd.a_ell
-        # E over K_v is the twist of E^t by the unit class d/t; a nonsquare
-        # unit twist negates the trace of Frobenius on the residue curve.
-        if not is_local_square(ext.d * t, p):
-            a = -a
-        return ResidueFrobenius(p, a, a % p != 0, (p + 1 - a) % p == 0)
-    return None
+    return local_data(E, T, site).residue_frobenius
 
 
-def _additive_above_p(E: WeierstrassCurve, T: TowerSpec,
-                      site: PrimeSite) -> DeltaVerdict:
+def _additive_above_p(loc: LocalData) -> DeltaVerdict:
     """Additive over K_v at a site above p: the degree-prime-to-p descent case.
 
     Automated when the defect extension M/K_v is quadratic (defect e = 2 with
     K_v inert); otherwise the anomalous override decides, or Undetermined.
     """
-    p = site.ell
-    ov = T.override_for(p)
+    ov = loc.overrides
     if ov.anomalous is not None:
         if ov.anomalous:
             return _verdict(None, V.UNCOVERED,
@@ -126,47 +80,44 @@ def _additive_above_p(E: WeierstrassCurve, T: TowerSpec,
                                    "defect extension; no value is known")
         return _verdict(0, V.ADDITIVE_P_ORD_NONANOM,
                         detail="ordinary non-anomalous reduction supplied by override")
-    defect = _defect(E, T, p)
-    if not (defect.known_cyclic and defect.e == 2
-            and isinstance(site.local_extension(T.K), Inert)):
+    defect = loc.defect
+    if not (defect.known_cyclic and defect.e == 2 and isinstance(loc.ext, Inert)):
         return _verdict(None, V.UNCOVERED,
                         detail=f"defect {defect.e} over K_v not reachable by a "
                                "quadratic twist; supply an override")
-    for t in _twist_reps(p):
-        if local_reduction(quadratic_twist(E, t), p).reduction_type != "good":
-            continue
-        fd = frobenius_data(quadratic_twist(E, t), p, p)
-        # M = K_v(sqrt(t)) has residue field F_{p^2}.
-        q = p * p
-        ordinary = fd.ordinary
-        anomalous = (q + 1 - fd.a_ell2) % p == 0
-        if ordinary and not anomalous:
-            return _verdict(0, V.ADDITIVE_P_ORD_NONANOM,
-                            detail=f"good ordinary non-anomalous over M = K_v(sqrt({t}))")
-        reason = "supersingular" if not ordinary else "anomalous"
+    if loc.twist_frobenius is None:
         return _verdict(None, V.UNCOVERED,
-                        detail=f"reduction over the defect extension is {reason}")
+                        detail="no good quadratic twist found despite defect 2")
+    t, fd = loc.twist_frobenius
+    # M = K_v(sqrt(t)) has residue field F_{p^2}.
+    anomalous = fd.anomalous_over(loc.ell ** 2)
+    if fd.ordinary and not anomalous:
+        return _verdict(0, V.ADDITIVE_P_ORD_NONANOM,
+                        detail=f"good ordinary non-anomalous over M = K_v(sqrt({t}))")
+    reason = "supersingular" if not fd.ordinary else "anomalous"
     return _verdict(None, V.UNCOVERED,
-                    detail="no good quadratic twist found despite defect 2")
+                    detail=f"reduction over the defect extension is {reason}")
 
 
 def delta(E: WeierstrassCurve, T: TowerSpec, v: PrimeSite) -> DeltaVerdict:
     """delta_v for a prime site v of K (pair sum only when v is split)."""
-    violations = validate_tower(T, E)
-    if violations:
-        raise ValueError("invalid tower: " + "; ".join(map(str, violations)))
+    check_tower(T, E)
+    return delta_at(T, v, local_data(E, T, v))
+
+
+def delta_at(T: TowerSpec, v: PrimeSite, loc: LocalData) -> DeltaVerdict:
+    """delta_v read off the local record of the prime below v, in a valid tower."""
     if v.split_type == SPLIT:
         return _verdict(None, V.PAIR_CANCELS, pair_sum=0)
     if not T.is_ramified_in_L(v):
         return _verdict(0, V.SPLITS_COMPLETELY)
 
-    kv = _kv_reduction(E, T, v)
-    red = local_reduction(E, v.ell)
+    kv, red = loc.kv, loc.red
     p = T.p
     if kv.reduction_type == "good":
         if v.ell != p:
             return _verdict(0, V.GOOD_NOT_P)
-        rf = residue_frobenius_over_Kv(E, T, v)
+        rf = loc.residue_frobenius
         if rf is None:
             return _verdict(None, V.UNCOVERED,
                             detail="good over K_v above p but the residue curve is "
@@ -175,7 +126,7 @@ def delta(E: WeierstrassCurve, T: TowerSpec, v: PrimeSite) -> DeltaVerdict:
             return _verdict(0, V.GOOD_ORDINARY_P,
                             detail=f"a_q = {rf.a_q} over F_{rf.q} is prime to p")
         # supersingular: only the inert, defined-over-Q_p case is known
-        if isinstance(v.local_extension(T.K), Inert) and red.reduction_type == "good":
+        if isinstance(loc.ext, Inert) and red.reduction_type == "good":
             return _verdict(0, V.GOOD_SUPERSINGULAR_MR57)
         return _verdict(None, V.UNCOVERED,
                         detail="supersingular at p outside the known case "
@@ -190,4 +141,4 @@ def delta(E: WeierstrassCurve, T: TowerSpec, v: PrimeSite) -> DeltaVerdict:
     # additive over K_v, potentially good
     if v.ell != p:
         return _verdict(0, V.ADDITIVE_NOT_P)
-    return _additive_above_p(E, T, v)
+    return _additive_above_p(loc)

@@ -12,16 +12,8 @@ from __future__ import annotations
 from typing import Union
 
 from . import verdicts as V
-from .curves import (
-    Inert,
-    KvReduction,
-    SemistabilityDefect,
-    WeierstrassCurve,
-    local_reduction,
-    reduction_over_Kv,
-    semistability_defect,
-)
-from .tower import SPLIT, PrimeSite, TowerSpec, sites_above, validate_tower
+from .curves import Inert, LocalData, WeierstrassCurve
+from .tower import SPLIT, PrimeSite, TowerSpec, check_tower, local_data, sites_above
 from .verdicts import ConstantVerdict
 
 INFINITE_PLACE = "infinity"
@@ -66,46 +58,27 @@ def _verdict(value, tag, detail="") -> ConstantVerdict:
                            detail=detail)
 
 
-def _defect(E: WeierstrassCurve, T: TowerSpec, ell: int) -> SemistabilityDefect:
-    ov = T.override_for(ell).defect
-    if ov is not None:
-        return SemistabilityDefect(ov)
-    return semistability_defect(E, ell)
-
-
-def _kv_reduction(E: WeierstrassCurve, T: TowerSpec, site: PrimeSite) -> KvReduction:
-    ov = T.override_for(site.ell).reduction_over_Kv
-    if ov is not None:
-        return {
-            "good": KvReduction("good", None),
-            "multiplicative_split": KvReduction("multiplicative", True),
-            "multiplicative_nonsplit": KvReduction("multiplicative", False),
-            "additive": KvReduction("additive", None),
-        }[ov]
-    defect = None
-    red = local_reduction(E, site.ell)
-    if red.potentially_good and red.reduction_type != "good":
-        defect = _defect(E, T, site.ell)
-    return reduction_over_Kv(E, site.ell, site.local_extension(T.K), defect=defect)
+ARCHIMEDEAN_GAMMA = _verdict(0, V.ARCHIMEDEAN)
 
 
 def gamma(E: WeierstrassCurve, T: TowerSpec, u: Place) -> ConstantVerdict:
     """gamma_u for a rational prime u (or the infinite place)."""
-    violations = validate_tower(T, E)
-    if violations:
-        raise ValueError("invalid tower: " + "; ".join(map(str, violations)))
+    check_tower(T, E)
     if u == INFINITE_PLACE:
-        return _verdict(0, V.ARCHIMEDEAN)
-    sites = sites_above(u, T.K)
-    if sites[0].split_type == SPLIT:
+        return ARCHIMEDEAN_GAMMA
+    site = sites_above(u, T.K)[0]
+    return gamma_at(T, site, local_data(E, T, site))
+
+
+def gamma_at(T: TowerSpec, site: PrimeSite, loc: LocalData) -> ConstantVerdict:
+    """gamma_u at the prime below site (the first above it), in a valid tower."""
+    if site.split_type == SPLIT:
         return _verdict(0, V.SPLIT_PAIR)
-    site = sites[0]
     if not T.is_ramified_in_L(site):
         return _verdict(0, V.SELF_CONJ_UNRAMIFIED)
 
     # v = v^c, ramified in L/K.
-    kv = _kv_reduction(E, T, site)
-    red = local_reduction(E, site.ell)
+    kv, red = loc.kv, loc.red
     if kv.reduction_type == "good":
         detail = ""
         if red.reduction_type != "good":
@@ -120,10 +93,10 @@ def gamma(E: WeierstrassCurve, T: TowerSpec, u: Place) -> ConstantVerdict:
     if ell % 2 and ell % 3 and ell != T.p:
         return _verdict(0, V.POT_GOOD_UNRAMIFIED_TAME)
     if ell == T.p:
-        if isinstance(site.local_extension(T.K), Inert):
+        if isinstance(loc.ext, Inert):
             return _verdict(0, V.POT_GOOD_UNRAMIFIED_TAME)
         # ramified above p: abelian criterion q = p congruent to 1 mod e
-        defect = _defect(E, T, ell)
+        defect = loc.defect
         if defect.known_cyclic and (T.p - 1) % defect.e == 0:
             return _verdict(
                 0, V.POT_GOOD_RAMIFIED_ABELIAN,
@@ -133,7 +106,7 @@ def gamma(E: WeierstrassCurve, T: TowerSpec, u: Place) -> ConstantVerdict:
                         detail="ramified above p and the abelian criterion fails "
                                "or the defect is unknown")
     # ell in {2, 3}
-    defect = _defect(E, T, ell)
+    defect = loc.defect
     if defect.known_cyclic and defect.e in (1, 2, 3, 4, 6):
         return _verdict(0, V.POT_GOOD_WILD_CYCLIC_DEFECT,
                         detail=f"inertia image certified cyclic of order {defect.e}")

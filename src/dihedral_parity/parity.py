@@ -13,18 +13,16 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from . import verdicts as V
-from .curves import WeierstrassCurve, local_reduction
-from .delta import delta
-from .gamma import INFINITE_PLACE, gamma
-from .localarith import prime_factors
+from .curves import LocalData, WeierstrassCurve
+from .delta import delta_at
+from .gamma import ARCHIMEDEAN_GAMMA, INFINITE_PLACE, gamma_at
 from .tower import (
-    RAMIFIED,
-    SPLIT,
     PrimeSite,
     TowerSpec,
+    check_tower,
+    local_data,
     sites_above,
     support_primes,
-    validate_tower,
 )
 from .verdicts import ConstantVerdict, DeltaVerdict
 
@@ -101,108 +99,36 @@ class ParityReport:
                 or self.mr64_sum is None)
 
 
-def _delta_entries(E, T, u: int) -> tuple[tuple[PrimeSite, DeltaVerdict], ...]:
-    sites = sites_above(u, T.K)
-    if sites[0].split_type == SPLIT:
-        # one PairCancels verdict stands for the conjugate pair
-        return ((sites[0], delta(E, T, sites[0])),)
-    return tuple((s, delta(E, T, s)) for s in sites)
-
-
-def _row_for_prime(E, T, u: int) -> ParityRow:
-    g = gamma(E, T, u)
-    entries = _delta_entries(E, T, u)
-    contribs = [dv.contribution() for _, dv in entries]
-    dsum = None if any(c is None for c in contribs) else sum(contribs) % 2
+def _row_for_prime(T: TowerSpec, site: PrimeSite, loc: LocalData) -> ParityRow:
+    """The row of the prime below site; its one delta entry stands for the
+    conjugate pair when the prime splits in K."""
+    g = gamma_at(T, site, loc)
+    dv = delta_at(T, site, loc)
+    dsum = dv.contribution()
     if g.value is None or dsum is None:
         status = UNDETERMINED
     else:
         status = MATCH if g.value % 2 == dsum else MISMATCH
-    return ParityRow(place=u, gamma=g, deltas=entries, delta_sum=dsum, status=status)
+    return ParityRow(place=site.ell, gamma=g, deltas=((site, dv),), delta_sum=dsum,
+                     status=status)
 
 
-def parity_table(E: WeierstrassCurve, T: TowerSpec) -> list[ParityRow]:
-    """Rows for every prime in the finite support set, the archimedean place,
-    and one blanket row covering all omitted primes."""
-    rows = [_row_for_prime(E, T, u) for u in support_primes(T, E)]
-    g_inf = gamma(E, T, INFINITE_PLACE)
-    rows.append(ParityRow(place=INFINITE_PLACE, gamma=g_inf, deltas=(),
-                          delta_sum=0, status=MATCH,
-                          note="documented extension: archimedean row"))
-    rows.append(ParityRow(place="other", gamma=None, deltas=(), delta_sum=0,
-                          status=MATCH, note=BLANKET_CITATION))
-    return rows
-
-
-def self_conjugate_ramified_sites(T: TowerSpec) -> list[PrimeSite]:
-    return sorted((s for s in T.ramified_sites if s.self_conjugate),
-                  key=lambda s: s.ell)
-
-
-def hypothesis_audit(E: WeierstrassCurve, T: TowerSpec) -> list[SiteAudit]:
-    """Which parity-theorem condition each self-conjugate ramified site meets.
+def _audit(site: PrimeSite, dv: DeltaVerdict) -> SiteAudit:
+    """Which parity-theorem condition a self-conjugate ramified site meets.
 
     A site passes when the delta engine's governing theorem applies (tags map
     onto conditions (a)-(d)); an Uncovered verdict fails the audit.
     """
-    out = []
-    for site in self_conjugate_ramified_sites(T):
-        dv = delta(E, T, site)
-        cond = _CONDITION_BY_TAG.get(dv.case_tag)
-        out.append(SiteAudit(site=site, condition=cond, passes=cond is not None,
-                             reason=dv.detail if cond is None else ""))
-    return out
+    cond = _CONDITION_BY_TAG.get(dv.case_tag)
+    return SiteAudit(site=site, condition=cond, passes=cond is not None,
+                     reason=dv.detail if cond is None else "")
 
 
-def mr64_prime_set(E: WeierstrassCurve, T: TowerSpec) -> list[PrimeSite]:
-    """Sites above p, sites ramified in L/K, and sites of bad reduction."""
-    primes = {T.p}
-    for ell in prime_factors(E.discriminant()):
-        if local_reduction(E, ell).reduction_type != "good":
-            primes.add(ell)
-    primes.update(s.ell for s in T.ramified_sites)
-    sites: list[PrimeSite] = []
-    for ell in sorted(primes):
-        sites.extend(sites_above(ell, T.K))
-    return sites
-
-
-def mr64_sum(E: WeierstrassCurve, T: TowerSpec) -> tuple[Optional[int], list[PrimeSite]]:
-    """Parity of sum of delta_v over the aggregation set S (None if any
-    contributing verdict is undetermined)."""
-    S = mr64_prime_set(E, T)
-    total = 0
-    seen_pairs = set()
-    for site in S:
-        if site.split_type == SPLIT:
-            if site.ell in seen_pairs:
-                continue
-            seen_pairs.add(site.ell)
-        c = delta(E, T, site).contribution()
-        if c is None:
-            return None, S
-        total += c
-    return total % 2, S
-
-
-def split_multiplicative_sites(E, T) -> list[PrimeSite]:
-    return [s for s in self_conjugate_ramified_sites(T)
-            if delta(E, T, s).case_tag == V.POT_MULT_SPLIT]
-
-
-def selmer_growth_bound(E: WeierstrassCurve, T: TowerSpec,
-                        dim_Sp_E_K: int) -> SelmerBound:
-    """Lower bound dim S_p(E/F) >= dim S_p(E/K) + p^n - 1, applicable when
-    every self-conjugate ramified site meets a known case and
-    dim S_p(E/K) + |S_m| is odd."""
-    if dim_Sp_E_K < 0:
-        raise ValueError("dim_Sp_E_K must be nonnegative")
-    audit = hypothesis_audit(E, T)
-    s_m = split_multiplicative_sites(E, T)
+def _selmer_bound(T: TowerSpec, audit: list[SiteAudit], s_m: list[PrimeSite],
+                  dim_Sp_E_K: int) -> SelmerBound:
     reasons = [f"site above {a.site.ell}: {a.reason or 'no known case applies'}"
                for a in audit if not a.passes]
-    parity_ok = (dim_Sp_E_K + len(s_m)) % 2 == 1
-    if not parity_ok:
+    if (dim_Sp_E_K + len(s_m)) % 2 == 0:
         reasons.append(f"dim S_p(E/K) + |S_m| = {dim_Sp_E_K} + {len(s_m)} is even")
     applicable = not reasons
     return SelmerBound(
@@ -214,44 +140,59 @@ def selmer_growth_bound(E: WeierstrassCurve, T: TowerSpec,
     )
 
 
-def relative_parity_statement(E: WeierstrassCurve, T: TowerSpec) -> Optional[dict]:
-    """The relative parity fragment, present when the audit passes for every
-    site above 6p and the aggregated sum is determined."""
-    relevant = [a for a in hypothesis_audit(E, T)
-                if a.site.ell in (2, 3) or a.site.ell == T.p]
-    if not all(a.passes for a in relevant):
-        return None
-    total, _ = mr64_sum(E, T)
-    if total is None:
-        return None
-    return {
-        "statement": (
-            "r_p^arith(E, tau_rho) - r_p^arith(E, tau_1) and "
-            "r^an(E, tau_rho) - r^an(E, tau_1) share the parity below (mod 2)"),
-        "parity": total,
-    }
-
-
 def analyze(E: WeierstrassCurve, T: TowerSpec,
             dim_Sp_E_K: Optional[int] = None) -> ParityReport:
-    """Full report: parity table, aggregation, audit and optional bound."""
-    violations = validate_tower(T, E)
-    if violations:
-        raise ValueError("invalid tower: " + "; ".join(map(str, violations)))
-    rows = parity_table(E, T)
-    total, S = mr64_sum(E, T)
-    s_frak = self_conjugate_ramified_sites(T)
-    s_m = split_multiplicative_sites(E, T)
-    audit = hypothesis_audit(E, T)
-    bound = selmer_growth_bound(E, T, dim_Sp_E_K) if dim_Sp_E_K is not None else None
+    """Full report: parity table, aggregation, audit and optional bound.
+
+    The tower is validated once and each support prime gets one LocalData
+    record and one row; every aggregate is read from those rows.
+    """
+    if dim_Sp_E_K is not None and dim_Sp_E_K < 0:
+        raise ValueError("dim_Sp_E_K must be nonnegative")
+    check_tower(T, E)
+    disc = E.discriminant()
+    # The aggregation set S: sites above p, sites ramified in L/K, and sites
+    # of bad reduction.
+    s_primes = {T.p, *(s.ell for s in T.ramified_sites)}
+    rows, S, sums = [], [], []
+    for ell in support_primes(T, E):
+        above = sites_above(ell, T.K)
+        loc = local_data(E, T, above[0])
+        rows.append(_row_for_prime(T, above[0], loc))
+        if ell in s_primes or (disc % ell == 0 and loc.red.reduction_type != "good"):
+            S.extend(above)
+            sums.append(rows[-1].delta_sum)
+    delta_at_ell = {r.place: r.deltas[0][1] for r in rows}
+    total = None if None in sums else sum(sums) % 2
+    s_frak = sorted((s for s in T.ramified_sites if s.self_conjugate),
+                    key=lambda s: s.ell)
+    s_m = [s for s in s_frak if delta_at_ell[s.ell].case_tag == V.POT_MULT_SPLIT]
+    audit = [_audit(s, delta_at_ell[s.ell]) for s in s_frak]
+    # The relative parity fragment needs the audit to pass at every site
+    # above 6p and the aggregated sum to be determined.
+    relative = None
+    if total is not None and all(a.passes for a in audit
+                                 if a.site.ell in (2, 3) or a.site.ell == T.p):
+        relative = {
+            "statement": (
+                "r_p^arith(E, tau_rho) - r_p^arith(E, tau_1) and "
+                "r^an(E, tau_rho) - r^an(E, tau_1) share the parity below (mod 2)"),
+            "parity": total,
+        }
+    bound = None if dim_Sp_E_K is None else _selmer_bound(T, audit, s_m, dim_Sp_E_K)
     notes = [
         "archimedean places contribute 0 to both sides by a documented "
         "extension of the finite-place case analysis",
     ]
-    if any(r.gamma and r.gamma.case_tag == V.POT_GOOD_RAMIFIED_ABELIAN for r in rows):
+    if any(r.gamma.case_tag == V.POT_GOOD_RAMIFIED_ABELIAN for r in rows):
         notes.append(
             "the tame abelian criterion (residue size congruent to 1 mod e) was "
             "used to certify good reduction over an abelian extension of K_v")
+    rows.append(ParityRow(place=INFINITE_PLACE, gamma=ARCHIMEDEAN_GAMMA, deltas=(),
+                          delta_sum=0, status=MATCH,
+                          note="documented extension: archimedean row"))
+    rows.append(ParityRow(place="other", gamma=None, deltas=(), delta_sum=0,
+                          status=MATCH, note=BLANKET_CITATION))
     return ParityReport(
         curve=E,
         tower=T,
@@ -262,6 +203,44 @@ def analyze(E: WeierstrassCurve, T: TowerSpec,
         S_m=s_m,
         hypothesis_audit=audit,
         selmer_bound=bound,
-        relative_parity=relative_parity_statement(E, T),
+        relative_parity=relative,
         notes=notes,
     )
+
+
+# The entry points below each run one analysis and read one part of it.
+
+def parity_table(E: WeierstrassCurve, T: TowerSpec) -> list[ParityRow]:
+    """Rows for every prime in the finite support set, the archimedean place,
+    and one blanket row covering all omitted primes."""
+    return analyze(E, T).rows
+
+
+def hypothesis_audit(E: WeierstrassCurve, T: TowerSpec) -> list[SiteAudit]:
+    """Which parity-theorem condition each self-conjugate ramified site meets."""
+    return analyze(E, T).hypothesis_audit
+
+
+def mr64_sum(E: WeierstrassCurve, T: TowerSpec) -> tuple[Optional[int], list[PrimeSite]]:
+    """Parity of sum of delta_v over the aggregation set S (None if any
+    contributing verdict is undetermined)."""
+    rep = analyze(E, T)
+    return rep.mr64_sum, rep.S
+
+
+def split_multiplicative_sites(E, T) -> list[PrimeSite]:
+    return analyze(E, T).S_m
+
+
+def selmer_growth_bound(E: WeierstrassCurve, T: TowerSpec,
+                        dim_Sp_E_K: int) -> SelmerBound:
+    """Lower bound dim S_p(E/F) >= dim S_p(E/K) + p^n - 1, applicable when
+    every self-conjugate ramified site meets a known case and
+    dim S_p(E/K) + |S_m| is odd."""
+    return analyze(E, T, dim_Sp_E_K).selmer_bound
+
+
+def relative_parity_statement(E: WeierstrassCurve, T: TowerSpec) -> Optional[dict]:
+    """The relative parity fragment, present when the audit passes for every
+    site above 6p and the aggregated sum is determined."""
+    return analyze(E, T).relative_parity

@@ -9,9 +9,17 @@ constants never depend on).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional
 
-from .curves import Inert, LocalExtension, Ramified, Split, WeierstrassCurve
+from .curves import (
+    Inert,
+    LocalData,
+    LocalExtension,
+    Ramified,
+    SiteOverrides,
+    Split,
+    WeierstrassCurve,
+)
 from .localarith import is_prime, is_squarefree, kronecker_symbol, prime_factors
 
 SPLIT = "split"
@@ -94,16 +102,6 @@ def sites_above(ell: int, K: QuadraticFieldSpec) -> list[PrimeSite]:
 
 
 @dataclass(frozen=True)
-class SiteOverrides:
-    """Optional per-prime data the implemented criteria cannot certify."""
-
-    defect: Union[int, str, None] = None  # 1|2|3|4|6 or "noncyclic"
-    anomalous: Optional[bool] = None
-    reduction_over_Kv: Optional[str] = None  # "good"|"multiplicative_split"|
-    # "multiplicative_nonsplit"|"additive"
-
-
-@dataclass(frozen=True)
 class Violation:
     code: str
     message: str
@@ -174,6 +172,18 @@ def validate_tower(T: TowerSpec, E: Optional[WeierstrassCurve] = None) -> list[V
     if E is not None and E.discriminant() == 0:  # unreachable with the frozen type
         out.append(Violation("singular_curve", "discriminant is zero"))
     return out
+
+
+def check_tower(T: TowerSpec, E: Optional[WeierstrassCurve] = None) -> None:
+    """Raise ValueError naming every violation of an invalid tower."""
+    violations = validate_tower(T, E)
+    if violations:
+        raise ValueError("invalid tower: " + "; ".join(map(str, violations)))
+
+
+def local_data(E: WeierstrassCurve, T: TowerSpec, site: PrimeSite) -> LocalData:
+    """The local record of E at the prime below site, in the tower T."""
+    return LocalData(E, site.ell, site.local_extension(T.K), T.override_for(site.ell))
 
 
 def support_primes(T: TowerSpec, E: WeierstrassCurve) -> list[int]:

@@ -114,6 +114,24 @@ def test_overrides_parsed(tmp_path, capsys):
     report = json.loads(out)
     assert not report["has_undetermined"]
     assert report["tower"]["overrides"]["3"]["defect_override"] == 2
+    bad = write_json(tmp_path / "bad.json", {
+        "curve": [0, 0, 0, 0, 1], "d": -1, "p": 5, "n": 1,
+        "ramified_sites": [{"ell": 3}],
+        "overrides": {"3": {"reduction_over_Kv_override": "bogus"}}})
+    code, out = run_cli(capsys, ["analyze", str(bad)])
+    assert code == EXIT_INVALID
+    assert out == ("overrides.3.reduction_over_Kv_override: "
+                   "unknown value 'bogus'\n")
+
+
+def test_analyze_error_is_one_line(tmp_path, capsys):
+    # p = 100003 lies beyond the point-counting bound that delta at p needs
+    cfg = write_json(tmp_path / "c.json", {
+        "curve": [0, 0, 0, 1, 0], "d": -1, "p": 100003, "n": 1,
+        "ramified_sites": [{"ell": 100003}]})
+    code, out = run_cli(capsys, ["analyze", str(cfg)])
+    assert code == EXIT_INVALID
+    assert out == "error: ell = 100003 exceeds the counting bound 100000\n"
 
 
 def test_validate_ok_and_violations(flagship_config, tmp_path, capsys):

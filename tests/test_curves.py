@@ -206,6 +206,34 @@ def test_reduction_over_Kv_potentially_good():
     assert good_twist_at(t, 7) is not None
 
 
+# Every nontrivial square class of Q_ell^x, in the order of an exhaustive
+# search, and the unramified class.
+ALL_TWIST_CLASSES = {2: [-1, 2, -2, 5, -5, 10, -10], 3: [2, 3, 6], 5: [2, 5, 10],
+                     7: [3, 7, 21]}
+UNRAMIFIED_CLASS = {2: 5, 3: 2, 5: 2, 7: 3}
+
+
+@settings(max_examples=60, deadline=None)
+@given(curves_strategy(), st.sampled_from([1, -1, 2, -2, 3, -3, 5, 7, -7, 10]),
+       st.sampled_from([2, 3, 5, 7]))
+def test_good_twist_search_matches_exhaustive_search(ainvs, d, ell):
+    E = _try_curve(ainvs)
+    if E is None:
+        return
+    if d != 1:
+        E = quadratic_twist(E, d)
+    red = local_reduction(E, ell)
+    # an unramified twist keeps the reduction type
+    unram = quadratic_twist(E, UNRAMIFIED_CLASS[ell])
+    assert local_reduction(unram, ell).reduction_type == red.reduction_type
+    if red.reduction_type != "additive":
+        return
+    good = [t for t in ALL_TWIST_CLASSES[ell]
+            if local_reduction(quadratic_twist(E, t), ell).reduction_type == "good"]
+    found = good_twist_at(E, ell)
+    assert (found[0] if found else None) == (good[0] if good else None)
+
+
 def test_good_reduction_persists():
     kv = reduction_over_Kv(CURVES["11a1"], 7, Inert())
     assert kv.reduction_type == "good"

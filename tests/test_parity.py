@@ -1,6 +1,12 @@
+import sys
+
 import pytest
 
 from corpus import CURVES, PARITY_CORPUS, make_tower
+from dihedral_parity import curves
+from dihedral_parity import verdicts as V
+from dihedral_parity.delta import delta
+from dihedral_parity.gamma import gamma
 from dihedral_parity.parity import (
     MATCH,
     UNDETERMINED,
@@ -10,6 +16,7 @@ from dihedral_parity.parity import (
     parity_table,
     relative_parity_statement,
     selmer_growth_bound,
+    split_multiplicative_sites,
 )
 from dihedral_parity.tower import sites_above, support_primes
 
@@ -108,3 +115,72 @@ def test_relative_parity_zero_case():
     T = make_tower(-1, 5, 1, [7])
     stmt = relative_parity_statement(TWIST_11A1_7, T)
     assert stmt is not None and stmt["parity"] == 0
+
+
+def _record_calls(monkeypatch, names):
+    """Wrap every module's binding of each named curves function, as the
+    benchmark's tracer does, and collect the arguments of every call."""
+    calls = {name: [] for name in names}
+    modules = [m for key, m in list(sys.modules.items())
+               if key == "dihedral_parity" or key.startswith("dihedral_parity.")]
+    for name in names:
+        original = getattr(curves, name)
+
+        def wrapper(*args, _name=name, _fn=original):
+            calls[_name].append(args)
+            return _fn(*args)
+
+        for m in modules:
+            for attr, value in list(vars(m).items()):
+                if value is original:
+                    monkeypatch.setattr(m, attr, wrapper)
+    return calls
+
+
+STAGES = ("local_reduction", "minimal_model_at", "count_points")
+
+
+def test_each_local_stage_runs_once_per_prime(monkeypatch):
+    # 11a1 in Q(sqrt 7) with 5 and 11 ramified in L: support {2, 5, 7, 11};
+    # only 5 (good ordinary at p) and 11 (split multiplicative) need local data
+    E = CURVES["11a1"]
+    T = make_tower(7, 5, 1, [5, 11])
+    calls = _record_calls(monkeypatch, STAGES)
+    analyze(E, T, dim_Sp_E_K=0)
+    assert sorted(calls["local_reduction"], key=lambda a: a[1]) == [(E, 5), (E, 11)]
+    assert len(calls["minimal_model_at"]) == 2
+    assert len(calls["count_points"]) == 1
+
+
+@pytest.mark.parametrize("case", PARITY_CORPUS, ids=lambda c: c[0])
+def test_no_local_stage_repeats(monkeypatch, case):
+    _, E, d, p, n, rams = case
+    T = make_tower(d, p, n, rams)
+    calls = _record_calls(monkeypatch, STAGES)
+    analyze(E, T, dim_Sp_E_K=0)
+    for name in ("local_reduction", "minimal_model_at"):
+        assert len(calls[name]) == len(set(calls[name])), (name, calls[name])
+    assert len(calls["count_points"]) <= 1
+
+
+@pytest.mark.parametrize("case", PARITY_CORPUS, ids=lambda c: c[0])
+def test_entry_points_agree_with_analyze(case):
+    _, E, d, p, n, rams = case
+    T = make_tower(d, p, n, rams)
+    rep = analyze(E, T)
+    assert mr64_sum(E, T) == (rep.mr64_sum, rep.S)
+    assert hypothesis_audit(E, T) == rep.hypothesis_audit
+    assert split_multiplicative_sites(E, T) == rep.S_m
+    assert relative_parity_statement(E, T) == rep.relative_parity
+    for dim in (0, 1):
+        assert selmer_growth_bound(E, T, dim) == analyze(E, T, dim).selmer_bound
+    # the per-place public gamma and delta give the table's verdicts
+    for row in rep.rows[:-2]:
+        assert gamma(E, T, row.place) == row.gamma
+        for site in sites_above(row.place, T.K):
+            assert delta(E, T, site) == row.deltas[0][1]
+    pairs_once = {s.ell: delta(E, T, s).contribution() for s in rep.S}
+    if None not in pairs_once.values():
+        assert rep.mr64_sum == sum(pairs_once.values()) % 2
+    assert rep.S_m == [s for s in rep.S_frak
+                       if delta(E, T, s).case_tag == V.POT_MULT_SPLIT]
