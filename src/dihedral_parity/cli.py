@@ -404,6 +404,10 @@ def _emit(text: str, quiet: bool) -> None:
         sys.stdout.write(text)
 
 
+def _format_violations(violations) -> str:
+    return "".join(f"{v.code}: {v.message} [{v.citation}]\n" for v in violations)
+
+
 def run_analyze(config_path: str, *, fmt: str = "json", strict: bool = False,
                 quiet: bool = False) -> int:
     try:
@@ -414,8 +418,7 @@ def run_analyze(config_path: str, *, fmt: str = "json", strict: bool = False,
         return EXIT_INVALID
     violations = validate_tower(T, E)
     if violations:
-        _emit("\n".join(f"{v.code}: {v.message} [{v.citation}]"
-                        for v in violations) + "\n", quiet)
+        _emit(_format_violations(violations), quiet)
         return EXIT_INVALID
     try:
         rep = analyze(E, T, dim_Sp_E_K=dim)
@@ -450,8 +453,7 @@ def run_validate(config_path: str, *, fmt: str = "json",
         }, indent=2) + "\n", quiet)
     else:
         if violations:
-            _emit("\n".join(f"{v.code}: {v.message} [{v.citation}]"
-                            for v in violations) + "\n", quiet)
+            _emit(_format_violations(violations), quiet)
         else:
             _emit("valid\n", quiet)
     return EXIT_INVALID if violations else EXIT_OK
@@ -459,10 +461,6 @@ def run_validate(config_path: str, *, fmt: str = "json",
 
 def _analyze_one(label: str, E: WeierstrassCurve, T: TowerSpec,
                  dim: Optional[int]) -> dict:
-    violations = validate_tower(T, E)
-    if violations:
-        return {"label": label, "error": "; ".join(
-            f"{v.code}: {v.message}" for v in violations)}
     try:
         d = report_to_dict(analyze(E, T, dim_Sp_E_K=dim))
     except Exception as exc:  # per-row isolation: batch must keep going
@@ -473,6 +471,11 @@ def _analyze_one(label: str, E: WeierstrassCurve, T: TowerSpec,
 
 def run_batch(curves_path: str, config_path: str, *, fmt: str = "json",
               strict: bool = False, quiet: bool = False, jobs: int = 1) -> int:
+    """Analyze every curve of the CSV in one tower, in input order.
+
+    ``jobs`` is accepted for compatibility and ignored: the analysis is
+    CPU-bound pure Python, so worker threads gave no speed-up.
+    """
     try:
         raw = load_config(config_path)
         _, T, dim = parse_config(raw, need_curve=False)
@@ -480,14 +483,11 @@ def run_batch(curves_path: str, config_path: str, *, fmt: str = "json",
     except ConfigError as exc:
         _emit("\n".join(exc.messages) + "\n", quiet)
         return EXIT_INVALID
-    if jobs > 1:
-        # imported only here: a one-job run needs neither its memory nor its import time
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(
-                lambda lc: _analyze_one(lc[0], lc[1], T, dim), rows))
-    else:
-        reports = [_analyze_one(label, E, T, dim) for label, E in rows]
+    violations = validate_tower(T)
+    if violations:
+        _emit(_format_violations(violations), quiet)
+        return EXIT_INVALID
+    reports = [_analyze_one(label, E, T, dim) for label, E in rows]
     summary = {
         "curves": len(rows),
         "row_errors": len(row_errors) + sum("error" in r for r in reports),
@@ -551,7 +551,8 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("config", help="JSON tower config file")
     pb.add_argument("--strict", action="store_true")
     pb.add_argument("--jobs", type=int, default=1,
-                    help="parallel workers (output order is input order)")
+                    help="accepted for compatibility and ignored: rows always "
+                         "run one at a time, in input order")
     _add_common(pb)
 
     pv = sub.add_parser("validate", help="validate a tower config")

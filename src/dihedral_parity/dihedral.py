@@ -1,30 +1,27 @@
-"""Character algebra for dihedral groups D_{2m} with m odd.
+"""Character algebra for dihedral groups D_{2m} with m odd, in exact integers.
 
-Class functions are stored element-wise (groups here have at most a few
-dozen elements); values are complex floats, but inner products are returned
-as exact rationals after a tolerance check of 1e-9.  Elements of D_{2m} are
-pairs ('r', j) for rotations and ('s', j) for the reflections s*r^j.
+A class function is stored by its coefficients in the orthonormal basis of
+irreducible characters.  For the cyclic group C_m that basis is
+chi_0, ..., chi_{m-1}, with chi_k(r^j) = zeta_m^{kj}; for D_{2m} it is
+1, sgn, psi_1, ..., psi_{(m-1)/2}, where psi_k is the 2-dimensional character
+with rotation weight k, so psi_k = Ind chi_k = Ind chi_{m-k}.  Virtual
+characters have integer coefficients, induction and restriction are integer
+maps on them, and the inner product is the dot product of coefficients.
 """
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
-
-TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class CyclicGroupSpec:
     m: int
 
-    def elements(self) -> list[int]:
-        return list(range(self.m))
-
     @property
-    def order(self) -> int:
+    def n_irreducibles(self) -> int:
         return self.m
 
 
@@ -38,12 +35,9 @@ class DihedralGroupSpec:
         if self.m < 3 or self.m % 2 == 0:
             raise ValueError("rotation order m must be odd and >= 3")
 
-    def elements(self) -> list[tuple[str, int]]:
-        return [("r", j) for j in range(self.m)] + [("s", j) for j in range(self.m)]
-
     @property
-    def order(self) -> int:
-        return 2 * self.m
+    def n_irreducibles(self) -> int:
+        return 2 + (self.m - 1) // 2
 
 
 GroupSpec = CyclicGroupSpec | DihedralGroupSpec
@@ -52,119 +46,102 @@ GroupSpec = CyclicGroupSpec | DihedralGroupSpec
 @dataclass(frozen=True)
 class ClassFunction:
     group: GroupSpec
-    values: tuple[complex, ...]  # indexed by group.elements() order
+    coeffs: tuple[int, ...]  # multiplicity of each irreducible, in basis order
 
-    def __call__(self, g) -> complex:
-        return self.values[self._index(g)]
-
-    def _index(self, g) -> int:
-        if isinstance(self.group, CyclicGroupSpec):
-            return g % self.group.m
-        kind, j = g
-        return (j % self.group.m) + (self.group.m if kind == "s" else 0)
+    def __post_init__(self):
+        if (len(self.coeffs) != self.group.n_irreducibles
+                or not all(isinstance(c, int) for c in self.coeffs)):
+            raise ValueError(f"expected {self.group.n_irreducibles} integer "
+                             f"coefficients, got {self.coeffs!r}")
 
     def __add__(self, other: "ClassFunction") -> "ClassFunction":
         if self.group != other.group:
             raise ValueError("group mismatch")
         return ClassFunction(self.group,
-                             tuple(a + b for a, b in zip(self.values, other.values)))
+                             tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "ClassFunction") -> "ClassFunction":
         if self.group != other.group:
             raise ValueError("group mismatch")
         return ClassFunction(self.group,
-                             tuple(a - b for a, b in zip(self.values, other.values)))
+                             tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
-    def is_zero(self, tol: float = TOL) -> bool:
-        return all(abs(v) < tol for v in self.values)
+    def is_zero(self) -> bool:
+        return not any(self.coeffs)
 
-    def degree(self) -> complex:
-        return self.values[0]
+
+def _basis_character(group: GroupSpec, i: int) -> ClassFunction:
+    return ClassFunction(group, tuple(int(j == i) for j in range(group.n_irreducibles)))
 
 
 def cyclic_character(m: int, k: int) -> ClassFunction:
     """The character r^j -> zeta_m^{kj} of C_m."""
-    zeta = [cmath.exp(2j * cmath.pi * k * j / m) for j in range(m)]
-    return ClassFunction(CyclicGroupSpec(m), tuple(zeta))
+    return _basis_character(CyclicGroupSpec(m), k % m)
 
 
 def trivial_character(group: GroupSpec) -> ClassFunction:
-    return ClassFunction(group, tuple(1.0 + 0j for _ in group.elements()))
+    return _basis_character(group, 0)
 
 
 def sign_character(G: DihedralGroupSpec) -> ClassFunction:
     """The character that is +1 on rotations and -1 on reflections."""
-    return ClassFunction(G, tuple(1.0 + 0j if kind == "r" else -1.0 + 0j
-                                  for kind, _ in G.elements()))
+    return _basis_character(G, 1)
 
 
 def two_dim_character(G: DihedralGroupSpec, k: int) -> ClassFunction:
-    """Character of the 2-dimensional representation with rotation weight k."""
-    m = G.m
-    vals = [2 * cmath.cos(2 * cmath.pi * k * j / m) + 0j for j in range(m)]
-    vals += [0j] * m
-    return ClassFunction(G, tuple(vals))
+    """Character psi_k of the 2-dimensional irreducible, 1 <= k <= (m-1)/2."""
+    if not 1 <= k <= (G.m - 1) // 2:
+        raise ValueError(f"rotation weight k = {k} must be in 1..{(G.m - 1) // 2}")
+    return _basis_character(G, 1 + k)
 
 
 def irreducible_characters(G: DihedralGroupSpec) -> list[ClassFunction]:
     """All irreducibles of D_{2m} (m odd): 1, sgn, and (m-1)/2 of degree 2."""
-    out = [trivial_character(G), sign_character(G)]
-    out += [two_dim_character(G, k) for k in range(1, (G.m + 1) // 2)]
-    return out
+    return [_basis_character(G, i) for i in range(G.n_irreducibles)]
 
 
 def induce(chi: ClassFunction, G: DihedralGroupSpec) -> ClassFunction:
     """Induce a character of the rotation subgroup C_m up to D_{2m}.
 
-    ind(chi)(r^j) = chi(r^j) + chi(r^-j); ind(chi) vanishes on reflections.
+    Ind chi_0 = 1 + sgn, and Ind chi_k = Ind chi_{m-k} = psi_k.
     """
     if not isinstance(chi.group, CyclicGroupSpec) or chi.group.m != G.m:
         raise ValueError("chi must live on the rotation subgroup of G")
-    m = G.m
-    vals = [chi(j) + chi(-j % m) for j in range(m)] + [0j] * m
-    return ClassFunction(G, tuple(vals))
+    c = chi.coeffs
+    return ClassFunction(G, (c[0], c[0]) + tuple(c[k] + c[G.m - k]
+                                                 for k in range(1, (G.m + 1) // 2)))
 
 
 def restrict(chi: ClassFunction, H: str) -> ClassFunction:
     """Restrict a class function on D_{2m} to a subgroup.
 
-    H = "rotations" gives the cyclic subgroup C_m; H = "reflection" gives the
-    order-2 subgroup <s> (the decomposition groups the local analysis uses).
+    H = "rotations" gives the cyclic subgroup C_m, where 1 and sgn restrict to
+    chi_0 and psi_k to chi_k + chi_{m-k}.  H = "reflection" gives the order-2
+    subgroup <s> (the decomposition groups the local analysis uses), as C_2:
+    1 restricts to chi_0, sgn to chi_1 and psi_k to chi_0 + chi_1.
     """
     if not isinstance(chi.group, DihedralGroupSpec):
         raise ValueError("restriction is implemented from dihedral groups only")
     m = chi.group.m
+    c = chi.coeffs
     if H == "rotations":
-        return ClassFunction(CyclicGroupSpec(m), tuple(chi(("r", j)) for j in range(m)))
+        return ClassFunction(CyclicGroupSpec(m), (c[0] + c[1],) + tuple(
+            c[1 + min(j, m - j)] for j in range(1, m)))
     if H == "reflection":
-        return ClassFunction(CyclicGroupSpec(2), (chi(("r", 0)), chi(("s", 0))))
+        two_dim = sum(c[2:])
+        return ClassFunction(CyclicGroupSpec(2), (c[0] + two_dim, c[1] + two_dim))
     raise ValueError(f"unsupported subgroup {H!r}")
 
 
 def inner_product(chi1: ClassFunction, chi2: ClassFunction) -> Fraction:
-    """(1/|G|) sum_g chi1(g) conj(chi2(g)), returned exactly.
-
-    The numerical sum is snapped to the nearest multiple of 1/|G|; a result
-    further than 1e-6 from that lattice (or with a nontrivial imaginary
-    part) raises, so no silent rounding of a genuinely irrational value.
-    """
+    """(1/|G|) sum_g chi1(g) conj(chi2(g)): the dot product of coefficients."""
     if chi1.group != chi2.group:
         raise ValueError("group mismatch")
-    order = chi1.group.order
-    s = sum(a * b.conjugate() for a, b in zip(chi1.values, chi2.values))
-    if abs(s.imag) > 1e-6:
-        raise ArithmeticError(f"inner product not real: {s}")
-    num = round(s.real)
-    if abs(s.real - num) > 1e-6:
-        raise ArithmeticError(f"inner product {s.real / order} is not in (1/|G|)Z")
-    return Fraction(num, order)
+    return Fraction(sum(a * b for a, b in zip(chi1.coeffs, chi2.coeffs)))
 
 
 def random_virtual_character(G: DihedralGroupSpec, rng,
                              coeff_range: Iterable[int] = range(-3, 4)) -> ClassFunction:
-    """Integer combination of irreducibles, for property tests."""
-    coeffs = [rng.choice(list(coeff_range)) for _ in irreducible_characters(G)]
-    out = ClassFunction(G, tuple(0j for _ in G.elements()))
-    for c, chi in zip(coeffs, irreducible_characters(G)):
-        out = ClassFunction(G, tuple(v + c * w for v, w in zip(out.values, chi.values)))
-    return out
+    """Integer combination of irreducibles, one rng.choice each in basis order."""
+    choices = list(coeff_range)
+    return ClassFunction(G, tuple(rng.choice(choices) for _ in range(G.n_irreducibles)))

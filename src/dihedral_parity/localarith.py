@@ -14,14 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
 from typing import Union
 
 Rational = Union[int, Fraction]
-
-# Square-class representatives of Q_2^x, kept as documentation and used by
-# tests; unit classes are distinguished by the unit's residue mod 8.
-TWO_ADIC_SQUARE_CLASS_REPS = (1, -1, 2, -2, 5, -5, 10, -10)
 
 
 def is_prime(n: int) -> bool:
@@ -268,7 +263,3 @@ def prime_factors(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
-
-
-def is_perfect_square(n: int) -> bool:
-    return n >= 0 and isqrt(n) ** 2 == n

@@ -195,6 +195,19 @@ def test_batch_malformed_row_continues(tmp_path, capsys):
     assert payload["summary"]["row_errors"] == 1
 
 
+def test_batch_invalid_tower_reported_once(tmp_path, capsys):
+    curves = tmp_path / "curves.csv"
+    curves.write_text(CSV_HEADER
+                      + "11a1,0,-1,1,-10,-20\n"
+                      + "11a3,0,-1,1,0,0\n", encoding="utf-8")
+    cfg = write_json(tmp_path / "tower.json", {
+        "d": -1, "p": 3, "n": 1, "ramified_sites": [{"ell": 11}]})
+    for fmt in ("json", "text"):
+        code, out = run_cli(capsys, ["batch", str(curves), str(cfg), "--format", fmt])
+        assert code == EXIT_INVALID
+        assert out.startswith("p_gt_3: ") and out.count("p_gt_3") == 1
+
+
 def test_batch_deterministic_across_jobs(tmp_path):
     curves = tmp_path / "curves.csv"
     body = CSV_HEADER + "".join(

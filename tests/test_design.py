@@ -1,0 +1,56 @@
+"""Design rules of the package, checked on its source with ``ast``.
+
+Every fact the engine states is an identity between integers or rationals, so
+no module needs a float or complex constant, a tolerance parameter or
+``cmath``; and no module imports another module's private (underscore)
+helpers.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "dihedral_parity"
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def _tree(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def test_modules_found():
+    assert {p.name for p in MODULES} >= {"__init__.py", "dihedral.py", "parity.py"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_float_or_complex_constant(path):
+    bad = [node.lineno for node in ast.walk(_tree(path))
+           if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex))]
+    assert not bad, f"{path.name}: float or complex constant at lines {bad}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_tolerance_parameter(path):
+    bad = [node.arg for node in ast.walk(_tree(path))
+           if isinstance(node, ast.arg) and "tol" in node.arg.lower()]
+    assert not bad, f"{path.name}: tolerance parameters {bad}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_cmath_import(path):
+    imported = set()
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            imported.add(node.module)
+    assert "cmath" not in imported
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_import_from_sibling(path):
+    bad = [f"{node.module}.{alias.name}" for node in ast.walk(_tree(path))
+           if isinstance(node, ast.ImportFrom) and node.level > 0
+           for alias in node.names if alias.name.startswith("_")]
+    assert not bad, f"{path.name} imports private names {bad}"

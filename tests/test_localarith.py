@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 import oracles
 from dihedral_parity.localarith import (
-    TWO_ADIC_SQUARE_CLASS_REPS,
     RamifiedQuadratic,
     UnramifiedQuadratic,
     is_local_square,
@@ -23,6 +22,10 @@ from dihedral_parity.localarith import (
     squarefree_part,
     unramified_generator,
 )
+
+# Square-class representatives of Q_2^x; unit classes are distinguished by the
+# unit's residue mod 8.
+TWO_ADIC_SQUARE_CLASS_REPS = (1, -1, 2, -2, 5, -5, 10, -10)
 
 ODD_PRIMES_50 = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
 
