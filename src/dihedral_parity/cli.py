@@ -15,6 +15,7 @@ import sys
 from typing import Any, Optional
 
 from .curves import SingularCurveError, WeierstrassCurve
+from .localarith import is_prime
 from .parity import (
     SCHEMA_VERSION,
     ParityReport,
@@ -115,6 +116,9 @@ def _parse_overrides(raw: Any, errors: list) -> dict[int, SiteOverrides]:
         except ValueError:
             errors.append(f"overrides.{key}: key must be a prime (integer)")
             continue
+        if not is_prime(ell):
+            errors.append(f"overrides.{key}: key must be a prime")
+            continue
         if not isinstance(val, dict):
             errors.append(f"overrides.{key}: expected an object")
             continue
@@ -150,6 +154,10 @@ def parse_tower(raw: dict, errors: list) -> Optional[TowerSpec]:
     if not ok:
         return None
     K = QuadraticFieldSpec(raw["d"])
+    try:
+        K.is_valid()  # factors d; validate_tower reports a bad one
+    except ValueError as exc:
+        errors.append(f"d: {exc}")
     sites = []
     for i, entry in enumerate(sites_raw):
         if not (isinstance(entry, dict) and isinstance(entry.get("ell"), int)):
@@ -157,6 +165,9 @@ def parse_tower(raw: dict, errors: list) -> Optional[TowerSpec]:
                           "\"which\": \"first\"|\"second\"?}}")
             continue
         ell = entry["ell"]
+        if not is_prime(ell):
+            errors.append(f"ramified_sites[{i}].ell: {ell} is not prime")
+            continue
         which = entry.get("which")
         if which not in (None, "first", "second"):
             errors.append(f"ramified_sites[{i}].which: expected \"first\" or \"second\"")

@@ -148,13 +148,14 @@ def validate_tower(T: TowerSpec, E: Optional[WeierstrassCurve] = None) -> list[V
     if not (is_prime(T.p) and T.p > 3):
         out.append(Violation("p_gt_3", f"p = {T.p}: p > 3 required and p must be prime",
                              CITE_P_GT_3))
-    if not T.K.is_valid():
+    K_valid = T.K.is_valid()
+    if not K_valid:
         out.append(Violation("d_squarefree",
                              f"d = {T.K.d} must be squarefree and not 0 or 1"))
     if T.n < 1:
         out.append(Violation("n_positive", f"n = {T.n} must be >= 1"))
     for site in sorted(T.ramified_sites, key=lambda s: (s.ell, s.which or "")):
-        if T.K.is_valid() and site.split_type != split_type(site.ell, T.K):
+        if K_valid and site.split_type != split_type(site.ell, T.K):
             out.append(Violation(
                 "site_consistency",
                 f"site above {site.ell} declared {site.split_type} but {site.ell} is "

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -24,3 +28,14 @@ def flagship_config(tmp_path):
 def write_json(path, obj):
     path.write_text(json.dumps(obj), encoding="utf-8")
     return path
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_isolated(args, timeout=30):
+    """Run ``python args...`` with the package importable, in a subprocess
+    that is killed after timeout seconds, so that a hang fails the test."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          timeout=timeout, env={**os.environ, "PYTHONPATH": path})

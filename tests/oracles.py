@@ -5,7 +5,9 @@ These deliberately avoid the library's algorithms: realizability of
 types by discriminant/c4 valuations of the oracle minimal model, split
 multiplicative type by brute-force point counting, quadratic-extension point
 counts by explicit finite-field arithmetic, and local squares by exhaustive
-residue enumeration.
+residue enumeration.  Primality and factoring are by trial division up to
+sqrt(n), the package's method before it moved to Miller-Rabin and
+Pollard-Brent rho.
 """
 
 from __future__ import annotations
@@ -13,6 +15,40 @@ from __future__ import annotations
 from typing import Optional
 
 from dihedral_parity.curves import WeierstrassCurve, invariants
+
+
+def is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    if n < 4:
+        return True
+    if n % 2 == 0:
+        return False
+    f = 3
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 2
+    return True
+
+
+def factorization(n: int) -> dict[int, int]:
+    """{prime: exponent} of |n| for a nonzero integer n."""
+    n = abs(n)
+    out = {}
+    f = 2
+    while f * f <= n:
+        while n % f == 0:
+            n //= f
+            out[f] = out.get(f, 0) + 1
+        f += 1 if f == 2 else 2
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def prime_factors(n: int) -> list[int]:
+    return sorted(factorization(n))
 
 
 def valuation(n: int, ell: int) -> int:

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
-from conftest import write_json
+from conftest import run_isolated, write_json
+from dihedral_parity import localarith
+from dihedral_parity.curves import WeierstrassCurve
 from dihedral_parity.cli import (
     EXIT_FAILURE,
     EXIT_INVALID,
@@ -235,3 +237,69 @@ def test_bad_header_rejected(tmp_path, capsys):
     code, out = run_cli(capsys, ["batch", str(curves), str(cfg)])
     assert code == EXIT_INVALID
     assert "expected header" in out
+
+
+@pytest.mark.parametrize("command", ["analyze", "validate"])
+def test_non_prime_ell_is_config_error(tmp_path, capsys, command):
+    base = {"curve": [0, -1, 1, -10, -20], "d": -1, "p": 5, "n": 1}
+    cfg = write_json(tmp_path / "ell.json", {**base, "ramified_sites": [{"ell": 4}]})
+    assert run_cli(capsys, [command, str(cfg)]) == (
+        EXIT_INVALID, "ramified_sites[0].ell: 4 is not prime\n")
+    cfg = write_json(tmp_path / "key.json", {
+        **base, "ramified_sites": [{"ell": 11}], "overrides": {"4": {}}})
+    assert run_cli(capsys, [command, str(cfg)]) == (
+        EXIT_INVALID, "overrides.4: key must be a prime\n")
+
+
+def test_large_inputs_do_not_hang(tmp_path):
+    # the discriminant is -5 times a 20-digit prime; d is a 20-digit prime
+    cfg = write_json(tmp_path / "c.json", {
+        "curve": [0, 0, 1, -7, 10**9 + 7], "d": 5, "p": 7, "n": 1,
+        "ramified_sites": [{"ell": 7}]})
+    proc = run_isolated(["-m", "dihedral_parity.cli", "analyze", str(cfg)])
+    assert proc.returncode == EXIT_OK, proc.stdout + proc.stderr
+    assert [r["place"] for r in json.loads(proc.stdout)["rows"]] == [
+        5, 7, 86400001252800000151, "infinity", "other"]
+    cfg = write_json(tmp_path / "v.json", {
+        "d": 10000000000000000051, "p": 7, "n": 1, "ramified_sites": []})
+    proc = run_isolated(["-m", "dihedral_parity.cli", "validate", str(cfg)])
+    assert proc.returncode == EXIT_OK, proc.stdout + proc.stderr
+    assert json.loads(proc.stdout)["valid"]
+
+
+# two primes of 25 and 26 digits: their product is beyond the rho budget
+HARD = (10**24 + 7) * (10**25 + 13)
+
+
+def test_factoring_budget_error_with_the_default_budget(tmp_path):
+    cfg = write_json(tmp_path / "c.json", {
+        "curve": [0, 0, 0, 0, HARD], "d": -1, "p": 5, "n": 1,
+        "ramified_sites": [{"ell": 11}]})
+    proc = run_isolated(["-m", "dihedral_parity.cli", "analyze", str(cfg)])
+    disc = WeierstrassCurve(0, 0, 0, 0, HARD).discriminant()
+    assert (proc.returncode, proc.stdout) == (
+        EXIT_INVALID, f"error: cannot factor {disc}: beyond the factoring budget\n")
+
+
+def test_unfactorable_inputs_are_one_line_errors(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(localarith, "RHO_BUDGET", 1 << 12)
+    tower = {"d": -1, "p": 5, "n": 1, "ramified_sites": [{"ell": 11}]}
+    hard_d = write_json(tmp_path / "d.json", {
+        **tower, "curve": [0, -1, 1, -10, -20], "d": HARD})
+    for command in ("analyze", "validate"):
+        assert run_cli(capsys, [command, str(hard_d)]) == (
+            EXIT_INVALID, f"d: cannot factor {HARD}: beyond the factoring budget\n")
+    disc = WeierstrassCurve(0, 0, 0, 0, HARD).discriminant()
+    hard_curve = write_json(tmp_path / "e.json", {**tower, "curve": [0, 0, 0, 0, HARD]})
+    assert run_cli(capsys, ["analyze", str(hard_curve)]) == (
+        EXIT_INVALID, f"error: cannot factor {disc}: beyond the factoring budget\n")
+    curves = tmp_path / "curves.csv"
+    curves.write_text(CSV_HEADER + "11a1,0,-1,1,-10,-20\n" + f"hard,0,0,0,0,{HARD}\n",
+                      encoding="utf-8")
+    code, out = run_cli(capsys, ["batch", str(curves), str(write_json(
+        tmp_path / "tower.json", tower))])
+    payload = json.loads(out)
+    assert code == EXIT_OK and payload["summary"]["row_errors"] == 1
+    assert payload["reports"][1] == {
+        "label": "hard",
+        "error": f"ValueError: cannot factor {disc}: beyond the factoring budget"}

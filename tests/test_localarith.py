@@ -6,6 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
+from conftest import run_isolated
+from dihedral_parity import localarith
 from dihedral_parity.localarith import (
     RamifiedQuadratic,
     UnramifiedQuadratic,
@@ -149,6 +151,113 @@ def test_prime_factors():
     assert prime_factors(-161051) == [11]
     assert prime_factors(432) == [2, 3]
     assert prime_factors(1) == []
+    with pytest.raises(ValueError):
+        prime_factors(0)
+    assert not is_squarefree(0)
+    # prime powers beyond 41 are split by rho, not by trial division
+    n = -(43 ** 2) * 47 ** 3 * 999983 ** 2 * 2147483647 ** 2
+    assert localarith._factorization(n) == {43: 2, 47: 3, 999983: 2, 2147483647: 2}
+    assert squarefree_part(n) == -47
+
+
+# Primes up to 1e12, each confirmed by trial division below.
+LARGE_PRIMES = (999983, 1000003, 999999937, 1000000007, 2147483647,
+                4294967291, 9999999967, 99999999977, 999999999989)
+
+
+def test_large_primes_by_trial_division():
+    assert all(oracles.is_prime(q) for q in LARGE_PRIMES)
+    assert all(is_prime(q) for q in LARGE_PRIMES)
+
+
+@given(st.integers(min_value=-10, max_value=10**6))
+def test_is_prime_matches_trial_division(n):
+    assert is_prime(n) == oracles.is_prime(n)
+
+
+def _next_prime(n):
+    while not oracles.is_prime(n):
+        n += 1
+    return n
+
+
+@given(st.lists(st.integers(min_value=2, max_value=10**6).map(_next_prime),
+                max_size=5),
+       st.sampled_from(LARGE_PRIMES), st.sampled_from((1, -1)))
+def test_factorization_of_products_of_primes(small, large, sign):
+    # rho splits off the small primes; the large one is left for primality
+    chosen = small + [large]
+    n = sign * math.prod(chosen)
+    f = localarith._factorization(n)
+    assert f == {q: chosen.count(q) for q in sorted(set(chosen))}
+    assert math.prod(q ** e for q, e in f.items()) == abs(n)
+    assert prime_factors(n) == sorted(set(chosen))
+
+
+@given(st.integers(min_value=1, max_value=10**5),
+       st.integers(min_value=1, max_value=10**3), st.sampled_from((1, -1)))
+def test_squarefree_matches_trial_division(a, b, sign):
+    n = sign * a * b * b
+    exponents = oracles.factorization(n)
+    assert is_squarefree(n) == all(e == 1 for e in exponents.values())
+    assert squarefree_part(n) == sign * math.prod(
+        q for q, e in exponents.items() if e % 2)
+
+
+@pytest.mark.parametrize("n, last_base", [
+    (3215031751, 7),                 # strong pseudoprime to bases 2, 3, 5, 7
+    (3825123056546413051, 23),       # ... to every prime base up to 23
+    (318665857834031151167461, 37),  # ... to every prime base up to 37
+])
+def test_strong_pseudoprimes_rejected(n, last_base):
+    bases = [a for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37) if a <= last_base]
+    assert all(localarith._strong_probable_prime(n, a) for a in bases)
+    assert not is_prime(n)
+
+
+# 561 and 41041 have a factor below 43; 211*421*631 and 271*541*811 reach
+# Miller-Rabin
+@pytest.mark.parametrize("n", [561, 41041, 56052361, 118901521])
+def test_carmichael_numbers_rejected(n):
+    assert pow(2, n - 1, n) == 1
+    assert not is_prime(n)
+
+
+def test_baillie_psw_matches_trial_division():
+    # the test used above 3.3e24, checked where the oracle can reach
+    for n in range(43 * 43, 30_000, 2):
+        assert localarith._baillie_psw(n) == oracles.is_prime(n), n
+    # strong Lucas pseudoprimes (OEIS A217255) pass the Lucas half only
+    for n in (5459, 5777, 10877, 16109, 18971):
+        assert localarith._strong_lucas_probable_prime(n)
+        assert not localarith._strong_probable_prime(n, 2)
+
+
+def test_primality_beyond_the_miller_rabin_range():
+    for e in (89, 107, 127, 521):  # Mersenne primes
+        assert is_prime(2 ** e - 1)
+    assert not is_prime((2 ** 89 - 1) * (2 ** 107 - 1))
+    assert not is_prime((2 ** 89 - 1) ** 2)
+    assert not is_prime(2 ** 128 + 1)  # the Fermat number F_7
+
+
+def test_factoring_budget_raises_instead_of_hanging(monkeypatch):
+    p, q = 10**24 + 7, 10**25 + 13
+    assert is_prime(p) and is_prime(q)
+    monkeypatch.setattr(localarith, "RHO_BUDGET", 1 << 12)
+    with pytest.raises(ValueError, match="beyond the factoring budget"):
+        prime_factors(p * q)
+    with pytest.raises(ValueError, match=f"cannot factor {-p * q}"):
+        squarefree_part(-p * q)
+    assert prime_factors(2 * 1009 * 1013) == [2, 1009, 1013]
+
+
+def test_hard_discriminant_factors_in_a_subprocess():
+    # -5 times a 20-digit prime: trial division would run to about 9.3e9
+    proc = run_isolated(["-c", "from dihedral_parity.localarith import prime_factors; "
+                         "print(prime_factors(-432000006264000000755))"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[5, 86400001252800000151]\n"
 
 
 @pytest.mark.parametrize("bad", [0])

@@ -3,7 +3,7 @@ import sys
 import pytest
 
 from corpus import CURVES, PARITY_CORPUS, make_tower
-from dihedral_parity import curves
+from dihedral_parity import curves, localarith
 from dihedral_parity import verdicts as V
 from dihedral_parity.delta import delta
 from dihedral_parity.gamma import gamma
@@ -117,12 +117,21 @@ def test_relative_parity_zero_case():
     assert stmt is not None and stmt["parity"] == 0
 
 
-def _record_calls(monkeypatch, names):
-    """Wrap every module's binding of each named curves function, as the
-    benchmark's tracer does, and collect the arguments of every call."""
-    calls = {name: [] for name in names}
+def _rebind(monkeypatch, original, wrapper):
+    """Replace every package module's binding of original, as the
+    benchmark's tracer does."""
     modules = [m for key, m in list(sys.modules.items())
                if key == "dihedral_parity" or key.startswith("dihedral_parity.")]
+    for m in modules:
+        for attr, value in list(vars(m).items()):
+            if value is original:
+                monkeypatch.setattr(m, attr, wrapper)
+
+
+def _record_calls(monkeypatch, names):
+    """Wrap each named curves function and collect the arguments of every
+    call."""
+    calls = {name: [] for name in names}
     for name in names:
         original = getattr(curves, name)
 
@@ -130,10 +139,7 @@ def _record_calls(monkeypatch, names):
             calls[_name].append(args)
             return _fn(*args)
 
-        for m in modules:
-            for attr, value in list(vars(m).items()):
-                if value is original:
-                    monkeypatch.setattr(m, attr, wrapper)
+        _rebind(monkeypatch, original, wrapper)
     return calls
 
 
@@ -184,3 +190,36 @@ def test_entry_points_agree_with_analyze(case):
         assert rep.mr64_sum == sum(pairs_once.values()) % 2
     assert rep.S_m == [s for s in rep.S_frak
                        if delta(E, T, s).case_tag == V.POT_MULT_SPLIT]
+
+
+@pytest.mark.parametrize("case", PARITY_CORPUS, ids=lambda c: c[0])
+def test_primality_is_tested_at_the_boundary_only(monkeypatch, case):
+    # padic_valuation trusts its prime.  analyze tests p and each ramified
+    # site's ell (validate_tower), each support prime twice (split_type and
+    # minimal_model_at) and the prime again for the reduction of each
+    # quadratic twist the good-twist search tries; factoring a corpus
+    # discriminant needs no test, as every prime factor is at most 41
+    _, E, d, p, n, rams = case
+    T = make_tower(d, p, n, rams)
+    bound = 2 * len(support_primes(T, E)) + len(T.ramified_sites) + 1
+    calls = []
+    valuing = []  # one entry per padic_valuation call in progress
+    is_prime, padic_valuation = localarith.is_prime, localarith.padic_valuation
+
+    def counted_is_prime(m):
+        calls.append((m, bool(valuing)))
+        return is_prime(m)
+
+    def marked_padic_valuation(*args):
+        valuing.append(args)
+        try:
+            return padic_valuation(*args)
+        finally:
+            valuing.pop()
+
+    _rebind(monkeypatch, is_prime, counted_is_prime)
+    _rebind(monkeypatch, padic_valuation, marked_padic_valuation)
+    twists = _record_calls(monkeypatch, ("quadratic_twist",))["quadratic_twist"]
+    analyze(E, T, dim_Sp_E_K=0)
+    assert not [m for m, inside in calls if inside]
+    assert len(calls) <= bound + len(twists), calls
