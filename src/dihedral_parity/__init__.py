@@ -9,13 +9,10 @@ lower bound on p-Selmer growth in L/K.
 
 from .curves import (
     FrobeniusData,
-    Inert,
     KvReduction,
     LocalReductionData,
-    Ramified,
     SemistabilityDefect,
     SingularCurveError,
-    Split,
     WeierstrassCurve,
     count_points,
     frobenius_data,
@@ -39,6 +36,8 @@ from .dihedral import (
 )
 from .gamma import INFINITE_PLACE, gamma
 from .localarith import (
+    RamifiedQuadratic,
+    UnramifiedQuadratic,
     is_local_square,
     kronecker_symbol,
     local_square_class,
@@ -55,7 +54,6 @@ from .parity import (
     hypothesis_audit,
     mr64_sum,
     parity_table,
-    relative_parity_statement,
     selmer_growth_bound,
 )
 from .tower import (

@@ -208,129 +208,81 @@ def parse_config(raw: dict, *, need_curve: bool = True):
 # report serialization
 
 
-def _site_to_dict(s: PrimeSite) -> dict:
-    return {"ell": s.ell, "split_type": s.split_type, "which": s.which}
-
-
-def _site_from_dict(d: dict) -> PrimeSite:
-    return PrimeSite(ell=d["ell"], split_type=d["split_type"], which=d["which"])
-
-
-def _gamma_to_dict(v: ConstantVerdict) -> dict:
-    return {"value": v.value, "case_tag": v.case_tag, "citation": v.citation,
-            "detail": v.detail}
-
-
-def _delta_to_dict(v: DeltaVerdict) -> dict:
-    d = _gamma_to_dict(v)
-    d["pair_sum"] = v.pair_sum
-    return d
-
-
-def _row_to_dict(r: ParityRow) -> dict:
-    return {
-        "place": r.place,
-        "gamma": _gamma_to_dict(r.gamma) if r.gamma else None,
-        "deltas": [{"site": _site_to_dict(s), **_delta_to_dict(v)}
-                   for s, v in r.deltas],
-        "delta_sum": r.delta_sum,
-        "status": r.status,
-        "note": r.note,
-    }
-
-
 def _tower_to_dict(T: TowerSpec) -> dict:
+    """A tower as ``d, p, n, ramified_sites, overrides``, each override field
+    suffixed ``_override``."""
     return {
         "d": T.K.d,
         "p": T.p,
         "n": T.n,
-        "ramified_sites": [_site_to_dict(s)
+        "ramified_sites": [dict(vars(s))
                            for s in sorted(T.ramified_sites,
                                            key=lambda s: (s.ell, s.which))],
         "overrides": {
-            str(ell): {"defect_override": o.defect,
-                       "anomalous_override": o.anomalous,
-                       "reduction_over_Kv_override": o.reduction_over_Kv}
+            str(ell): {f"{name}_override": value for name, value in vars(o).items()}
             for ell, o in sorted(T.overrides.items())
         },
     }
 
 
 def report_to_dict(rep: ParityReport) -> dict:
+    """Schema 1: each record is written as a copy of its dataclass fields, in
+    field order, so renaming or reordering a field changes the schema.  The
+    output shares no mutable object with the report."""
+    sb = rep.selmer_bound
     return {
         "schema_version": SCHEMA_VERSION,
         "curve": list(rep.curve.ainvs()),
         "tower": _tower_to_dict(rep.tower),
-        "rows": [_row_to_dict(r) for r in rep.rows],
-        "S": [_site_to_dict(s) for s in rep.S],
+        "rows": [{**vars(r),
+                  "gamma": None if r.gamma is None else dict(vars(r.gamma)),
+                  "deltas": [{"site": dict(vars(s)), **vars(v)} for s, v in r.deltas]}
+                 for r in rep.rows],
+        "S": [dict(vars(s)) for s in rep.S],
         "mr64_sum": rep.mr64_sum,
-        "S_frak": [_site_to_dict(s) for s in rep.S_frak],
-        "S_m": [_site_to_dict(s) for s in rep.S_m],
-        "hypothesis_audit": [
-            {"site": _site_to_dict(a.site), "condition": a.condition,
-             "passes": a.passes, "reason": a.reason}
-            for a in rep.hypothesis_audit
-        ],
-        "selmer_bound": None if rep.selmer_bound is None else {
-            "applicable": rep.selmer_bound.applicable,
-            "bound": rep.selmer_bound.bound,
-            "dim_Sp_E_K": rep.selmer_bound.dim_Sp_E_K,
-            "s_m_size": rep.selmer_bound.s_m_size,
-            "reasons": list(rep.selmer_bound.reasons),
-        },
-        "relative_parity": rep.relative_parity,
+        "S_frak": [dict(vars(s)) for s in rep.S_frak],
+        "S_m": [dict(vars(s)) for s in rep.S_m],
+        "hypothesis_audit": [{**vars(a), "site": dict(vars(a.site))}
+                             for a in rep.hypothesis_audit],
+        "selmer_bound": (None if sb is None
+                         else {**vars(sb), "reasons": list(sb.reasons)}),
+        "relative_parity": (None if rep.relative_parity is None
+                            else dict(rep.relative_parity)),
         "failure": rep.failure,
         "has_undetermined": rep.has_undetermined,
-        "notes": rep.notes,
+        "notes": list(rep.notes),
     }
 
 
 def report_from_dict(d: dict) -> ParityReport:
-    """Inverse of report_to_dict (round-trip support)."""
-    tw = d["tower"]
-    overrides = {
-        int(k): SiteOverrides(defect=o["defect_override"],
-                              anomalous=o["anomalous_override"],
-                              reduction_over_Kv=o["reduction_over_Kv_override"])
-        for k, o in tw["overrides"].items()
-    }
-    T = TowerSpec(K=QuadraticFieldSpec(tw["d"]), p=tw["p"], n=tw["n"],
-                  ramified_sites=frozenset(_site_from_dict(s)
-                                           for s in tw["ramified_sites"]),
-                  overrides=overrides)
-    rows = []
-    for r in d["rows"]:
-        g = r["gamma"]
-        rows.append(ParityRow(
-            place=r["place"],
-            gamma=None if g is None else ConstantVerdict(
-                value=g["value"], case_tag=g["case_tag"],
-                citation=g["citation"], detail=g["detail"]),
-            deltas=tuple(
-                (_site_from_dict(e["site"]),
-                 DeltaVerdict(value=e["value"], case_tag=e["case_tag"],
-                              citation=e["citation"], detail=e["detail"],
-                              pair_sum=e["pair_sum"]))
-                for e in r["deltas"]),
-            delta_sum=r["delta_sum"], status=r["status"], note=r["note"]))
-    sb = d["selmer_bound"]
+    """Inverse of report_to_dict: each record is rebuilt from its fields."""
+    tw, sb, rel = d["tower"], d["selmer_bound"], d["relative_parity"]
+    T = TowerSpec(
+        K=QuadraticFieldSpec(tw["d"]), p=tw["p"], n=tw["n"],
+        ramified_sites=frozenset(PrimeSite(**s) for s in tw["ramified_sites"]),
+        overrides={int(ell): SiteOverrides(**{name.removesuffix("_override"): value
+                                              for name, value in o.items()})
+                   for ell, o in tw["overrides"].items()})
+    rows = [ParityRow(**{
+        **r,
+        "gamma": None if r["gamma"] is None else ConstantVerdict(**r["gamma"]),
+        "deltas": tuple((PrimeSite(**e["site"]),
+                         DeltaVerdict(**{k: v for k, v in e.items() if k != "site"}))
+                        for e in r["deltas"])})
+        for r in d["rows"]]
     return ParityReport(
         curve=WeierstrassCurve(*d["curve"]),
         tower=T,
         rows=rows,
-        S=[_site_from_dict(s) for s in d["S"]],
+        S=[PrimeSite(**s) for s in d["S"]],
         mr64_sum=d["mr64_sum"],
-        S_frak=[_site_from_dict(s) for s in d["S_frak"]],
-        S_m=[_site_from_dict(s) for s in d["S_m"]],
-        hypothesis_audit=[
-            SiteAudit(site=_site_from_dict(a["site"]), condition=a["condition"],
-                      passes=a["passes"], reason=a["reason"])
-            for a in d["hypothesis_audit"]],
+        S_frak=[PrimeSite(**s) for s in d["S_frak"]],
+        S_m=[PrimeSite(**s) for s in d["S_m"]],
+        hypothesis_audit=[SiteAudit(**{**a, "site": PrimeSite(**a["site"])})
+                          for a in d["hypothesis_audit"]],
         selmer_bound=None if sb is None else SelmerBound(
-            applicable=sb["applicable"], bound=sb["bound"],
-            dim_Sp_E_K=sb["dim_Sp_E_K"], s_m_size=sb["s_m_size"],
-            reasons=tuple(sb["reasons"])),
-        relative_parity=d["relative_parity"],
+            **{**sb, "reasons": tuple(sb["reasons"])}),
+        relative_parity=None if rel is None else dict(rel),
         notes=list(d["notes"]),
     )
 

@@ -17,8 +17,10 @@ from math import gcd
 from typing import Optional, Union
 
 from .localarith import (
+    QuadraticExtension,
     RamifiedQuadratic,
     UnramifiedQuadratic,
+    check_extension,
     is_local_square,
     is_prime,
     is_squarefree,
@@ -278,26 +280,6 @@ def semistability_defect(E: WeierstrassCurve, ell: int) -> SemistabilityDefect:
 
 
 @dataclass(frozen=True)
-class Split:
-    """The trivial local extension: K_v = Q_ell."""
-
-
-@dataclass(frozen=True)
-class Inert:
-    """K_v is the unramified quadratic extension of Q_ell."""
-
-
-@dataclass(frozen=True)
-class Ramified:
-    """K_v = Q_ell(sqrt(d)), ramified."""
-
-    d: int
-
-
-LocalExtension = Union[Split, Inert, Ramified]
-
-
-@dataclass(frozen=True)
 class KvReduction:
     reduction_type: str  # "good" | "multiplicative" | "additive" | "unknown"
     split: Optional[bool]
@@ -311,9 +293,11 @@ _KV_OVERRIDES = {
 }
 
 
-def reduction_over_Kv(E: WeierstrassCurve, ell: int, ext: LocalExtension,
+def reduction_over_Kv(E: WeierstrassCurve, ell: int,
+                      ext: Optional[QuadraticExtension],
                       defect: Optional[SemistabilityDefect] = None) -> KvReduction:
-    """Reduction type of E over the local field K_v.
+    """Reduction type of E over the local field K_v, which is Q_ell (ext None)
+    or the quadratic extension ext of Q_ell.
 
     Good reduction persists under any base change; potentially multiplicative
     types are resolved by the square class of -c6 over K_v; potentially good
@@ -412,12 +396,13 @@ class SiteOverrides:
 @dataclass(frozen=True)
 class LocalData:
     """Every local fact the case engines read about E at one prime ell, with
-    K_v = ext above ell and the user's overrides at ell.  Each fact is computed
-    lazily, at most once per record; a record lives for one analysis only."""
+    K_v above ell (Q_ell when ext is None, else the quadratic extension ext)
+    and the user's overrides at ell.  Each fact is computed lazily, at most
+    once per record; a record lives for one analysis only."""
 
     E: WeierstrassCurve
     ell: int
-    ext: LocalExtension = Split()
+    ext: Optional[QuadraticExtension] = None
     overrides: SiteOverrides = SiteOverrides()
 
     @cached_property
@@ -449,21 +434,14 @@ class LocalData:
         if self.overrides.reduction_over_Kv is not None:
             return _KV_OVERRIDES[self.overrides.reduction_over_Kv]
         red, ell, ext = self.red, self.ell, self.ext
-        if isinstance(ext, Split):
+        if ext is None:
             return KvReduction(red.reduction_type, red.split)
-        if isinstance(ext, Inert):
-            spec = UnramifiedQuadratic()
-        else:
-            spec = RamifiedQuadratic(ext.d)
-            ok = (ext.d % ell == 0) if ell != 2 else (ext.d % 4 in (2, 3))
-            if not ok or not is_squarefree(ext.d):
-                raise ValueError(f"{ext} is not a ramified quadratic extension "
-                                 f"of Q_{ell}")
+        check_extension(ell, ext)
         if red.reduction_type == "good":
             return KvReduction("good", None)
         if red.potentially_multiplicative:
             c6 = invariants(red.minimal_model).c6
-            ctype = quadratic_character_type(-c6, ell, spec)
+            ctype = quadratic_character_type(-c6, ell, ext)
             if ctype == "trivial":
                 return KvReduction("multiplicative", True)
             if ctype == "unramified":
@@ -473,7 +451,7 @@ class LocalData:
         if not self.defect.known_cyclic:
             return KvReduction("unknown", None)
         e = self.defect.e
-        if isinstance(ext, Inert):
+        if isinstance(ext, UnramifiedQuadratic):
             # K_v^ur = Q_ell^ur, so good reduction over K_v would force e = 1,
             # contradicting additive reduction over Q_ell.
             return KvReduction("additive", None)
@@ -500,10 +478,10 @@ class LocalData:
         ell, ext = self.ell, self.ext
         if self.red.reduction_type == "good":
             fd = _frobenius(self.red, ell)
-            q = ell * ell if isinstance(ext, Inert) else ell
+            q = ell * ell if isinstance(ext, UnramifiedQuadratic) else ell
             return ResidueFrobenius(q, q + 1 - fd.point_count(q), fd.ordinary,
                                     fd.anomalous_over(q))
-        if not isinstance(ext, Ramified) or self.twist_frobenius is None:
+        if not isinstance(ext, RamifiedQuadratic) or self.twist_frobenius is None:
             return None
         t, fd = self.twist_frobenius
         # E over K_v is the twist of E^t by the unit class d/t; a nonsquare

@@ -13,7 +13,8 @@ from __future__ import annotations
 from typing import Optional
 
 from . import verdicts as V
-from .curves import Inert, LocalData, ResidueFrobenius, WeierstrassCurve
+from .curves import LocalData, ResidueFrobenius, WeierstrassCurve
+from .localarith import UnramifiedQuadratic
 from .tower import SPLIT, PrimeSite, TowerSpec, check_tower, local_data
 from .verdicts import DeltaVerdict
 
@@ -81,7 +82,8 @@ def _additive_above_p(loc: LocalData) -> DeltaVerdict:
         return _verdict(0, V.ADDITIVE_P_ORD_NONANOM,
                         detail="ordinary non-anomalous reduction supplied by override")
     defect = loc.defect
-    if not (defect.known_cyclic and defect.e == 2 and isinstance(loc.ext, Inert)):
+    if not (defect.known_cyclic and defect.e == 2
+            and isinstance(loc.ext, UnramifiedQuadratic)):
         return _verdict(None, V.UNCOVERED,
                         detail=f"defect {defect.e} over K_v not reachable by a "
                                "quadratic twist; supply an override")
@@ -126,7 +128,7 @@ def delta_at(T: TowerSpec, v: PrimeSite, loc: LocalData) -> DeltaVerdict:
             return _verdict(0, V.GOOD_ORDINARY_P,
                             detail=f"a_q = {rf.a_q} over F_{rf.q} is prime to p")
         # supersingular: only the inert, defined-over-Q_p case is known
-        if isinstance(loc.ext, Inert) and red.reduction_type == "good":
+        if isinstance(loc.ext, UnramifiedQuadratic) and red.reduction_type == "good":
             return _verdict(0, V.GOOD_SUPERSINGULAR_MR57)
         return _verdict(None, V.UNCOVERED,
                         detail="supersingular at p outside the known case "

@@ -12,7 +12,8 @@ from __future__ import annotations
 from typing import Union
 
 from . import verdicts as V
-from .curves import Inert, LocalData, WeierstrassCurve
+from .curves import LocalData, WeierstrassCurve
+from .localarith import UnramifiedQuadratic
 from .tower import SPLIT, PrimeSite, TowerSpec, check_tower, local_data, sites_above
 from .verdicts import ConstantVerdict
 
@@ -93,7 +94,7 @@ def gamma_at(T: TowerSpec, site: PrimeSite, loc: LocalData) -> ConstantVerdict:
     if ell % 2 and ell % 3 and ell != T.p:
         return _verdict(0, V.POT_GOOD_UNRAMIFIED_TAME)
     if ell == T.p:
-        if isinstance(loc.ext, Inert):
+        if isinstance(loc.ext, UnramifiedQuadratic):
             return _verdict(0, V.POT_GOOD_UNRAMIFIED_TAME)
         # ramified above p: abelian criterion q = p congruent to 1 mod e
         defect = loc.defect

@@ -318,7 +318,9 @@ def unramified_generator(ell: int) -> int:
     return 5 if ell == 2 else smallest_nonresidue(ell)
 
 
-def _check_extension(ell: int, ext: QuadraticExtension) -> None:
+def check_extension(ell: int, ext: QuadraticExtension) -> None:
+    """Raise ValueError unless ext is the unramified quadratic extension of
+    Q_ell or a ramified one Q_ell(sqrt(d)) with d squarefree."""
     if isinstance(ext, RamifiedQuadratic):
         d = ext.d
         if not is_squarefree(d) or d == 1:
@@ -335,7 +337,7 @@ def is_square_in_quadratic_ext(z: Rational, ell: int, ext: QuadraticExtension) -
 
     Uses: sqrt(z) lies in Q_ell(sqrt(w)) iff z or z*w is a square in Q_ell.
     """
-    _check_extension(ell, ext)
+    check_extension(ell, ext)
     w = ext.d if isinstance(ext, RamifiedQuadratic) else unramified_generator(ell)
     z = Fraction(z)
     return is_local_square(z, ell) or is_local_square(z * w, ell)
@@ -360,7 +362,7 @@ def quadratic_character_type(z: Rational, ell: int,
         if is_local_square(z * w, ell):
             return "unramified"
         return "ramified"
-    _check_extension(ell, ext)
+    check_extension(ell, ext)
     if isinstance(ext, UnramifiedQuadratic):
         if is_local_square(z, ell) or is_local_square(z * w, ell):
             return "trivial"

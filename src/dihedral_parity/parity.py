@@ -26,6 +26,8 @@ from .tower import (
 )
 from .verdicts import ConstantVerdict, DeltaVerdict
 
+# A serialized report's keys are the field names of the records below (and of
+# PrimeSite and the verdicts), in field order; see cli.report_to_dict.
 SCHEMA_VERSION = 1
 
 MATCH = "Match"
@@ -228,19 +230,9 @@ def mr64_sum(E: WeierstrassCurve, T: TowerSpec) -> tuple[Optional[int], list[Pri
     return rep.mr64_sum, rep.S
 
 
-def split_multiplicative_sites(E, T) -> list[PrimeSite]:
-    return analyze(E, T).S_m
-
-
 def selmer_growth_bound(E: WeierstrassCurve, T: TowerSpec,
                         dim_Sp_E_K: int) -> SelmerBound:
     """Lower bound dim S_p(E/F) >= dim S_p(E/K) + p^n - 1, applicable when
     every self-conjugate ramified site meets a known case and
     dim S_p(E/K) + |S_m| is odd."""
     return analyze(E, T, dim_Sp_E_K).selmer_bound
-
-
-def relative_parity_statement(E: WeierstrassCurve, T: TowerSpec) -> Optional[dict]:
-    """The relative parity fragment, present when the audit passes for every
-    site above 6p and the aggregated sum is determined."""
-    return analyze(E, T).relative_parity

@@ -11,16 +11,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .curves import (
-    Inert,
-    LocalData,
-    LocalExtension,
-    Ramified,
-    SiteOverrides,
-    Split,
-    WeierstrassCurve,
+from .curves import LocalData, SiteOverrides, WeierstrassCurve
+from .localarith import (
+    QuadraticExtension,
+    RamifiedQuadratic,
+    UnramifiedQuadratic,
+    is_prime,
+    is_squarefree,
+    kronecker_symbol,
+    prime_factors,
 )
-from .localarith import is_prime, is_squarefree, kronecker_symbol, prime_factors
 
 SPLIT = "split"
 INERT = "inert"
@@ -85,13 +85,13 @@ class PrimeSite:
         other = SECOND if self.which == FIRST else FIRST
         return PrimeSite(self.ell, self.split_type, other)
 
-    def local_extension(self, K: QuadraticFieldSpec) -> LocalExtension:
-        """K_v as an extension of Q_ell."""
+    def local_extension(self, K: QuadraticFieldSpec) -> Optional[QuadraticExtension]:
+        """K_v as an extension of Q_ell: None when K_v = Q_ell."""
         if self.split_type == SPLIT:
-            return Split()
+            return None
         if self.split_type == INERT:
-            return Inert()
-        return Ramified(K.d)
+            return UnramifiedQuadratic()
+        return RamifiedQuadratic(K.d)
 
 
 def sites_above(ell: int, K: QuadraticFieldSpec) -> list[PrimeSite]:

@@ -1,3 +1,4 @@
+import copy
 import json
 
 import pytest
@@ -18,7 +19,8 @@ from dihedral_parity.cli import (
     run_validate,
 )
 from dihedral_parity.parity import analyze
-from corpus import CURVES, make_tower
+from dihedral_parity.tower import SiteOverrides
+from corpus import CURVES, PARITY_CORPUS, TWIST_11A1_7, make_tower
 
 CSV_HEADER = "label,a1,a2,a3,a4,a6\n"
 
@@ -156,10 +158,92 @@ def test_validate_ok_and_violations(flagship_config, tmp_path, capsys):
                for v in json.loads(out2)["violations"])
 
 
-def test_report_round_trip():
-    rep = analyze(CURVES["11a1"], make_tower(-1, 5, 1, [11]), dim_Sp_E_K=0)
+# A tower with overrides at two primes and a split site above p = 5 chosen
+# by ``which``.
+OVERRIDE_TOWER = make_tower(
+    -1, 5, 1, [(5, "first"), (5, "second"), 11],
+    overrides={2: SiteOverrides(defect=2),
+               3: SiteOverrides(anomalous=False, reduction_over_Kv="additive")})
+
+ROUND_TRIP_CASES = [
+    pytest.param(E, make_tower(d, p, n, rams), dim, id=f"{label}-dim{dim}")
+    for label, E, d, p, n, rams in PARITY_CORPUS for dim in (None, 1)
+] + [
+    pytest.param(CURVES["x3+1"], OVERRIDE_TOWER, 0, id="x3+1-overrides-dim0"),
+]
+
+
+@pytest.mark.parametrize("E, T, dim", ROUND_TRIP_CASES)
+def test_report_round_trip(E, T, dim):
+    rep = analyze(E, T, dim_Sp_E_K=dim)
     d = report_to_dict(rep)
+    assert report_from_dict(d) == rep
     assert report_from_dict(json.loads(json.dumps(d))) == rep
+
+
+def _overwrite_every_level(x):
+    """Replace every value and element of a decoded report, depth first."""
+    if isinstance(x, dict):
+        for key in x:
+            _overwrite_every_level(x[key])
+            x[key] = "overwritten"
+    elif isinstance(x, list):
+        for i, item in enumerate(x):
+            _overwrite_every_level(item)
+            x[i] = "overwritten"
+        x.append("appended")
+
+
+@pytest.mark.parametrize("E, T", [
+    (CURVES["11a1"], OVERRIDE_TOWER),
+    (TWIST_11A1_7, make_tower(-1, 5, 1, [7])),
+], ids=["11a1-overrides", "tw11a1.7"])
+def test_report_dict_shares_nothing_with_the_report(E, T):
+    rep = analyze(E, T, dim_Sp_E_K=0)
+    before = copy.deepcopy(rep)
+    assert rep.notes and rep.relative_parity is not None
+    d = report_to_dict(rep)
+    _overwrite_every_level(d)
+    assert rep == before
+    # and the report read back from a dict does not hold that dict's parts
+    d = report_to_dict(rep)
+    back = report_from_dict(d)
+    _overwrite_every_level(d)
+    assert back == before
+
+
+def test_report_key_order():
+    rep = analyze(CURVES["11a1"], OVERRIDE_TOWER, dim_Sp_E_K=0)
+    d = report_to_dict(rep)
+    site_keys = ["ell", "split_type", "which"]
+    assert list(d) == [
+        "schema_version", "curve", "tower", "rows", "S", "mr64_sum", "S_frak",
+        "S_m", "hypothesis_audit", "selmer_bound", "relative_parity", "failure",
+        "has_undetermined", "notes"]
+    assert list(d["tower"]) == ["d", "p", "n", "ramified_sites", "overrides"]
+    assert list(d["tower"]["overrides"]) == ["2", "3"]
+    for entry in d["tower"]["overrides"].values():
+        assert list(entry) == ["defect_override", "anomalous_override",
+                               "reduction_over_Kv_override"]
+    sites = (d["tower"]["ramified_sites"] + d["S"] + d["S_frak"] + d["S_m"]
+             + [e["site"] for r in d["rows"] for e in r["deltas"]]
+             + [a["site"] for a in d["hypothesis_audit"]])
+    assert {s["which"] for s in sites} == {None, "first", "second"}
+    assert d["S_m"] and d["hypothesis_audit"]
+    for s in sites:
+        assert list(s) == site_keys
+    for r in d["rows"]:
+        assert list(r) == ["place", "gamma", "deltas", "delta_sum", "status", "note"]
+        if r["gamma"] is not None:
+            assert list(r["gamma"]) == ["value", "case_tag", "citation", "detail"]
+        for e in r["deltas"]:
+            assert list(e) == ["site", "value", "case_tag", "citation", "detail",
+                               "pair_sum"]
+    for a in d["hypothesis_audit"]:
+        assert list(a) == ["site", "condition", "passes", "reason"]
+    assert list(d["selmer_bound"]) == ["applicable", "bound", "dim_Sp_E_K",
+                                       "s_m_size", "reasons"]
+    assert list(d["relative_parity"]) == ["statement", "parity"]
 
 
 BATCH_CSV = (CSV_HEADER

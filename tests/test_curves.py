@@ -5,8 +5,6 @@ from hypothesis import strategies as st
 import oracles
 from corpus import CURVES, TWIST_11A1_7
 from dihedral_parity.curves import (
-    Inert,
-    Ramified,
     SingularCurveError,
     UNKNOWN,
     WeierstrassCurve,
@@ -22,7 +20,12 @@ from dihedral_parity.curves import (
     semistability_defect,
     transform,
 )
-from dihedral_parity.localarith import padic_valuation, prime_factors
+from dihedral_parity.localarith import (
+    RamifiedQuadratic,
+    UnramifiedQuadratic,
+    padic_valuation,
+    prime_factors,
+)
 
 small_ints = st.integers(min_value=-8, max_value=8)
 
@@ -188,21 +191,21 @@ def test_hasse_and_a_ell2_against_field_oracle(label, E):
 def test_reduction_over_Kv_multiplicative():
     E = CURVES["11a1"]
     # split over Q_11 stays split over any quadratic extension
-    for ext in (Inert(), Ramified(11)):
+    for ext in (UnramifiedQuadratic(), RamifiedQuadratic(11)):
         kv = reduction_over_Kv(E, 11, ext)
         assert (kv.reduction_type, kv.split) == ("multiplicative", True)
     # the twist is nonsplit at 11 over Q_11 but splits over the inert ext
     t = TWIST_11A1_7
     assert local_reduction(t, 11).split is False
-    kv = reduction_over_Kv(t, 11, Inert())
+    kv = reduction_over_Kv(t, 11, UnramifiedQuadratic())
     assert (kv.reduction_type, kv.split) == ("multiplicative", True)
 
 
 def test_reduction_over_Kv_potentially_good():
     t = TWIST_11A1_7
     # defect 2 at 7: good over the ramified quadratic, additive over inert
-    assert reduction_over_Kv(t, 7, Ramified(7)).reduction_type == "good"
-    assert reduction_over_Kv(t, 7, Inert()).reduction_type == "additive"
+    assert reduction_over_Kv(t, 7, RamifiedQuadratic(7)).reduction_type == "good"
+    assert reduction_over_Kv(t, 7, UnramifiedQuadratic()).reduction_type == "additive"
     assert good_twist_at(t, 7) is not None
 
 
@@ -235,5 +238,11 @@ def test_good_twist_search_matches_exhaustive_search(ainvs, d, ell):
 
 
 def test_good_reduction_persists():
-    kv = reduction_over_Kv(CURVES["11a1"], 7, Inert())
+    kv = reduction_over_Kv(CURVES["11a1"], 7, UnramifiedQuadratic())
     assert kv.reduction_type == "good"
+
+
+def test_reduction_over_Kv_rejects_an_unramified_d():
+    # Q_7(sqrt 5) is not a ramified extension of Q_7
+    with pytest.raises(ValueError, match="is not ramified over Q_7"):
+        reduction_over_Kv(CURVES["11a1"], 7, RamifiedQuadratic(5))

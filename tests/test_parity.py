@@ -14,9 +14,7 @@ from dihedral_parity.parity import (
     hypothesis_audit,
     mr64_sum,
     parity_table,
-    relative_parity_statement,
     selmer_growth_bound,
-    split_multiplicative_sites,
 )
 from dihedral_parity.tower import sites_above, support_primes
 
@@ -113,7 +111,7 @@ def test_relative_parity_zero_case():
     # twist(11a1, 7) with only v_7 ramified: all constants vanish
     from corpus import TWIST_11A1_7
     T = make_tower(-1, 5, 1, [7])
-    stmt = relative_parity_statement(TWIST_11A1_7, T)
+    stmt = analyze(TWIST_11A1_7, T).relative_parity
     assert stmt is not None and stmt["parity"] == 0
 
 
@@ -176,8 +174,6 @@ def test_entry_points_agree_with_analyze(case):
     rep = analyze(E, T)
     assert mr64_sum(E, T) == (rep.mr64_sum, rep.S)
     assert hypothesis_audit(E, T) == rep.hypothesis_audit
-    assert split_multiplicative_sites(E, T) == rep.S_m
-    assert relative_parity_statement(E, T) == rep.relative_parity
     for dim in (0, 1):
         assert selmer_growth_bound(E, T, dim) == analyze(E, T, dim).selmer_bound
     # the per-place public gamma and delta give the table's verdicts
