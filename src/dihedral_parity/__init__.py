@@ -9,9 +9,7 @@ lower bound on p-Selmer growth in L/K.
 
 from .curves import (
     FrobeniusData,
-    KvReduction,
     LocalReductionData,
-    SemistabilityDefect,
     SingularCurveError,
     WeierstrassCurve,
     count_points,

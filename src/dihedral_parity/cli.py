@@ -14,7 +14,7 @@ import json
 import sys
 from typing import Any, Optional
 
-from .curves import SingularCurveError, WeierstrassCurve
+from .curves import DEFECTS, KV_REDUCTIONS, SingularCurveError, WeierstrassCurve
 from .localarith import is_prime
 from .parity import (
     SCHEMA_VERSION,
@@ -60,6 +60,11 @@ def _require(cond: bool, errors: list, msg: str) -> bool:
     return cond
 
 
+def _is_int(x: Any) -> bool:
+    """A JSON integer: true and false are not integers here."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def load_config(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -93,7 +98,7 @@ def parse_curve(raw: Any, curve_file: Optional[str], errors: list):
     if isinstance(raw, str):
         return _resolve_label(raw, curve_file, errors)
     if (isinstance(raw, list) and len(raw) == 5
-            and all(isinstance(a, int) for a in raw)):
+            and all(_is_int(a) for a in raw)):
         try:
             return WeierstrassCurve(*raw)
         except SingularCurveError:
@@ -123,18 +128,17 @@ def _parse_overrides(raw: Any, errors: list) -> dict[int, SiteOverrides]:
             errors.append(f"overrides.{key}: expected an object")
             continue
         defect = val.get("defect_override")
-        if defect is not None and defect not in (1, 2, 3, 4, 6, "noncyclic"):
-            errors.append(f"overrides.{key}.defect_override: "
-                          "expected 1|2|3|4|6|\"noncyclic\"")
+        if defect is not None and not any(type(defect) is type(e) and defect == e
+                                          for e in DEFECTS):
+            errors.append(f"overrides.{key}.defect_override: expected "
+                          + "|".join(json.dumps(e) for e in DEFECTS))
             continue
         anomalous = val.get("anomalous_override")
         if anomalous is not None and not isinstance(anomalous, bool):
             errors.append(f"overrides.{key}.anomalous_override: expected boolean")
             continue
         red = val.get("reduction_over_Kv_override")
-        if red is not None and red not in (
-                "good", "multiplicative_split", "multiplicative_nonsplit",
-                "additive"):
+        if red is not None and red not in KV_REDUCTIONS:
             errors.append(f"overrides.{key}.reduction_over_Kv_override: "
                           f"unknown value {red!r}")
             continue
@@ -146,7 +150,7 @@ def _parse_overrides(raw: Any, errors: list) -> dict[int, SiteOverrides]:
 def parse_tower(raw: dict, errors: list) -> Optional[TowerSpec]:
     ok = True
     for key in ("d", "p", "n"):
-        ok &= _require(isinstance(raw.get(key), int), errors,
+        ok &= _require(_is_int(raw.get(key)), errors,
                        f"{key}: required integer field")
     sites_raw = raw.get("ramified_sites")
     ok &= _require(isinstance(sites_raw, list), errors,
@@ -160,9 +164,9 @@ def parse_tower(raw: dict, errors: list) -> Optional[TowerSpec]:
         errors.append(f"d: {exc}")
     sites = []
     for i, entry in enumerate(sites_raw):
-        if not (isinstance(entry, dict) and isinstance(entry.get("ell"), int)):
-            errors.append(f"ramified_sites[{i}]: expected {{\"ell\": prime, "
-                          "\"which\": \"first\"|\"second\"?}}")
+        if not (isinstance(entry, dict) and _is_int(entry.get("ell"))):
+            errors.append(f"ramified_sites[{i}]: expected "
+                          '{"ell": prime, "which": "first"|"second"?}')
             continue
         ell = entry["ell"]
         if not is_prime(ell):
@@ -197,7 +201,7 @@ def parse_config(raw: dict, *, need_curve: bool = True):
         curve = parse_curve(raw.get("curve"), raw.get("curve_file"), errors)
     tower = parse_tower(raw, errors)
     dim = raw.get("dim_Sp_E_K")
-    if dim is not None and not (isinstance(dim, int) and dim >= 0):
+    if dim is not None and not (_is_int(dim) and dim >= 0):
         errors.append("dim_Sp_E_K: expected a nonnegative integer")
     if errors:
         raise ConfigError(errors)
@@ -255,14 +259,13 @@ def report_to_dict(rep: ParityReport) -> dict:
 
 
 def report_from_dict(d: dict) -> ParityReport:
-    """Inverse of report_to_dict: each record is rebuilt from its fields."""
-    tw, sb, rel = d["tower"], d["selmer_bound"], d["relative_parity"]
-    T = TowerSpec(
-        K=QuadraticFieldSpec(tw["d"]), p=tw["p"], n=tw["n"],
-        ramified_sites=frozenset(PrimeSite(**s) for s in tw["ramified_sites"]),
-        overrides={int(ell): SiteOverrides(**{name.removesuffix("_override"): value
-                                              for name, value in o.items()})
-                   for ell, o in tw["overrides"].items()})
+    """Inverse of report_to_dict: each record is rebuilt from its fields, and
+    the tower, which is a valid config, by parse_tower."""
+    errors: list[str] = []
+    T = parse_tower(d["tower"], errors)
+    if errors:
+        raise ValueError("; ".join(errors))
+    sb, rel = d["selmer_bound"], d["relative_parity"]
     rows = [ParityRow(**{
         **r,
         "gamma": None if r["gamma"] is None else ConstantVerdict(**r["gamma"]),
@@ -367,10 +370,6 @@ def _emit(text: str, quiet: bool) -> None:
         sys.stdout.write(text)
 
 
-def _format_violations(violations) -> str:
-    return "".join(f"{v.code}: {v.message} [{v.citation}]\n" for v in violations)
-
-
 def run_analyze(config_path: str, *, fmt: str = "json", strict: bool = False,
                 quiet: bool = False) -> int:
     try:
@@ -381,7 +380,7 @@ def run_analyze(config_path: str, *, fmt: str = "json", strict: bool = False,
         return EXIT_INVALID
     violations = validate_tower(T, E)
     if violations:
-        _emit(_format_violations(violations), quiet)
+        _emit("".join(f"{v}\n" for v in violations), quiet)
         return EXIT_INVALID
     try:
         rep = analyze(E, T, dim_Sp_E_K=dim)
@@ -411,12 +410,11 @@ def run_validate(config_path: str, *, fmt: str = "json",
         _emit(json.dumps({
             "schema_version": SCHEMA_VERSION,
             "valid": not violations,
-            "violations": [{"code": v.code, "message": v.message,
-                            "citation": v.citation} for v in violations],
+            "violations": [dict(vars(v)) for v in violations],
         }, indent=2) + "\n", quiet)
     else:
         if violations:
-            _emit(_format_violations(violations), quiet)
+            _emit("".join(f"{v}\n" for v in violations), quiet)
         else:
             _emit("valid\n", quiet)
     return EXIT_INVALID if violations else EXIT_OK
@@ -448,7 +446,7 @@ def run_batch(curves_path: str, config_path: str, *, fmt: str = "json",
         return EXIT_INVALID
     violations = validate_tower(T)
     if violations:
-        _emit(_format_violations(violations), quiet)
+        _emit("".join(f"{v}\n" for v in violations), quiet)
         return EXIT_INVALID
     reports = [_analyze_one(label, E, T, dim) for label, E in rows]
     summary = {

@@ -180,8 +180,6 @@ class LocalReductionData:
     reduction_type: ReductionType
     split: Optional[bool]  # meaningful only for multiplicative reduction
     v_disc_min: int
-    v_c6_min: Optional[int]  # None when c6 = 0
-    v_j: Optional[int]  # None when j = 0
     potentially_multiplicative: bool
     minimal_model: WeierstrassCurve
 
@@ -189,17 +187,14 @@ class LocalReductionData:
 def local_reduction(E: WeierstrassCurve, ell: int) -> LocalReductionData:
     """Reduction trichotomy of E over Q_ell, from an ell-minimal model."""
     Em = minimal_model_at(E, ell)
-    inv = invariants(Em)
-    v_disc = padic_valuation(inv.disc, ell)
-    v_c4 = padic_valuation(inv.c4, ell) if inv.c4 else None
-    v_c6 = padic_valuation(inv.c6, ell) if inv.c6 else None
-    v_j = padic_valuation(inv.j, ell) if inv.j else None
-    pot_mult = v_j is not None and v_j < 0
+    c4, c6 = Em.c_invariants()
+    v_disc = padic_valuation(Em.discriminant(), ell)
+    v_c4 = padic_valuation(c4, ell) if c4 else None
     if v_disc == 0:
         rtype, split = "good", None
     elif v_c4 == 0:
         rtype = "multiplicative"
-        split = is_local_square(-inv.c6, ell)
+        split = is_local_square(-c6, ell)
     else:
         rtype, split = "additive", None
     return LocalReductionData(
@@ -207,9 +202,8 @@ def local_reduction(E: WeierstrassCurve, ell: int) -> LocalReductionData:
         reduction_type=rtype,
         split=split,
         v_disc_min=v_disc,
-        v_c6_min=v_c6,
-        v_j=v_j,
-        potentially_multiplicative=pot_mult,
+        # v(j) = 3 v(c4) - v(Delta_min) < 0
+        potentially_multiplicative=v_c4 is not None and 3 * v_c4 < v_disc,
         minimal_model=Em,
     )
 
@@ -231,25 +225,16 @@ def quadratic_twist(E: WeierstrassCurve, d: int) -> WeierstrassCurve:
     return M
 
 
+# A semistability defect is the order e of the inertia image controlling
+# potential good reduction: one of DEFECTS (NONCYCLIC, a quaternion-or-larger
+# inertia image, only by override) or UNKNOWN where the implemented criteria
+# at ell = 2, 3 are inconclusive.
 NONCYCLIC = "noncyclic"
 UNKNOWN = "unknown"
+DEFECTS = (1, 2, 3, 4, 6, NONCYCLIC)
 
-
-@dataclass(frozen=True)
-class SemistabilityDefect:
-    """Order e of the inertia image controlling potential good reduction.
-
-    e is 1, 2, 3, 4 or 6 when certified; NONCYCLIC would indicate a certified
-    quaternion-or-larger inertia image (only reachable via config override in
-    this implementation); UNKNOWN means the implemented criteria at ell = 2, 3
-    are inconclusive.
-    """
-
-    e: Union[int, str]
-
-    @property
-    def known_cyclic(self) -> bool:
-        return isinstance(self.e, int)
+# The reduction of E over K_v: one of KV_REDUCTIONS, or UNKNOWN.
+KV_REDUCTIONS = ("good", "multiplicative_split", "multiplicative_nonsplit", "additive")
 
 
 def good_twist_at(E: WeierstrassCurve,
@@ -268,7 +253,7 @@ def good_twist_at(E: WeierstrassCurve,
     return None
 
 
-def semistability_defect(E: WeierstrassCurve, ell: int) -> SemistabilityDefect:
+def semistability_defect(E: WeierstrassCurve, ell: int) -> Union[int, str]:
     """Defect e at a prime of potentially good reduction.
 
     For ell >= 5 this is 12/gcd(v(Delta_min), 12).  For ell in {2, 3} the only
@@ -279,33 +264,17 @@ def semistability_defect(E: WeierstrassCurve, ell: int) -> SemistabilityDefect:
     return LocalData(E, ell).defect
 
 
-@dataclass(frozen=True)
-class KvReduction:
-    reduction_type: str  # "good" | "multiplicative" | "additive" | "unknown"
-    split: Optional[bool]
-
-
-_KV_OVERRIDES = {
-    "good": KvReduction("good", None),
-    "multiplicative_split": KvReduction("multiplicative", True),
-    "multiplicative_nonsplit": KvReduction("multiplicative", False),
-    "additive": KvReduction("additive", None),
-}
-
-
 def reduction_over_Kv(E: WeierstrassCurve, ell: int,
-                      ext: Optional[QuadraticExtension],
-                      defect: Optional[SemistabilityDefect] = None) -> KvReduction:
-    """Reduction type of E over the local field K_v, which is Q_ell (ext None)
-    or the quadratic extension ext of Q_ell.
+                      ext: Optional[QuadraticExtension]) -> str:
+    """Reduction of E over the local field K_v, which is Q_ell (ext None) or
+    the quadratic extension ext of Q_ell: one of KV_REDUCTIONS, or UNKNOWN.
 
     Good reduction persists under any base change; potentially multiplicative
     types are resolved by the square class of -c6 over K_v; potentially good
     types at ell >= 5 (and tame cases at 2, 3) by comparing the defect e with
-    the ramification of K_v.  A defect override may be passed in.
+    the ramification of K_v.
     """
-    overrides = SiteOverrides(defect=None if defect is None else defect.e)
-    return LocalData(E, ell, ext, overrides).kv
+    return LocalData(E, ell, ext).kv
 
 
 @dataclass(frozen=True)
@@ -380,17 +349,15 @@ class ResidueFrobenius:
     q: int  # residue field size
     a_q: int
     ordinary: bool
-    anomalous: bool
 
 
 @dataclass(frozen=True)
 class SiteOverrides:
     """Optional per-prime data the implemented criteria cannot certify."""
 
-    defect: Union[int, str, None] = None  # 1|2|3|4|6 or "noncyclic"
+    defect: Union[int, str, None] = None  # one of DEFECTS
     anomalous: Optional[bool] = None
-    reduction_over_Kv: Optional[str] = None  # "good"|"multiplicative_split"|
-    # "multiplicative_nonsplit"|"additive"
+    reduction_over_Kv: Optional[str] = None  # one of KV_REDUCTIONS
 
 
 @dataclass(frozen=True)
@@ -415,52 +382,54 @@ class LocalData:
         return good_twist_at(self.E, self.ell)
 
     @cached_property
-    def defect(self) -> SemistabilityDefect:
+    def defect(self) -> Union[int, str]:
         """The semistability defect: the override, or computed."""
         if self.overrides.defect is not None:
-            return SemistabilityDefect(self.overrides.defect)
+            return self.overrides.defect
         red = self.red
         if red.potentially_multiplicative:
             raise ValueError(f"E has potentially multiplicative reduction at {self.ell}")
         if red.reduction_type == "good":
-            return SemistabilityDefect(1)
+            return 1
         if self.ell >= 5:
-            return SemistabilityDefect(12 // gcd(red.v_disc_min, 12))
-        return SemistabilityDefect(UNKNOWN if self.good_twist is None else 2)
+            return 12 // gcd(red.v_disc_min, 12)
+        return UNKNOWN if self.good_twist is None else 2
 
     @cached_property
-    def kv(self) -> KvReduction:
+    def kv(self) -> str:
         """The reduction of E over K_v: the override, or computed."""
         if self.overrides.reduction_over_Kv is not None:
-            return _KV_OVERRIDES[self.overrides.reduction_over_Kv]
+            return self.overrides.reduction_over_Kv
         red, ell, ext = self.red, self.ell, self.ext
         if ext is None:
-            return KvReduction(red.reduction_type, red.split)
+            if red.reduction_type == "multiplicative":
+                return "multiplicative_split" if red.split else "multiplicative_nonsplit"
+            return red.reduction_type
         check_extension(ell, ext)
         if red.reduction_type == "good":
-            return KvReduction("good", None)
+            return "good"
         if red.potentially_multiplicative:
-            c6 = invariants(red.minimal_model).c6
+            c6 = red.minimal_model.c_invariants()[1]
             ctype = quadratic_character_type(-c6, ell, ext)
             if ctype == "trivial":
-                return KvReduction("multiplicative", True)
+                return "multiplicative_split"
             if ctype == "unramified":
-                return KvReduction("multiplicative", False)
-            return KvReduction("additive", None)
+                return "multiplicative_nonsplit"
+            return "additive"
         # potentially good, additive over Q_ell
-        if not self.defect.known_cyclic:
-            return KvReduction("unknown", None)
-        e = self.defect.e
+        e = self.defect
+        if not isinstance(e, int):
+            return UNKNOWN
         if isinstance(ext, UnramifiedQuadratic):
             # K_v^ur = Q_ell^ur, so good reduction over K_v would force e = 1,
             # contradicting additive reduction over Q_ell.
-            return KvReduction("additive", None)
+            return "additive"
         if e % ell != 0:
             # tame: the totally ramified cyclic degree-e extension of Q_ell^ur is
             # unique, so good reduction over K_v is exactly e | e(K_v) = 2.
-            return KvReduction("good" if 2 % e == 0 else "additive", None)
+            return "good" if 2 % e == 0 else "additive"
         # wild ramified case (ell in {2, 3} with ell | e): not decided here
-        return KvReduction("unknown", None)
+        return UNKNOWN
 
     @cached_property
     def twist_frobenius(self) -> Optional[tuple[int, FrobeniusData]]:
@@ -479,12 +448,11 @@ class LocalData:
         if self.red.reduction_type == "good":
             fd = _frobenius(self.red, ell)
             q = ell * ell if isinstance(ext, UnramifiedQuadratic) else ell
-            return ResidueFrobenius(q, q + 1 - fd.point_count(q), fd.ordinary,
-                                    fd.anomalous_over(q))
+            return ResidueFrobenius(q, q + 1 - fd.point_count(q), fd.ordinary)
         if not isinstance(ext, RamifiedQuadratic) or self.twist_frobenius is None:
             return None
         t, fd = self.twist_frobenius
         # E over K_v is the twist of E^t by the unit class d/t; a nonsquare
         # unit twist negates the trace of Frobenius on the residue curve.
         a = fd.a_ell if is_local_square(ext.d * t, ell) else -fd.a_ell
-        return ResidueFrobenius(ell, a, a % ell != 0, (ell + 1 - a) % ell == 0)
+        return ResidueFrobenius(ell, a, a % ell != 0)

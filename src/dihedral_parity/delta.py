@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Optional
 
 from . import verdicts as V
-from .curves import LocalData, ResidueFrobenius, WeierstrassCurve
+from .curves import UNKNOWN, LocalData, ResidueFrobenius, WeierstrassCurve
 from .localarith import UnramifiedQuadratic
 from .tower import SPLIT, PrimeSite, TowerSpec, check_tower, local_data
 from .verdicts import DeltaVerdict
@@ -82,10 +82,9 @@ def _additive_above_p(loc: LocalData) -> DeltaVerdict:
         return _verdict(0, V.ADDITIVE_P_ORD_NONANOM,
                         detail="ordinary non-anomalous reduction supplied by override")
     defect = loc.defect
-    if not (defect.known_cyclic and defect.e == 2
-            and isinstance(loc.ext, UnramifiedQuadratic)):
+    if not (defect == 2 and isinstance(loc.ext, UnramifiedQuadratic)):
         return _verdict(None, V.UNCOVERED,
-                        detail=f"defect {defect.e} over K_v not reachable by a "
+                        detail=f"defect {defect} over K_v not reachable by a "
                                "quadratic twist; supply an override")
     if loc.twist_frobenius is None:
         return _verdict(None, V.UNCOVERED,
@@ -116,7 +115,7 @@ def delta_at(T: TowerSpec, v: PrimeSite, loc: LocalData) -> DeltaVerdict:
 
     kv, red = loc.kv, loc.red
     p = T.p
-    if kv.reduction_type == "good":
+    if kv == "good":
         if v.ell != p:
             return _verdict(0, V.GOOD_NOT_P)
         rf = loc.residue_frobenius
@@ -134,10 +133,10 @@ def delta_at(T: TowerSpec, v: PrimeSite, loc: LocalData) -> DeltaVerdict:
                         detail="supersingular at p outside the known case "
                                "(p must be inert with E good over Q_p)")
     if red.potentially_multiplicative:
-        if kv.reduction_type == "multiplicative" and kv.split:
+        if kv == "multiplicative_split":
             return _verdict(1, V.POT_MULT_SPLIT)
         return _verdict(0, V.POT_MULT_NONSPLIT_OR_ADDITIVE)
-    if kv.reduction_type == "unknown":
+    if kv == UNKNOWN:
         return _verdict(None, V.UNCOVERED,
                         detail=f"reduction over K_v at {v.ell} undetermined")
     # additive over K_v, potentially good

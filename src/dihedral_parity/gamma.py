@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Union
 
 from . import verdicts as V
-from .curves import LocalData, WeierstrassCurve
+from .curves import UNKNOWN, LocalData, WeierstrassCurve
 from .localarith import UnramifiedQuadratic
 from .tower import SPLIT, PrimeSite, TowerSpec, check_tower, local_data, sites_above
 from .verdicts import ConstantVerdict
@@ -80,13 +80,13 @@ def gamma_at(T: TowerSpec, site: PrimeSite, loc: LocalData) -> ConstantVerdict:
 
     # v = v^c, ramified in L/K.
     kv, red = loc.kv, loc.red
-    if kv.reduction_type == "good":
+    if kv == "good":
         detail = ""
         if red.reduction_type != "good":
             detail = "good reduction acquired over the ramified K_v"
         return _verdict(0, V.GOOD_OVER_KV, detail)
     if red.potentially_multiplicative:
-        if kv.reduction_type == "multiplicative" and kv.split:
+        if kv == "multiplicative_split":
             return _verdict(1, V.POT_MULT_SPLIT)
         return _verdict(0, V.POT_MULT_NONSPLIT_OR_ADDITIVE)
     # potentially good, additive over K_v
@@ -98,21 +98,21 @@ def gamma_at(T: TowerSpec, site: PrimeSite, loc: LocalData) -> ConstantVerdict:
             return _verdict(0, V.POT_GOOD_UNRAMIFIED_TAME)
         # ramified above p: abelian criterion q = p congruent to 1 mod e
         defect = loc.defect
-        if defect.known_cyclic and (T.p - 1) % defect.e == 0:
+        if isinstance(defect, int) and (T.p - 1) % defect == 0:
             return _verdict(
                 0, V.POT_GOOD_RAMIFIED_ABELIAN,
                 detail=(f"tame abelian criterion used: residue size {T.p} is 1 mod "
-                        f"e = {defect.e}, so the defect extension of K_v is abelian"))
+                        f"e = {defect}, so the defect extension of K_v is abelian"))
         return _verdict(None, V.UNCOVERED,
                         detail="ramified above p and the abelian criterion fails "
                                "or the defect is unknown")
     # ell in {2, 3}
     defect = loc.defect
-    if defect.known_cyclic and defect.e in (1, 2, 3, 4, 6):
+    if isinstance(defect, int):
         return _verdict(0, V.POT_GOOD_WILD_CYCLIC_DEFECT,
-                        detail=f"inertia image certified cyclic of order {defect.e}")
-    if kv.reduction_type == "unknown":
+                        detail=f"inertia image certified cyclic of order {defect}")
+    if kv == UNKNOWN:
         return _verdict(None, V.UNCOVERED,
                         detail=f"reduction over K_v at {ell} undetermined")
     return _verdict(None, V.UNCOVERED,
-                    detail=f"semistability defect at {ell} is {defect.e}")
+                    detail=f"semistability defect at {ell} is {defect}")

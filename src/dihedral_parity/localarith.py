@@ -259,15 +259,10 @@ def smallest_nonresidue(ell: int) -> int:
 
 @dataclass(frozen=True)
 class LocalSquareVerdict:
-    """Square class of a nonzero rational in Q_l.
-
-    unit_class is a canonical representative of the unit part's class:
-    1 or the smallest nonresidue for odd l, the residue mod 8 for l = 2.
-    """
+    """Square class of a nonzero rational in Q_l."""
 
     is_square: bool
     valuation_parity: int
-    unit_class: int
 
     def __post_init__(self):
         if self.is_square and self.valuation_parity != 0:
@@ -282,15 +277,12 @@ def local_square_class(z: Rational, ell: int) -> LocalSquareVerdict:
     v = padic_valuation(z, ell)
     u = prime_to_ell_part(z, ell)
     if ell == 2:
-        uc = residue(u, 8)
-        unit_square = uc == 1
+        unit_square = residue(u, 8) == 1
     else:
         unit_square = kronecker_symbol(residue(u, ell), ell) == 1
-        uc = 1 if unit_square else smallest_nonresidue(ell)
     return LocalSquareVerdict(
         is_square=(v % 2 == 0 and unit_square),
         valuation_parity=v % 2,
-        unit_class=uc,
     )
 
 

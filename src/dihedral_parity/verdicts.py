@@ -42,10 +42,6 @@ class ConstantVerdict:
         if (self.value is None) != (self.case_tag in (UNCOVERED,)):
             raise ValueError("value is determined iff the case is covered")
 
-    @property
-    def determined(self) -> bool:
-        return self.value is not None
-
 
 @dataclass(frozen=True)
 class DeltaVerdict:
@@ -61,10 +57,6 @@ class DeltaVerdict:
     citation: str
     detail: str = ""
     pair_sum: Optional[int] = None
-
-    @property
-    def determined(self) -> bool:
-        return self.value is not None or self.pair_sum is not None
 
     def contribution(self) -> Optional[int]:
         """Contribution of this verdict to a sum over sites (per split pair

@@ -7,7 +7,8 @@ multiplicative type by brute-force point counting, quadratic-extension point
 counts by explicit finite-field arithmetic, and local squares by exhaustive
 residue enumeration.  Primality and factoring are by trial division up to
 sqrt(n), the package's method before it moved to Miller-Rabin and
-Pollard-Brent rho.
+Pollard-Brent rho.  Reduction over a ramified quadratic K_v is read off the
+reduction type of a quadratic twist over Q_ell.
 """
 
 from __future__ import annotations
@@ -154,6 +155,24 @@ def reduction_type(E: WeierstrassCurve, ell: int):
         assert a in (1, -1)
         return "multiplicative", a == 1, v
     return "additive", None, v
+
+
+def twist_reduction_type(E: WeierstrassCurve, d: int, ell: int) -> str:
+    """Reduction type over Q_ell of the quadratic twist of E by d.
+
+    The twist has c-invariants (d^2 c4, d^3 c6), or (2^4 d^2 c4, 2^6 d^3 c6)
+    when only the model scaled by u = 2 is integral; the model is found by
+    reduced_model.  For E bad at ell and K_v = Q_ell(sqrt d) ramified, E is
+    good over K_v iff this twist is good over Q_ell: over K_v the twist is E
+    itself, and if E is good over K_v then inertia acts through the quadratic
+    character of d, which the twist removes.
+    """
+    inv = invariants(E)
+    for u in (1, 2):
+        model = reduced_model(u ** 4 * d * d * inv.c4, u ** 6 * d ** 3 * inv.c6)
+        if model is not None:
+            return reduction_type(model, ell)[0]
+    raise AssertionError("the twist scaled by u = 2 has an integral model")
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,9 @@ from dihedral_parity.cli import (
     EXIT_INVALID,
     EXIT_OK,
     EXIT_STRICT_UNDETERMINED,
+    _tower_to_dict,
     main,
+    parse_tower,
     report_from_dict,
     report_to_dict,
     run_analyze,
@@ -138,6 +140,52 @@ def test_analyze_error_is_one_line(tmp_path, capsys):
     assert out == "error: ell = 100003 exceeds the counting bound 100000\n"
 
 
+# x^3 + 1 in Q(i), p = 5, ramified {3}: the row at 3 is Undetermined unless
+# a defect is supplied, so a defect of true, read as 1, would make it Match.
+X3P1_AT_3 = {"curve": [0, 0, 0, 0, 1], "d": -1, "p": 5, "n": 1,
+             "ramified_sites": [{"ell": 3}]}
+DEFECT_ERROR = 'overrides.3.defect_override: expected 1|2|3|4|6|"noncyclic"\n'
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("curve", [False, -1, True, -10, -20],
+     "curve: expected [a1,a2,a3,a4,a6] (five integers) or a label string\n"),
+    ("d", True, "d: required integer field\n"),
+    ("p", True, "p: required integer field\n"),
+    ("n", True, "n: required integer field\n"),
+    ("ramified_sites", [{"ell": True}],
+     'ramified_sites[0]: expected {"ell": prime, "which": "first"|"second"?}\n'),
+    ("dim_Sp_E_K", True, "dim_Sp_E_K: expected a nonnegative integer\n"),
+    ("dim_Sp_E_K", False, "dim_Sp_E_K: expected a nonnegative integer\n"),
+    ("overrides", {"3": {"defect_override": True}}, DEFECT_ERROR),
+    ("overrides", {"3": {"defect_override": 2.0}}, DEFECT_ERROR),
+    ("overrides", {"3": {"defect_override": 5}}, DEFECT_ERROR),
+], ids=["curve", "d", "p", "n", "ell", "dim-true", "dim-false", "defect-true",
+        "defect-float", "defect-5"])
+@pytest.mark.parametrize("command", ["analyze", "validate"])
+def test_booleans_and_floats_are_not_integers(tmp_path, capsys, command, field,
+                                              value, message):
+    cfg = write_json(tmp_path / "c.json", {**X3P1_AT_3, field: value})
+    assert run_cli(capsys, [command, str(cfg)]) == (EXIT_INVALID, message)
+
+
+def test_violation_without_citation_prints_no_brackets(tmp_path, capsys):
+    cfg = write_json(tmp_path / "d4.json", {"d": 4, "p": 5, "n": 1,
+                                            "ramified_sites": []})
+    assert run_cli(capsys, ["validate", str(cfg), "--format", "text"]) == (
+        EXIT_INVALID, "d_squarefree: d = 4 must be squarefree and not 0 or 1\n")
+    assert json.loads(run_cli(capsys, ["validate", str(cfg)])[1])["violations"] == [
+        {"code": "d_squarefree",
+         "message": "d = 4 must be squarefree and not 0 or 1", "citation": ""}]
+    tower = {"d": -1, "p": 7, "n": 1, "ramified_sites": [{"ell": 5, "which": "first"}]}
+    line = "conjugation_closure: ramified site set not closed under conjugation at 5\n"
+    cfg = write_json(tmp_path / "open.json", {**tower, "curve": [0, -1, 1, -10, -20]})
+    assert run_cli(capsys, ["analyze", str(cfg)]) == (EXIT_INVALID, line)
+    curves = tmp_path / "curves.csv"
+    curves.write_text(CSV_HEADER + "11a1,0,-1,1,-10,-20\n", encoding="utf-8")
+    assert run_cli(capsys, ["batch", str(curves), str(cfg)]) == (EXIT_INVALID, line)
+
+
 def test_validate_ok_and_violations(flagship_config, tmp_path, capsys):
     assert run_validate(str(flagship_config), quiet=True) == EXIT_OK
     # ramified-in-K site not above p
@@ -171,6 +219,23 @@ ROUND_TRIP_CASES = [
 ] + [
     pytest.param(CURVES["x3+1"], OVERRIDE_TOWER, 0, id="x3+1-overrides-dim0"),
 ]
+
+
+@pytest.mark.parametrize("T", [
+    pytest.param(make_tower(d, p, n, rams), id=label)
+    for label, E, d, p, n, rams in PARITY_CORPUS
+] + [pytest.param(OVERRIDE_TOWER, id="overrides")])
+def test_a_report_tower_is_a_config(T):
+    errors = []
+    assert parse_tower(_tower_to_dict(T), errors) == T
+    assert errors == []
+
+
+def test_report_from_dict_rejects_an_invalid_tower():
+    d = report_to_dict(analyze(CURVES["11a1"], OVERRIDE_TOWER))
+    d["tower"]["overrides"]["4"] = d["tower"]["overrides"].pop("2")
+    with pytest.raises(ValueError, match=r"^overrides\.4: key must be a prime$"):
+        report_from_dict(d)
 
 
 @pytest.mark.parametrize("E, T, dim", ROUND_TRIP_CASES)

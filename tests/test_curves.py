@@ -148,19 +148,19 @@ def test_quadratic_twist_invariants():
 
 def test_semistability_defect_large_ell():
     # e = 12/gcd(v(disc_min), 12) for ell >= 5
-    assert semistability_defect(TWIST_11A1_7, 7).e == 2  # v = 6
+    assert semistability_defect(TWIST_11A1_7, 7) == 2  # v = 6
     d49 = semistability_defect(CURVES["49a1"], 7)
     v = oracles.minimal_disc_valuation(CURVES["49a1"], 7)
-    assert d49.e == 12 // __import__("math").gcd(v, 12)
+    assert d49 == 12 // __import__("math").gcd(v, 12)
 
 
 def test_semistability_defect_small_ell_honesty():
     # x^3 + 1 at 3: never a silent wrong cyclic value
     d = semistability_defect(CURVES["x3+1"], 3)
-    assert d.e == UNKNOWN
+    assert d == UNKNOWN
     # x^3 + x at 2: no quadratic twist is good at 2, so unknown, not wrong
     d2 = semistability_defect(CURVES["x3+x"], 2)
-    assert d2.e == UNKNOWN or d2.e in (4,)
+    assert d2 == UNKNOWN or d2 in (4,)
 
 
 def test_count_points_known_values():
@@ -192,20 +192,18 @@ def test_reduction_over_Kv_multiplicative():
     E = CURVES["11a1"]
     # split over Q_11 stays split over any quadratic extension
     for ext in (UnramifiedQuadratic(), RamifiedQuadratic(11)):
-        kv = reduction_over_Kv(E, 11, ext)
-        assert (kv.reduction_type, kv.split) == ("multiplicative", True)
+        assert reduction_over_Kv(E, 11, ext) == "multiplicative_split"
     # the twist is nonsplit at 11 over Q_11 but splits over the inert ext
     t = TWIST_11A1_7
     assert local_reduction(t, 11).split is False
-    kv = reduction_over_Kv(t, 11, UnramifiedQuadratic())
-    assert (kv.reduction_type, kv.split) == ("multiplicative", True)
+    assert reduction_over_Kv(t, 11, UnramifiedQuadratic()) == "multiplicative_split"
 
 
 def test_reduction_over_Kv_potentially_good():
     t = TWIST_11A1_7
     # defect 2 at 7: good over the ramified quadratic, additive over inert
-    assert reduction_over_Kv(t, 7, RamifiedQuadratic(7)).reduction_type == "good"
-    assert reduction_over_Kv(t, 7, UnramifiedQuadratic()).reduction_type == "additive"
+    assert reduction_over_Kv(t, 7, RamifiedQuadratic(7)) == "good"
+    assert reduction_over_Kv(t, 7, UnramifiedQuadratic()) == "additive"
     assert good_twist_at(t, 7) is not None
 
 
@@ -237,9 +235,48 @@ def test_good_twist_search_matches_exhaustive_search(ainvs, d, ell):
     assert (found[0] if found else None) == (good[0] if good else None)
 
 
+# Squarefree d with Q_ell(sqrt d) ramified over Q_ell.
+RAMIFIED_D = {2: [-1, 2, -2, 3, 6, -6, 7, 10], 3: [3, -3, 6, -6, 15],
+              5: [5, -5, 10, -10, 15], 7: [7, -7, 14, -21]}
+
+
+@settings(max_examples=250, deadline=None)
+@given(curves_strategy(), st.sampled_from([1, -1, 2, 3, 5, 7, -7]),
+       st.sampled_from([2, 3, 5, 7]), st.data())
+def test_reduction_over_ramified_Kv_matches_twist_oracle(ainvs, t, ell, data):
+    E = _try_curve(ainvs)
+    if E is None:
+        return
+    if t != 1:  # twist so that additive reduction at 5 and 7 occurs too
+        E = quadratic_twist(E, t)
+    d = data.draw(st.sampled_from(RAMIFIED_D[ell]))
+    kv = reduction_over_Kv(E, ell, RamifiedQuadratic(d))
+    if oracles.reduction_type(E, ell)[0] == "good":
+        assert kv == "good"  # good reduction persists; the twist is bad
+        return
+    twist_good = oracles.twist_reduction_type(E, d, ell) == "good"
+    if kv == UNKNOWN:
+        assert ell in (2, 3)
+    elif kv in ("good", "additive"):
+        assert (kv == "good") == twist_good
+    else:  # multiplicative over K_v: never good
+        assert not twist_good
+
+
+def test_twist_oracle_known_cases():
+    # 11a1 twisted by 7 has defect 2 at 7: good over Q_7(sqrt 7) and
+    # Q_7(sqrt -7), and the twist back by 7 is 11a1, good at 7
+    assert oracles.twist_reduction_type(TWIST_11A1_7, 7, 7) == "good"
+    assert oracles.twist_reduction_type(TWIST_11A1_7, -7, 7) == "good"
+    assert reduction_over_Kv(TWIST_11A1_7, 7, RamifiedQuadratic(-7)) == "good"
+    # 49a1 has defect 4 at 7: additive over every ramified quadratic K_v
+    for d in (7, -7):
+        assert oracles.twist_reduction_type(CURVES["49a1"], d, 7) == "additive"
+        assert reduction_over_Kv(CURVES["49a1"], 7, RamifiedQuadratic(d)) == "additive"
+
+
 def test_good_reduction_persists():
-    kv = reduction_over_Kv(CURVES["11a1"], 7, UnramifiedQuadratic())
-    assert kv.reduction_type == "good"
+    assert reduction_over_Kv(CURVES["11a1"], 7, UnramifiedQuadratic()) == "good"
 
 
 def test_reduction_over_Kv_rejects_an_unramified_d():

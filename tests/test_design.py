@@ -2,14 +2,17 @@
 
 Every fact the engine states is an identity between integers or rationals, so
 no module needs a float or complex constant, a tolerance parameter or
-``cmath``; and no module imports another module's private (underscore)
-helpers.
+``cmath``; no module imports another module's private (underscore)
+helpers; and the values a local fact or an override may take are stated
+once, in ``curves``.
 """
 
 import ast
 from pathlib import Path
 
 import pytest
+
+from dihedral_parity.curves import DEFECTS, KV_REDUCTIONS, UNKNOWN
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "dihedral_parity"
 MODULES = sorted(SRC.glob("*.py"))
@@ -54,3 +57,10 @@ def test_no_private_import_from_sibling(path):
            if isinstance(node, ast.ImportFrom) and node.level > 0
            for alias in node.names if alias.name.startswith("_")]
     assert not bad, f"{path.name} imports private names {bad}"
+
+
+def test_cli_states_no_local_fact_value():
+    values = {v for v in (*DEFECTS, *KV_REDUCTIONS, UNKNOWN) if isinstance(v, str)}
+    bad = [node.value for node in ast.walk(_tree(SRC / "cli.py"))
+           if isinstance(node, ast.Constant) and node.value in values]
+    assert not bad, f"cli.py spells out {bad}; read curves.DEFECTS and KV_REDUCTIONS"
