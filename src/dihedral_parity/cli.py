@@ -12,6 +12,7 @@ import argparse
 import csv
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import Any, Optional
 
 from .curves import DEFECTS, KV_REDUCTIONS, SingularCurveError, WeierstrassCurve
@@ -121,6 +122,10 @@ def _parse_overrides(raw: Any, errors: list) -> dict[int, SiteOverrides]:
         except ValueError:
             errors.append(f"overrides.{key}: key must be a prime (integer)")
             continue
+        if str(ell) != key:  # "011", "1_1", " 11", "+11" would all name 11
+            errors.append(f"overrides.{key}: key must be a prime in plain decimal "
+                          f"({str(ell)!r}, not {key!r})")
+            continue
         if not is_prime(ell):
             errors.append(f"overrides.{key}: key must be a prime")
             continue
@@ -148,20 +153,21 @@ def _parse_overrides(raw: Any, errors: list) -> dict[int, SiteOverrides]:
 
 
 def parse_tower(raw: dict, errors: list) -> Optional[TowerSpec]:
-    ok = True
+    """The tower of a config, or None with every error appended: a malformed
+    field skips only the checks that need it."""
     for key in ("d", "p", "n"):
-        ok &= _require(_is_int(raw.get(key)), errors,
-                       f"{key}: required integer field")
+        _require(_is_int(raw.get(key)), errors, f"{key}: required integer field")
     sites_raw = raw.get("ramified_sites")
-    ok &= _require(isinstance(sites_raw, list), errors,
-                   "ramified_sites: required list of {ell, which?}")
-    if not ok:
-        return None
-    K = QuadraticFieldSpec(raw["d"])
-    try:
-        K.is_valid()  # factors d; validate_tower reports a bad one
-    except ValueError as exc:
-        errors.append(f"d: {exc}")
+    if not _require(isinstance(sites_raw, list), errors,
+                    "ramified_sites: required list of {ell, which?}"):
+        sites_raw = []
+    K = None  # the checks that need a valid d are skipped without one
+    if _is_int(raw.get("d")):
+        K = QuadraticFieldSpec(raw["d"])
+        try:
+            K.is_valid()  # factors d; validate_tower reports a bad one
+        except ValueError as exc:
+            errors.append(f"d: {exc}")
     sites = []
     for i, entry in enumerate(sites_raw):
         if not (isinstance(entry, dict) and _is_int(entry.get("ell"))):
@@ -175,6 +181,8 @@ def parse_tower(raw: dict, errors: list) -> Optional[TowerSpec]:
         which = entry.get("which")
         if which not in (None, "first", "second"):
             errors.append(f"ramified_sites[{i}].which: expected \"first\" or \"second\"")
+            continue
+        if K is None:
             continue
         above = sites_above(ell, K)
         if which is None:
@@ -290,6 +298,67 @@ def report_from_dict(d: dict) -> ParityReport:
     )
 
 
+# The text of a JSON scalar, keyed on its exact type: a subclass (an IntEnum,
+# a str subclass) is not guessed at, and a float is not a value of schema 1.
+_SCALAR_TEXT = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: ("false", "true").__getitem__,
+    type(None): "null".format,
+}
+
+
+def to_json(obj: Any) -> str:
+    """``json.dumps(obj, indent=2)``, byte for byte, for dicts with string
+    keys, lists, tuples, strings, ints, booleans and None; any other type
+    raises TypeError.  With ``indent`` set, ``json.dumps`` runs its
+    pure-Python encoder; this writer appends one string per item instead."""
+    out: list[str] = []
+    _write_json(obj, "\n", out)
+    return "".join(out)
+
+
+def _write_json(obj: Any, nl: str, out: list) -> None:
+    """Append the text of obj to out; nl is the line break before its closing
+    bracket, and each item goes on a line break nl + two spaces."""
+    kind = type(obj)
+    if kind is dict:
+        if not obj:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        head, sep = "{" + inner, "," + inner
+        for key, value in obj.items():
+            text = _SCALAR_TEXT.get(type(value))
+            if text is None:
+                out.append(head + encode_basestring_ascii(key) + ": ")
+                _write_json(value, inner, out)
+            else:
+                out.append(head + encode_basestring_ascii(key) + ": " + text(value))
+            head = sep
+        out.append(nl + "}")
+    elif kind is list or kind is tuple:
+        if not obj:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        head, sep = "[" + inner, "," + inner
+        for value in obj:
+            text = _SCALAR_TEXT.get(type(value))
+            if text is None:
+                out.append(head)
+                _write_json(value, inner, out)
+            else:
+                out.append(head + text(value))
+            head = sep
+        out.append(nl + "]")
+    else:
+        text = _SCALAR_TEXT.get(kind)
+        if text is None:
+            raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+        out.append(text(obj))
+
+
 def _fmt_value(v: Optional[int]) -> str:
     return "?" if v is None else str(v)
 
@@ -388,7 +457,7 @@ def run_analyze(config_path: str, *, fmt: str = "json", strict: bool = False,
         _emit(f"error: {exc}\n", quiet)
         return EXIT_INVALID
     d = report_to_dict(rep)
-    _emit(json.dumps(d, indent=2) + "\n" if fmt == "json" else render_text(d),
+    _emit(to_json(d) + "\n" if fmt == "json" else render_text(d),
           quiet)
     if rep.failure:
         return EXIT_FAILURE
@@ -407,11 +476,11 @@ def run_validate(config_path: str, *, fmt: str = "json",
         return EXIT_INVALID
     violations = validate_tower(T, E)
     if fmt == "json":
-        _emit(json.dumps({
+        _emit(to_json({
             "schema_version": SCHEMA_VERSION,
             "valid": not violations,
             "violations": [dict(vars(v)) for v in violations],
-        }, indent=2) + "\n", quiet)
+        }) + "\n", quiet)
     else:
         if violations:
             _emit("".join(f"{v}\n" for v in violations), quiet)
@@ -467,7 +536,7 @@ def run_batch(curves_path: str, config_path: str, *, fmt: str = "json",
         "summary": summary,
     }
     if fmt == "json":
-        _emit(json.dumps(combined, indent=2) + "\n", quiet)
+        _emit(to_json(combined) + "\n", quiet)
     else:
         out = []
         for r in reports:

@@ -297,7 +297,9 @@ class UnramifiedQuadratic:
 
 @dataclass(frozen=True)
 class RamifiedQuadratic:
-    """A ramified quadratic extension Q_ell(sqrt(d)), d squarefree."""
+    """A ramified quadratic extension Q_ell(sqrt(d)): d is a nonzero integer,
+    read only through its square class in Q_ell, so a squarefree d of a
+    quadratic field K = Q(sqrt(d)) serves as is, unfactored."""
 
     d: int
 
@@ -312,13 +314,14 @@ def unramified_generator(ell: int) -> int:
 
 def check_extension(ell: int, ext: QuadraticExtension) -> None:
     """Raise ValueError unless ext is the unramified quadratic extension of
-    Q_ell or a ramified one Q_ell(sqrt(d)) with d squarefree."""
+    Q_ell or a ramified one Q_ell(sqrt(d)).  A local test: d = ell^v u is
+    ramified at ell when v is odd, or when ell = 2 and u = 3 mod 4."""
     if isinstance(ext, RamifiedQuadratic):
         d = ext.d
-        if not is_squarefree(d) or d == 1:
-            raise ValueError(f"d = {d} does not define a quadratic field")
-        ramified = (d % ell == 0) if ell != 2 else (d % 4 in (2, 3))
-        if not ramified:
+        if d == 0:
+            raise ValueError("d = 0 does not define a quadratic field")
+        v = padic_valuation(d, ell)
+        if not (v % 2 or (ell == 2 and (d >> v) % 4 == 3)):
             raise ValueError(f"Q_{ell}(sqrt({d})) is not ramified over Q_{ell}")
     elif not isinstance(ext, UnramifiedQuadratic):
         raise ValueError(f"unsupported extension descriptor {ext!r}")

@@ -9,6 +9,8 @@ constants never depend on).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from math import prod
 from typing import Optional
 
 from .curves import LocalData, SiteOverrides, WeierstrassCurve
@@ -17,7 +19,6 @@ from .localarith import (
     RamifiedQuadratic,
     UnramifiedQuadratic,
     is_prime,
-    is_squarefree,
     kronecker_symbol,
     prime_factors,
 )
@@ -40,11 +41,18 @@ class QuadraticFieldSpec:
 
     d: int
 
+    @cached_property
+    def d_primes(self) -> tuple[int, ...]:
+        """The primes dividing d: d is factored once per field, here.  The
+        value lives in the instance dict, outside the dataclass fields, so
+        it takes no part in equality, hashing or a written report."""
+        return tuple(prime_factors(self.d))
+
     def discriminant(self) -> int:
         return self.d if self.d % 4 == 1 else 4 * self.d
 
     def is_valid(self) -> bool:
-        return self.d not in (0, 1) and is_squarefree(self.d)
+        return self.d not in (0, 1) and prod(self.d_primes) == abs(self.d)
 
 
 def split_type(ell: int, K: QuadraticFieldSpec) -> str:
@@ -191,6 +199,8 @@ def support_primes(T: TowerSpec, E: WeierstrassCurve) -> list[int]:
     """Finite set of rational primes that can carry a nonzero local constant."""
     primes = set(prime_factors(E.discriminant()))
     primes.add(T.p)
-    primes.update(prime_factors(T.K.discriminant()))
+    primes.update(T.K.d_primes)  # with 2 below, the primes of K.discriminant()
+    if T.K.d % 4 != 1:
+        primes.add(2)
     primes.update(s.ell for s in T.ramified_sites)
     return sorted(primes)

@@ -2,6 +2,8 @@ import copy
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import run_isolated, write_json
 from dihedral_parity import localarith
@@ -19,6 +21,7 @@ from dihedral_parity.cli import (
     run_analyze,
     run_batch,
     run_validate,
+    to_json,
 )
 from dihedral_parity.parity import analyze
 from dihedral_parity.tower import SiteOverrides
@@ -128,6 +131,35 @@ def test_overrides_parsed(tmp_path, capsys):
     assert code == EXIT_INVALID
     assert out == ("overrides.3.reduction_over_Kv_override: "
                    "unknown value 'bogus'\n")
+
+
+# Text with non-ASCII, control and lone surrogate characters, which the
+# writer must escape exactly as json.dumps does.
+JSON_TEXT = st.text(st.characters(exclude_categories=())
+                    | st.sampled_from('\ud800\udfff\x00\x1f\x7f"\\/\u00e9\u2028'),
+                    max_size=8)
+JSON_SCALARS = (st.none() | st.booleans() | JSON_TEXT
+                | st.integers(min_value=-2**80, max_value=2**80))
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(JSON_TEXT, inner, max_size=4)),
+    max_leaves=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_VALUES)
+def test_to_json_matches_json_dumps_indent_2(value):
+    assert to_json(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [
+    1.5, {1, 2}, object(), [0, 2.0], {"a": {"b": frozenset()}}, {3: "key"}],
+    ids=["float", "set", "object", "nested-float", "nested-frozenset", "int-key"])
+def test_to_json_rejects_other_types(value):
+    with pytest.raises(TypeError):
+        to_json(value)
 
 
 def test_analyze_error_is_one_line(tmp_path, capsys):
@@ -398,6 +430,67 @@ def test_non_prime_ell_is_config_error(tmp_path, capsys, command):
         **base, "ramified_sites": [{"ell": 11}], "overrides": {"4": {}}})
     assert run_cli(capsys, [command, str(cfg)]) == (
         EXIT_INVALID, "overrides.4: key must be a prime\n")
+
+
+@pytest.mark.parametrize("key", ["1_1", "011", " 11", "11 ", "+11", "\u0661\u0661"],
+                         ids=["underscore", "leading-zero", "leading-space",
+                              "trailing-space", "plus", "arabic-indic"])
+@pytest.mark.parametrize("command", ["analyze", "validate"])
+def test_override_key_must_be_plain_decimal(tmp_path, capsys, command, key):
+    cfg = write_json(tmp_path / "c.json", {**X3P1_AT_3, "overrides": {key: {}}})
+    assert run_cli(capsys, [command, str(cfg)]) == (
+        EXIT_INVALID, f"overrides.{key}: key must be a prime in plain decimal "
+                      f"('11', not {key!r})\n")
+
+
+def test_two_override_keys_cannot_name_one_prime(tmp_path, capsys):
+    cfg = write_json(tmp_path / "c.json", {
+        **X3P1_AT_3, "overrides": {"11": {"defect_override": 2},
+                                   "011": {"anomalous_override": True}}})
+    code, out = run_cli(capsys, ["analyze", str(cfg)])
+    assert code == EXIT_INVALID
+    assert out == ("overrides.011: key must be a prime in plain decimal "
+                   "('11', not '011')\n")
+
+
+@pytest.mark.parametrize("command", ["analyze", "validate"])
+def test_every_config_error_is_reported_in_one_run(tmp_path, capsys, command):
+    cfg = write_json(tmp_path / "c.json", {**X3P1_AT_3, "p": "5", "overrides": {"9": {}}})
+    assert run_cli(capsys, [command, str(cfg)]) == (
+        EXIT_INVALID, "p: required integer field\noverrides.9: key must be a prime\n")
+    cfg = write_json(tmp_path / "c.json", {
+        **X3P1_AT_3, "d": None, "n": "1",
+        "ramified_sites": [{"ell": 4}, {"ell": 3, "which": "third"}, {"ell": 5}],
+        "overrides": {"x": {}}})
+    assert run_cli(capsys, [command, str(cfg)]) == (EXIT_INVALID, "".join(
+        f"{line}\n" for line in [
+            "d: required integer field",
+            "n: required integer field",
+            "ramified_sites[0].ell: 4 is not prime",
+            'ramified_sites[1].which: expected "first" or "second"',
+            "overrides.x: key must be a prime (integer)"]))
+    cfg = write_json(tmp_path / "c.json", {
+        **X3P1_AT_3, "ramified_sites": {"ell": 3}, "overrides": {"4": {}}})
+    assert run_cli(capsys, [command, str(cfg)]) == (EXIT_INVALID, (
+        "ramified_sites: required list of {ell, which?}\n"
+        "overrides.4: key must be a prime\n"))
+
+
+def test_analyze_factors_d_at_most_once(monkeypatch):
+    factored = []
+    original = localarith._factorization
+
+    def counting(n):
+        factored.append(abs(n))
+        return original(n)
+
+    monkeypatch.setattr(localarith, "_factorization", counting)
+    for label, E, d, p, n, rams in PARITY_CORPUS:
+        T = make_tower(d, p, n, rams)
+        factored.clear()
+        analyze(E, T)
+        of_d = [m for m in factored if m in (abs(d), abs(T.K.discriminant()))]
+        assert len(of_d) <= 1, (label, factored)
 
 
 def test_large_inputs_do_not_hang(tmp_path):

@@ -3,8 +3,9 @@
 Every fact the engine states is an identity between integers or rationals, so
 no module needs a float or complex constant, a tolerance parameter or
 ``cmath``; no module imports another module's private (underscore)
-helpers; and the values a local fact or an override may take are stated
-once, in ``curves``.
+helpers; the values a local fact or an override may take are stated
+once, in ``curves``; and JSON is printed by ``cli.to_json``, never by an
+``indent=`` call, which would put ``json``'s pure-Python encoder back.
 """
 
 import ast
@@ -64,3 +65,11 @@ def test_cli_states_no_local_fact_value():
     bad = [node.value for node in ast.walk(_tree(SRC / "cli.py"))
            if isinstance(node, ast.Constant) and node.value in values]
     assert not bad, f"cli.py spells out {bad}; read curves.DEFECTS and KV_REDUCTIONS"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_indent_keyword(path):
+    bad = [node.lineno for node in ast.walk(_tree(path))
+           if isinstance(node, ast.Call)
+           and any(kw.arg == "indent" for kw in node.keywords)]
+    assert not bad, f"{path.name}: indent= call at lines {bad}; use cli.to_json"

@@ -130,6 +130,26 @@ def test_ramified_ext_square_rule():
     assert not is_square_in_quadratic_ext(7 * 3, 7, ext)  # 3 is not
 
 
+@pytest.mark.parametrize("ell, d, ramified", [
+    (7, 7, True), (7, 7 * 9, True), (7, 7 ** 3 * 4, True), (7, 49, False),
+    (7, 5, False), (2, -1, True), (2, 3, True), (2, 12, True), (2, 8, True),
+    (2, -10, True), (2, 20, False), (2, 4, False), (2, 1, False), (2, -7, False),
+])
+def test_check_extension_reads_the_local_square_class(ell, d, ramified):
+    """Q_ell(sqrt(d)) is ramified when v_ell(d) is odd, or at 2 when the unit
+    part of d is 3 mod 4; d need not be squarefree, so it is not factored."""
+    ext = RamifiedQuadratic(d)
+    if ramified:
+        localarith.check_extension(ell, ext)
+        rep = RamifiedQuadratic(squarefree_part(d))
+        for z in (1, -1, 2, 3, 5, ell, 3 * ell):
+            assert quadratic_character_type(z, ell, ext) == \
+                quadratic_character_type(z, ell, rep)
+    else:
+        with pytest.raises(ValueError, match="is not ramified over"):
+            localarith.check_extension(ell, ext)
+
+
 def test_quadratic_character_type_over_Q_ell():
     g = unramified_generator(7)
     assert quadratic_character_type(2, 7, None) == "trivial"  # 2 = 3^2 mod 7
