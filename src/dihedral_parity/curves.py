@@ -217,11 +217,6 @@ def quadratic_twist(E: WeierstrassCurve, d: int) -> WeierstrassCurve:
     """
     if d == 0 or not is_squarefree(d):
         raise ValueError(f"twist parameter must be a nonzero squarefree integer, got {d}")
-    return _twist(E, d)
-
-
-def _twist(E: WeierstrassCurve, d: int) -> WeierstrassCurve:
-    """quadratic_twist without the squarefree test, for a d known squarefree."""
     c4, c6 = E.c_invariants()
     M = model_from_invariants(d * d * c4, d ** 3 * c6)
     if M is None:
@@ -251,8 +246,8 @@ def good_twist_at(E: WeierstrassCurve,
     representative of each ramified square class of Q_ell^x modulo the
     unramified one is tried.
     """
-    for d in ([-1, 2, -2] if ell == 2 else [ell]):  # squarefree: not factored
-        red = local_reduction(_twist(E, d), ell)
+    for d in ([-1, 2, -2] if ell == 2 else [ell]):
+        red = local_reduction(quadratic_twist(E, d), ell)
         if red.reduction_type == "good":
             return d, red
     return None

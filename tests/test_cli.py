@@ -1,12 +1,13 @@
 import copy
 import json
+from functools import cached_property
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import run_isolated, write_json
-from dihedral_parity import localarith
+from dihedral_parity import localarith, tower
 from dihedral_parity.curves import WeierstrassCurve
 from dihedral_parity.cli import (
     EXIT_FAILURE,
@@ -24,7 +25,7 @@ from dihedral_parity.cli import (
     to_json,
 )
 from dihedral_parity.parity import analyze
-from dihedral_parity.tower import SiteOverrides
+from dihedral_parity.tower import QuadraticFieldSpec, SiteOverrides
 from corpus import CURVES, PARITY_CORPUS, TWIST_11A1_7, make_tower
 
 CSV_HEADER = "label,a1,a2,a3,a4,a6\n"
@@ -477,20 +478,31 @@ def test_every_config_error_is_reported_in_one_run(tmp_path, capsys, command):
 
 
 def test_analyze_factors_d_at_most_once(monkeypatch):
-    factored = []
-    original = localarith._factorization
+    # d is factored only by QuadraticFieldSpec.d_primes, evaluated at most
+    # once per analysis; nothing calls prime_factors on d or K's discriminant
+    evaluated, factored = [], []
+    d_primes = QuadraticFieldSpec.__dict__["d_primes"].func
 
-    def counting(n):
-        factored.append(abs(n))
-        return original(n)
+    def counted_d_primes(K):
+        evaluated.append(K.d)
+        return d_primes(K)
 
-    monkeypatch.setattr(localarith, "_factorization", counting)
+    def counted_prime_factors(n, _original=tower.prime_factors):
+        factored.append(n)
+        return _original(n)
+
+    counted = cached_property(counted_d_primes)
+    counted.__set_name__(QuadraticFieldSpec, "d_primes")
+    monkeypatch.setattr(QuadraticFieldSpec, "d_primes", counted)
+    monkeypatch.setattr(tower, "prime_factors", counted_prime_factors)
     for label, E, d, p, n, rams in PARITY_CORPUS:
         T = make_tower(d, p, n, rams)
+        evaluated.clear()
         factored.clear()
         analyze(E, T)
-        of_d = [m for m in factored if m in (abs(d), abs(T.K.discriminant()))]
-        assert len(of_d) <= 1, (label, factored)
+        assert len(evaluated) <= 1, (label, evaluated)
+        of_K = [m for m in factored if m in (d, T.K.discriminant())]
+        assert len(of_K) == len(evaluated), (label, factored)
 
 
 def test_large_inputs_do_not_hang(tmp_path):

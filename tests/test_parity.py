@@ -215,7 +215,7 @@ def test_primality_is_tested_at_the_boundary_only(monkeypatch, case):
 
     _rebind(monkeypatch, is_prime, counted_is_prime)
     _rebind(monkeypatch, padic_valuation, marked_padic_valuation)
-    twists = _record_calls(monkeypatch, ("_twist",))["_twist"]  # builds every twist
+    twists = _record_calls(monkeypatch, ("quadratic_twist",))["quadratic_twist"]
     analyze(E, T, dim_Sp_E_K=0)
     assert not [m for m, inside in calls if inside]
     assert len(calls) <= bound + len(twists), calls

@@ -1,13 +1,14 @@
 """Alternating before/after runs of the benchmark, summarised in one JSON file.
 
-    python3 tools/bench_pairs.py --base HEAD --pairs 5 --seconds 30 --out BENCH_9.json
+    python3 tools/bench_pairs.py --base HEAD~1 --first-seed 9401 --out BENCH_9.json
 
 Extracts the commit ``--base`` (with ``git archive``, so nothing is added to
 the repository's git metadata) into a temporary directory, then for each
-workload named in ``BENCHMARK.json`` runs ``bench/run.py`` on that commit
-("base") and on this working tree ("change") in alternating pairs.  Each pair
-shares one seed, and the order within a pair alternates, so that drift of the
-machine's speed falls on both sides alike.  Only the standard library is used.
+workload named in ``BENCHMARK.json`` runs ``bench/run.py`` for 30 seconds on
+that commit ("base") and on this working tree ("change") in alternating pairs.
+Pair i of every workload uses seed ``--first-seed`` + i on both sides, and the
+order within a pair alternates, so that drift of the machine's speed falls on
+both sides alike.  Only the standard library is used.
 
 For every end-to-end metric the output holds both sides' per-run values,
 medians and quartiles, the ratio of the medians (change / base) and the
@@ -28,6 +29,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SECONDS = 30
 
 
 def extract(rev: str, dest: Path) -> str:
@@ -45,11 +47,11 @@ def extract(rev: str, dest: Path) -> str:
     return commit
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(tree: Path, workload: str, seed: int) -> dict:
     """One benchmark run in tree: the JSON object of its last output line."""
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", str(SECONDS), "--trace", "0"],
         cwd=tree, capture_output=True, text=True, check=True,
         env={k: v for k, v in os.environ.items() if k != "PYTHONPATH"})
     return json.loads(proc.stdout.strip().splitlines()[-1])
@@ -81,20 +83,17 @@ def compare(base: list[dict], change: list[dict], metrics: list[dict]) -> dict:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--base", required=True, help="commit to compare against")
-    ap.add_argument("--pairs", type=int, default=5)
-    ap.add_argument("--seconds", type=float, default=30)
-    ap.add_argument("--first-seed", type=int, default=9001,
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--first-seed", type=int, required=True,
                     help="pair i of every workload uses seed first-seed + i")
-    ap.add_argument("--workload", action="append",
-                    help="run only this workload (repeatable); default all")
     ap.add_argument("--out", required=True, help="JSON file to write")
     args = ap.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    workloads = args.workload or [w["name"] for w in spec["workloads"]]
+    workloads = [w["name"] for w in spec["workloads"]]
     result = {
         "command": "python3 bench/run.py --workload W --seed S "
-                   f"--seconds {args.seconds:g} --trace 0",
+                   f"--seconds {SECONDS} --trace 0",
         "machine": {"python": platform.python_version(), "system": platform.platform(),
                     "processor": platform.processor() or platform.machine(),
                     "cpus": os.cpu_count()},
@@ -111,7 +110,7 @@ def main(argv=None) -> int:
                 order = ["base", "change"] if i % 2 == 0 else ["change", "base"]
                 for side in order:
                     tree = base_tree if side == "base" else ROOT
-                    runs[side].append(run_once(tree, workload, seed, args.seconds))
+                    runs[side].append(run_once(tree, workload, seed))
                 print(f"{workload} pair {i + 1}/{args.pairs} (seed {seed}) done",
                       file=sys.stderr)
             result["workloads"][workload] = {
