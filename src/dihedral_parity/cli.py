@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from json.encoder import encode_basestring_ascii
@@ -456,9 +457,9 @@ def run_analyze(config_path: str, *, fmt: str = "json", strict: bool = False,
     except ValueError as exc:
         _emit(f"error: {exc}\n", quiet)
         return EXIT_INVALID
-    d = report_to_dict(rep)
-    _emit(to_json(d) + "\n" if fmt == "json" else render_text(d),
-          quiet)
+    if not quiet:
+        d = report_to_dict(rep)
+        sys.stdout.write(to_json(d) + "\n" if fmt == "json" else render_text(d))
     if rep.failure:
         return EXIT_FAILURE
     if strict and rep.has_undetermined:
@@ -475,17 +476,15 @@ def run_validate(config_path: str, *, fmt: str = "json",
         _emit("\n".join(exc.messages) + "\n", quiet)
         return EXIT_INVALID
     violations = validate_tower(T, E)
-    if fmt == "json":
-        _emit(to_json({
-            "schema_version": SCHEMA_VERSION,
-            "valid": not violations,
-            "violations": [dict(vars(v)) for v in violations],
-        }) + "\n", quiet)
-    else:
-        if violations:
-            _emit("".join(f"{v}\n" for v in violations), quiet)
+    if not quiet:
+        if fmt == "json":
+            sys.stdout.write(to_json({
+                "schema_version": SCHEMA_VERSION,
+                "valid": not violations,
+                "violations": [dict(vars(v)) for v in violations],
+            }) + "\n")
         else:
-            _emit("valid\n", quiet)
+            sys.stdout.write("".join(f"{v}\n" for v in violations) or "valid\n")
     return EXIT_INVALID if violations else EXIT_OK
 
 
@@ -527,25 +526,25 @@ def run_batch(curves_path: str, config_path: str, *, fmt: str = "json",
                      if "error" not in r and not r["failure"]
                      and not r["has_undetermined"]),
     }
-    combined = {
-        "schema_version": SCHEMA_VERSION,
-        "tower": _tower_to_dict(T),
-        "reports": reports,
-        "errors": row_errors + [f"{r['label']}: {r['error']}"
-                                for r in reports if "error" in r],
-        "summary": summary,
-    }
-    if fmt == "json":
-        _emit(to_json(combined) + "\n", quiet)
-    else:
-        out = []
-        for r in reports:
-            if "error" in r:
-                out.append(f"== {r['label']}: ERROR {r['error']}\n")
-            else:
-                out.append(f"== {r['label']}\n" + render_text(r))
-        out.append("summary: " + json.dumps(summary) + "\n")
-        _emit("".join(out), quiet)
+    if not quiet:
+        if fmt == "json":
+            sys.stdout.write(to_json({
+                "schema_version": SCHEMA_VERSION,
+                "tower": _tower_to_dict(T),
+                "reports": reports,
+                "errors": row_errors + [f"{r['label']}: {r['error']}"
+                                        for r in reports if "error" in r],
+                "summary": summary,
+            }) + "\n")
+        else:
+            out = []
+            for r in reports:
+                if "error" in r:
+                    out.append(f"== {r['label']}: ERROR {r['error']}\n")
+                else:
+                    out.append(f"== {r['label']}\n" + render_text(r))
+            out.append("summary: " + json.dumps(summary) + "\n")
+            sys.stdout.write("".join(out))
     if summary["failures"]:
         return EXIT_FAILURE
     if strict and summary["undetermined"]:
@@ -563,7 +562,10 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
                     help="suppress output (exit code only)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args leaves it
+    unchanged, so every main() call can reuse it."""
     parser = argparse.ArgumentParser(
         prog="dihedral-parity",
         description="Analytic/arithmetic local parity constants for elliptic "

@@ -38,6 +38,11 @@ class SingularCurveError(ValueError):
 
 @dataclass(frozen=True)
 class WeierstrassCurve:
+    """An integral Weierstrass model.  Its invariants are computed once, at
+    construction, and its valuations at a prime on first request; both live
+    in the instance dict, outside the dataclass fields, so they take no part
+    in equality, hashing or a written report."""
+
     a1: int
     a2: int
     a3: int
@@ -45,27 +50,45 @@ class WeierstrassCurve:
     a6: int
 
     def __post_init__(self):
-        if self.discriminant() == 0:
-            raise SingularCurveError(f"singular model {self.ainvs()}")
-
-    def ainvs(self) -> tuple[int, int, int, int, int]:
-        return (self.a1, self.a2, self.a3, self.a4, self.a6)
-
-    def b_invariants(self) -> tuple[int, int, int, int]:
         a1, a2, a3, a4, a6 = self.ainvs()
         b2 = a1 * a1 + 4 * a2
         b4 = 2 * a4 + a1 * a3
         b6 = a3 * a3 + 4 * a6
         b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
-        return b2, b4, b6, b8
+        disc = -b2 * b2 * b8 - 8 * b4 ** 3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
+        if disc == 0:
+            raise SingularCurveError(f"singular model {self.ainvs()}")
+        vars(self).update(
+            _b=(b2, b4, b6, b8),
+            _c=(b2 * b2 - 24 * b4, -b2 ** 3 + 36 * b2 * b4 - 216 * b6),
+            _disc=disc,
+            _valuations={},
+        )
+
+    def ainvs(self) -> tuple[int, int, int, int, int]:
+        return (self.a1, self.a2, self.a3, self.a4, self.a6)
+
+    def b_invariants(self) -> tuple[int, int, int, int]:
+        return self._b
 
     def c_invariants(self) -> tuple[int, int]:
-        b2, b4, b6, _ = self.b_invariants()
-        return b2 * b2 - 24 * b4, -b2 ** 3 + 36 * b2 * b4 - 216 * b6
+        return self._c
 
     def discriminant(self) -> int:
-        b2, b4, b6, b8 = self.b_invariants()
-        return -b2 * b2 * b8 - 8 * b4 ** 3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
+        return self._disc
+
+    def valuations_at(self, ell: int) -> tuple[int, Optional[int], Optional[int]]:
+        """(v(Delta), v(c4), v(c6)) at the prime ell, None for a zero c4 or
+        c6; taken once per prime and model."""
+        vals = self._valuations.get(ell)
+        if vals is None:
+            c4, c6 = self._c
+            vals = self._valuations[ell] = (
+                padic_valuation(self._disc, ell),
+                padic_valuation(c4, ell) if c4 else None,
+                padic_valuation(c6, ell) if c6 else None,
+            )
+        return vals
 
 
 @dataclass(frozen=True)
@@ -154,13 +177,8 @@ def minimal_model_at(E: WeierstrassCurve, ell: int) -> WeierstrassCurve:
     if not is_prime(ell):
         raise ValueError(f"{ell} is not prime")
     c4, c6 = E.c_invariants()
-    disc = E.discriminant()
-    bounds = [padic_valuation(disc, ell) // 12]
-    if c4:
-        bounds.append(padic_valuation(c4, ell) // 4)
-    if c6:
-        bounds.append(padic_valuation(c6, ell) // 6)
-    k = min(bounds)
+    v_disc, v_c4, v_c6 = E.valuations_at(ell)
+    k = min(v // w for v, w in ((v_disc, 12), (v_c4, 4), (v_c6, 6)) if v is not None)
     while k > 0:
         M = model_from_invariants(c4 // ell ** (4 * k), c6 // ell ** (6 * k))
         if M is not None:
@@ -187,9 +205,8 @@ class LocalReductionData:
 def local_reduction(E: WeierstrassCurve, ell: int) -> LocalReductionData:
     """Reduction trichotomy of E over Q_ell, from an ell-minimal model."""
     Em = minimal_model_at(E, ell)
-    c4, c6 = Em.c_invariants()
-    v_disc = padic_valuation(Em.discriminant(), ell)
-    v_c4 = padic_valuation(c4, ell) if c4 else None
+    c6 = Em.c_invariants()[1]
+    v_disc, v_c4, _ = Em.valuations_at(ell)
     if v_disc == 0:
         rtype, split = "good", None
     elif v_c4 == 0:

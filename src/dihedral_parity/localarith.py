@@ -29,6 +29,23 @@ Rational = Union[int, Fraction]
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_LIMIT = 3_317_044_064_679_887_385_961_981
 
+# (bound, k): Miller-Rabin with the first k prime bases is exact below bound,
+# the least odd composite that is a strong probable prime to all k of them
+# (OEIS A014233; Jaeschke 1993, Sorenson and Webster 2017).  A k whose bound
+# equals the next one's is left out, as it proves nothing more.
+_MR_BASES = (
+    (2047, 1),
+    (1_373_653, 2),
+    (25_326_001, 3),
+    (3_215_031_751, 4),
+    (2_152_302_898_747, 5),
+    (3_474_749_660_383, 6),
+    (341_550_071_728_321, 7),
+    (3_825_123_056_546_413_051, 9),
+    (318_665_857_834_031_151_167_461, 12),
+    (_MR_LIMIT, 13),
+)
+
 # Rho iterations allowed per factorization, over every cofactor and retry.
 # They split off every prime factor below 1e10 in the trials made (100 of
 # 100) and most below 1e11 (38 of 40), and run out after about one to two
@@ -87,7 +104,8 @@ def _strong_lucas_probable_prime(n: int) -> bool:
 
 
 def is_prime(n: int) -> bool:
-    """Exact below 3.3e24 (Miller-Rabin); Baillie-PSW above."""
+    """Exact below 3.3e24 (Miller-Rabin with the fewest bases proven for n);
+    Baillie-PSW above."""
     if n < 2:
         return False
     for q in _SMALL_PRIMES:
@@ -95,8 +113,9 @@ def is_prime(n: int) -> bool:
             return n == q
     if n < 43 * 43:
         return True
-    if n < _MR_LIMIT:
-        return all(_strong_probable_prime(n, a) for a in _SMALL_PRIMES)
+    for bound, k in _MR_BASES:
+        if n < bound:
+            return all(_strong_probable_prime(n, a) for a in _SMALL_PRIMES[:k])
     return _baillie_psw(n)
 
 
@@ -186,37 +205,33 @@ def squarefree_part(n: int) -> int:
     return sign * prod(q for q, e in _factorization(n).items() if e % 2)
 
 
+def _ratio(x: Rational) -> tuple[int, int]:
+    """(numerator, denominator) of x in lowest terms; an int is not made a
+    Fraction."""
+    return (x, 1) if isinstance(x, int) else Fraction(x).as_integer_ratio()
+
+
+def _strip(n: int, ell: int) -> tuple[int, int]:
+    """(v, n / ell^v) with v = v_ell(n), for a nonzero integer n."""
+    if ell < 2:
+        raise ValueError(f"{ell} is not prime")
+    v = 0
+    while n % ell == 0:
+        n //= ell
+        v += 1
+    return v, n
+
+
 def padic_valuation(x: Rational, ell: int) -> int:
     """v_ell(x) for a nonzero rational x and a prime ell.
 
     ell is not tested for primality here: callers pass primes that were
     checked where they entered (a config, a factorization, a public entry
     point)."""
-    if ell < 2:
-        raise ValueError(f"{ell} is not prime")
-    x = Fraction(x)
-    if x == 0:
+    num, den = _ratio(x)
+    if num == 0:
         raise ValueError("valuation of 0 is undefined")
-    v = 0
-    num, den = x.numerator, x.denominator
-    while num % ell == 0:
-        num //= ell
-        v += 1
-    while den % ell == 0:
-        den //= ell
-        v -= 1
-    return v
-
-
-def prime_to_ell_part(x: Rational, ell: int) -> Fraction:
-    """x / ell^v(x), the unit part of x at ell."""
-    return Fraction(x) / Fraction(ell) ** padic_valuation(x, ell)
-
-
-def residue(x: Rational, m: int) -> int:
-    """The residue of an m-integral rational mod m (denominator prime to m)."""
-    x = Fraction(x)
-    return x.numerator * pow(x.denominator, -1, m) % m
+    return _strip(num, ell)[0] - _strip(den, ell)[0]
 
 
 def kronecker_symbol(a: int, n: int) -> int:
@@ -270,16 +285,17 @@ class LocalSquareVerdict:
 
 
 def local_square_class(z: Rational, ell: int) -> LocalSquareVerdict:
-    """Square class of z in Q_ell^x."""
-    z = Fraction(z)
-    if z == 0:
+    """Square class of z in Q_ell^x: z = ell^v u with u a unit, read from v
+    and the residue of u mod 8 (ell = 2) or mod ell."""
+    num, den = _ratio(z)
+    if num == 0:
         raise ValueError("square class of 0 is undefined")
-    v = padic_valuation(z, ell)
-    u = prime_to_ell_part(z, ell)
-    if ell == 2:
-        unit_square = residue(u, 8) == 1
-    else:
-        unit_square = kronecker_symbol(residue(u, ell), ell) == 1
+    v, num = _strip(num, ell)
+    w, den = _strip(den, ell)
+    v -= w
+    m = 8 if ell == 2 else ell
+    r = num * pow(den, -1, m) % m
+    unit_square = r == 1 if ell == 2 else kronecker_symbol(r, ell) == 1
     return LocalSquareVerdict(
         is_square=(v % 2 == 0 and unit_square),
         valuation_parity=v % 2,
@@ -334,7 +350,6 @@ def is_square_in_quadratic_ext(z: Rational, ell: int, ext: QuadraticExtension) -
     """
     check_extension(ell, ext)
     w = ext.d if isinstance(ext, RamifiedQuadratic) else unramified_generator(ell)
-    z = Fraction(z)
     return is_local_square(z, ell) or is_local_square(z * w, ell)
 
 
@@ -349,7 +364,6 @@ def quadratic_character_type(z: Rational, ell: int,
     cyclic, so its only quadratic intermediate field over Q_ell is K_v
     itself), which is why no 'unramified' branch appears in that case.
     """
-    z = Fraction(z)
     w = unramified_generator(ell)
     if ext is None:
         if is_local_square(z, ell):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import run_isolated, write_json
-from dihedral_parity import localarith, tower
+from dihedral_parity import cli, localarith, tower
 from dihedral_parity.curves import WeierstrassCurve
 from dihedral_parity.cli import (
     EXIT_FAILURE,
@@ -15,6 +15,7 @@ from dihedral_parity.cli import (
     EXIT_OK,
     EXIT_STRICT_UNDETERMINED,
     _tower_to_dict,
+    build_parser,
     main,
     parse_tower,
     report_from_dict,
@@ -63,6 +64,21 @@ def test_analyze_text_format(flagship_config, capsys):
 def test_analyze_quiet(flagship_config, capsys):
     code, out = run_cli(capsys, ["analyze", str(flagship_config), "--quiet"])
     assert code == EXIT_OK and out == ""
+
+
+def test_parser_is_built_once_and_parses_each_call_afresh(flagship_config, capsys):
+    assert build_parser() is build_parser()
+    code, out = run_cli(capsys, ["analyze", str(flagship_config), "--format", "text",
+                                 "--strict"])
+    assert code == EXIT_OK and "Selmer growth bound" in out
+    # nothing of the first call's options carries over to the second
+    code, out = run_cli(capsys, ["analyze", str(flagship_config)])
+    assert code == EXIT_OK and json.loads(out)["schema_version"] == 1
+    assert run_cli(capsys, ["validate", str(flagship_config), "--format", "text"]) \
+        == (EXIT_OK, "valid\n")
+    with pytest.raises(SystemExit):
+        main(["analyze"])
+    assert run_cli(capsys, ["validate", str(flagship_config), "--quiet"])[1] == ""
 
 
 def test_analyze_rejects_p_3(tmp_path, capsys):
@@ -361,6 +377,30 @@ def test_batch_three_curves(tmp_path, capsys):
     assert len(payload["reports"]) == 3
     assert payload["summary"]["curves"] == 3
     assert [r["label"] for r in payload["reports"]] == ["11a1", "11a3", "19a1"]
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("strict", [[], ["--strict"]])
+def test_quiet_builds_no_output(tmp_path, capsys, monkeypatch, fmt, strict):
+    # --quiet gives the exit code of the loud run and never formats a report
+    curves = tmp_path / "curves.csv"
+    curves.write_text(BATCH_CSV + "x3+1,0,0,0,0,1\n", encoding="utf-8")
+    tower_cfg = {"d": -1, "p": 5, "n": 1, "ramified_sites": [{"ell": 3}]}
+    cfg = write_json(tmp_path / "tower.json", tower_cfg)
+    one = write_json(tmp_path / "one.json", {**tower_cfg, "curve": [0, 0, 0, 0, 1]})
+    commands = [["batch", str(curves), str(cfg), "--format", fmt, *strict],
+                ["analyze", str(one), "--format", fmt, *strict],
+                ["validate", str(one), "--format", fmt]]
+    loud = [run_cli(capsys, c)[0] for c in commands]
+    assert loud == [EXIT_STRICT_UNDETERMINED if strict else EXIT_OK] * 2 + [EXIT_OK]
+
+    def forbidden(*args):
+        raise AssertionError("output formatted under --quiet")
+
+    monkeypatch.setattr(cli, "to_json", forbidden)
+    monkeypatch.setattr(cli, "render_text", forbidden)
+    for c, code in zip(commands, loud):
+        assert run_cli(capsys, [*c, "--quiet"]) == (code, "")
 
 
 def test_batch_malformed_row_continues(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -51,6 +53,24 @@ def test_known_invariants_11a1():
     assert (inv.b2, inv.b4, inv.b6) == (-4, -20, -79)
     assert (inv.c4, inv.c6, inv.disc) == (496, 20008, -161051)
     assert inv.disc == -(11 ** 5)
+
+
+@pytest.mark.parametrize("label,E", list(CURVES.items()))
+def test_stored_invariants_take_no_part_in_equality(label, E):
+    # the invariants and valuations live outside the dataclass fields: a
+    # curve whose invariants have been read equals, and hashes like, a
+    # fresh one
+    E.b_invariants(), E.c_invariants(), E.discriminant()
+    for ell in (2, 3, 5, 11):
+        v_disc, v_c4, v_c6 = E.valuations_at(ell)
+        c4, c6 = E.c_invariants()
+        assert v_disc == padic_valuation(E.discriminant(), ell)
+        assert v_c4 == (padic_valuation(c4, ell) if c4 else None)
+        assert v_c6 == (padic_valuation(c6, ell) if c6 else None)
+    fresh = WeierstrassCurve(*E.ainvs())
+    assert E == fresh and hash(E) == hash(fresh) and repr(E) == repr(fresh)
+    assert len({E, fresh}) == 1
+    assert dataclasses.astuple(E) == E.ainvs()
 
 
 @given(curves_strategy())

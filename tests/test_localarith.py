@@ -224,15 +224,57 @@ def test_squarefree_matches_trial_division(a, b, sign):
         q for q, e in exponents.items() if e % 2)
 
 
-@pytest.mark.parametrize("n, last_base", [
-    (3215031751, 7),                 # strong pseudoprime to bases 2, 3, 5, 7
-    (3825123056546413051, 23),       # ... to every prime base up to 23
-    (318665857834031151167461, 37),  # ... to every prime base up to 37
-])
+# The bounds of is_prime's base table, OEIS A014233: n is the least odd
+# composite that is a strong probable prime to every prime base up to
+# last_base, given with its prime factors.  The last is _MR_LIMIT, where
+# Baillie-PSW takes over.
+BASE_BOUNDS = {
+    (2047, 2): (23, 89),
+    (1373653, 3): (829, 1657),
+    (25326001, 5): (2251, 11251),
+    (3215031751, 7): (151, 751, 28351),
+    (2152302898747, 11): (6763, 10627, 29947),
+    (3474749660383, 13): (1303, 16927, 157543),
+    (341550071728321, 17): (10670053, 32010157),
+    (3825123056546413051, 23): (149491, 747451, 34233211),
+    (318665857834031151167461, 37): (399165290221, 798330580441),
+    (3317044064679887385961981, 41): (1287836182261, 2575672364521),
+}
+
+
+def test_base_table_is_the_a014233_table():
+    assert [(n, localarith._SMALL_PRIMES[k - 1]) for n, k in localarith._MR_BASES] \
+        == list(BASE_BOUNDS)
+    assert localarith._MR_BASES[-1][0] == localarith._MR_LIMIT
+
+
+@pytest.mark.parametrize("n, last_base", list(BASE_BOUNDS))
 def test_strong_pseudoprimes_rejected(n, last_base):
-    bases = [a for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37) if a <= last_base]
+    assert math.prod(BASE_BOUNDS[n, last_base]) == n
+    bases = [a for a in localarith._SMALL_PRIMES if a <= last_base]
     assert all(localarith._strong_probable_prime(n, a) for a in bases)
     assert not is_prime(n)
+
+
+# A prime just below each bound of the base table, where is_prime uses the
+# fewest bases that bound allows.
+PRIMES_BELOW_BOUNDS = (
+    2039, 1373639, 25325981, 3215031749, 2152302898729, 3474749660329,
+    341550071728289, 3825123056546412979, 318665857834031151167441,
+    3317044064679887385961813,
+)
+
+
+@pytest.mark.parametrize("q", PRIMES_BELOW_BOUNDS)
+def test_prime_just_below_each_base_bound(q):
+    bound = min(n for n, _ in localarith._MR_BASES if q < n)
+    assert bound - q < 200
+    if q < 10**13:
+        assert oracles.is_prime(q)
+    else:  # all 13 bases: exact below _MR_LIMIT (Sorenson and Webster)
+        assert all(localarith._strong_probable_prime(q, a)
+                   for a in localarith._SMALL_PRIMES)
+    assert is_prime(q)
 
 
 # 561 and 41041 have a factor below 43; 211*421*631 and 271*541*811 reach
@@ -280,7 +322,29 @@ def test_hard_discriminant_factors_in_a_subprocess():
     assert proc.stdout == "[5, 86400001252800000151]\n"
 
 
+@given(st.integers(min_value=-10**6, max_value=10**6).filter(bool),
+       st.integers(min_value=0, max_value=8),
+       st.sampled_from([2, 3, 5, 7, 11, 1000003]))
+def test_integer_paths_match_the_fraction_paths(u, k, ell):
+    # an int is divided directly, a Fraction through its numerator and
+    # denominator; both must give the same valuation and square class
+    for n in (u * ell ** k, u):
+        assert padic_valuation(n, ell) == padic_valuation(Fraction(n), ell)
+        assert local_square_class(n, ell) == local_square_class(Fraction(n), ell)
+    assert padic_valuation(u * ell ** k, ell) == padic_valuation(u, ell) + k
+    assert padic_valuation(Fraction(u, ell ** k), ell) == padic_valuation(u, ell) - k
+
+
 @pytest.mark.parametrize("bad", [0])
 def test_padic_valuation_zero_rejected(bad):
     with pytest.raises(ValueError):
         padic_valuation(bad, 5)
+
+
+@pytest.mark.parametrize("ell", [1, 0, -3])
+def test_a_modulus_below_two_is_rejected(ell):
+    # neither valuation loop may run with ell < 2 (it would never end at 1)
+    with pytest.raises(ValueError, match="is not prime"):
+        padic_valuation(12, ell)
+    with pytest.raises(ValueError, match="is not prime"):
+        local_square_class(Fraction(12, 5), ell)
