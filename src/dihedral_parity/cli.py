@@ -14,7 +14,7 @@ import functools
 import json
 import sys
 from json.encoder import encode_basestring_ascii
-from typing import Any, Optional
+from typing import Any, Optional, Union
 
 from .curves import DEFECTS, KV_REDUCTIONS, SingularCurveError, WeierstrassCurve
 from .localarith import is_prime
@@ -42,6 +42,8 @@ EXIT_FAILURE = 3
 EXIT_STRICT_UNDETERMINED = 4
 
 CSV_HEADER = ["label", "a1", "a2", "a3", "a4", "a6"]
+
+MAX_BOUND_DIGITS = 4300  # the most digits Python prints of an int by default
 
 
 class ConfigError(Exception):
@@ -71,10 +73,10 @@ def load_config(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
-    except OSError as exc:
-        raise ConfigError([f"{path}: {exc}"]) from exc
     except json.JSONDecodeError as exc:
         raise ConfigError([f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}"]) from exc
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or too long an int
+        raise ConfigError([f"{path}: {exc}"]) from exc
     if not isinstance(raw, dict):
         raise ConfigError([f"{path}: top-level value must be a JSON object"])
     return raw
@@ -212,6 +214,13 @@ def parse_config(raw: dict, *, need_curve: bool = True):
     dim = raw.get("dim_Sp_E_K")
     if dim is not None and not (_is_int(dim) and dim >= 0):
         errors.append("dim_Sp_E_K: expected a nonnegative integer")
+    elif dim is not None and tower is not None and tower.p > 1 and tower.n > 0 and (
+            # p^n >= 2^((bits of p - 1) n) and 2^(10/3) > 10, so n may decide
+            # without taking p^n; validate_tower rejects a smaller p or n
+            3 * (tower.p.bit_length() - 1) * tower.n > 10 * MAX_BOUND_DIGITS
+            or dim + tower.p ** tower.n > 10 ** MAX_BOUND_DIGITS):
+        errors.append(f"n: the Selmer bound dim_Sp_E_K + p^n - 1 has more than "
+                      f"{MAX_BOUND_DIGITS} digits")
     if errors:
         raise ConfigError(errors)
     return curve, tower, dim
@@ -427,7 +436,7 @@ def read_curve_csv(path: str):
                     errors.append(f"{path}:{lineno}: singular model "
                                   f"(discriminant zero)")
             return rows, errors
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise ConfigError([f"{path}: {exc}"]) from exc
 
 
@@ -488,14 +497,13 @@ def run_validate(config_path: str, *, fmt: str = "json",
     return EXIT_INVALID if violations else EXIT_OK
 
 
-def _analyze_one(label: str, E: WeierstrassCurve, T: TowerSpec,
-                 dim: Optional[int]) -> dict:
+def _analyze_one(E: WeierstrassCurve, T: TowerSpec,
+                 dim: Optional[int]) -> Union[ParityReport, str]:
+    """The report of one row, or the text of its error."""
     try:
-        d = report_to_dict(analyze(E, T, dim_Sp_E_K=dim))
+        return analyze(E, T, dim_Sp_E_K=dim)
     except Exception as exc:  # per-row isolation: batch must keep going
-        return {"label": label, "error": f"{type(exc).__name__}: {exc}"}
-    d["label"] = label
-    return d
+        return f"{type(exc).__name__}: {exc}"
 
 
 def run_batch(curves_path: str, config_path: str, *, fmt: str = "json",
@@ -516,33 +524,34 @@ def run_batch(curves_path: str, config_path: str, *, fmt: str = "json",
     if violations:
         _emit("".join(f"{v}\n" for v in violations), quiet)
         return EXIT_INVALID
-    reports = [_analyze_one(label, E, T, dim) for label, E in rows]
+    results = [(label, _analyze_one(E, T, dim)) for label, E in rows]
+    reports = [r for _, r in results if isinstance(r, ParityReport)]
+    errors = row_errors + [f"{label}: {r}" for label, r in results if isinstance(r, str)]
     summary = {
         "curves": len(rows),
-        "row_errors": len(row_errors) + sum("error" in r for r in reports),
-        "failures": sum(r.get("failure", False) for r in reports),
-        "undetermined": sum(r.get("has_undetermined", False) for r in reports),
-        "clean": sum(1 for r in reports
-                     if "error" not in r and not r["failure"]
-                     and not r["has_undetermined"]),
+        "row_errors": len(errors),
+        "failures": sum(r.failure for r in reports),
+        "undetermined": sum(r.has_undetermined for r in reports),
+        "clean": sum(not (r.failure or r.has_undetermined) for r in reports),
     }
     if not quiet:
         if fmt == "json":
             sys.stdout.write(to_json({
                 "schema_version": SCHEMA_VERSION,
                 "tower": _tower_to_dict(T),
-                "reports": reports,
-                "errors": row_errors + [f"{r['label']}: {r['error']}"
-                                        for r in reports if "error" in r],
+                "reports": [{"label": label, "error": r} if isinstance(r, str)
+                            else {**report_to_dict(r), "label": label}
+                            for label, r in results],
+                "errors": errors,
                 "summary": summary,
             }) + "\n")
         else:
             out = []
-            for r in reports:
-                if "error" in r:
-                    out.append(f"== {r['label']}: ERROR {r['error']}\n")
+            for label, r in results:
+                if isinstance(r, str):
+                    out.append(f"== {label}: ERROR {r}\n")
                 else:
-                    out.append(f"== {r['label']}\n" + render_text(r))
+                    out.append(f"== {label}\n" + render_text(report_to_dict(r)))
             out.append("summary: " + json.dumps(summary) + "\n")
             sys.stdout.write("".join(out))
     if summary["failures"]:

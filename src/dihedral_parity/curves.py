@@ -2,8 +2,9 @@
 
 Minimal models are produced per prime by the Laska--Kraus--Connell strategy:
 divide (c4, c6) by the largest ell-power pair (ell^4k, ell^6k) that is still
-realizable by an integral model, where realizability is decided by an
-exhaustive search for the b2 of such a model (a finite check mod 1728).  The
+realizable by an integral model.  Realizability is decided in closed form:
+b2 = -c6 mod 12 is the only candidate, and the pair is realizable exactly
+when the b- and a-invariants it forces are integers (Kraus's conditions).  The
 reduction trichotomy, split flag and valuations are then read off the
 minimal model; Kodaira symbols are never needed downstream.
 """
@@ -134,39 +135,27 @@ def transform(E: WeierstrassCurve, u: int, r: int, s: int, t: int) -> Weierstras
 
 
 def model_from_invariants(c4: int, c6: int) -> Optional[WeierstrassCurve]:
-    """An integral model with exactly these c-invariants, if one exists.
+    """The integral model with exactly these c-invariants and a1, a3 in
+    {0, 1}, b2 in [0, 11], if any integral model has them.
 
-    Searches b2 over a full residue system mod 1728; every admissibility
-    condition (Kraus's conditions at 2 and 3 included) is a congruence on b2
-    mod 1728, so the search is exhaustive.
+    Every integral model has b2 = a1^2 (mod 4), so c6 = -b2^3 = -b2
+    (mod 12); x -> x + r moves b2 by 12r and s, t move no b-invariant.  So
+    b2 = -c6 mod 12 is the only candidate, and b4, b6 and the a-invariants
+    follow from it (Kraus, Acta Arith. 1989; Cremona, Algorithms, 3.2).
     """
     if (c4 ** 3 - c6 ** 2) % 1728 != 0:
         return None
     if c4 ** 3 == c6 ** 2:
         return None
-    for b2 in range(1728):
-        if (b2 * b2 - c4) % 24:
-            continue
-        b4 = (b2 * b2 - c4) // 24
-        f = b2 ** 3 - 3 * c4 * b2 - 2 * c6
-        if f % 432:
-            continue
-        b6 = f // 432
-        a1 = b2 % 2
-        if (b2 - a1) % 4:
-            continue
-        a2 = (b2 - a1) // 4
-        a3 = b6 % 2
-        if (b6 - a3) % 4:
-            continue
-        a6 = (b6 - a3) // 4
-        if (b4 - a1 * a3) % 2:
-            continue
-        a4 = (b4 - a1 * a3) // 2
-        E = WeierstrassCurve(a1, a2, a3, a4, a6)
-        assert E.c_invariants() == (c4, c6)
-        return E
-    return None
+    b2 = -c6 % 12
+    b4, r4 = divmod(b2 * b2 - c4, 24)
+    b6, r6 = divmod(b2 ** 3 - 3 * c4 * b2 - 2 * c6, 432)
+    a1, a3 = b2 % 2, b6 % 2
+    if r4 or r6 or (b2 - a1) % 4 or (b6 - a3) % 4 or (b4 - a1 * a3) % 2:
+        return None
+    E = WeierstrassCurve(a1, (b2 - a1) // 4, a3, (b4 - a1 * a3) // 2, (b6 - a3) // 4)
+    assert E.c_invariants() == (c4, c6)
+    return E
 
 
 def minimal_model_at(E: WeierstrassCurve, ell: int) -> WeierstrassCurve:

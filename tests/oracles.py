@@ -1,7 +1,9 @@
 """Independent reference implementations used only to check the package.
 
-These deliberately avoid the library's algorithms: realizability of
-(c4, c6) is decided by a 12-candidate reduced-model enumeration, reduction
+These deliberately avoid the library's algorithms, and take nothing from it
+but ``WeierstrassCurve`` and the invariants it computes: realizability of
+(c4, c6) is decided by a 12-candidate reduced-model enumeration, and the
+model itself by a search for b2 over a full residue system mod 1728, reduction
 types by discriminant/c4 valuations of the oracle minimal model, split
 multiplicative type by brute-force point counting, quadratic-extension point
 counts by explicit finite-field arithmetic, and local squares by exhaustive
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from dihedral_parity.curves import WeierstrassCurve, invariants
+from dihedral_parity.curves import WeierstrassCurve
 
 
 def is_prime(n: int) -> bool:
@@ -89,9 +91,42 @@ def reduced_model(c4: int, c6: int) -> Optional[WeierstrassCurve]:
                     E = WeierstrassCurve(a1, a2, a3, a4, a6)
                 except ValueError:
                     continue
-                inv = invariants(E)
-                if (inv.c4, inv.c6) == (c4, c6):
+                if E.c_invariants() == (c4, c6):
                     return E
+    return None
+
+
+def search_model(c4: int, c6: int) -> Optional[WeierstrassCurve]:
+    """The model with these c-invariants, a1, a3 in {0, 1} and the least b2
+    in [0, 1728), if any: every admissibility condition (Kraus's conditions
+    at 2 and 3 included) is a congruence on b2 mod 1728, so the search is
+    exhaustive.  This was the package's method before the closed form."""
+    if (c4 ** 3 - c6 ** 2) % 1728 != 0:
+        return None
+    if c4 ** 3 == c6 ** 2:
+        return None
+    for b2 in range(1728):
+        if (b2 * b2 - c4) % 24:
+            continue
+        b4 = (b2 * b2 - c4) // 24
+        f = b2 ** 3 - 3 * c4 * b2 - 2 * c6
+        if f % 432:
+            continue
+        b6 = f // 432
+        a1 = b2 % 2
+        if (b2 - a1) % 4:
+            continue
+        a2 = (b2 - a1) // 4
+        a3 = b6 % 2
+        if (b6 - a3) % 4:
+            continue
+        a6 = (b6 - a3) // 4
+        if (b4 - a1 * a3) % 2:
+            continue
+        a4 = (b4 - a1 * a3) // 2
+        E = WeierstrassCurve(a1, a2, a3, a4, a6)
+        assert E.c_invariants() == (c4, c6)
+        return E
     return None
 
 
@@ -99,31 +134,29 @@ def minimal_disc_valuation(E: WeierstrassCurve, ell: int) -> int:
     """v_ell of the minimal discriminant by exhaustive u-substitution:
     u = ell^k scaling is available exactly when the divided (c4, c6) pair is
     realizable by an integral model."""
-    inv = invariants(E)
-    v = valuation(inv.disc, ell) if inv.disc % ell == 0 else 0
+    c4, c6 = E.c_invariants()
+    v = valuation(E.discriminant(), ell)
     k = 0
     while True:
         j = k + 1
         if v - 12 * j < 0:
             break
-        if inv.c4 != 0 and inv.c4 % ell ** (4 * j):
+        if c4 != 0 and c4 % ell ** (4 * j):
             break
-        if inv.c6 != 0 and inv.c6 % ell ** (6 * j):
+        if c6 != 0 and c6 % ell ** (6 * j):
             break
-        if reduced_model(inv.c4 // ell ** (4 * j),
-                         inv.c6 // ell ** (6 * j)) is None:
+        if reduced_model(c4 // ell ** (4 * j), c6 // ell ** (6 * j)) is None:
             break
         k = j
     return v - 12 * k
 
 
 def minimal_model(E: WeierstrassCurve, ell: int) -> WeierstrassCurve:
-    inv = invariants(E)
-    v = valuation(inv.disc, ell) if inv.disc % ell == 0 else 0
-    k = (v - minimal_disc_valuation(E, ell)) // 12
+    c4, c6 = E.c_invariants()
+    k = (valuation(E.discriminant(), ell) - minimal_disc_valuation(E, ell)) // 12
     if k == 0:
         return E
-    model = reduced_model(inv.c4 // ell ** (4 * k), inv.c6 // ell ** (6 * k))
+    model = reduced_model(c4 // ell ** (4 * k), c6 // ell ** (6 * k))
     assert model is not None
     return model
 
@@ -145,11 +178,10 @@ def reduction_type(E: WeierstrassCurve, ell: int):
     by point counting on the nodal cubic (#smooth points = ell - a with
     a = +1 split, -1 nonsplit)."""
     Emin = minimal_model(E, ell)
-    inv = invariants(Emin)
-    v = valuation(inv.disc, ell) if inv.disc % ell == 0 else 0
+    v = valuation(Emin.discriminant(), ell)
     if v == 0:
         return "good", None, 0
-    if inv.c4 % ell:
+    if Emin.c_invariants()[0] % ell:
         total = count_affine_points_mod(Emin, ell) + 1
         a = ell + 1 - total
         assert a in (1, -1)
@@ -167,9 +199,9 @@ def twist_reduction_type(E: WeierstrassCurve, d: int, ell: int) -> str:
     itself, and if E is good over K_v then inertia acts through the quadratic
     character of d, which the twist removes.
     """
-    inv = invariants(E)
+    c4, c6 = E.c_invariants()
     for u in (1, 2):
-        model = reduced_model(u ** 4 * d * d * inv.c4, u ** 6 * d ** 3 * inv.c6)
+        model = reduced_model(u ** 4 * d * d * c4, u ** 6 * d ** 3 * c6)
         if model is not None:
             return reduction_type(model, ell)[0]
     raise AssertionError("the twist scaled by u = 2 has an integral model")

@@ -189,6 +189,65 @@ def test_analyze_error_is_one_line(tmp_path, capsys):
     assert out == "error: ell = 100003 exceeds the counting bound 100000\n"
 
 
+FLAGSHIP_TOWER = {"d": -1, "p": 5, "n": 1, "ramified_sites": [{"ell": 11}]}
+
+
+@pytest.mark.parametrize("fault", ["config-not-utf8", "config-long-int",
+                                   "csv-not-utf8", "csv-long-field"])
+@pytest.mark.parametrize("command", ["analyze", "validate", "batch"])
+def test_unreadable_files_are_config_errors(tmp_path, capsys, command, fault):
+    # analyze and validate reach the CSV through a curve label, batch directly
+    curves, cfg = tmp_path / "curves.csv", tmp_path / "c.json"
+    rows = CSV_HEADER.encode() + b"11a1,0,-1,1,-10,-20\n"
+    curves.write_bytes({"csv-not-utf8": rows + b"\xff,0,0,0,0,1\n",
+                        "csv-long-field": rows + b"x" * 200_000 + b",0,0,0,0,1\n",
+                        }.get(fault, rows))
+    raw = FLAGSHIP_TOWER if command == "batch" else {
+        **FLAGSHIP_TOWER, "curve": "11a1", "curve_file": str(curves)}
+    text = json.dumps(raw).encode()
+    cfg.write_bytes({"config-not-utf8": b"\xff" + text,
+                     "config-long-int": text.replace(b'"d": -1', b'"d": ' + b"1" * 5000),
+                     }.get(fault, text))
+    argv = [command, *([str(curves)] if command == "batch" else []), str(cfg)]
+    code, out = run_cli(capsys, argv)
+    bad = cfg if fault.startswith("config") else curves
+    assert code == EXIT_INVALID
+    assert out.startswith(f"{bad}: ") and out.count("\n") == 1, out
+
+
+SELMER_TOO_LONG = "n: the Selmer bound dim_Sp_E_K + p^n - 1 has more than 4300 digits\n"
+
+
+@pytest.mark.parametrize("command", ["analyze", "validate", "batch"])
+def test_a_selmer_bound_too_long_to_print_is_an_error_at_n(tmp_path, capsys, command):
+    curves = tmp_path / "curves.csv"
+    curves.write_text(CSV_HEADER + "11a1,0,-1,1,-10,-20\n", encoding="utf-8")
+
+    def run(**fields):
+        cfg = write_json(tmp_path / "c.json", {**FLAGSHIP_TOWER, **fields,
+                                               "curve": [0, -1, 1, -10, -20]})
+        argv = [command, *([str(curves)] if command == "batch" else []), str(cfg)]
+        return run_cli(capsys, argv)
+
+    # 5^6151 - 1 has 4300 digits and 5^6152 - 1 has 4301
+    assert run(n=6152, dim_Sp_E_K=0) == (EXIT_INVALID, SELMER_TOO_LONG)
+    assert run(n=10000, dim_Sp_E_K=0) == (EXIT_INVALID, SELMER_TOO_LONG)
+    code, out = run(n=6151, dim_Sp_E_K=0)
+    assert code == EXIT_OK
+    if command == "analyze":
+        assert json.loads(out)["selmer_bound"]["bound"] == 5 ** 6151 - 1
+    # without dim_Sp_E_K no bound is printed, so n may be as large as it likes
+    assert run(n=10000)[0] == EXIT_OK
+
+
+def test_a_selmer_bound_too_long_to_print_is_rejected_at_once(tmp_path):
+    # 5^(10^9) would take minutes and gigabytes: n alone must decide
+    cfg = write_json(tmp_path / "c.json", {**FLAGSHIP_TOWER, "n": 10 ** 9, "dim_Sp_E_K": 0,
+                                           "curve": [0, -1, 1, -10, -20]})
+    proc = run_isolated(["-m", "dihedral_parity.cli", "analyze", str(cfg)], timeout=10)
+    assert (proc.returncode, proc.stdout) == (EXIT_INVALID, SELMER_TOO_LONG)
+
+
 # x^3 + 1 in Q(i), p = 5, ramified {3}: the row at 3 is Undetermined unless
 # a defect is supplied, so a defect of true, read as 1, would make it Match.
 X3P1_AT_3 = {"curve": [0, 0, 0, 0, 1], "d": -1, "p": 5, "n": 1,
@@ -399,6 +458,7 @@ def test_quiet_builds_no_output(tmp_path, capsys, monkeypatch, fmt, strict):
 
     monkeypatch.setattr(cli, "to_json", forbidden)
     monkeypatch.setattr(cli, "render_text", forbidden)
+    monkeypatch.setattr(cli, "report_to_dict", forbidden)
     for c, code in zip(commands, loud):
         assert run_cli(capsys, [*c, "--quiet"]) == (code, "")
 

@@ -1,7 +1,7 @@
 import dataclasses
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -121,6 +121,58 @@ def test_model_from_invariants_agrees_with_reduced_oracle(c4, c6):
     mine = model_from_invariants(c4, c6)
     oracle = oracles.reduced_model(c4, c6)
     assert (mine is None) == (oracle is None)
+
+
+def _crt_1728(pairs64, pairs27):
+    # 513 = 27 * 19 is 1 mod 64 and 0 mod 27; 1216 = 64 * 19 is 0 mod 64 and
+    # 1 mod 27
+    return [((a * 513 + c * 1216) % 1728, (b * 513 + d * 1216) % 1728)
+            for a, b in pairs64 for c, d in pairs27]
+
+
+# The residue pairs (c4, c6) mod 1728 = 64 * 27 with c4^3 = c6^2, found mod
+# 64 and mod 27 apart.
+PASSING_RESIDUES = _crt_1728(
+    [(a, b) for a in range(64) for b in range(64) if (a ** 3 - b * b) % 64 == 0],
+    [(a, b) for a in range(27) for b in range(27) if (a ** 3 - b * b) % 27 == 0])
+
+
+@st.composite
+def c_pairs(draw):
+    """(c4, c6) of a random curve, of that curve scaled down by a power of
+    2 or 3 where the pair divides, of its twist by d or by d and u = 2, or a
+    random pair that passes the test mod 1728."""
+    kind = draw(st.sampled_from(["curve", "down2", "down3", "twist", "twist_u2",
+                                 "residue"]))
+    if kind == "residue":
+        r4, r6 = draw(st.sampled_from(PASSING_RESIDUES))
+        big = st.integers(min_value=-10 ** 6, max_value=10 ** 6)
+        return r4 + 1728 * draw(big), r6 + 1728 * draw(big)
+    ints = st.integers(min_value=-500, max_value=500)
+    ainvs = draw(st.tuples(small_ints, small_ints, small_ints, ints, ints))
+    E = _try_curve(ainvs)
+    assume(E is not None)
+    c4, c6 = E.c_invariants()
+    if kind in ("down2", "down3"):
+        ell = 2 if kind == "down2" else 3
+        k = draw(st.integers(min_value=1, max_value=3))
+        up = draw(st.integers(min_value=0, max_value=k))  # scale up first
+        c4, c6 = c4 * ell ** (4 * up), c6 * ell ** (6 * up)
+        if c4 % ell ** (4 * k) == 0 and c6 % ell ** (6 * k) == 0:
+            return c4 // ell ** (4 * k), c6 // ell ** (6 * k)
+        return c4, c6
+    if kind in ("twist", "twist_u2"):
+        d = draw(st.integers(min_value=-30, max_value=30).filter(bool))
+        u = 2 if kind == "twist_u2" else 1
+        return u ** 4 * d * d * c4, u ** 6 * d ** 3 * c6
+    return c4, c6
+
+
+@settings(max_examples=400, deadline=None)
+@given(c_pairs())
+def test_model_from_invariants_is_the_search_model(pair):
+    # the same model as the 1728-step search, not only the same realizability
+    assert model_from_invariants(*pair) == oracles.search_model(*pair)
 
 
 ORACLE_SET = [

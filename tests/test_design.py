@@ -5,7 +5,9 @@ no module needs a float or complex constant, a tolerance parameter or
 ``cmath``; no module imports another module's private (underscore)
 helpers; the values a local fact or an override may take are stated
 once, in ``curves``; and JSON is printed by ``cli.to_json``, never by an
-``indent=`` call, which would put ``json``'s pure-Python encoder back.
+``indent=`` call, which would put ``json``'s pure-Python encoder back.  The
+oracles in ``tests/oracles.py`` take only ``WeierstrassCurve`` from the
+package, so a bug in the code they check cannot move them too.
 """
 
 import ast
@@ -73,3 +75,15 @@ def test_no_indent_keyword(path):
            if isinstance(node, ast.Call)
            and any(kw.arg == "indent" for kw in node.keywords)]
     assert not bad, f"{path.name}: indent= call at lines {bad}; use cli.to_json"
+
+
+def test_oracles_take_only_the_curve_from_the_package():
+    taken = set()
+    for node in ast.walk(_tree(Path(__file__).resolve().parent / "oracles.py")):
+        if isinstance(node, ast.Import):
+            taken.update(alias.name for alias in node.names
+                         if alias.name.partition(".")[0] == "dihedral_parity")
+        elif (isinstance(node, ast.ImportFrom)
+              and (node.module or "").partition(".")[0] == "dihedral_parity"):
+            taken.update(f"{node.module}.{alias.name}" for alias in node.names)
+    assert taken == {"dihedral_parity.curves.WeierstrassCurve"}
