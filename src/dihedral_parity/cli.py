@@ -12,6 +12,7 @@ import argparse
 import csv
 import functools
 import json
+import re
 import sys
 from json.encoder import encode_basestring_ascii
 from typing import Any, Optional, Union
@@ -43,7 +44,8 @@ EXIT_STRICT_UNDETERMINED = 4
 
 CSV_HEADER = ["label", "a1", "a2", "a3", "a4", "a6"]
 
-MAX_BOUND_DIGITS = 4300  # the most digits Python prints of an int by default
+MAX_BOUND_DIGITS = 4300  # the most digits Python prints or reads of an int by default
+_INTEGER = re.compile(r"\s*[+-]?\d+(_\d+)*\s*")  # the decimal strings int() reads
 
 
 class ConfigError(Exception):
@@ -95,6 +97,7 @@ def _resolve_label(label: str, curve_file: Optional[str], errors: list):
         if name == label:
             return curve
     errors.append(f"curve: label {label!r} not found in {curve_file}")
+    errors.extend(row_errors)
     return None
 
 
@@ -427,8 +430,10 @@ def read_curve_csv(path: str):
                 label = row[0].strip()
                 try:
                     coeffs = [int(c) for c in row[1:]]
-                except ValueError:
-                    errors.append(f"{path}:{lineno}: non-integer coefficient")
+                except ValueError:  # a malformed field, or more digits than int() reads
+                    errors.append(f"{path}:{lineno}: " + (
+                        f"coefficient has more than {MAX_BOUND_DIGITS} digits"
+                        if all(map(_INTEGER.fullmatch, row[1:])) else "non-integer coefficient"))
                     continue
                 try:
                     rows.append((label, WeierstrassCurve(*coeffs)))
@@ -457,7 +462,7 @@ def run_analyze(config_path: str, *, fmt: str = "json", strict: bool = False,
     except ConfigError as exc:
         _emit("\n".join(exc.messages) + "\n", quiet)
         return EXIT_INVALID
-    violations = validate_tower(T, E)
+    violations = validate_tower(T)
     if violations:
         _emit("".join(f"{v}\n" for v in violations), quiet)
         return EXIT_INVALID
@@ -480,11 +485,11 @@ def run_validate(config_path: str, *, fmt: str = "json",
                  quiet: bool = False) -> int:
     try:
         raw = load_config(config_path)
-        E, T, _dim = parse_config(raw, need_curve=False)
+        _, T, _ = parse_config(raw, need_curve=False)
     except ConfigError as exc:
         _emit("\n".join(exc.messages) + "\n", quiet)
         return EXIT_INVALID
-    violations = validate_tower(T, E)
+    violations = validate_tower(T)
     if not quiet:
         if fmt == "json":
             sys.stdout.write(to_json({

@@ -102,7 +102,7 @@ def _additive_above_p(loc: LocalData) -> DeltaVerdict:
 
 def delta(E: WeierstrassCurve, T: TowerSpec, v: PrimeSite) -> DeltaVerdict:
     """delta_v for a prime site v of K (pair sum only when v is split)."""
-    check_tower(T, E)
+    check_tower(T)
     return delta_at(T, v, local_data(E, T, v))
 
 

@@ -64,7 +64,7 @@ ARCHIMEDEAN_GAMMA = _verdict(0, V.ARCHIMEDEAN)
 
 def gamma(E: WeierstrassCurve, T: TowerSpec, u: Place) -> ConstantVerdict:
     """gamma_u for a rational prime u (or the infinite place)."""
-    check_tower(T, E)
+    check_tower(T)
     if u == INFINITE_PLACE:
         return ARCHIMEDEAN_GAMMA
     site = sites_above(u, T.K)[0]

@@ -1,15 +1,16 @@
 """Exact local arithmetic over Q_l: valuations, Kronecker symbols, square classes.
 
-Everything here is elementary and exact (integers and fractions only).  The
-one piece of theory worth recording: for a quadratic extension F(sqrt(w))/F
-of a field of characteristic != 2, an element z of F is a square in
-F(sqrt(w)) if and only if z or z*w is a square in F.  All quadratic-extension
-square tests below reduce to square tests in Q_l through that fact.
-
-At l = 2 the square classes of Q_2^x are represented explicitly by
-{1, -1, 2, -2, 5, -5, 10, -10}: a 2-adic unit is a square iff it is 1 mod 8.
+Everything here is elementary and exact (integers and fractions only).  Every
+quadratic question over Q_l is read from one square class: Q_l^x / squares
+has order 4, or 8 at l = 2 (Serre, A Course in Arithmetic, II.3.3), and the
+class of z = l^v u is v mod 2 with u's Legendre symbol, or u mod 8 at l = 2.
+z is a square when v is even and that unit class is 1, and Q_l(sqrt(z)) is
+the unramified quadratic extension when v is even and the class is -1, or 5
+at l = 2.  For a quadratic extension F(sqrt(t))/F of a field of
+characteristic != 2, z in F is a square in F(sqrt(t)) iff z or z*t is a
+square in F, so questions over a quadratic K_v reduce to the classes of z and
+z*d.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -264,42 +265,34 @@ def kronecker_symbol(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
-def smallest_nonresidue(ell: int) -> int:
-    """Smallest positive quadratic nonresidue mod an odd prime (it is prime)."""
-    r = 2
-    while kronecker_symbol(r, ell) != -1:
-        r += 1
-    return r
-
-
 @dataclass(frozen=True)
 class LocalSquareVerdict:
-    """Square class of a nonzero rational in Q_l."""
+    """Class of a nonzero rational z = ell^v u in Q_ell^x / squares: v mod 2,
+    and u mod 8 at ell = 2 or the Legendre symbol (u|ell) at odd ell."""
 
-    is_square: bool
     valuation_parity: int
+    unit_class: int
 
-    def __post_init__(self):
-        if self.is_square and self.valuation_parity != 0:
-            raise ValueError("a square has even valuation")
+    @property
+    def is_square(self) -> bool:
+        return self.valuation_parity == 0 and self.unit_class == 1
+
+    @property
+    def is_unramified_class(self) -> bool:
+        """Is Q_ell(sqrt(z)) the unramified quadratic extension?"""
+        return self.valuation_parity == 0 and self.unit_class in (5, -1)
 
 
 def local_square_class(z: Rational, ell: int) -> LocalSquareVerdict:
-    """Square class of z in Q_ell^x: z = ell^v u with u a unit, read from v
-    and the residue of u mod 8 (ell = 2) or mod ell."""
+    """Square class of z in Q_ell^x.  z = a/b is in the class of a*b, and an
+    odd unit's class mod 8 is its residue mod 8."""
     num, den = _ratio(z)
     if num == 0:
         raise ValueError("square class of 0 is undefined")
     v, num = _strip(num, ell)
     w, den = _strip(den, ell)
-    v -= w
-    m = 8 if ell == 2 else ell
-    r = num * pow(den, -1, m) % m
-    unit_square = r == 1 if ell == 2 else kronecker_symbol(r, ell) == 1
-    return LocalSquareVerdict(
-        is_square=(v % 2 == 0 and unit_square),
-        valuation_parity=v % 2,
-    )
+    u = num * den
+    return LocalSquareVerdict((v - w) % 2, u % 8 if ell == 2 else kronecker_symbol(u, ell))
 
 
 def is_local_square(z: Rational, ell: int) -> bool:
@@ -323,63 +316,48 @@ class RamifiedQuadratic:
 QuadraticExtension = Union[UnramifiedQuadratic, RamifiedQuadratic]
 
 
-def unramified_generator(ell: int) -> int:
-    """Integer w with Q_ell(sqrt(w)) the unramified quadratic extension."""
-    return 5 if ell == 2 else smallest_nonresidue(ell)
-
-
 def check_extension(ell: int, ext: QuadraticExtension) -> None:
     """Raise ValueError unless ext is the unramified quadratic extension of
-    Q_ell or a ramified one Q_ell(sqrt(d)).  A local test: d = ell^v u is
-    ramified at ell when v is odd, or when ell = 2 and u = 3 mod 4."""
+    Q_ell or a ramified one Q_ell(sqrt(d)): d is neither a square nor in the
+    unramified class."""
     if isinstance(ext, RamifiedQuadratic):
         d = ext.d
         if d == 0:
             raise ValueError("d = 0 does not define a quadratic field")
-        v = padic_valuation(d, ell)
-        if not (v % 2 or (ell == 2 and (d >> v) % 4 == 3)):
+        c = local_square_class(d, ell)
+        if c.is_square or c.is_unramified_class:
             raise ValueError(f"Q_{ell}(sqrt({d})) is not ramified over Q_{ell}")
     elif not isinstance(ext, UnramifiedQuadratic):
         raise ValueError(f"unsupported extension descriptor {ext!r}")
 
 
 def is_square_in_quadratic_ext(z: Rational, ell: int, ext: QuadraticExtension) -> bool:
-    """Is z a square in the given quadratic extension of Q_ell?
-
-    Uses: sqrt(z) lies in Q_ell(sqrt(w)) iff z or z*w is a square in Q_ell.
-    """
-    check_extension(ell, ext)
-    w = ext.d if isinstance(ext, RamifiedQuadratic) else unramified_generator(ell)
-    return is_local_square(z, ell) or is_local_square(z * w, ell)
+    """Is z a square in the given quadratic extension of Q_ell?"""
+    check_extension(ell, ext)  # quadratic_character_type also takes None
+    return quadratic_character_type(z, ell, ext) == "trivial"
 
 
 def quadratic_character_type(z: Rational, ell: int,
                              ext: QuadraticExtension | None) -> str:
     """Type of K_v(sqrt(z))/K_v: 'trivial', 'unramified' or 'ramified'.
 
-    K_v is Q_ell itself (ext None), its unramified quadratic extension, or a
-    ramified quadratic extension Q_ell(sqrt(d)).  z is a nonzero rational.
-    Over the unramified quadratic extension, a rational nonsquare always
-    generates a ramified extension (the compositum tower Q_ell^(4)/Q_ell is
-    cyclic, so its only quadratic intermediate field over Q_ell is K_v
-    itself), which is why no 'unramified' branch appears in that case.
+    K_v is Q_ell itself (ext None), its unramified quadratic extension
+    Q_ell(sqrt w), or a ramified one Q_ell(sqrt d); z is a nonzero rational.
+    z is a square in F(sqrt t) iff z or z*t is a square in F, so over
+    Q_ell(sqrt d) the classes of z and z*d decide.  Over the unramified
+    extension a rational nonsquare always generates a ramified extension
+    (the compositum tower Q_ell^(4)/Q_ell is cyclic, so its only quadratic
+    intermediate field over Q_ell is K_v itself), which is why no
+    'unramified' answer arises there.
     """
-    w = unramified_generator(ell)
-    if ext is None:
-        if is_local_square(z, ell):
-            return "trivial"
-        if is_local_square(z * w, ell):
-            return "unramified"
-        return "ramified"
-    check_extension(ell, ext)
+    if ext is not None:
+        check_extension(ell, ext)
+    c = local_square_class(z, ell)
     if isinstance(ext, UnramifiedQuadratic):
-        if is_local_square(z, ell) or is_local_square(z * w, ell):
-            return "trivial"
-        return "ramified"
-    d = ext.d
-    if is_local_square(z, ell) or is_local_square(z * d, ell):
+        return "trivial" if c.is_square or c.is_unramified_class else "ramified"
+    classes = (c,) if ext is None else (c, local_square_class(z * ext.d, ell))
+    if any(x.is_square for x in classes):
         return "trivial"
-    if is_local_square(z * w, ell) or is_local_square(z * w * d, ell):
+    if any(x.is_unramified_class for x in classes):
         return "unramified"
     return "ramified"
-

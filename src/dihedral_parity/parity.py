@@ -151,7 +151,7 @@ def analyze(E: WeierstrassCurve, T: TowerSpec,
     """
     if dim_Sp_E_K is not None and dim_Sp_E_K < 0:
         raise ValueError("dim_Sp_E_K must be nonnegative")
-    check_tower(T, E)
+    check_tower(T)
     disc = E.discriminant()
     # The aggregation set S: sites above p, sites ramified in L/K, and sites
     # of bad reduction.

@@ -48,9 +48,6 @@ class QuadraticFieldSpec:
         it takes no part in equality, hashing or a written report."""
         return tuple(prime_factors(self.d))
 
-    def discriminant(self) -> int:
-        return self.d if self.d % 4 == 1 else 4 * self.d
-
     def is_valid(self) -> bool:
         return self.d not in (0, 1) and prod(self.d_primes) == abs(self.d)
 
@@ -151,7 +148,9 @@ CITE_RAMIFIED_ABOVE_P = (
 
 
 def validate_tower(T: TowerSpec, E: Optional[WeierstrassCurve] = None) -> list[Violation]:
-    """All standing-hypothesis violations of the tower (empty means valid)."""
+    """All standing-hypothesis violations of the tower (empty means valid).
+
+    E is accepted and not read: a WeierstrassCurve is never singular."""
     out: list[Violation] = []
     if not (is_prime(T.p) and T.p > 3):
         out.append(Violation("p_gt_3", f"p = {T.p}: p > 3 required and p must be prime",
@@ -178,14 +177,12 @@ def validate_tower(T: TowerSpec, E: Optional[WeierstrassCurve] = None) -> list[V
                 "ramified_site_above_p",
                 f"site above {site.ell} is ramified in K/Q and in L/K but does not "
                 f"lie above p = {T.p}", CITE_RAMIFIED_ABOVE_P))
-    if E is not None and E.discriminant() == 0:  # unreachable with the frozen type
-        out.append(Violation("singular_curve", "discriminant is zero"))
     return out
 
 
-def check_tower(T: TowerSpec, E: Optional[WeierstrassCurve] = None) -> None:
+def check_tower(T: TowerSpec) -> None:
     """Raise ValueError naming every violation of an invalid tower."""
-    violations = validate_tower(T, E)
+    violations = validate_tower(T)
     if violations:
         raise ValueError("invalid tower: " + "; ".join(map(str, violations)))
 
@@ -199,7 +196,7 @@ def support_primes(T: TowerSpec, E: WeierstrassCurve) -> list[int]:
     """Finite set of rational primes that can carry a nonzero local constant."""
     primes = set(prime_factors(E.discriminant()))
     primes.add(T.p)
-    primes.update(T.K.d_primes)  # with 2 below, the primes of K.discriminant()
+    primes.update(T.K.d_primes)  # with 2 below, the primes of disc(K)
     if T.K.d % 4 != 1:
         primes.add(2)
     primes.update(s.ell for s in T.ramified_sites)

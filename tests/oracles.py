@@ -6,11 +6,11 @@ but ``WeierstrassCurve`` and the invariants it computes: realizability of
 model itself by a search for b2 over a full residue system mod 1728, reduction
 types by discriminant/c4 valuations of the oracle minimal model, split
 multiplicative type by brute-force point counting, quadratic-extension point
-counts by explicit finite-field arithmetic, and local squares by exhaustive
-residue enumeration.  Primality and factoring are by trial division up to
-sqrt(n), the package's method before it moved to Miller-Rabin and
-Pollard-Brent rho.  Reduction over a ramified quadratic K_v is read off the
-reduction type of a quadratic twist over Q_ell.
+counts by explicit finite-field arithmetic, and local squares and the type of
+a quadratic character by exhaustive residue enumeration.  Primality and
+factoring are by trial division up to sqrt(n), the package's method before it
+moved to Miller-Rabin and Pollard-Brent rho.  Reduction over a ramified
+quadratic K_v is read off the reduction type of a quadratic twist over Q_ell.
 """
 
 from __future__ import annotations
@@ -277,6 +277,39 @@ def odd_local_square(z: int, ell: int) -> bool:
     """z a nonzero integer with v_ell(z) <= 2: squareness in Q_ell decided by
     exhaustive enumeration modulo ell^3 (valid since v(z) < 3)."""
     return is_square_mod(z % ell ** 3, ell ** 3)
+
+
+def local_square(z: int, ell: int) -> bool:
+    """Is the nonzero integer z = ell^v u a square in Q_ell?  v is even, and
+    u is a square mod 8 (ell = 2) or mod ell (Hensel's lemma)."""
+    v = valuation(z, ell)
+    return v % 2 == 0 and is_square_mod(z // ell ** v, 8 if ell == 2 else ell)
+
+
+def character_type(z: int, ell: int, ext_kind: Optional[str],
+                   d: int = 0) -> Optional[str]:
+    """Type of K_v(sqrt z)/K_v for a nonzero integer z: 'trivial',
+    'unramified' or 'ramified'.  K_v is Q_ell (ext_kind None), the
+    unramified quadratic extension Q_ell(sqrt w) ('unramified'), or
+    Q_ell(sqrt d) ('ramified'); None when that d defines no ramified
+    extension.  w is 5 at 2 and the least nonresidue mod an odd ell, and z
+    is a square in F(sqrt t) iff z or z*t is a square in F."""
+    w = 5 if ell == 2 else next(r for r in range(2, ell) if not is_square_mod(r, ell))
+    if ext_kind is None:
+        return ("trivial" if local_square(z, ell) else
+                "unramified" if local_square(z * w, ell) else "ramified")
+    if ext_kind == "unramified":
+        return "trivial" if local_square(z, ell) or local_square(z * w, ell) else "ramified"
+    if d == 0:
+        return None
+    v = valuation(d, ell)
+    if not (v % 2 or (ell == 2 and d // ell ** v % 4 == 3)):
+        return None
+    if local_square(z, ell) or local_square(z * d, ell):
+        return "trivial"
+    if local_square(z * w, ell) or local_square(z * w * d, ell):
+        return "unramified"
+    return "ramified"
 
 
 def gf_squares(ell: int):

@@ -479,6 +479,28 @@ def test_batch_malformed_row_continues(tmp_path, capsys):
     assert payload["summary"]["row_errors"] == 1
 
 
+@pytest.mark.parametrize("field, message", [
+    ("1" * 5000, "coefficient has more than 4300 digits"),
+    ("-" + "1_1" * 2500, "coefficient has more than 4300 digits"),
+    ("1x", "non-integer coefficient"),
+    ("1" * 5000 + "x", "non-integer coefficient"),
+])
+def test_coefficient_errors_name_their_cause(tmp_path, capsys, field, message):
+    # int() refuses more than 4300 digits; that is not a malformed integer
+    curves = tmp_path / "big.csv"
+    curves.write_text(CSV_HEADER + f"big,0,0,0,0,{field}\n11a1,0,-1,1,-10,-20\n",
+                      encoding="utf-8")
+    code, out = run_cli(capsys, ["batch", str(curves), str(write_json(
+        tmp_path / "tower.json", FLAGSHIP_TOWER))])
+    payload = json.loads(out)
+    assert code == EXIT_OK and payload["errors"] == [f"{curves}:2: {message}"]
+    assert [r["label"] for r in payload["reports"]] == ["11a1"]
+    cfg = write_json(tmp_path / "c.json", {
+        **FLAGSHIP_TOWER, "curve": "big", "curve_file": str(curves)})
+    assert run_cli(capsys, ["analyze", str(cfg)]) == (EXIT_INVALID, (
+        f"curve: label 'big' not found in {curves}\n{curves}:2: {message}\n"))
+
+
 def test_batch_invalid_tower_reported_once(tmp_path, capsys):
     curves = tmp_path / "curves.csv"
     curves.write_text(CSV_HEADER
@@ -601,7 +623,7 @@ def test_analyze_factors_d_at_most_once(monkeypatch):
         factored.clear()
         analyze(E, T)
         assert len(evaluated) <= 1, (label, evaluated)
-        of_K = [m for m in factored if m in (d, T.K.discriminant())]
+        of_K = [m for m in factored if m in (d, d if d % 4 == 1 else 4 * d)]
         assert len(of_K) == len(evaluated), (label, factored)
 
 

@@ -5,7 +5,8 @@ no module needs a float or complex constant, a tolerance parameter or
 ``cmath``; no module imports another module's private (underscore)
 helpers; the values a local fact or an override may take are stated
 once, in ``curves``; and JSON is printed by ``cli.to_json``, never by an
-``indent=`` call, which would put ``json``'s pure-Python encoder back.  The
+``indent=`` call, which would put ``json``'s pure-Python encoder back.  A
+square class of Q_ell is read only by ``localarith.local_square_class``.  The
 oracles in ``tests/oracles.py`` take only ``WeierstrassCurve`` from the
 package, so a bug in the code they check cannot move them too.
 """
@@ -87,3 +88,22 @@ def test_oracles_take_only_the_curve_from_the_package():
               and (node.module or "").partition(".")[0] == "dihedral_parity"):
             taken.update(f"{node.module}.{alias.name}" for alias in node.names)
     assert taken == {"dihedral_parity.curves.WeierstrassCurve"}
+
+
+def test_square_classes_are_read_in_one_place():
+    """The quadratic questions over Q_ell read a class only through
+    local_square_class: none of them takes a valuation or a residue itself."""
+    readers = {"is_local_square", "check_extension", "is_square_in_quadratic_ext",
+               "quadratic_character_type"}
+    banned = {"kronecker_symbol", "padic_valuation", "_strip", "_ratio"}
+    found = {}
+    for node in ast.walk(_tree(SRC / "localarith.py")):
+        if isinstance(node, ast.FunctionDef) and node.name in readers:
+            found[node.name] = {
+                call.func.id if isinstance(call.func, ast.Name) else call.func.attr
+                for call in ast.walk(node) if isinstance(call, ast.Call)
+                and isinstance(call.func, (ast.Name, ast.Attribute))}
+    assert set(found) == readers
+    assert all(calls & (readers | {"local_square_class"}) for calls in found.values())
+    bad = {name: sorted(calls & banned) for name, calls in found.items() if calls & banned}
+    assert not bad, f"read the class through local_square_class: {bad}"

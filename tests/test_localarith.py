@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -20,9 +20,7 @@ from dihedral_parity.localarith import (
     padic_valuation,
     prime_factors,
     quadratic_character_type,
-    smallest_nonresidue,
     squarefree_part,
-    unramified_generator,
 )
 
 # Square-class representatives of Q_2^x; unit classes are distinguished by the
@@ -61,14 +59,6 @@ def test_kronecker_vs_euler():
         for a in range(-60, 60):
             expected = 0 if a % ell == 0 else (1 if a % ell in residues else -1)
             assert kronecker_symbol(a, ell) == expected, (a, ell)
-
-
-def test_smallest_nonresidue():
-    for ell in ODD_PRIMES_50:
-        r = smallest_nonresidue(ell)
-        residues = {(x * x) % ell for x in range(1, ell)}
-        assert r not in residues
-        assert all(s in residues for s in range(1, r))
 
 
 def test_local_square_class_odd_vs_enumeration():
@@ -151,9 +141,8 @@ def test_check_extension_reads_the_local_square_class(ell, d, ramified):
 
 
 def test_quadratic_character_type_over_Q_ell():
-    g = unramified_generator(7)
     assert quadratic_character_type(2, 7, None) == "trivial"  # 2 = 3^2 mod 7
-    assert quadratic_character_type(g, 7, None) == "unramified"
+    assert quadratic_character_type(3, 7, None) == "unramified"
     assert quadratic_character_type(7, 7, None) == "ramified"
     assert quadratic_character_type(5, 2, None) == "unramified"
     assert quadratic_character_type(2, 2, None) == "ramified"
@@ -163,8 +152,43 @@ def test_quadratic_character_type_over_inert_Kv():
     # over the unramified quadratic extension, every rational nonsquare of
     # even valuation that stays nonsquare generates the ramified quadratic
     ext = UnramifiedQuadratic()
-    assert quadratic_character_type(unramified_generator(7), 7, ext) == "trivial"
+    assert quadratic_character_type(3, 7, ext) == "trivial"
     assert quadratic_character_type(7, 7, ext) == "ramified"
+
+
+@settings(max_examples=400)
+@given(ell=st.sampled_from([2, 3, 5, 7, 11, 13, 10007]),
+       sign=st.sampled_from([1, -1]), a=st.integers(1, 10**6),
+       k=st.integers(0, 3), b=st.integers(1, 10**6), as_fraction=st.booleans(),
+       ext_kind=st.sampled_from([None, "unramified", "ramified"]),
+       d_sign=st.sampled_from([1, -1]), d_unit=st.integers(0, 10**6),
+       j=st.integers(0, 3))
+def test_quadratic_questions_match_the_oracle(ell, sign, a, k, b, as_fraction,
+                                              ext_kind, d_sign, d_unit, j):
+    """Every quadratic question over Q_ell against residue enumeration with an
+    explicit unramified generator; Fraction(a, b) is in the class of a*b."""
+    z = oracle_z = sign * a * ell ** k
+    if as_fraction:
+        z, oracle_z = Fraction(z, b), z * b
+    d = d_sign * d_unit * ell ** j
+    ext = {None: None, "unramified": UnramifiedQuadratic(),
+           "ramified": RamifiedQuadratic(d)}[ext_kind]
+    expected = oracles.character_type(oracle_z, ell, ext_kind, d)
+    assert is_local_square(z, ell) == oracles.local_square(oracle_z, ell)
+    if expected is None:  # d defines no ramified extension of Q_ell
+        for question in (lambda: localarith.check_extension(ell, ext),
+                         lambda: quadratic_character_type(z, ell, ext),
+                         lambda: is_square_in_quadratic_ext(z, ell, ext)):
+            with pytest.raises(ValueError):
+                question()
+        return
+    assert quadratic_character_type(z, ell, ext) == expected
+    if ext is None:
+        with pytest.raises(ValueError, match="unsupported extension descriptor"):
+            is_square_in_quadratic_ext(z, ell, ext)
+        return
+    localarith.check_extension(ell, ext)
+    assert is_square_in_quadratic_ext(z, ell, ext) == (expected == "trivial")
 
 
 def test_prime_factors():

@@ -35,9 +35,8 @@ BATCH_TOWER = {
 
 
 # Each invalid config is the flagship config with these fields replaced: every
-# violation code a config can reach (site_consistency and singular_curve
-# cannot be reached from a config), every family of config error, and an
-# analysis error.
+# violation code a config can reach (site_consistency cannot be reached from
+# a config), every family of config error, and an analysis error.
 FLAGSHIP = {"curve": [0, -1, 1, -10, -20], "d": -1, "p": 5, "n": 1,
             "ramified_sites": [{"ell": 11}], "dim_Sp_E_K": 0}
 INVALID_CONFIGS = {
