@@ -14,7 +14,6 @@ import functools
 import json
 import re
 import sys
-from json.encoder import encode_basestring_ascii
 from typing import Any, Optional, Union
 
 from .curves import DEFECTS, KV_REDUCTIONS, SingularCurveError, WeierstrassCurve
@@ -27,6 +26,7 @@ from .parity import (
     SiteAudit,
     analyze,
 )
+from .report import render_text, report_to_dict, to_json, tower_to_dict
 from .tower import (
     PrimeSite,
     QuadraticFieldSpec,
@@ -230,53 +230,7 @@ def parse_config(raw: dict, *, need_curve: bool = True):
 
 
 # ---------------------------------------------------------------------------
-# report serialization
-
-
-def _tower_to_dict(T: TowerSpec) -> dict:
-    """A tower as ``d, p, n, ramified_sites, overrides``, each override field
-    suffixed ``_override``."""
-    return {
-        "d": T.K.d,
-        "p": T.p,
-        "n": T.n,
-        "ramified_sites": [dict(vars(s))
-                           for s in sorted(T.ramified_sites,
-                                           key=lambda s: (s.ell, s.which))],
-        "overrides": {
-            str(ell): {f"{name}_override": value for name, value in vars(o).items()}
-            for ell, o in sorted(T.overrides.items())
-        },
-    }
-
-
-def report_to_dict(rep: ParityReport) -> dict:
-    """Schema 1: each record is written as a copy of its dataclass fields, in
-    field order, so renaming or reordering a field changes the schema.  The
-    output shares no mutable object with the report."""
-    sb = rep.selmer_bound
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "curve": list(rep.curve.ainvs()),
-        "tower": _tower_to_dict(rep.tower),
-        "rows": [{**vars(r),
-                  "gamma": None if r.gamma is None else dict(vars(r.gamma)),
-                  "deltas": [{"site": dict(vars(s)), **vars(v)} for s, v in r.deltas]}
-                 for r in rep.rows],
-        "S": [dict(vars(s)) for s in rep.S],
-        "mr64_sum": rep.mr64_sum,
-        "S_frak": [dict(vars(s)) for s in rep.S_frak],
-        "S_m": [dict(vars(s)) for s in rep.S_m],
-        "hypothesis_audit": [{**vars(a), "site": dict(vars(a.site))}
-                             for a in rep.hypothesis_audit],
-        "selmer_bound": (None if sb is None
-                         else {**vars(sb), "reasons": list(sb.reasons)}),
-        "relative_parity": (None if rep.relative_parity is None
-                            else dict(rep.relative_parity)),
-        "failure": rep.failure,
-        "has_undetermined": rep.has_undetermined,
-        "notes": list(rep.notes),
-    }
+# report parsing
 
 
 def report_from_dict(d: dict) -> ParityReport:
@@ -309,98 +263,6 @@ def report_from_dict(d: dict) -> ParityReport:
         relative_parity=None if rel is None else dict(rel),
         notes=list(d["notes"]),
     )
-
-
-# The text of a JSON scalar, keyed on its exact type: a subclass (an IntEnum,
-# a str subclass) is not guessed at, and a float is not a value of schema 1.
-_SCALAR_TEXT = {
-    str: encode_basestring_ascii,
-    int: int.__repr__,
-    bool: ("false", "true").__getitem__,
-    type(None): "null".format,
-}
-
-
-def to_json(obj: Any) -> str:
-    """``json.dumps(obj, indent=2)``, byte for byte, for dicts with string
-    keys, lists, tuples, strings, ints, booleans and None; any other type
-    raises TypeError.  With ``indent`` set, ``json.dumps`` runs its
-    pure-Python encoder; this writer appends one string per item instead."""
-    out: list[str] = []
-    _write_json(obj, "\n", out)
-    return "".join(out)
-
-
-def _write_json(obj: Any, nl: str, out: list) -> None:
-    """Append the text of obj to out; nl is the line break before its closing
-    bracket, and each item goes on a line break nl + two spaces."""
-    kind = type(obj)
-    if kind is dict:
-        if not obj:
-            out.append("{}")
-            return
-        inner = nl + "  "
-        head, sep = "{" + inner, "," + inner
-        for key, value in obj.items():
-            text = _SCALAR_TEXT.get(type(value))
-            if text is None:
-                out.append(head + encode_basestring_ascii(key) + ": ")
-                _write_json(value, inner, out)
-            else:
-                out.append(head + encode_basestring_ascii(key) + ": " + text(value))
-            head = sep
-        out.append(nl + "}")
-    elif kind is list or kind is tuple:
-        if not obj:
-            out.append("[]")
-            return
-        inner = nl + "  "
-        head, sep = "[" + inner, "," + inner
-        for value in obj:
-            text = _SCALAR_TEXT.get(type(value))
-            if text is None:
-                out.append(head)
-                _write_json(value, inner, out)
-            else:
-                out.append(head + text(value))
-            head = sep
-        out.append(nl + "]")
-    else:
-        text = _SCALAR_TEXT.get(kind)
-        if text is None:
-            raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
-        out.append(text(obj))
-
-
-def _fmt_value(v: Optional[int]) -> str:
-    return "?" if v is None else str(v)
-
-
-def render_text(d: dict) -> str:
-    lines = []
-    a = d["curve"]
-    tw = d["tower"]
-    lines.append(f"curve [{','.join(map(str, a))}]  "
-                 f"K = Q(sqrt {tw['d']}), p = {tw['p']}, n = {tw['n']}")
-    lines.append(f"{'place':>8}  {'gamma':>5}  {'sum delta':>9}  status")
-    for r in d["rows"]:
-        g = r["gamma"]
-        gval = "-" if g is None else _fmt_value(g["value"])
-        lines.append(f"{str(r['place']):>8}  {gval:>5}  "
-                     f"{_fmt_value(r['delta_sum']):>9}  {r['status']}")
-    lines.append(f"mr64_sum = {_fmt_value(d['mr64_sum'])}   "
-                 f"|S_frak| = {len(d['S_frak'])}   |S_m| = {len(d['S_m'])}")
-    sb = d["selmer_bound"]
-    if sb is not None:
-        if sb["applicable"]:
-            lines.append(f"Selmer growth bound: dim S_p(E/F) >= {sb['bound']}")
-        else:
-            lines.append("Selmer growth bound: not applicable ("
-                         + "; ".join(sb["reasons"]) + ")")
-    if d["failure"]:
-        lines.append("FAILURE: parity mismatch at a determined row "
-                     "(implementation bug, not arithmetic)")
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -515,8 +377,11 @@ def run_batch(curves_path: str, config_path: str, *, fmt: str = "json",
               strict: bool = False, quiet: bool = False, jobs: int = 1) -> int:
     """Analyze every curve of the CSV in one tower, in input order.
 
-    ``jobs`` is accepted for compatibility and ignored: the analysis is
-    CPU-bound pure Python, so worker threads gave no speed-up.
+    Each row's report is written as soon as it is analyzed, and only the
+    summary counts are kept across rows; the JSON is the bytes of
+    ``to_json`` of the whole document.  ``jobs`` is accepted for
+    compatibility and ignored: the analysis is CPU-bound pure Python, so
+    worker threads gave no speed-up.
     """
     try:
         raw = load_config(config_path)
@@ -529,36 +394,38 @@ def run_batch(curves_path: str, config_path: str, *, fmt: str = "json",
     if violations:
         _emit("".join(f"{v}\n" for v in violations), quiet)
         return EXIT_INVALID
-    results = [(label, _analyze_one(E, T, dim)) for label, E in rows]
-    reports = [r for _, r in results if isinstance(r, ParityReport)]
-    errors = row_errors + [f"{label}: {r}" for label, r in results if isinstance(r, str)]
-    summary = {
-        "curves": len(rows),
-        "row_errors": len(errors),
-        "failures": sum(r.failure for r in reports),
-        "undetermined": sum(r.has_undetermined for r in reports),
-        "clean": sum(not (r.failure or r.has_undetermined) for r in reports),
-    }
-    if not quiet:
-        if fmt == "json":
-            sys.stdout.write(to_json({
-                "schema_version": SCHEMA_VERSION,
-                "tower": _tower_to_dict(T),
-                "reports": [{"label": label, "error": r} if isinstance(r, str)
-                            else {**report_to_dict(r), "label": label}
-                            for label, r in results],
-                "errors": errors,
-                "summary": summary,
-            }) + "\n")
+    as_json, write = fmt == "json", sys.stdout.write
+    errors = list(row_errors)
+    summary = dict.fromkeys(("curves", "row_errors", "failures", "undetermined", "clean"), 0)
+    if as_json and not quiet:
+        write(f'{{\n  "schema_version": {SCHEMA_VERSION},\n  "tower": '
+              f'{to_json(tower_to_dict(T), 1)},\n  "reports": ')
+    head = "[\n    "
+    for label, E in rows:
+        rep = _analyze_one(E, T, dim)
+        if isinstance(rep, str):
+            errors.append(f"{label}: {rep}")
         else:
-            out = []
-            for label, r in results:
-                if isinstance(r, str):
-                    out.append(f"== {label}: ERROR {r}\n")
-                else:
-                    out.append(f"== {label}\n" + render_text(report_to_dict(r)))
-            out.append("summary: " + json.dumps(summary) + "\n")
-            sys.stdout.write("".join(out))
+            summary["failures"] += rep.failure
+            summary["undetermined"] += rep.has_undetermined
+            summary["clean"] += not (rep.failure or rep.has_undetermined)
+        if quiet:
+            continue
+        if as_json:
+            item = ({"label": label, "error": rep} if isinstance(rep, str)
+                    else {**report_to_dict(rep), "label": label})
+            write(head + to_json(item, 2))
+            head = ",\n    "
+        else:
+            write(f"== {label}: ERROR {rep}\n" if isinstance(rep, str)
+                  else f"== {label}\n" + render_text(report_to_dict(rep)))
+    summary["curves"], summary["row_errors"] = len(rows), len(errors)
+    if not quiet and as_json:
+        write(("\n  ]" if rows else "[]") + ',\n  "errors": ' + to_json(errors, 1)
+              + ',\n  "summary": ' + to_json(summary, 1) + "\n}\n")
+    elif not quiet:  # the CSV row errors: an analysis error was written with its row
+        write("".join(f"error: {e}\n" for e in row_errors)
+              + "summary: " + json.dumps(summary) + "\n")
     if summary["failures"]:
         return EXIT_FAILURE
     if strict and summary["undetermined"]:

@@ -28,8 +28,9 @@ from .localarith import (
     padic_valuation,
     quadratic_character_type,
 )
+from .pointcount import count_points
 
-# Naive point counting is O(ell); this bound keeps it at desk scale.
+# The bound above which no Frobenius trace is computed.
 POINT_COUNT_BOUND = 100_000
 
 
@@ -300,30 +301,6 @@ class FrobeniusData:
 
     def anomalous_over(self, q: int) -> bool:
         return self.point_count(q) % self.p == 0
-
-
-def count_points(E: WeierstrassCurve, ell: int) -> int:
-    """#E~(F_ell) for a model with good reduction at ell, by enumeration."""
-    a1, a2, a3, a4, a6 = (a % ell for a in E.ainvs())
-    if ell == 2:
-        n = 1
-        for x in range(2):
-            for y in range(2):
-                if (y * y + a1 * x * y + a3 * y
-                        - (x ** 3 + a2 * x * x + a4 * x + a6)) % 2 == 0:
-                    n += 1
-        return n
-    # complete the square: (2y + a1 x + a3)^2 = 4x^3 + b2 x^2 + 2 b4 x + b6
-    b2, b4, b6, _ = E.b_invariants()
-    n = 1
-    half = (ell - 1) // 2
-    for x in range(ell):
-        rhs = (4 * x ** 3 + b2 * x * x + 2 * b4 * x + b6) % ell
-        if rhs == 0:
-            n += 1
-        else:
-            n += 1 + (1 if pow(rhs, half, ell) == 1 else -1)
-    return n
 
 
 def frobenius_data(E: WeierstrassCurve, ell: int, p: int) -> FrobeniusData:

@@ -47,12 +47,18 @@ _MR_BASES = (
     (_MR_LIMIT, 13),
 )
 
-# Rho iterations allowed per factorization, over every cofactor and retry.
-# They split off every prime factor below 1e10 in the trials made (100 of
-# 100) and most below 1e11 (38 of 40), and run out after about one to two
-# seconds; a number whose two largest prime factors are beyond reach then
-# raises ValueError.
+# Rho work allowed per factorization, over every cofactor and retry.  A step
+# on n costs _rho_step_cost(n), the square of n's length in 64-bit words (1
+# below 2^64), as a step is a multiplication mod n.  The budget splits off
+# every prime factor below 1e10 in the trials made (100 of 100) and most
+# below 1e11 (38 of 40), and rho runs out after at most about two seconds
+# whatever the size of n; a number whose two largest prime factors are
+# beyond reach then raises ValueError.
 RHO_BUDGET = 1 << 20
+
+
+def _rho_step_cost(n: int) -> int:
+    return ((n.bit_length() + 63) // 64) ** 2  # words of n, squared
 
 
 def _strong_probable_prime(n: int, a: int) -> bool:
@@ -127,18 +133,18 @@ def _baillie_psw(n: int) -> bool:
 
 
 def _rho_factor(n: int, budget: int) -> tuple[Optional[int], int]:
-    """(a proper factor of the odd composite n, steps left) by Pollard-Brent
+    """(a proper factor of the odd composite n, budget left) by Pollard-Brent
     rho, with one gcd per batch of up to 128 steps; (None, 0) when a round
-    would take more than the budget steps."""
-    c = 0
+    would cost more than the budget."""
+    cost, c = 2 * _rho_step_cost(n), 0
     while True:
         c += 1
         y, r, q, g = 2, 1, 1, 1
         x = ys = y
         while g == 1:
-            if 2 * r > budget:
+            if cost * r > budget:
                 return None, 0
-            budget -= 2 * r  # r steps to move x, at most r more to catch it
+            budget -= cost * r  # r steps to move x, at most r more to catch it
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -163,7 +169,7 @@ def _rho_factor(n: int, budget: int) -> tuple[Optional[int], int]:
 def _factorization(n: int) -> dict[int, int]:
     """{prime: exponent} for a nonzero integer n (its sign is dropped).
 
-    ValueError when rho runs past RHO_BUDGET steps, never a hang."""
+    ValueError when rho runs past RHO_BUDGET, never a hang."""
     if n == 0:
         raise ValueError("0 has no factorization")
     m = abs(n)

@@ -5,8 +5,8 @@ but ``WeierstrassCurve`` and the invariants it computes: realizability of
 (c4, c6) is decided by a 12-candidate reduced-model enumeration, and the
 model itself by a search for b2 over a full residue system mod 1728, reduction
 types by discriminant/c4 valuations of the oracle minimal model, split
-multiplicative type by brute-force point counting, quadratic-extension point
-counts by explicit finite-field arithmetic, and local squares and the type of
+multiplicative type by brute-force point counting, point counts over F_ell
+by enumeration of x and over F_(ell^2) by explicit finite-field arithmetic, and local squares and the type of
 a quadratic character by exhaustive residue enumeration.  Primality and
 factoring are by trial division up to sqrt(n), the package's method before it
 moved to Miller-Rabin and Pollard-Brent rho.  Reduction over a ramified
@@ -170,6 +170,20 @@ def count_affine_points_mod(E: WeierstrassCurve, ell: int) -> int:
             rhs = x ** 3 + a2 * x * x + a4 * x + a6
             if (lhs - rhs) % ell == 0:
                 n += 1
+    return n
+
+
+def count_points(E: WeierstrassCurve, ell: int) -> int:
+    """#E(F_ell) for an odd prime ell of good reduction, by enumerating x:
+    after completing the square, (2y + a1 x + a3)^2 = 4x^3 + b2 x^2 +
+    2 b4 x + b6, and each x gives 1 + (rhs | ell) points (Euler's criterion).
+    This was the package's method at every ell before Shanks-Mestre."""
+    b2, b4, b6, _ = E.b_invariants()
+    n = 1
+    half = (ell - 1) // 2
+    for x in range(ell):
+        rhs = (4 * x ** 3 + b2 * x * x + 2 * b4 * x + b6) % ell
+        n += 1 if rhs == 0 else 1 + (1 if pow(rhs, half, ell) == 1 else -1)
     return n
 
 

@@ -14,7 +14,6 @@ from dihedral_parity.cli import (
     EXIT_INVALID,
     EXIT_OK,
     EXIT_STRICT_UNDETERMINED,
-    _tower_to_dict,
     build_parser,
     main,
     parse_tower,
@@ -24,6 +23,7 @@ from dihedral_parity.cli import (
     run_batch,
     run_validate,
     to_json,
+    tower_to_dict,
 )
 from dihedral_parity.parity import analyze
 from dihedral_parity.tower import QuadraticFieldSpec, SiteOverrides
@@ -335,7 +335,7 @@ ROUND_TRIP_CASES = [
 ] + [pytest.param(OVERRIDE_TOWER, id="overrides")])
 def test_a_report_tower_is_a_config(T):
     errors = []
-    assert parse_tower(_tower_to_dict(T), errors) == T
+    assert parse_tower(tower_to_dict(T), errors) == T
     assert errors == []
 
 
@@ -477,6 +477,72 @@ def test_batch_malformed_row_continues(tmp_path, capsys):
     assert len(payload["reports"]) == 2
     assert len(payload["errors"]) == 1
     assert payload["summary"]["row_errors"] == 1
+
+
+MALFORMED_ROWS = "oops,0,0,x,0,1\nshort,1,2\nsing,0,0,0,0,0\n"
+OVER_BOUND_TOWER = {"d": -1, "p": 100003, "n": 1, "ramified_sites": [{"ell": 100003}]}
+
+
+def batch_document(curves_path, config_path) -> str:
+    """The batch JSON built whole, as run_batch built it before it streamed
+    its reports: the oracle for the streamed bytes."""
+    _, T, dim = cli.parse_config(cli.load_config(config_path), need_curve=False)
+    rows, row_errors = cli.read_curve_csv(curves_path)
+    results = []
+    for label, E in rows:
+        try:
+            results.append((label, analyze(E, T, dim_Sp_E_K=dim)))
+        except Exception as exc:
+            results.append((label, f"{type(exc).__name__}: {exc}"))
+    reports = [r for _, r in results if not isinstance(r, str)]
+    return to_json({
+        "schema_version": 1,
+        "tower": tower_to_dict(T),
+        "reports": [{"label": label, "error": r} if isinstance(r, str)
+                    else {**report_to_dict(r), "label": label}
+                    for label, r in results],
+        "errors": row_errors + [f"{label}: {r}" for label, r in results
+                                if isinstance(r, str)],
+        "summary": {
+            "curves": len(rows),
+            "row_errors": len(row_errors) + len(results) - len(reports),
+            "failures": sum(r.failure for r in reports),
+            "undetermined": sum(r.has_undetermined for r in reports),
+            "clean": sum(not (r.failure or r.has_undetermined) for r in reports),
+        },
+    }) + "\n"
+
+
+@pytest.mark.parametrize("rows, tower", [
+    ("", FLAGSHIP_TOWER),  # no rows: "reports": []
+    (MALFORMED_ROWS + "cm,0,0,0,1,0\n", OVER_BOUND_TOWER),  # every row fails
+    (BATCH_CSV[len(CSV_HEADER):] + MALFORMED_ROWS + "x3+1,0,0,0,0,1\n", FLAGSHIP_TOWER),
+], ids=["empty", "all-errors", "mixed"])
+def test_batch_streams_the_bytes_of_the_whole_document(tmp_path, capsys, rows, tower):
+    curves = tmp_path / "curves.csv"
+    curves.write_text(CSV_HEADER + rows, encoding="utf-8")
+    cfg = write_json(tmp_path / "tower.json", tower)
+    expected = batch_document(str(curves), str(cfg))
+    assert run_cli(capsys, ["batch", str(curves), str(cfg)]) == (EXIT_OK, expected)
+    payload = json.loads(expected)
+    assert payload["summary"]["curves"] == len(payload["reports"])
+
+
+def test_batch_text_prints_row_errors(tmp_path, capsys):
+    curves = tmp_path / "curves.csv"
+    curves.write_text(CSV_HEADER + "11a1,0,-1,1,-10,-20\n" + MALFORMED_ROWS,
+                      encoding="utf-8")
+    cfg = write_json(tmp_path / "tower.json", FLAGSHIP_TOWER)
+    code, out = run_cli(capsys, ["batch", str(curves), str(cfg), "--format", "text"])
+    lines = out.splitlines()
+    assert code == EXIT_OK and lines[0] == "== 11a1"
+    assert lines[-4:] == [
+        f"error: {curves}:3: non-integer coefficient",
+        f"error: {curves}:4: expected 6 fields, got 3",
+        f"error: {curves}:5: singular model (discriminant zero)",
+        'summary: {"curves": 1, "row_errors": 3, "failures": 0, '
+        '"undetermined": 0, "clean": 1}',
+    ]
 
 
 @pytest.mark.parametrize("field, message", [

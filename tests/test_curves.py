@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 import oracles
 from corpus import CURVES, TWIST_11A1_7
+from dihedral_parity import pointcount
 from dihedral_parity.curves import (
     SingularCurveError,
     UNKNOWN,
@@ -238,6 +239,62 @@ def test_semistability_defect_small_ell_honesty():
 def test_count_points_known_values():
     assert count_points(CURVES["11a1"], 5) == 5  # a_5 = 1
     assert count_points(CURVES["x3+x"], 3) == 4  # a_3 = 0, supersingular
+
+
+GOOD_PRIME_CURVES = st.tuples(st.integers(0, 1), st.integers(-1, 1), st.integers(0, 1),
+                              st.integers(-10**6, 10**6), st.integers(-10**6, 10**6))
+SMALL_PRIMES = [ell for ell in range(5, 3001) if oracles.is_prime(ell)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(ainvs=GOOD_PRIME_CURVES, ell=st.sampled_from(SMALL_PRIMES))
+def test_count_points_matches_enumeration(ainvs, ell):
+    # below 230 both are enumeration; above, Shanks-Mestre against it
+    E = _try_curve(ainvs)
+    assume(E is not None and E.discriminant() % ell != 0)
+    assert count_points(E, ell) == oracles.count_points(E, ell)
+
+
+@settings(max_examples=12, deadline=None)
+@given(ainvs=GOOD_PRIME_CURVES, ell=st.sampled_from([10007, 12487, 99991]))
+def test_count_points_matches_enumeration_at_large_primes(ainvs, ell):
+    E = _try_curve(ainvs)
+    assume(E is not None and E.discriminant() % ell != 0)
+    assert count_points(E, ell) == oracles.count_points(E, ell)
+
+
+# The CM curves of the large_p workload: y^2 = x^3 + x has a_ell = 0 at
+# ell = 3 mod 4, and y^2 = x^3 + 1 at ell = 2 mod 3.
+CM_SUPERSINGULAR = {(0, 0, 0, 1, 0): (4, 3), (0, 0, 0, 0, 1): (3, 2)}
+
+
+@pytest.mark.parametrize("ainvs,modulus,residue",
+                         [(a, m, r) for a, (m, r) in CM_SUPERSINGULAR.items()])
+def test_count_points_cm_curves_are_supersingular(ainvs, modulus, residue):
+    E = WeierstrassCurve(*ainvs)
+    primes = [ell for ell in [*range(5, 400), *range(10_000, 12_500), 99_971, 99_991]
+              if ell % modulus == residue and oracles.is_prime(ell)]
+    assert len(primes) > 150
+    for ell in primes:
+        assert count_points(E, ell) == ell + 1, ell
+
+
+def test_count_points_takes_quarter_power_work(monkeypatch):
+    # at ell = 99991 a count reads a handful of x, where enumeration reads
+    # all 99991, and makes O(ell^(1/4)) group operations per point: about
+    # 2 ell^(1/4) baby and giant steps, and scalar multiples of log size
+    adds, points = [], []
+    add, order = pointcount._ec_add, pointcount._point_order
+    monkeypatch.setattr(pointcount, "_ec_add", lambda *a: adds.append(1) or add(*a))
+    monkeypatch.setattr(pointcount, "_point_order", lambda *a: points.append(1) or order(*a))
+    ell = 99_991
+    for ainvs in [(0, -1, 1, -10, -20), (0, 0, 1, -1, 0), (0, 0, 0, 1, 0), (1, 0, 1, 4, -6)]:
+        adds.clear()
+        points.clear()
+        E = WeierstrassCurve(*ainvs)
+        assert count_points(E, ell) == oracles.count_points(E, ell)
+        assert len(points) <= 4
+        assert len(adds) <= 16 * len(points) * ell ** 0.25, (ainvs, len(adds))
 
 
 def test_frobenius_known_values():

@@ -4,7 +4,7 @@ Every fact the engine states is an identity between integers or rationals, so
 no module needs a float or complex constant, a tolerance parameter or
 ``cmath``; no module imports another module's private (underscore)
 helpers; the values a local fact or an override may take are stated
-once, in ``curves``; and JSON is printed by ``cli.to_json``, never by an
+once, in ``curves``; and JSON is printed by ``report.to_json``, never by an
 ``indent=`` call, which would put ``json``'s pure-Python encoder back.  A
 square class of Q_ell is read only by ``localarith.local_square_class``.  The
 oracles in ``tests/oracles.py`` take only ``WeierstrassCurve`` from the
@@ -75,7 +75,7 @@ def test_no_indent_keyword(path):
     bad = [node.lineno for node in ast.walk(_tree(path))
            if isinstance(node, ast.Call)
            and any(kw.arg == "indent" for kw in node.keywords)]
-    assert not bad, f"{path.name}: indent= call at lines {bad}; use cli.to_json"
+    assert not bad, f"{path.name}: indent= call at lines {bad}; use report.to_json"
 
 
 def test_oracles_take_only_the_curve_from_the_package():

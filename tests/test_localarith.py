@@ -338,6 +338,26 @@ def test_factoring_budget_raises_instead_of_hanging(monkeypatch):
     assert prime_factors(2 * 1009 * 1013) == [2, 1009, 1013]
 
 
+def test_rho_charges_each_step_by_operand_size():
+    # a step costs 1 below 2^64 and the square of the length in 64-bit words
+    # above, so the budget bounds work, not steps, whatever the digits
+    costs = [localarith._rho_step_cost(n) for n in (3, 2**64 - 1, 2**64, 2**128, 10**999)]
+    assert costs == [1, 1, 4, 9, 52 ** 2]
+    # the same walk: y mod 43 * 47 does not depend on the cofactor, so rho
+    # finds 43 after the same steps on a 51-bit and a 611-bit n
+    small = 43 * 47 * (2**40 + 15)
+    big = 43 * 47 * (2**600 + 187)
+    assert is_prime(2**40 + 15) and is_prime(2**600 + 187)
+    budget = 1 << 20
+    (f_small, left_small), (f_big, left_big) = (
+        localarith._rho_factor(n, budget) for n in (small, big))
+    assert f_small == f_big == 43
+    assert budget - left_big == 100 * (budget - left_small) == 1400
+    # the walk needs 1400 on the big n: one less and rho gives up
+    assert localarith._rho_factor(big, 1400) == (43, 0)
+    assert localarith._rho_factor(big, 1399) == (None, 0)
+
+
 def test_hard_discriminant_factors_in_a_subprocess():
     # -5 times a 20-digit prime: trial division would run to about 9.3e9
     proc = run_isolated(["-c", "from dihedral_parity.localarith import prime_factors; "

@@ -11,8 +11,10 @@ order within a pair alternates, so that drift of the machine's speed falls on
 both sides alike.  Only the standard library is used.
 
 For every end-to-end metric the output holds both sides' per-run values,
-medians and quartiles, the ratio of the medians (change / base) and the
-number of pairs in which the change was better.
+medians and quartiles, the ratio of the medians (change / base), the number
+of pairs in which the change was better, and the metric's ``bound`` from
+``BENCHMARK.json`` with ``within_bound``: whether the change's median is
+worse than the base's by no more than that fraction of it.
 """
 
 from __future__ import annotations
@@ -69,13 +71,16 @@ def compare(base: list[dict], change: list[dict], metrics: list[dict]) -> dict:
         b = [r["metrics"][name]["value"] for r in base]
         c = [r["metrics"][name]["value"] for r in change]
         sign = 1 if m["better"] == "higher" else -1
+        mb, mc = statistics.median(b), statistics.median(c)
         out[name] = {
             "unit": m["unit"],
             "better": m["better"],
             "base": summary(b),
             "change": summary(c),
-            "ratio": statistics.median(c) / statistics.median(b),
+            "ratio": mc / mb,
             "change_better_pairs": sum(sign * (y - x) > 0 for x, y in zip(b, c)),
+            "bound": m["bound"],
+            "within_bound": sign * (mc - mb) >= -m["bound"] * mb,
         }
     return out
 
