@@ -26,7 +26,7 @@ from .parity import (
     SiteAudit,
     analyze,
 )
-from .report import render_text, report_to_dict, to_json, tower_to_dict
+from .report import render_text, report_json, report_to_dict, to_json, tower_json
 from .tower import (
     PrimeSite,
     QuadraticFieldSpec,
@@ -334,8 +334,8 @@ def run_analyze(config_path: str, *, fmt: str = "json", strict: bool = False,
         _emit(f"error: {exc}\n", quiet)
         return EXIT_INVALID
     if not quiet:
-        d = report_to_dict(rep)
-        sys.stdout.write(to_json(d) + "\n" if fmt == "json" else render_text(d))
+        sys.stdout.write(report_json(rep) + "\n" if fmt == "json"
+                         else render_text(report_to_dict(rep)))
     if rep.failure:
         return EXIT_FAILURE
     if strict and rep.has_undetermined:
@@ -377,10 +377,10 @@ def run_batch(curves_path: str, config_path: str, *, fmt: str = "json",
               strict: bool = False, quiet: bool = False, jobs: int = 1) -> int:
     """Analyze every curve of the CSV in one tower, in input order.
 
-    Each row's report is written as soon as it is analyzed, and only the
-    summary counts are kept across rows; the JSON is the bytes of
-    ``to_json`` of the whole document.  ``jobs`` is accepted for
-    compatibility and ignored: the analysis is CPU-bound pure Python, so
+    Each row's report is written by ``report_json`` as soon as it is
+    analyzed, and only the summary counts are kept across rows; the JSON is
+    the bytes of ``to_json`` of the whole document.  ``jobs`` is accepted
+    for compatibility and ignored: the analysis is CPU-bound pure Python, so
     worker threads gave no speed-up.
     """
     try:
@@ -399,7 +399,7 @@ def run_batch(curves_path: str, config_path: str, *, fmt: str = "json",
     summary = dict.fromkeys(("curves", "row_errors", "failures", "undetermined", "clean"), 0)
     if as_json and not quiet:
         write(f'{{\n  "schema_version": {SCHEMA_VERSION},\n  "tower": '
-              f'{to_json(tower_to_dict(T), 1)},\n  "reports": ')
+              f'{tower_json(T)},\n  "reports": ')
     head = "[\n    "
     for label, E in rows:
         rep = _analyze_one(E, T, dim)
@@ -412,9 +412,8 @@ def run_batch(curves_path: str, config_path: str, *, fmt: str = "json",
         if quiet:
             continue
         if as_json:
-            item = ({"label": label, "error": rep} if isinstance(rep, str)
-                    else {**report_to_dict(rep), "label": label})
-            write(head + to_json(item, 2))
+            write(head + (to_json({"label": label, "error": rep}, 2) if isinstance(rep, str)
+                          else report_json(rep, 2, label)))
             head = ",\n    "
         else:
             write(f"== {label}: ERROR {rep}\n" if isinstance(rep, str)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, isqrt, prod
 from typing import Optional, Union
 
@@ -47,13 +48,14 @@ _MR_BASES = (
     (_MR_LIMIT, 13),
 )
 
-# Rho work allowed per factorization, over every cofactor and retry.  A step
-# on n costs _rho_step_cost(n), the square of n's length in 64-bit words (1
-# below 2^64), as a step is a multiplication mod n.  The budget splits off
-# every prime factor below 1e10 in the trials made (100 of 100) and most
-# below 1e11 (38 of 40), and rho runs out after at most about two seconds
-# whatever the size of n; a number whose two largest prime factors are
-# beyond reach then raises ValueError.
+# Work allowed per factorization, over every cofactor, retry and primality
+# test.  A rho step on n costs _rho_step_cost(n), the square of n's length in
+# 64-bit words (1 below 2^64), as a step is a multiplication mod n, and a
+# strong test bit_length(n) steps.  The budget splits off every prime factor
+# below 1e10 in the trials made (100 of 100) and most below 1e11 (38 of 40),
+# and runs out after at most about two seconds whatever the size of n; a
+# number whose two largest prime factors are beyond reach, or whose largest
+# has more than about 280 digits, then raises ValueError.
 RHO_BUDGET = 1 << 20
 
 
@@ -110,9 +112,17 @@ def _strong_lucas_probable_prime(n: int) -> bool:
     return False
 
 
+def _test_rounds(n: int) -> int:
+    """Strong-test rounds is_prime may take on n: the bases _MR_BASES proves
+    enough, or 5 for Baillie-PSW, whose Lucas test costs about four."""
+    return next((k for bound, k in _MR_BASES if n < bound), 5)
+
+
+@lru_cache(maxsize=32)  # an analysis tests at most about ten numbers
 def is_prime(n: int) -> bool:
     """Exact below 3.3e24 (Miller-Rabin with the fewest bases proven for n);
-    Baillie-PSW above."""
+    Baillie-PSW above.  The last 32 answers are kept, so the primes that
+    factoring or a config proved are not tested again."""
     if n < 2:
         return False
     for q in _SMALL_PRIMES:
@@ -120,9 +130,8 @@ def is_prime(n: int) -> bool:
             return n == q
     if n < 43 * 43:
         return True
-    for bound, k in _MR_BASES:
-        if n < bound:
-            return all(_strong_probable_prime(n, a) for a in _SMALL_PRIMES[:k])
+    if n < _MR_LIMIT:
+        return all(_strong_probable_prime(n, a) for a in _SMALL_PRIMES[:_test_rounds(n)])
     return _baillie_psw(n)
 
 
@@ -169,7 +178,8 @@ def _rho_factor(n: int, budget: int) -> tuple[Optional[int], int]:
 def _factorization(n: int) -> dict[int, int]:
     """{prime: exponent} for a nonzero integer n (its sign is dropped).
 
-    ValueError when rho runs past RHO_BUDGET, never a hang."""
+    ValueError when rho and the primality tests run past RHO_BUDGET, never
+    a hang."""
     if n == 0:
         raise ValueError("0 has no factorization")
     m = abs(n)
@@ -185,7 +195,11 @@ def _factorization(n: int) -> dict[int, int]:
     pending = [m] if m > 1 else []
     while pending:
         m = pending.pop()
-        if is_prime(m):
+        # a strong test of m is bit_length(m) squarings, charged like rho
+        # steps whether or not is_prime remembers m; past the budget, rho
+        # gives up at once
+        budget -= _test_rounds(m) * m.bit_length() * _rho_step_cost(m)
+        if budget >= 0 and is_prime(m):
             out[m] = out.get(m, 0) + 1
             continue
         f, budget = _rho_factor(m, budget)

@@ -27,7 +27,7 @@ from .tower import (
 from .verdicts import ConstantVerdict, DeltaVerdict
 
 # A serialized report's keys are the field names of the records below (and of
-# PrimeSite and the verdicts), in field order; see report.report_to_dict.
+# PrimeSite and the verdicts), in field order; see report.report_json.
 SCHEMA_VERSION = 1
 
 MATCH = "Match"

@@ -67,3 +67,8 @@ PARITY_CORPUS = [
     ("tw37a1.5/d7/p5", TWIST_37A1_5, 7, 5, 1, [5]),
     ("tw37a1.5/d5/p5", TWIST_37A1_5, 5, 5, 1, [5]),
 ]
+
+# The towers of the benchmark's batch and large_disc rounds, as
+# (d, p, ramified primes), n = 1: between them, sites at 2, 3, 11, 13 and at
+# p inert, ramified and split in K.
+SMALL_TOWERS = [(5, 7, [2, 3, 7, 13]), (-7, 7, [3, 7]), (-1, 5, [3, 5]), (-3, 5, [2, 5, 11])]

@@ -11,6 +11,9 @@ a quadratic character by exhaustive residue enumeration.  Primality and
 factoring are by trial division up to sqrt(n), the package's method before it
 moved to Miller-Rabin and Pollard-Brent rho.  Reduction over a ramified
 quadratic K_v is read off the reduction type of a quadratic twist over Q_ell.
+The schema-1 report dict is built the way the package built it before it
+wrote reports straight from their records: each record as a copy of its
+fields.
 """
 
 from __future__ import annotations
@@ -329,3 +332,41 @@ def character_type(z: int, ell: int, ext_kind: Optional[str],
 def gf_squares(ell: int):
     F = GF2(ell)
     return {F.mul(u, u) for u in F.elements()}
+
+
+def report_dict(rep) -> dict:
+    """Schema 1 of a ParityReport: each record as a copy of its dataclass
+    fields, in field order, a delta entry as its site then the verdict's
+    fields, the curve as its a-invariants and the tower as a config."""
+    T, sb = rep.tower, rep.selmer_bound
+    return {
+        "schema_version": 1,
+        "curve": list(rep.curve.ainvs()),
+        "tower": {
+            "d": T.K.d,
+            "p": T.p,
+            "n": T.n,
+            "ramified_sites": [dict(vars(s)) for s in sorted(
+                T.ramified_sites, key=lambda s: (s.ell, s.which))],
+            "overrides": {str(ell): {f"{name}_override": value
+                                     for name, value in vars(o).items()}
+                          for ell, o in sorted(T.overrides.items())},
+        },
+        "rows": [{**vars(r),
+                  "gamma": None if r.gamma is None else dict(vars(r.gamma)),
+                  "deltas": [{"site": dict(vars(s)), **vars(v)} for s, v in r.deltas]}
+                 for r in rep.rows],
+        "S": [dict(vars(s)) for s in rep.S],
+        "mr64_sum": rep.mr64_sum,
+        "S_frak": [dict(vars(s)) for s in rep.S_frak],
+        "S_m": [dict(vars(s)) for s in rep.S_m],
+        "hypothesis_audit": [{**vars(a), "site": dict(vars(a.site))}
+                             for a in rep.hypothesis_audit],
+        "selmer_bound": (None if sb is None
+                         else {**vars(sb), "reasons": list(sb.reasons)}),
+        "relative_parity": (None if rep.relative_parity is None
+                            else dict(rep.relative_parity)),
+        "failure": rep.failure,
+        "has_undetermined": rep.has_undetermined,
+        "notes": list(rep.notes),
+    }

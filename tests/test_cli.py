@@ -1,5 +1,6 @@
 import copy
 import json
+import resource
 from functools import cached_property
 
 import pytest
@@ -23,9 +24,9 @@ from dihedral_parity.cli import (
     run_batch,
     run_validate,
     to_json,
-    tower_to_dict,
 )
 from dihedral_parity.parity import analyze
+from dihedral_parity.report import tower_json
 from dihedral_parity.tower import QuadraticFieldSpec, SiteOverrides
 from corpus import CURVES, PARITY_CORPUS, TWIST_11A1_7, make_tower
 
@@ -335,7 +336,7 @@ ROUND_TRIP_CASES = [
 ] + [pytest.param(OVERRIDE_TOWER, id="overrides")])
 def test_a_report_tower_is_a_config(T):
     errors = []
-    assert parse_tower(tower_to_dict(T), errors) == T
+    assert parse_tower(json.loads(tower_json(T)), errors) == T
     assert errors == []
 
 
@@ -459,6 +460,8 @@ def test_quiet_builds_no_output(tmp_path, capsys, monkeypatch, fmt, strict):
     monkeypatch.setattr(cli, "to_json", forbidden)
     monkeypatch.setattr(cli, "render_text", forbidden)
     monkeypatch.setattr(cli, "report_to_dict", forbidden)
+    monkeypatch.setattr(cli, "report_json", forbidden)
+    monkeypatch.setattr(cli, "tower_json", forbidden)
     for c, code in zip(commands, loud):
         assert run_cli(capsys, [*c, "--quiet"]) == (code, "")
 
@@ -497,7 +500,7 @@ def batch_document(curves_path, config_path) -> str:
     reports = [r for _, r in results if not isinstance(r, str)]
     return to_json({
         "schema_version": 1,
-        "tower": tower_to_dict(T),
+        "tower": json.loads(tower_json(T)),
         "reports": [{"label": label, "error": r} if isinstance(r, str)
                     else {**report_to_dict(r), "label": label}
                     for label, r in results],
@@ -721,6 +724,27 @@ def test_factoring_budget_error_with_the_default_budget(tmp_path):
     disc = WeierstrassCurve(0, 0, 0, 0, HARD).discriminant()
     assert (proc.returncode, proc.stdout) == (
         EXIT_INVALID, f"error: cannot factor {disc}: beyond the factoring budget\n")
+
+
+def test_primality_of_a_long_cofactor_is_within_the_budget(tmp_path):
+    # the discriminant of [0,0,0,0,R], R the 1000-digit repunit, leaves a
+    # cofactor of about 2000 digits: its primality test alone is charged
+    # beyond the factoring budget, so analyze gives up before testing it
+    R = (10**1000 - 1) // 9
+    cfg = write_json(tmp_path / "c.json", {
+        "curve": [0, 0, 0, 0, R], "d": -1, "p": 5, "n": 1,
+        "ramified_sites": [{"ell": 11}]})
+    before = _children_cpu_s()
+    proc = run_isolated(["-m", "dihedral_parity.cli", "analyze", str(cfg)])
+    disc = WeierstrassCurve(0, 0, 0, 0, R).discriminant()
+    assert (proc.returncode, proc.stdout) == (
+        EXIT_INVALID, f"error: cannot factor {disc}: beyond the factoring budget\n")
+    assert _children_cpu_s() - before < 2  # CPU seconds: a busy machine cannot fail it
+
+
+def _children_cpu_s():
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
 
 
 def test_unfactorable_inputs_are_one_line_errors(tmp_path, capsys, monkeypatch):

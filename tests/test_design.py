@@ -4,9 +4,9 @@ Every fact the engine states is an identity between integers or rationals, so
 no module needs a float or complex constant, a tolerance parameter or
 ``cmath``; no module imports another module's private (underscore)
 helpers; the values a local fact or an override may take are stated
-once, in ``curves``; and JSON is printed by ``report.to_json``, never by an
-``indent=`` call, which would put ``json``'s pure-Python encoder back.  A
-square class of Q_ell is read only by ``localarith.local_square_class``.  The
+once, in ``curves``; and JSON is printed by ``report.to_json`` and
+``report.report_json``, never by an ``indent=`` call, which would put
+``json``'s pure-Python encoder back.  A square class of Q_ell is read only by ``localarith.local_square_class``.  The
 oracles in ``tests/oracles.py`` take only ``WeierstrassCurve`` from the
 package, so a bug in the code they check cannot move them too.
 """

@@ -338,6 +338,23 @@ def test_factoring_budget_raises_instead_of_hanging(monkeypatch):
     assert prime_factors(2 * 1009 * 1013) == [2, 1009, 1013]
 
 
+def test_primality_tests_are_charged_to_the_factoring_budget(monkeypatch):
+    # a strong test of q is bit_length(q) steps at q's step cost, once per
+    # base the table asks for (13 below 3.3e24), whether or not is_prime
+    # already holds q: the verdict never depends on what ran before
+    q = 10**24 + 7
+    cost = 13 * q.bit_length() * localarith._rho_step_cost(q)
+    assert cost == 4160
+    monkeypatch.setattr(localarith, "RHO_BUDGET", cost)
+    assert prime_factors(q) == [q]
+    monkeypatch.setattr(localarith, "RHO_BUDGET", cost - 1)
+    localarith.is_prime.cache_clear()
+    for _ in range(2):  # before and after the memo holds q
+        with pytest.raises(ValueError, match=f"^cannot factor {q}: beyond the factoring budget$"):
+            prime_factors(q)
+        assert is_prime(q)
+
+
 def test_rho_charges_each_step_by_operand_size():
     # a step costs 1 below 2^64 and the square of the length in 64-bit words
     # above, so the budget bounds work, not steps, whatever the digits

@@ -1,8 +1,10 @@
 import sys
+from collections import Counter
 
 import pytest
 
-from corpus import CURVES, PARITY_CORPUS, make_tower
+import oracles
+from corpus import CURVES, PARITY_CORPUS, SMALL_TOWERS, make_tower
 from dihedral_parity import curves, localarith
 from dihedral_parity import verdicts as V
 from dihedral_parity.delta import delta
@@ -219,3 +221,43 @@ def test_primality_is_tested_at_the_boundary_only(monkeypatch, case):
     analyze(E, T, dim_Sp_E_K=0)
     assert not [m for m, inside in calls if inside]
     assert len(calls) <= bound + len(twists), calls
+
+
+# y^2 + xy + y = x^3 + x^2 + 628x + 15249: discriminant -2^2 * 13 * 2170919741,
+# one prime in [1e9, 4e9] as in the benchmark's large-discriminant curves
+LARGE_DISC_CURVE = curves.WeierstrassCurve(1, 1, 1, 628, 15249)
+
+
+def _proofs(run) -> Counter:
+    """How often the body of is_prime runs for each n while run() runs, the
+    memo emptied first: a call the memo answers does not enter the body."""
+    body = localarith.is_prime.__wrapped__.__code__
+    counts = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is body:
+            counts[frame.f_locals["n"]] += 1
+
+    localarith.is_prime.cache_clear()
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return counts
+
+
+@pytest.mark.parametrize("E, T", [
+    pytest.param(LARGE_DISC_CURVE, make_tower(d, p, 1, rams), id=f"large-disc-d{d}-p{p}")
+    for d, p, rams in SMALL_TOWERS
+] + [
+    pytest.param(E, make_tower(d, p, n, rams), id=label)
+    for label, E, d, p, n, rams in PARITY_CORPUS
+])
+def test_each_prime_is_proven_at_most_once_per_analysis(E, T):
+    # validate_tower, split_type and minimal_model_at all test primes that
+    # factoring or the config already proved; the memo answers the repeats
+    assert oracles.factorization(LARGE_DISC_CURVE.discriminant()) == {
+        2: 2, 13: 1, 2170919741: 1}
+    counts = _proofs(lambda: analyze(E, T, dim_Sp_E_K=0))
+    assert counts and max(counts.values()) == 1, counts
