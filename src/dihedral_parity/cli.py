@@ -16,17 +16,11 @@ import re
 import sys
 from typing import Any, Optional, Union
 
+from . import report
 from .curves import DEFECTS, KV_REDUCTIONS, SingularCurveError, WeierstrassCurve
 from .localarith import is_prime
-from .parity import (
-    SCHEMA_VERSION,
-    ParityReport,
-    ParityRow,
-    SelmerBound,
-    SiteAudit,
-    analyze,
-)
-from .report import render_text, report_json, report_to_dict, to_json, tower_json
+from .parity import ParityReport, ParityRow, SelmerBound, SiteAudit, analyze
+from .report import report_to_dict  # not called here: bench/tracing.py times cli.report_to_dict
 from .tower import (
     PrimeSite,
     QuadraticFieldSpec,
@@ -334,8 +328,8 @@ def run_analyze(config_path: str, *, fmt: str = "json", strict: bool = False,
         _emit(f"error: {exc}\n", quiet)
         return EXIT_INVALID
     if not quiet:
-        sys.stdout.write(report_json(rep) + "\n" if fmt == "json"
-                         else render_text(report_to_dict(rep)))
+        sys.stdout.write(report.report_json(rep) + "\n" if fmt == "json"
+                         else report.render_text(rep))
     if rep.failure:
         return EXIT_FAILURE
     if strict and rep.has_undetermined:
@@ -353,14 +347,8 @@ def run_validate(config_path: str, *, fmt: str = "json",
         return EXIT_INVALID
     violations = validate_tower(T)
     if not quiet:
-        if fmt == "json":
-            sys.stdout.write(to_json({
-                "schema_version": SCHEMA_VERSION,
-                "valid": not violations,
-                "violations": [dict(vars(v)) for v in violations],
-            }) + "\n")
-        else:
-            sys.stdout.write("".join(f"{v}\n" for v in violations) or "valid\n")
+        sys.stdout.write(report.validation_json(violations) + "\n" if fmt == "json"
+                         else "".join(f"{v}\n" for v in violations) or "valid\n")
     return EXIT_INVALID if violations else EXIT_OK
 
 
@@ -377,11 +365,11 @@ def run_batch(curves_path: str, config_path: str, *, fmt: str = "json",
               strict: bool = False, quiet: bool = False, jobs: int = 1) -> int:
     """Analyze every curve of the CSV in one tower, in input order.
 
-    Each row's report is written by ``report_json`` as soon as it is
+    Each row's report is written by ``report.batch_entry`` as soon as it is
     analyzed, and only the summary counts are kept across rows; the JSON is
-    the bytes of ``to_json`` of the whole document.  ``jobs`` is accepted
-    for compatibility and ignored: the analysis is CPU-bound pure Python, so
-    worker threads gave no speed-up.
+    the bytes of ``json.dumps`` of the whole document with ``indent=2``.
+    ``jobs`` is accepted for compatibility and ignored: the analysis is
+    CPU-bound pure Python, so worker threads gave no speed-up.
     """
     try:
         raw = load_config(config_path)
@@ -398,10 +386,8 @@ def run_batch(curves_path: str, config_path: str, *, fmt: str = "json",
     errors = list(row_errors)
     summary = dict.fromkeys(("curves", "row_errors", "failures", "undetermined", "clean"), 0)
     if as_json and not quiet:
-        write(f'{{\n  "schema_version": {SCHEMA_VERSION},\n  "tower": '
-              f'{tower_json(T)},\n  "reports": ')
-    head = "[\n    "
-    for label, E in rows:
+        write(report.batch_head(T))
+    for i, (label, E) in enumerate(rows):
         rep = _analyze_one(E, T, dim)
         if isinstance(rep, str):
             errors.append(f"{label}: {rep}")
@@ -412,16 +398,13 @@ def run_batch(curves_path: str, config_path: str, *, fmt: str = "json",
         if quiet:
             continue
         if as_json:
-            write(head + (to_json({"label": label, "error": rep}, 2) if isinstance(rep, str)
-                          else report_json(rep, 2, label)))
-            head = ",\n    "
+            write(report.batch_entry(i, label, rep))
         else:
             write(f"== {label}: ERROR {rep}\n" if isinstance(rep, str)
-                  else f"== {label}\n" + render_text(report_to_dict(rep)))
+                  else f"== {label}\n" + report.render_text(rep))
     summary["curves"], summary["row_errors"] = len(rows), len(errors)
     if not quiet and as_json:
-        write(("\n  ]" if rows else "[]") + ',\n  "errors": ' + to_json(errors, 1)
-              + ',\n  "summary": ' + to_json(summary, 1) + "\n}\n")
+        write(report.batch_tail(len(rows), errors, summary) + "\n")
     elif not quiet:  # the CSV row errors: an analysis error was written with its row
         write("".join(f"error: {e}\n" for e in row_errors)
               + "summary: " + json.dumps(summary) + "\n")

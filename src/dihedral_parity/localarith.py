@@ -204,7 +204,11 @@ def _factorization(n: int) -> dict[int, int]:
             continue
         f, budget = _rho_factor(m, budget)
         if f is None:
-            raise ValueError(f"cannot factor {n}: beyond the factoring budget")
+            try:
+                shown = str(n)
+            except ValueError:  # more digits than Python prints
+                shown = f"a {abs(n).bit_length()}-bit integer"
+            raise ValueError(f"cannot factor {shown}: beyond the factoring budget")
         pending += [f, m // f]
     return dict(sorted(out.items()))
 

@@ -1,5 +1,6 @@
-"""Reports as text: the schema-1 JSON of a ``ParityReport``, written in one
-pass from its records, its dict, and its text table.  The inverse,
+"""Reports as text: every JSON document the command line prints (a report,
+its tower, a ``batch`` or ``validate`` document), written in one pass from
+its records; a report's dict; and its text table.  The inverse,
 ``cli.report_from_dict``, rebuilds the tower with the config parser.
 """
 
@@ -8,10 +9,11 @@ from __future__ import annotations
 import json
 from dataclasses import fields
 from json.encoder import encode_basestring_ascii
-from typing import Any, Optional
+from typing import Any, Optional, Sequence, Union
 
+from .curves import SiteOverrides
 from .parity import SCHEMA_VERSION, ParityReport, ParityRow, SelmerBound, SiteAudit
-from .tower import PrimeSite, TowerSpec
+from .tower import PrimeSite, TowerSpec, Violation
 from .verdicts import ConstantVerdict, DeltaVerdict
 
 
@@ -21,10 +23,12 @@ def report_to_dict(rep: ParityReport) -> dict:
     return json.loads(report_json(rep))
 
 
+_str = encode_basestring_ascii
+
 # The text of a JSON scalar, keyed on its exact type: a subclass (an IntEnum,
 # a str subclass) is not guessed at, and a float is not a value of schema 1.
 _SCALAR_TEXT = {
-    str: encode_basestring_ascii,
+    str: _str,
     int: int.__repr__,
     bool: ("false", "true").__getitem__,
     type(None): "null".format,
@@ -38,20 +42,21 @@ def _scalar(value: Any) -> str:
     return text(value)
 
 
-def _object(keys: tuple[str, ...], depth: int) -> str:
-    """The %-template of a JSON object with these keys, depth brackets deep in
-    a report written at level 0: a %s for each value's text."""
-    inner = "\n" + "  " * (depth + 1)
-    return ("{" + ",".join(f"{inner}{encode_basestring_ascii(k)}: %s" for k in keys)
-            + "\n" + "  " * depth + "}")
-
-
-def _array(items: list[str], depth: int) -> str:
-    """The text of a JSON list of item texts, depth brackets deep."""
+def _array(items: list[str], depth: int, brackets: str = "[]") -> str:
+    """Item texts between brackets, depth brackets deep in a document written
+    at level 0: one item per line, or nothing between empty brackets."""
     if not items:
-        return "[]"
+        return brackets
     inner = "\n" + "  " * (depth + 1)
-    return "[" + inner + ("," + inner).join(items) + "\n" + "  " * depth + "]"
+    return (brackets[0] + inner + ("," + inner).join(items)
+            + "\n" + "  " * depth + brackets[1])
+
+
+def _object(keys: Sequence[str], depth: int, values: Optional[Sequence[str]] = None) -> str:
+    """A JSON object with these keys and value texts; without values, its
+    %-template, with a %s for each value's text."""
+    values = ["%s"] * len(keys) if values is None else values
+    return _array([f"{_str(k)}: {v}" for k, v in zip(keys, values)], depth, "{}")
 
 
 def _names(cls: type) -> tuple[str, ...]:
@@ -61,7 +66,7 @@ def _names(cls: type) -> tuple[str, ...]:
 # A record's keys are its fields in order (a delta entry is its site, then
 # the verdict's fields), so renaming or reordering a field changes the
 # schema; each writer below fills in its record's fields in that order.  A
-# record sits at the same depth in every report.
+# record sits at the same depth in every document.
 _SITE = {depth: _object(_names(PrimeSite), depth) for depth in (2, 3, 5)}
 _GAMMA = _object(_names(ConstantVerdict), 3)
 _DELTA = _object(("site", *_names(DeltaVerdict)), 4)
@@ -71,7 +76,17 @@ _BOUND = _object(_names(SelmerBound), 1)
 *_BODY, _NOTES = _names(ParityReport)  # the two flags go before the notes
 _KEYS = ("schema_version", *_BODY, "failure", "has_undetermined", _NOTES)
 _REPORT, _LABELLED = _object(_KEYS, 0), _object((*_KEYS, "label"), 0)
-_str = encode_basestring_ascii
+_ERROR = _object(("label", "error"), 2)
+_VIOLATION = _object(_names(Violation), 2)
+_VALIDATION = _object(("schema_version", "valid", "violations"), 0)
+# a batch document is streamed: a head, its reports one by one, a tail
+_BATCH = _object(("schema_version", "tower", "reports", "errors", "summary"), 0).split("%s")
+_BATCH_HEAD, _BATCH_TAIL = "%s".join(_BATCH[:3]), "%s".join(_BATCH[3:])
+
+
+def _fill(template: str, record: Any) -> str:
+    """The template of a record filled with all its fields, in order."""
+    return template % tuple(map(_scalar, vars(record).values()))
 
 
 def _site(s: PrimeSite, depth: int) -> str:
@@ -104,6 +119,7 @@ def _bound(b: SelmerBound) -> str:
 
 
 _TOWER = _object(("d", "p", "n", "ramified_sites", "overrides"), 1)
+_OVERRIDE = _object(tuple(f"{name}_override" for name in _names(SiteOverrides)), 3)
 
 
 def tower_json(T: TowerSpec) -> str:
@@ -111,34 +127,31 @@ def tower_json(T: TowerSpec) -> str:
     suffixed ``_override``, so that it is itself a valid config: the text
     one bracket deep, where it sits in a report and in a batch document."""
     sites = sorted(T.ramified_sites, key=lambda s: (s.ell, s.which))
+    overrides = sorted(T.overrides.items())
     return _TOWER % (_scalar(T.K.d), _scalar(T.p), _scalar(T.n),
                      _array([_site(s, 3) for s in sites], 2),
-                     to_json({str(ell): {f"{name}_override": value
-                                         for name, value in vars(o).items()}
-                              for ell, o in sorted(T.overrides.items())}, 2))
-
-
-def _sites(sites: list[PrimeSite]) -> str:
-    return _array([_site(s, 2) for s in sites], 1)
+                     _object([str(ell) for ell, _ in overrides], 2,
+                             [_fill(_OVERRIDE, o) for _, o in overrides]))
 
 
 def report_json(rep: ParityReport, level: int = 0, label: Optional[str] = None) -> str:
-    """``to_json(report dict, level)`` of schema 1, with a last key ``label``
-    unless label is None, written in one pass from the records.  The text is
-    built at level 0 and re-indented once: no string value holds a raw line
-    break, as ``encode_basestring_ascii`` escapes it."""
+    """Schema 1 of a report as an item level brackets deep, with a last key
+    ``label`` unless label is None, written in one pass from the records.
+    The text is built at level 0 and re-indented once: no string value holds
+    a raw line break, as ``encode_basestring_ascii`` escapes it."""
+    rel = rep.relative_parity
     values = (
         _scalar(SCHEMA_VERSION),
         _array(list(map(_scalar, rep.curve.ainvs())), 1),
         tower_json(rep.tower),
         _array(list(map(_row, rep.rows)), 1),
-        _sites(rep.S),
+        _array([_site(s, 2) for s in rep.S], 1),
         _scalar(rep.mr64_sum),
-        _sites(rep.S_frak),
-        _sites(rep.S_m),
+        _array([_site(s, 2) for s in rep.S_frak], 1),
+        _array([_site(s, 2) for s in rep.S_m], 1),
         _array(list(map(_audit, rep.hypothesis_audit)), 1),
         "null" if rep.selmer_bound is None else _bound(rep.selmer_bound),
-        to_json(rep.relative_parity, 1),
+        "null" if rel is None else _object(list(rel), 1, list(map(_scalar, rel.values()))),
         _scalar(rep.failure),
         _scalar(rep.has_undetermined),
         _array(list(map(_str, rep.notes)), 1),
@@ -147,82 +160,55 @@ def report_json(rep: ParityReport, level: int = 0, label: Optional[str] = None) 
     return text.replace("\n", "\n" + "  " * level) if level else text
 
 
-def to_json(obj: Any, level: int = 0) -> str:
-    """``json.dumps(obj, indent=2)``, byte for byte, for dicts with string
-    keys, lists, tuples, strings, ints, booleans and None; any other type
-    raises TypeError.  At level k > 0 it is the text of obj as an item k
-    brackets deep in such a document.  With ``indent`` set, ``json.dumps``
-    runs its pure-Python encoder; this writer appends one string per item
-    instead."""
-    out: list[str] = []
-    _write_json(obj, "\n" + "  " * level, out)
-    return "".join(out)
+def validation_json(violations: list[Violation]) -> str:
+    """The ``validate`` document: whether the tower is valid, and why not."""
+    return _VALIDATION % (_scalar(SCHEMA_VERSION), _scalar(not violations),
+                          _array([_fill(_VIOLATION, v) for v in violations], 1))
 
 
-def _write_json(obj: Any, nl: str, out: list) -> None:
-    """Append the text of obj to out; nl is the line break before its closing
-    bracket, and each item goes on a line break nl + two spaces."""
-    kind = type(obj)
-    if kind is dict:
-        if not obj:
-            out.append("{}")
-            return
-        inner = nl + "  "
-        head, sep = "{" + inner, "," + inner
-        for key, value in obj.items():
-            text = _SCALAR_TEXT.get(type(value))
-            if text is None:
-                out.append(head + encode_basestring_ascii(key) + ": ")
-                _write_json(value, inner, out)
-            else:
-                out.append(head + encode_basestring_ascii(key) + ": " + text(value))
-            head = sep
-        out.append(nl + "}")
-    elif kind is list or kind is tuple:
-        if not obj:
-            out.append("[]")
-            return
-        inner = nl + "  "
-        head, sep = "[" + inner, "," + inner
-        for value in obj:
-            text = _SCALAR_TEXT.get(type(value))
-            if text is None:
-                out.append(head)
-                _write_json(value, inner, out)
-            else:
-                out.append(head + text(value))
-            head = sep
-        out.append(nl + "]")
-    else:
-        out.append(_scalar(obj))
+def batch_head(T: TowerSpec) -> str:
+    """A ``batch`` document up to its list of reports."""
+    return _BATCH_HEAD % (_scalar(SCHEMA_VERSION), tower_json(T))
+
+
+def batch_entry(index: int, label: str, result: Union[ParityReport, str]) -> str:
+    """Item index of a ``batch`` document's reports, with the bracket or
+    comma before it: a labelled report, or the label and its error text."""
+    text = (_ERROR % (_str(label), _str(result)) if isinstance(result, str)
+            else report_json(result, 2, label))
+    return ("[" if index == 0 else ",") + "\n    " + text
+
+
+def batch_tail(entries: int, errors: list[str], summary: dict[str, int]) -> str:
+    """The rest of a ``batch`` document after that many entries."""
+    return (("\n  ]" if entries else "[]") + _BATCH_TAIL % (
+        _array(list(map(_str, errors)), 1),
+        _object(list(summary), 1, list(map(_scalar, summary.values())))))
 
 
 def _fmt_value(v: Optional[int]) -> str:
     return "?" if v is None else str(v)
 
 
-def render_text(d: dict) -> str:
-    lines = []
-    a = d["curve"]
-    tw = d["tower"]
-    lines.append(f"curve [{','.join(map(str, a))}]  "
-                 f"K = Q(sqrt {tw['d']}), p = {tw['p']}, n = {tw['n']}")
-    lines.append(f"{'place':>8}  {'gamma':>5}  {'sum delta':>9}  status")
-    for r in d["rows"]:
-        g = r["gamma"]
-        gval = "-" if g is None else _fmt_value(g["value"])
-        lines.append(f"{str(r['place']):>8}  {gval:>5}  "
-                     f"{_fmt_value(r['delta_sum']):>9}  {r['status']}")
-    lines.append(f"mr64_sum = {_fmt_value(d['mr64_sum'])}   "
-                 f"|S_frak| = {len(d['S_frak'])}   |S_m| = {len(d['S_m'])}")
-    sb = d["selmer_bound"]
+def render_text(rep: ParityReport) -> str:
+    """The report as a table: one line per row, then the aggregates."""
+    T, sb = rep.tower, rep.selmer_bound
+    lines = [f"curve [{','.join(map(str, rep.curve.ainvs()))}]  "
+             f"K = Q(sqrt {T.K.d}), p = {T.p}, n = {T.n}",
+             f"{'place':>8}  {'gamma':>5}  {'sum delta':>9}  status"]
+    for r in rep.rows:
+        gval = "-" if r.gamma is None else _fmt_value(r.gamma.value)
+        lines.append(f"{str(r.place):>8}  {gval:>5}  "
+                     f"{_fmt_value(r.delta_sum):>9}  {r.status}")
+    lines.append(f"mr64_sum = {_fmt_value(rep.mr64_sum)}   "
+                 f"|S_frak| = {len(rep.S_frak)}   |S_m| = {len(rep.S_m)}")
     if sb is not None:
-        if sb["applicable"]:
-            lines.append(f"Selmer growth bound: dim S_p(E/F) >= {sb['bound']}")
+        if sb.applicable:
+            lines.append(f"Selmer growth bound: dim S_p(E/F) >= {sb.bound}")
         else:
             lines.append("Selmer growth bound: not applicable ("
-                         + "; ".join(sb["reasons"]) + ")")
-    if d["failure"]:
+                         + "; ".join(sb.reasons) + ")")
+    if rep.failure:
         lines.append("FAILURE: parity mismatch at a determined row "
                      "(implementation bug, not arithmetic)")
     return "\n".join(lines) + "\n"

@@ -13,7 +13,8 @@ moved to Miller-Rabin and Pollard-Brent rho.  Reduction over a ramified
 quadratic K_v is read off the reduction type of a quadratic twist over Q_ell.
 The schema-1 report dict is built the way the package built it before it
 wrote reports straight from their records: each record as a copy of its
-fields.
+fields; and the text table is rendered from that dict, as the package did
+before it read the report itself.
 """
 
 from __future__ import annotations
@@ -370,3 +371,36 @@ def report_dict(rep) -> dict:
         "has_undetermined": rep.has_undetermined,
         "notes": list(rep.notes),
     }
+
+
+def _fmt_value(v: Optional[int]) -> str:
+    return "?" if v is None else str(v)
+
+
+def render_text(d: dict) -> str:
+    """The text table of a schema-1 report dict, as the package rendered it
+    when ``--format text`` read the report back from its JSON."""
+    lines = []
+    a = d["curve"]
+    tw = d["tower"]
+    lines.append(f"curve [{','.join(map(str, a))}]  "
+                 f"K = Q(sqrt {tw['d']}), p = {tw['p']}, n = {tw['n']}")
+    lines.append(f"{'place':>8}  {'gamma':>5}  {'sum delta':>9}  status")
+    for r in d["rows"]:
+        g = r["gamma"]
+        gval = "-" if g is None else _fmt_value(g["value"])
+        lines.append(f"{str(r['place']):>8}  {gval:>5}  "
+                     f"{_fmt_value(r['delta_sum']):>9}  {r['status']}")
+    lines.append(f"mr64_sum = {_fmt_value(d['mr64_sum'])}   "
+                 f"|S_frak| = {len(d['S_frak'])}   |S_m| = {len(d['S_m'])}")
+    sb = d["selmer_bound"]
+    if sb is not None:
+        if sb["applicable"]:
+            lines.append(f"Selmer growth bound: dim S_p(E/F) >= {sb['bound']}")
+        else:
+            lines.append("Selmer growth bound: not applicable ("
+                         + "; ".join(sb["reasons"]) + ")")
+    if d["failure"]:
+        lines.append("FAILURE: parity mismatch at a determined row "
+                     "(implementation bug, not arithmetic)")
+    return "\n".join(lines) + "\n"

@@ -4,8 +4,6 @@ import resource
 from functools import cached_property
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from conftest import run_isolated, write_json
 from dihedral_parity import cli, localarith, tower
@@ -23,7 +21,6 @@ from dihedral_parity.cli import (
     run_analyze,
     run_batch,
     run_validate,
-    to_json,
 )
 from dihedral_parity.parity import analyze
 from dihedral_parity.report import tower_json
@@ -149,35 +146,6 @@ def test_overrides_parsed(tmp_path, capsys):
     assert code == EXIT_INVALID
     assert out == ("overrides.3.reduction_over_Kv_override: "
                    "unknown value 'bogus'\n")
-
-
-# Text with non-ASCII, control and lone surrogate characters, which the
-# writer must escape exactly as json.dumps does.
-JSON_TEXT = st.text(st.characters(exclude_categories=())
-                    | st.sampled_from('\ud800\udfff\x00\x1f\x7f"\\/\u00e9\u2028'),
-                    max_size=8)
-JSON_SCALARS = (st.none() | st.booleans() | JSON_TEXT
-                | st.integers(min_value=-2**80, max_value=2**80))
-JSON_VALUES = st.recursive(
-    JSON_SCALARS,
-    lambda inner: (st.lists(inner, max_size=4)
-                   | st.lists(inner, max_size=4).map(tuple)
-                   | st.dictionaries(JSON_TEXT, inner, max_size=4)),
-    max_leaves=30)
-
-
-@settings(max_examples=300, deadline=None)
-@given(JSON_VALUES)
-def test_to_json_matches_json_dumps_indent_2(value):
-    assert to_json(value) == json.dumps(value, indent=2)
-
-
-@pytest.mark.parametrize("value", [
-    1.5, {1, 2}, object(), [0, 2.0], {"a": {"b": frozenset()}}, {3: "key"}],
-    ids=["float", "set", "object", "nested-float", "nested-frozenset", "int-key"])
-def test_to_json_rejects_other_types(value):
-    with pytest.raises(TypeError):
-        to_json(value)
 
 
 def test_analyze_error_is_one_line(tmp_path, capsys):
@@ -457,11 +425,10 @@ def test_quiet_builds_no_output(tmp_path, capsys, monkeypatch, fmt, strict):
     def forbidden(*args):
         raise AssertionError("output formatted under --quiet")
 
-    monkeypatch.setattr(cli, "to_json", forbidden)
-    monkeypatch.setattr(cli, "render_text", forbidden)
+    for writer in ("report_json", "tower_json", "validation_json", "batch_head",
+                   "batch_entry", "batch_tail", "render_text", "report_to_dict"):
+        monkeypatch.setattr(cli.report, writer, forbidden)
     monkeypatch.setattr(cli, "report_to_dict", forbidden)
-    monkeypatch.setattr(cli, "report_json", forbidden)
-    monkeypatch.setattr(cli, "tower_json", forbidden)
     for c, code in zip(commands, loud):
         assert run_cli(capsys, [*c, "--quiet"]) == (code, "")
 
@@ -498,7 +465,7 @@ def batch_document(curves_path, config_path) -> str:
         except Exception as exc:
             results.append((label, f"{type(exc).__name__}: {exc}"))
     reports = [r for _, r in results if not isinstance(r, str)]
-    return to_json({
+    return json.dumps({
         "schema_version": 1,
         "tower": json.loads(tower_json(T)),
         "reports": [{"label": label, "error": r} if isinstance(r, str)
@@ -513,7 +480,7 @@ def batch_document(curves_path, config_path) -> str:
             "undetermined": sum(r.has_undetermined for r in reports),
             "clean": sum(not (r.failure or r.has_undetermined) for r in reports),
         },
-    }) + "\n"
+    }, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("rows, tower", [
@@ -740,6 +707,22 @@ def test_primality_of_a_long_cofactor_is_within_the_budget(tmp_path):
     assert (proc.returncode, proc.stdout) == (
         EXIT_INVALID, f"error: cannot factor {disc}: beyond the factoring budget\n")
     assert _children_cpu_s() - before < 2  # CPU seconds: a busy machine cannot fail it
+
+
+def test_an_unprintable_number_is_named_by_its_size(tmp_path):
+    # R, the 4299-digit repunit, is a valid CSV coefficient, but the
+    # discriminant of [0,0,0,0,R] has about 8600 digits, more than str() prints
+    R = (10**4299 - 1) // 9
+    curves = tmp_path / "big.csv"
+    curves.write_text(CSV_HEADER + f"big,0,0,0,0,{R}\n", encoding="utf-8")
+    cfg = write_json(tmp_path / "tower.json", FLAGSHIP_TOWER)
+    proc = run_isolated(["-m", "dihedral_parity.cli", "batch", str(curves), str(cfg)])
+    bits = abs(WeierstrassCurve(0, 0, 0, 0, R).discriminant()).bit_length()
+    error = f"ValueError: cannot factor a {bits}-bit integer: beyond the factoring budget"
+    payload = json.loads(proc.stdout)
+    assert proc.returncode == EXIT_OK
+    assert payload["reports"] == [{"label": "big", "error": error}]
+    assert payload["errors"] == [f"big: {error}"]
 
 
 def _children_cpu_s():

@@ -4,9 +4,10 @@ Every fact the engine states is an identity between integers or rationals, so
 no module needs a float or complex constant, a tolerance parameter or
 ``cmath``; no module imports another module's private (underscore)
 helpers; the values a local fact or an override may take are stated
-once, in ``curves``; and JSON is printed by ``report.to_json`` and
-``report.report_json``, never by an ``indent=`` call, which would put
-``json``'s pure-Python encoder back.  A square class of Q_ell is read only by ``localarith.local_square_class``.  The
+once, in ``curves``; and every JSON document is written from the record
+templates in ``report``, never by an ``indent=`` call, which would put
+``json``'s pure-Python encoder back, and ``cli`` spells out no JSON
+bracket.  A square class of Q_ell is read only by ``localarith.local_square_class``.  The
 oracles in ``tests/oracles.py`` take only ``WeierstrassCurve`` from the
 package, so a bug in the code they check cannot move them too.
 """
@@ -75,7 +76,14 @@ def test_no_indent_keyword(path):
     bad = [node.lineno for node in ast.walk(_tree(path))
            if isinstance(node, ast.Call)
            and any(kw.arg == "indent" for kw in node.keywords)]
-    assert not bad, f"{path.name}: indent= call at lines {bad}; use report.to_json"
+    assert not bad, f"{path.name}: indent= call at lines {bad}; write JSON in report.py"
+
+
+def test_cli_writes_no_json_bracket():
+    bad = [node.lineno for node in ast.walk(_tree(SRC / "cli.py"))
+           if isinstance(node, ast.Constant) and isinstance(node.value, str)
+           and ("{\n" in node.value or "[\n" in node.value)]
+    assert not bad, f"cli.py opens a JSON bracket at lines {bad}; write JSON in report.py"
 
 
 def test_oracles_take_only_the_curve_from_the_package():

@@ -1,15 +1,20 @@
-"""The one-pass report writer, ``report.report_json``, against its oracle.
+"""The one-pass report writer, ``report.report_json``, and the text table,
+``report.render_text``, against their oracles.
 
-The oracle is ``oracles.report_dict``, the dict the package printed through
-``to_json`` before it wrote reports straight from their records: the two
-must agree byte for byte at every level, with and without a label.  Each
-record's keys are its dataclass fields in order, and each writer in
-``report.py`` fills its template in that order.
+The oracle of the JSON is ``json.dumps(..., indent=2)`` of
+``oracles.report_dict``, the dict the package printed before it wrote
+reports straight from their records: the two must agree byte for byte at
+every level, with and without a label.  The oracle of the table is
+``oracles.render_text`` of that dict.  Each record's keys are its dataclass
+fields in order, each writer in ``report.py`` fills its template in that
+order, and a value of a type that schema 1 has no place for (a float, an
+``int`` subclass) raises ``TypeError``.
 """
 
 import ast
 import json
-from dataclasses import fields
+from dataclasses import fields, replace
+from enum import IntEnum
 from pathlib import Path
 
 import pytest
@@ -20,10 +25,18 @@ import oracles
 from corpus import PARITY_CORPUS, SMALL_TOWERS, make_tower
 from dihedral_parity import report
 from dihedral_parity.curves import SingularCurveError, WeierstrassCurve
-from dihedral_parity.parity import ParityReport, ParityRow, SelmerBound, SiteAudit, analyze
-from dihedral_parity.report import report_json, report_to_dict, to_json
-from dihedral_parity.tower import PrimeSite
+from dihedral_parity.parity import (
+    MISMATCH,
+    ParityReport,
+    ParityRow,
+    SelmerBound,
+    SiteAudit,
+    analyze,
+)
+from dihedral_parity.report import render_text, report_json, report_to_dict
+from dihedral_parity.tower import PrimeSite, SiteOverrides
 from dihedral_parity.verdicts import ConstantVerdict, DeltaVerdict
+
 
 def _names(cls):
     return [f.name for f in fields(cls)]
@@ -31,7 +44,12 @@ def _names(cls):
 
 def _oracle_text(rep, level, label):
     d = oracles.report_dict(rep)
-    return to_json(d if label is None else {**d, "label": label}, level)
+    text = json.dumps(d if label is None else {**d, "label": label}, indent=2)
+    return text.replace("\n", "\n" + "  " * level)
+
+
+def _oracle_table(rep):
+    return oracles.render_text(oracles.report_dict(rep))
 
 
 def _curve(ainvs):
@@ -62,6 +80,51 @@ def test_report_json_matches_the_oracle_on_the_corpus(case):
         for level, name in ((0, None), (2, label), (1, "a\n\"b\"é")):
             assert report_json(rep, level, name) == _oracle_text(rep, level, name)
         assert report_to_dict(rep) == oracles.report_dict(rep)
+
+
+@settings(max_examples=60, deadline=None)
+@given(SMALL_CURVES, st.sampled_from(SMALL_TOWERS), st.sampled_from([None, 0, 1]))
+def test_render_text_matches_the_oracle_on_small_curves(E, tower, dim):
+    d, p, rams = tower
+    rep = analyze(E, make_tower(d, p, 1, rams), dim_Sp_E_K=dim)
+    assert render_text(rep) == _oracle_table(rep)
+
+
+@pytest.mark.parametrize("case", PARITY_CORPUS, ids=lambda c: c[0])
+def test_render_text_matches_the_oracle_on_the_corpus(case):
+    label, E, d, p, n, rams = case
+    for dim in (None, 0, 1):
+        rep = analyze(E, make_tower(d, p, n, rams), dim_Sp_E_K=dim)
+        assert render_text(rep) == _oracle_table(rep)
+    # a Mismatch row is a bug that no input reaches, so the FAILURE line is
+    # checked on a report with one row's status replaced
+    failed = replace(rep, rows=[replace(rep.rows[0], status=MISMATCH), *rep.rows[1:]])
+    assert failed.failure and render_text(failed) == _oracle_table(failed)
+
+
+class Bit(IntEnum):
+    ONE = 1
+
+
+FLAGSHIP = (WeierstrassCurve(0, -1, 1, -10, -20), make_tower(-1, 5, 1, [11]))
+
+
+def _gamma_as_float(rep):
+    row = next(r for r in rep.rows if r.gamma is not None and r.gamma.value == 1)
+    gamma = replace(row.gamma, value=1.0)  # 1.0 == 1, so the verdict accepts it
+    return replace(rep, rows=[replace(r, gamma=gamma) if r is row else r for r in rep.rows])
+
+
+@pytest.mark.parametrize("spoil", [
+    _gamma_as_float,
+    lambda rep: replace(rep, tower=replace(rep.tower, overrides={13: SiteOverrides(defect=2.0)})),
+    lambda rep: replace(rep, mr64_sum=Bit.ONE),
+], ids=["float-gamma", "float-override", "int-subclass"])
+def test_report_json_rejects_values_outside_schema_1(spoil):
+    E, T = FLAGSHIP
+    rep = spoil(analyze(E, T, dim_Sp_E_K=0))
+    with pytest.raises(TypeError):
+        report_json(rep)
 
 
 def _pairs(text):
