@@ -19,17 +19,9 @@ from typing import Any, Optional, Union
 from . import report
 from .curves import DEFECTS, KV_REDUCTIONS, SingularCurveError, WeierstrassCurve
 from .localarith import is_prime
-from .parity import ParityReport, ParityRow, SelmerBound, SiteAudit, analyze
+from .parity import ParityReport, analyze
 from .report import report_to_dict  # not called here: bench/tracing.py times cli.report_to_dict
-from .tower import (
-    PrimeSite,
-    QuadraticFieldSpec,
-    SiteOverrides,
-    TowerSpec,
-    sites_above,
-    validate_tower,
-)
-from .verdicts import ConstantVerdict, DeltaVerdict
+from .tower import QuadraticFieldSpec, SiteOverrides, TowerSpec, sites_above
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -224,42 +216,6 @@ def parse_config(raw: dict, *, need_curve: bool = True):
 
 
 # ---------------------------------------------------------------------------
-# report parsing
-
-
-def report_from_dict(d: dict) -> ParityReport:
-    """Inverse of report_to_dict: each record is rebuilt from its fields, and
-    the tower, which is a valid config, by parse_tower."""
-    errors: list[str] = []
-    T = parse_tower(d["tower"], errors)
-    if errors:
-        raise ValueError("; ".join(errors))
-    sb, rel = d["selmer_bound"], d["relative_parity"]
-    rows = [ParityRow(**{
-        **r,
-        "gamma": None if r["gamma"] is None else ConstantVerdict(**r["gamma"]),
-        "deltas": tuple((PrimeSite(**e["site"]),
-                         DeltaVerdict(**{k: v for k, v in e.items() if k != "site"}))
-                        for e in r["deltas"])})
-        for r in d["rows"]]
-    return ParityReport(
-        curve=WeierstrassCurve(*d["curve"]),
-        tower=T,
-        rows=rows,
-        S=[PrimeSite(**s) for s in d["S"]],
-        mr64_sum=d["mr64_sum"],
-        S_frak=[PrimeSite(**s) for s in d["S_frak"]],
-        S_m=[PrimeSite(**s) for s in d["S_m"]],
-        hypothesis_audit=[SiteAudit(**{**a, "site": PrimeSite(**a["site"])})
-                          for a in d["hypothesis_audit"]],
-        selmer_bound=None if sb is None else SelmerBound(
-            **{**sb, "reasons": tuple(sb["reasons"])}),
-        relative_parity=None if rel is None else dict(rel),
-        notes=list(d["notes"]),
-    )
-
-
-# ---------------------------------------------------------------------------
 # curve CSV
 
 
@@ -318,7 +274,7 @@ def run_analyze(config_path: str, *, fmt: str = "json", strict: bool = False,
     except ConfigError as exc:
         _emit("\n".join(exc.messages) + "\n", quiet)
         return EXIT_INVALID
-    violations = validate_tower(T)
+    violations = T.violations
     if violations:
         _emit("".join(f"{v}\n" for v in violations), quiet)
         return EXIT_INVALID
@@ -345,7 +301,7 @@ def run_validate(config_path: str, *, fmt: str = "json",
     except ConfigError as exc:
         _emit("\n".join(exc.messages) + "\n", quiet)
         return EXIT_INVALID
-    violations = validate_tower(T)
+    violations = T.violations
     if not quiet:
         sys.stdout.write(report.validation_json(violations) + "\n" if fmt == "json"
                          else "".join(f"{v}\n" for v in violations) or "valid\n")
@@ -378,7 +334,7 @@ def run_batch(curves_path: str, config_path: str, *, fmt: str = "json",
     except ConfigError as exc:
         _emit("\n".join(exc.messages) + "\n", quiet)
         return EXIT_INVALID
-    violations = validate_tower(T)
+    violations = T.violations
     if violations:
         _emit("".join(f"{v}\n" for v in violations), quiet)
         return EXIT_INVALID
@@ -392,9 +348,10 @@ def run_batch(curves_path: str, config_path: str, *, fmt: str = "json",
         if isinstance(rep, str):
             errors.append(f"{label}: {rep}")
         else:
-            summary["failures"] += rep.failure
-            summary["undetermined"] += rep.has_undetermined
-            summary["clean"] += not (rep.failure or rep.has_undetermined)
+            failure, undetermined = rep.failure, rep.has_undetermined
+            summary["failures"] += failure
+            summary["undetermined"] += undetermined
+            summary["clean"] += not (failure or undetermined)
         if quiet:
             continue
         if as_json:

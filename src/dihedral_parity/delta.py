@@ -10,6 +10,7 @@ one known theorem.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Optional
 
 from . import verdicts as V
@@ -18,42 +19,51 @@ from .localarith import UnramifiedQuadratic
 from .tower import SPLIT, PrimeSite, TowerSpec, check_tower, local_data
 from .verdicts import DeltaVerdict
 
-CITATIONS = {
-    V.PAIR_CANCELS: (
-        "v and v^c are swapped by conjugation: delta_v = delta_{v^c} "
-        "(Mazur-Rubin Lemma 5.1), so the pair sum is 0"),
-    V.SPLITS_COMPLETELY: (
-        "v = v^c unramified in the cyclic layer splits completely there "
-        "(Mazur-Rubin Lemma 6.5), the local norm map is surjective and delta_v = 0"),
-    V.GOOD_NOT_P: (
-        "good reduction over K_v away from p: delta_v = 0 "
-        "(Mazur-Rubin Theorems 5.6 and 6.6)"),
-    V.GOOD_ORDINARY_P: (
-        "good ordinary reduction at a site above p: delta_v = 0 "
-        "(Mazur-Rubin Theorem 6.7)"),
-    V.GOOD_SUPERSINGULAR_MR57: (
-        "good supersingular reduction with the curve defined over Q_p and K_v "
-        "containing the unramified quadratic extension: delta_v = 0 "
-        "(Mazur-Rubin Theorem 5.7)"),
-    V.POT_MULT_SPLIT: (
-        "potentially multiplicative, split multiplicative over K_v: delta_v = 1 "
-        "(norm-index computation via the Tate parametrization)"),
-    V.POT_MULT_NONSPLIT_OR_ADDITIVE: (
-        "potentially multiplicative but not split multiplicative over K_v: "
-        "delta_v = 0"),
-    V.ADDITIVE_NOT_P: (
-        "additive reduction over K_v away from p: E(K_v) has no p-part, "
-        "delta_v = 0"),
-    V.ADDITIVE_P_ORD_NONANOM: (
-        "additive above p acquiring good ordinary non-anomalous reduction over a "
-        "Galois extension of K_v of degree prime to p: delta_v = 0"),
-    V.UNCOVERED: "no evaluated case applies; no value is asserted",
-}
-
-
-def _verdict(value, tag, detail="", pair_sum=None) -> DeltaVerdict:
-    return DeltaVerdict(value=value, case_tag=tag, citation=CITATIONS[tag],
-                        detail=detail, pair_sum=pair_sum)
+# The cases, each a verdict of its value and citation, built once: delta_at
+# returns one of them, or, where the detail names a number (a_q, a defect, a
+# prime), a copy with that detail.
+PAIR_CANCELS = DeltaVerdict(None, V.PAIR_CANCELS, (
+    "v and v^c are swapped by conjugation: delta_v = delta_{v^c} "
+    "(Mazur-Rubin Lemma 5.1), so the pair sum is 0"), pair_sum=0)
+SPLITS_COMPLETELY = DeltaVerdict(0, V.SPLITS_COMPLETELY, (
+    "v = v^c unramified in the cyclic layer splits completely there "
+    "(Mazur-Rubin Lemma 6.5), the local norm map is surjective and delta_v = 0"))
+GOOD_NOT_P = DeltaVerdict(0, V.GOOD_NOT_P, (
+    "good reduction over K_v away from p: delta_v = 0 "
+    "(Mazur-Rubin Theorems 5.6 and 6.6)"))
+GOOD_ORDINARY_P = DeltaVerdict(0, V.GOOD_ORDINARY_P, (
+    "good ordinary reduction at a site above p: delta_v = 0 "
+    "(Mazur-Rubin Theorem 6.7)"))
+GOOD_SUPERSINGULAR_MR57 = DeltaVerdict(0, V.GOOD_SUPERSINGULAR_MR57, (
+    "good supersingular reduction with the curve defined over Q_p and K_v "
+    "containing the unramified quadratic extension: delta_v = 0 "
+    "(Mazur-Rubin Theorem 5.7)"))
+POT_MULT_SPLIT = DeltaVerdict(1, V.POT_MULT_SPLIT, (
+    "potentially multiplicative, split multiplicative over K_v: delta_v = 1 "
+    "(norm-index computation via the Tate parametrization)"))
+POT_MULT_NONSPLIT_OR_ADDITIVE = DeltaVerdict(0, V.POT_MULT_NONSPLIT_OR_ADDITIVE, (
+    "potentially multiplicative but not split multiplicative over K_v: "
+    "delta_v = 0"))
+ADDITIVE_NOT_P = DeltaVerdict(0, V.ADDITIVE_NOT_P, (
+    "additive reduction over K_v away from p: E(K_v) has no p-part, "
+    "delta_v = 0"))
+ADDITIVE_P_ORD_NONANOM = DeltaVerdict(0, V.ADDITIVE_P_ORD_NONANOM, (
+    "additive above p acquiring good ordinary non-anomalous reduction over a "
+    "Galois extension of K_v of degree prime to p: delta_v = 0"))
+ORDINARY_BY_OVERRIDE = replace(ADDITIVE_P_ORD_NONANOM,
+                               detail="ordinary non-anomalous reduction supplied by override")
+UNCOVERED = DeltaVerdict(None, V.UNCOVERED, "no evaluated case applies; no value is asserted")
+ANOMALOUS_BY_OVERRIDE = replace(UNCOVERED, detail="override reports anomalous reduction "
+                                "over the defect extension; no value is known")
+NO_GOOD_TWIST = replace(UNCOVERED, detail="no good quadratic twist found despite defect 2")
+NO_RESIDUE_TWIST = replace(UNCOVERED, detail="good over K_v above p but the residue curve "
+                           "is not reachable by a quadratic twist")
+SUPERSINGULAR_OUTSIDE_MR57 = replace(UNCOVERED, detail="supersingular at p outside the "
+                                     "known case (p must be inert with E good over Q_p)")
+SUPERSINGULAR_OVER_M = replace(UNCOVERED,
+                               detail="reduction over the defect extension is supersingular")
+ANOMALOUS_OVER_M = replace(UNCOVERED, detail="reduction over the defect extension is anomalous")
+VOCABULARY = tuple(v for v in globals().values() if isinstance(v, DeltaVerdict))
 
 
 def residue_frobenius_over_Kv(E: WeierstrassCurve, T: TowerSpec,
@@ -75,29 +85,20 @@ def _additive_above_p(loc: LocalData) -> DeltaVerdict:
     """
     ov = loc.overrides
     if ov.anomalous is not None:
-        if ov.anomalous:
-            return _verdict(None, V.UNCOVERED,
-                            detail="override reports anomalous reduction over the "
-                                   "defect extension; no value is known")
-        return _verdict(0, V.ADDITIVE_P_ORD_NONANOM,
-                        detail="ordinary non-anomalous reduction supplied by override")
+        return ANOMALOUS_BY_OVERRIDE if ov.anomalous else ORDINARY_BY_OVERRIDE
     defect = loc.defect
     if not (defect == 2 and isinstance(loc.ext, UnramifiedQuadratic)):
-        return _verdict(None, V.UNCOVERED,
-                        detail=f"defect {defect} over K_v not reachable by a "
-                               "quadratic twist; supply an override")
+        return replace(UNCOVERED, detail=f"defect {defect} over K_v not reachable by a "
+                                         "quadratic twist; supply an override")
     if loc.twist_frobenius is None:
-        return _verdict(None, V.UNCOVERED,
-                        detail="no good quadratic twist found despite defect 2")
+        return NO_GOOD_TWIST
     t, fd = loc.twist_frobenius
     # M = K_v(sqrt(t)) has residue field F_{p^2}.
     anomalous = fd.anomalous_over(loc.ell ** 2)
     if fd.ordinary and not anomalous:
-        return _verdict(0, V.ADDITIVE_P_ORD_NONANOM,
-                        detail=f"good ordinary non-anomalous over M = K_v(sqrt({t}))")
-    reason = "supersingular" if not fd.ordinary else "anomalous"
-    return _verdict(None, V.UNCOVERED,
-                    detail=f"reduction over the defect extension is {reason}")
+        return replace(ADDITIVE_P_ORD_NONANOM,
+                       detail=f"good ordinary non-anomalous over M = K_v(sqrt({t}))")
+    return ANOMALOUS_OVER_M if fd.ordinary else SUPERSINGULAR_OVER_M
 
 
 def delta(E: WeierstrassCurve, T: TowerSpec, v: PrimeSite) -> DeltaVerdict:
@@ -109,37 +110,29 @@ def delta(E: WeierstrassCurve, T: TowerSpec, v: PrimeSite) -> DeltaVerdict:
 def delta_at(T: TowerSpec, v: PrimeSite, loc: LocalData) -> DeltaVerdict:
     """delta_v read off the local record of the prime below v, in a valid tower."""
     if v.split_type == SPLIT:
-        return _verdict(None, V.PAIR_CANCELS, pair_sum=0)
+        return PAIR_CANCELS
     if not T.is_ramified_in_L(v):
-        return _verdict(0, V.SPLITS_COMPLETELY)
+        return SPLITS_COMPLETELY
 
     kv, red = loc.kv, loc.red
     p = T.p
     if kv == "good":
         if v.ell != p:
-            return _verdict(0, V.GOOD_NOT_P)
+            return GOOD_NOT_P
         rf = loc.residue_frobenius
         if rf is None:
-            return _verdict(None, V.UNCOVERED,
-                            detail="good over K_v above p but the residue curve is "
-                                   "not reachable by a quadratic twist")
+            return NO_RESIDUE_TWIST
         if rf.ordinary:
-            return _verdict(0, V.GOOD_ORDINARY_P,
-                            detail=f"a_q = {rf.a_q} over F_{rf.q} is prime to p")
+            return replace(GOOD_ORDINARY_P, detail=f"a_q = {rf.a_q} over F_{rf.q} is prime to p")
         # supersingular: only the inert, defined-over-Q_p case is known
         if isinstance(loc.ext, UnramifiedQuadratic) and red.reduction_type == "good":
-            return _verdict(0, V.GOOD_SUPERSINGULAR_MR57)
-        return _verdict(None, V.UNCOVERED,
-                        detail="supersingular at p outside the known case "
-                               "(p must be inert with E good over Q_p)")
+            return GOOD_SUPERSINGULAR_MR57
+        return SUPERSINGULAR_OUTSIDE_MR57
     if red.potentially_multiplicative:
-        if kv == "multiplicative_split":
-            return _verdict(1, V.POT_MULT_SPLIT)
-        return _verdict(0, V.POT_MULT_NONSPLIT_OR_ADDITIVE)
+        return POT_MULT_SPLIT if kv == "multiplicative_split" else POT_MULT_NONSPLIT_OR_ADDITIVE
     if kv == UNKNOWN:
-        return _verdict(None, V.UNCOVERED,
-                        detail=f"reduction over K_v at {v.ell} undetermined")
+        return replace(UNCOVERED, detail=f"reduction over K_v at {v.ell} undetermined")
     # additive over K_v, potentially good
     if v.ell != p:
-        return _verdict(0, V.ADDITIVE_NOT_P)
+        return ADDITIVE_NOT_P
     return _additive_above_p(loc)

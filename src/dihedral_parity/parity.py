@@ -68,6 +68,11 @@ class ParityRow:
     note: str = ""
 
 
+ARCHIMEDEAN_ROW = ParityRow(INFINITE_PLACE, ARCHIMEDEAN_GAMMA, (), 0, MATCH,
+                            note="documented extension: archimedean row")
+BLANKET_ROW = ParityRow("other", None, (), 0, MATCH, note=BLANKET_CITATION)
+
+
 @dataclass(frozen=True)
 class SelmerBound:
     applicable: bool
@@ -146,8 +151,8 @@ def analyze(E: WeierstrassCurve, T: TowerSpec,
             dim_Sp_E_K: Optional[int] = None) -> ParityReport:
     """Full report: parity table, aggregation, audit and optional bound.
 
-    The tower is validated once and each support prime gets one LocalData
-    record and one row; every aggregate is read from those rows.
+    The tower is validated once per TowerSpec, and each support prime gets
+    one LocalData record and one row; every aggregate is read from those rows.
     """
     if dim_Sp_E_K is not None and dim_Sp_E_K < 0:
         raise ValueError("dim_Sp_E_K must be nonnegative")
@@ -158,7 +163,7 @@ def analyze(E: WeierstrassCurve, T: TowerSpec,
     s_primes = {T.p, *(s.ell for s in T.ramified_sites)}
     rows, S, sums = [], [], []
     for ell in support_primes(T, E):
-        above = sites_above(ell, T.K)
+        above = T.sites_at.get(ell) or sites_above(ell, T.K)
         loc = local_data(E, T, above[0])
         rows.append(_row_for_prime(T, above[0], loc))
         if ell in s_primes or (disc % ell == 0 and loc.red.reduction_type != "good"):
@@ -190,11 +195,7 @@ def analyze(E: WeierstrassCurve, T: TowerSpec,
         notes.append(
             "the tame abelian criterion (residue size congruent to 1 mod e) was "
             "used to certify good reduction over an abelian extension of K_v")
-    rows.append(ParityRow(place=INFINITE_PLACE, gamma=ARCHIMEDEAN_GAMMA, deltas=(),
-                          delta_sum=0, status=MATCH,
-                          note="documented extension: archimedean row"))
-    rows.append(ParityRow(place="other", gamma=None, deltas=(), delta_sum=0,
-                          status=MATCH, note=BLANKET_CITATION))
+    rows += ARCHIMEDEAN_ROW, BLANKET_ROW
     return ParityReport(
         curve=E,
         tower=T,

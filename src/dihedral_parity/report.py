@@ -1,18 +1,22 @@
 """Reports as text: every JSON document the command line prints (a report,
 its tower, a ``batch`` or ``validate`` document), written in one pass from
-its records; a report's dict; and its text table.  The inverse,
-``cli.report_from_dict``, rebuilds the tower with the config parser.
+its records; a report's dict; and its text table.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import fields
+from dataclasses import fields, replace
+from functools import lru_cache
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import Any, Optional, Sequence, Union
 
 from .curves import SiteOverrides
-from .parity import SCHEMA_VERSION, ParityReport, ParityRow, SelmerBound, SiteAudit
+from .delta import VOCABULARY as DELTA_VOCABULARY
+from .gamma import VOCABULARY as GAMMA_VOCABULARY
+from .parity import ARCHIMEDEAN_ROW, BLANKET_ROW, SCHEMA_VERSION, ParityReport, ParityRow
+from .parity import SelmerBound, SiteAudit
 from .tower import PrimeSite, TowerSpec, Violation
 from .verdicts import ConstantVerdict, DeltaVerdict
 
@@ -103,7 +107,7 @@ def _entry(site: PrimeSite, v: DeltaVerdict) -> str:
 
 
 def _row(r: ParityRow) -> str:
-    return _ROW % (_scalar(r.place), "null" if r.gamma is None else _gamma(r.gamma),
+    return _ROW % (_scalar(r.place), "null" if r.gamma is None else _gamma_text(r.gamma),
                    _array([_entry(*e) for e in r.deltas], 3),
                    _scalar(r.delta_sum), _str(r.status), _str(r.note))
 
@@ -116,6 +120,39 @@ def _audit(a: SiteAudit) -> str:
 def _bound(b: SelmerBound) -> str:
     return _BOUND % (_scalar(b.applicable), _scalar(b.bound), _scalar(b.dim_Sp_E_K),
                      _scalar(b.s_m_size), _array(list(map(_str, b.reasons)), 2))
+
+
+# The verdict vocabulary: the module constants of gamma.py and delta.py,
+# never freed, so that an id names one for good.  The memos below sit in
+# front of the writers and hold texts the writers wrote: each gamma's text,
+# and each row whose verdicts are constants, cut at its place, per (verdicts,
+# site shape, sum, status, note).  A verdict with a detail of its own is
+# encoded when written.
+_GAMMA_TEXT = {id(g): _gamma(g) for g in GAMMA_VOCABULARY}
+_VOCABULARY = {*_GAMMA_TEXT, *map(id, DELTA_VOCABULARY)}
+_MARK = 10 ** 40 + 7  # a place no text holds, written and then cut out
+_ROW_PARTS: dict[tuple, list[str]] = {}
+
+
+def _gamma_text(g: ConstantVerdict) -> str:
+    return _GAMMA_TEXT.get(id(g)) or _gamma(g)
+
+
+_FIXED_ROWS = {id(r): _row(r) for r in (ARCHIMEDEAN_ROW, BLANKET_ROW)}
+
+
+def _row_text(r: ParityRow) -> str:
+    """_row's text, from the row's parts when its verdicts are constants."""
+    if len(r.deltas) == 1 and id(r.gamma) in _VOCABULARY and id(r.deltas[0][1]) in _VOCABULARY:
+        ((site, v),) = r.deltas
+        key = (id(r.gamma), id(v), site.split_type, site.which,
+               _scalar(r.delta_sum), r.status, r.note)
+        if key not in _ROW_PARTS:
+            marked = replace(r, place=_MARK, deltas=((replace(site, ell=_MARK), v),))
+            _ROW_PARTS[key] = _row(marked).split(str(_MARK))
+        if site.ell == r.place and len(_ROW_PARTS[key]) == 3:
+            return _scalar(r.place).join(_ROW_PARTS[key])
+    return _FIXED_ROWS.get(id(r)) or _row(r)
 
 
 _TOWER = _object(("d", "p", "n", "ramified_sites", "overrides"), 1)
@@ -134,21 +171,31 @@ def tower_json(T: TowerSpec) -> str:
                              [_fill(_OVERRIDE, o) for _, o in overrides]))
 
 
+@lru_cache(maxsize=1)
+def _tower_texts(T: TowerSpec) -> tuple[str, dict[int, str]]:
+    """The texts of the last tower written and, by id, of the sites it holds,
+    which a report's S shares: the cache holds the tower, so no other object
+    takes one of those ids."""
+    sites = (*T.ramified_sites, *chain.from_iterable(() if T.violations else T.sites_at.values()))
+    return tower_json(T), {id(s): _site(s, 2) for s in sites}
+
+
 def report_json(rep: ParityReport, level: int = 0, label: Optional[str] = None) -> str:
     """Schema 1 of a report as an item level brackets deep, with a last key
     ``label`` unless label is None, written in one pass from the records.
     The text is built at level 0 and re-indented once: no string value holds
     a raw line break, as ``encode_basestring_ascii`` escapes it."""
     rel = rep.relative_parity
+    tower, sites = _tower_texts(rep.tower)
     values = (
         _scalar(SCHEMA_VERSION),
         _array(list(map(_scalar, rep.curve.ainvs())), 1),
-        tower_json(rep.tower),
-        _array(list(map(_row, rep.rows)), 1),
-        _array([_site(s, 2) for s in rep.S], 1),
+        tower,
+        _array(list(map(_row_text, rep.rows)), 1),
+        _array([sites.get(id(s)) or _site(s, 2) for s in rep.S], 1),
         _scalar(rep.mr64_sum),
-        _array([_site(s, 2) for s in rep.S_frak], 1),
-        _array([_site(s, 2) for s in rep.S_m], 1),
+        _array([sites.get(id(s)) or _site(s, 2) for s in rep.S_frak], 1),
+        _array([sites.get(id(s)) or _site(s, 2) for s in rep.S_m], 1),
         _array(list(map(_audit, rep.hypothesis_audit)), 1),
         "null" if rep.selmer_bound is None else _bound(rep.selmer_bound),
         "null" if rel is None else _object(list(rel), 1, list(map(_scalar, rel.values()))),
@@ -168,7 +215,7 @@ def validation_json(violations: list[Violation]) -> str:
 
 def batch_head(T: TowerSpec) -> str:
     """A ``batch`` document up to its list of reports."""
-    return _BATCH_HEAD % (_scalar(SCHEMA_VERSION), tower_json(T))
+    return _BATCH_HEAD % (_scalar(SCHEMA_VERSION), _tower_texts(T)[0])
 
 
 def batch_entry(index: int, label: str, result: Union[ParityReport, str]) -> str:

@@ -117,6 +117,9 @@ class Violation:
         return f"{self.code}: {self.message}{cite}"
 
 
+NO_OVERRIDES = SiteOverrides()
+
+
 @dataclass(frozen=True)
 class TowerSpec:
     """K = Q(sqrt(d)) together with the cyclic p^n layer's ramified sites."""
@@ -137,7 +140,23 @@ class TowerSpec:
         return site in self.ramified_sites
 
     def override_for(self, ell: int) -> SiteOverrides:
-        return self.overrides.get(ell, SiteOverrides())
+        return self.overrides.get(ell, NO_OVERRIDES)
+
+    # Each is taken once per tower and lives in the instance dict, like
+    # K.d_primes: neither reads the overrides, and every other field is immutable.
+    @cached_property
+    def violations(self) -> tuple[Violation, ...]:
+        """validate_tower's verdict on this tower."""
+        return tuple(validate_tower(self))
+
+    @cached_property
+    def sites_at(self) -> dict[int, tuple[PrimeSite, ...]]:
+        """The sites above each prime every support set holds: p, the primes
+        of disc(K) and the ramified ones, in a valid tower."""
+        primes = {self.p, *self.K.d_primes, *(s.ell for s in self.ramified_sites)}
+        if self.K.d % 4 != 1:
+            primes.add(2)
+        return {ell: tuple(sites_above(ell, self.K)) for ell in primes}
 
 
 CITE_P_GT_3 = "standing hypothesis: the tower degree prime p exceeds 3"
@@ -182,9 +201,8 @@ def validate_tower(T: TowerSpec, E: Optional[WeierstrassCurve] = None) -> list[V
 
 def check_tower(T: TowerSpec) -> None:
     """Raise ValueError naming every violation of an invalid tower."""
-    violations = validate_tower(T)
-    if violations:
-        raise ValueError("invalid tower: " + "; ".join(map(str, violations)))
+    if T.violations:
+        raise ValueError("invalid tower: " + "; ".join(map(str, T.violations)))
 
 
 def local_data(E: WeierstrassCurve, T: TowerSpec, site: PrimeSite) -> LocalData:
@@ -194,10 +212,4 @@ def local_data(E: WeierstrassCurve, T: TowerSpec, site: PrimeSite) -> LocalData:
 
 def support_primes(T: TowerSpec, E: WeierstrassCurve) -> list[int]:
     """Finite set of rational primes that can carry a nonzero local constant."""
-    primes = set(prime_factors(E.discriminant()))
-    primes.add(T.p)
-    primes.update(T.K.d_primes)  # with 2 below, the primes of disc(K)
-    if T.K.d % 4 != 1:
-        primes.add(2)
-    primes.update(s.ell for s in T.ramified_sites)
-    return sorted(primes)
+    return sorted({*prime_factors(E.discriminant()), *T.sites_at})

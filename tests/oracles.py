@@ -335,24 +335,30 @@ def gf_squares(ell: int):
     return {F.mul(u, u) for u in F.elements()}
 
 
+def tower_dict(T) -> dict:
+    """A tower as a config: d, p, n, its ramified sites in order, and each
+    override's fields suffixed ``_override``."""
+    return {
+        "d": T.K.d,
+        "p": T.p,
+        "n": T.n,
+        "ramified_sites": [dict(vars(s)) for s in sorted(
+            T.ramified_sites, key=lambda s: (s.ell, s.which))],
+        "overrides": {str(ell): {f"{name}_override": value
+                                 for name, value in vars(o).items()}
+                      for ell, o in sorted(T.overrides.items())},
+    }
+
+
 def report_dict(rep) -> dict:
     """Schema 1 of a ParityReport: each record as a copy of its dataclass
     fields, in field order, a delta entry as its site then the verdict's
     fields, the curve as its a-invariants and the tower as a config."""
-    T, sb = rep.tower, rep.selmer_bound
+    sb = rep.selmer_bound
     return {
         "schema_version": 1,
         "curve": list(rep.curve.ainvs()),
-        "tower": {
-            "d": T.K.d,
-            "p": T.p,
-            "n": T.n,
-            "ramified_sites": [dict(vars(s)) for s in sorted(
-                T.ramified_sites, key=lambda s: (s.ell, s.which))],
-            "overrides": {str(ell): {f"{name}_override": value
-                                     for name, value in vars(o).items()}
-                          for ell, o in sorted(T.overrides.items())},
-        },
+        "tower": tower_dict(rep.tower),
         "rows": [{**vars(r),
                   "gamma": None if r.gamma is None else dict(vars(r.gamma)),
                   "deltas": [{"site": dict(vars(s)), **vars(v)} for s, v in r.deltas]}

@@ -5,6 +5,7 @@ from functools import cached_property
 
 import pytest
 
+import oracles
 from conftest import run_isolated, write_json
 from dihedral_parity import cli, localarith, tower
 from dihedral_parity.curves import WeierstrassCurve
@@ -16,18 +17,50 @@ from dihedral_parity.cli import (
     build_parser,
     main,
     parse_tower,
-    report_from_dict,
     report_to_dict,
     run_analyze,
     run_batch,
     run_validate,
 )
-from dihedral_parity.parity import analyze
-from dihedral_parity.report import tower_json
-from dihedral_parity.tower import QuadraticFieldSpec, SiteOverrides
-from corpus import CURVES, PARITY_CORPUS, TWIST_11A1_7, make_tower
+from dihedral_parity.parity import ParityReport, ParityRow, SelmerBound, SiteAudit, analyze
+from dihedral_parity.report import report_json, tower_json
+from dihedral_parity.tower import PrimeSite, QuadraticFieldSpec, SiteOverrides
+from dihedral_parity.verdicts import ConstantVerdict, DeltaVerdict
+from corpus import CURVES, PARITY_CORPUS, SMALL_TOWERS, TWIST_11A1_7, make_tower
 
 CSV_HEADER = "label,a1,a2,a3,a4,a6\n"
+
+
+def report_from_dict(d: dict) -> ParityReport:
+    """Inverse of report_to_dict: each record is rebuilt from its fields, and
+    the tower, which is a valid config, by parse_tower."""
+    errors: list[str] = []
+    T = parse_tower(d["tower"], errors)
+    if errors:
+        raise ValueError("; ".join(errors))
+    sb, rel = d["selmer_bound"], d["relative_parity"]
+    rows = [ParityRow(**{
+        **r,
+        "gamma": None if r["gamma"] is None else ConstantVerdict(**r["gamma"]),
+        "deltas": tuple((PrimeSite(**e["site"]),
+                         DeltaVerdict(**{k: v for k, v in e.items() if k != "site"}))
+                        for e in r["deltas"])})
+        for r in d["rows"]]
+    return ParityReport(
+        curve=WeierstrassCurve(*d["curve"]),
+        tower=T,
+        rows=rows,
+        S=[PrimeSite(**s) for s in d["S"]],
+        mr64_sum=d["mr64_sum"],
+        S_frak=[PrimeSite(**s) for s in d["S_frak"]],
+        S_m=[PrimeSite(**s) for s in d["S_m"]],
+        hypothesis_audit=[SiteAudit(**{**a, "site": PrimeSite(**a["site"])})
+                          for a in d["hypothesis_audit"]],
+        selmer_bound=None if sb is None else SelmerBound(
+            **{**sb, "reasons": tuple(sb["reasons"])}),
+        relative_parity=None if rel is None else dict(rel),
+        notes=list(d["notes"]),
+    )
 
 
 def run_cli(capsys, argv):
@@ -455,7 +488,8 @@ OVER_BOUND_TOWER = {"d": -1, "p": 100003, "n": 1, "ramified_sites": [{"ell": 100
 
 def batch_document(curves_path, config_path) -> str:
     """The batch JSON built whole, as run_batch built it before it streamed
-    its reports: the oracle for the streamed bytes."""
+    its reports, from the oracle dicts of the tower and each report: the
+    oracle for the streamed bytes, sharing no text or memo with report.py."""
     _, T, dim = cli.parse_config(cli.load_config(config_path), need_curve=False)
     rows, row_errors = cli.read_curve_csv(curves_path)
     results = []
@@ -467,9 +501,9 @@ def batch_document(curves_path, config_path) -> str:
     reports = [r for _, r in results if not isinstance(r, str)]
     return json.dumps({
         "schema_version": 1,
-        "tower": json.loads(tower_json(T)),
+        "tower": oracles.tower_dict(T),
         "reports": [{"label": label, "error": r} if isinstance(r, str)
-                    else {**report_to_dict(r), "label": label}
+                    else {**oracles.report_dict(r), "label": label}
                     for label, r in results],
         "errors": row_errors + [f"{label}: {r}" for label, r in results
                                 if isinstance(r, str)],
@@ -496,6 +530,41 @@ def test_batch_streams_the_bytes_of_the_whole_document(tmp_path, capsys, rows, t
     assert run_cli(capsys, ["batch", str(curves), str(cfg)]) == (EXIT_OK, expected)
     payload = json.loads(expected)
     assert payload["summary"]["curves"] == len(payload["reports"])
+
+
+def test_per_tower_texts_do_not_go_stale(tmp_path, capsys):
+    # the tower's text and its sites' are kept per tower: a batch on A, then
+    # B, then A again, then a tower equal to A read from another file, each
+    # match the oracle, as does a tower that differs from A only in overrides
+    curves = tmp_path / "curves.csv"
+    curves.write_text(BATCH_CSV + "x3+1,0,0,0,0,1\n", encoding="utf-8")
+    a = write_json(tmp_path / "a.json", FLAGSHIP_TOWER)
+    b = write_json(tmp_path / "b.json", {"d": 5, "p": 7, "n": 1, "ramified_sites": [
+        {"ell": 2}, {"ell": 3}, {"ell": 7}, {"ell": 13}]})
+    a2 = write_json(tmp_path / "a2.json", {**FLAGSHIP_TOWER, "dim_Sp_E_K": None})
+    a3 = write_json(tmp_path / "a3.json", {**FLAGSHIP_TOWER, "overrides": {
+        "3": {"anomalous_override": True}}})
+    for cfg in (a, b, a, a2, a3, a):
+        expected = batch_document(str(curves), str(cfg))
+        assert run_cli(capsys, ["batch", str(curves), str(cfg)]) == (EXIT_OK, expected)
+
+
+def test_report_texts_follow_the_tower_object():
+    # the same tower object, another tower, the first again, an equal tower
+    # built anew, and one equal to it in hash but not in overrides; then
+    # towers built and dropped in turn, so that a freed tower's id is free
+    E = CURVES["11a1"]
+    A = make_tower(-1, 5, 1, [11])
+    towers = [A, make_tower(-3, 5, 1, [2, 5, 11]), A, make_tower(-1, 5, 1, [11]),
+              make_tower(-1, 5, 1, [11], overrides={11: SiteOverrides(anomalous=True)})]
+    for T in towers:
+        rep = analyze(E, T)
+        assert report_json(rep) == json.dumps(oracles.report_dict(rep), indent=2)
+    for _ in range(3):
+        for d, p, rams in SMALL_TOWERS:
+            rep = analyze(E, make_tower(d, p, 1, rams))
+            assert report_json(rep) == json.dumps(oracles.report_dict(rep), indent=2)
+            del rep  # the report held the only reference to its tower
 
 
 def test_batch_text_prints_row_errors(tmp_path, capsys):

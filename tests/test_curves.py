@@ -8,6 +8,7 @@ import oracles
 from corpus import CURVES, TWIST_11A1_7
 from dihedral_parity import pointcount
 from dihedral_parity.curves import (
+    LocalData,
     SingularCurveError,
     UNKNOWN,
     WeierstrassCurve,
@@ -390,6 +391,33 @@ def test_reduction_over_ramified_Kv_matches_twist_oracle(ainvs, t, ell, data):
         assert (kv == "good") == twist_good
     else:  # multiplicative over K_v: never good
         assert not twist_good
+
+
+# A potentially multiplicative E is, over K_v, the twist of a Tate curve by
+# the character of K_v(sqrt(-c6)), c6 from an ell-minimal model: split,
+# nonsplit or additive as that extension is trivial, unramified or ramified.
+KV_BY_CLASS = {"trivial": "multiplicative_split", "unramified": "multiplicative_nonsplit",
+               "ramified": "additive"}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7]), small_ints, small_ints, small_ints,
+       st.integers(1, 8), st.sampled_from([1, -1, 2, 3, 5, -5, 7, -7, 10]))
+def test_reduction_over_Kv_follows_the_class_of_minus_c6(ell, a2, r, s, u, t):
+    # y^2 + xy + ell r y = x^3 + a2 x^2 + ell s x + ell u has a node at ell
+    # when ell does not divide 1 + 4 a2; the twist by t moves -c6's class
+    E = _try_curve((1, a2, ell * r, ell * s, ell * u))
+    assume(E is not None and (1 + 4 * a2) % ell)
+    if t != 1:
+        E = quadratic_twist(E, t)
+    assert 3 * oracles.valuation(E.c_invariants()[0], ell) < oracles.valuation(
+        E.discriminant(), ell)  # v(j) < 0
+    c6 = oracles.minimal_model(E, ell).c_invariants()[1]
+    exts = [(None, None, 0), ("unramified", UnramifiedQuadratic(), 0)]
+    exts += [("ramified", RamifiedQuadratic(d), d) for d in RAMIFIED_D[ell]]
+    for kind, ext, d in exts:
+        expected = KV_BY_CLASS[oracles.character_type(-c6, ell, kind, d)]
+        assert LocalData(E, ell, ext).kv == expected, (kind, d)
 
 
 def test_twist_oracle_known_cases():

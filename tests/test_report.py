@@ -12,9 +12,11 @@ order, and a value of a type that schema 1 has no place for (a float, an
 """
 
 import ast
+import importlib
 import json
 from dataclasses import fields, replace
 from enum import IntEnum
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -24,9 +26,13 @@ from hypothesis import strategies as st
 import oracles
 from corpus import PARITY_CORPUS, SMALL_TOWERS, make_tower
 from dihedral_parity import report
-from dihedral_parity.curves import SingularCurveError, WeierstrassCurve
+from dihedral_parity.curves import DEFECTS, KV_REDUCTIONS, SingularCurveError, WeierstrassCurve
 from dihedral_parity.parity import (
+    ARCHIMEDEAN_ROW,
+    BLANKET_ROW,
+    MATCH,
     MISMATCH,
+    UNDETERMINED,
     ParityReport,
     ParityRow,
     SelmerBound,
@@ -194,3 +200,90 @@ def test_each_writer_fills_its_template_in_field_order():
             found[node.name] = read
             assert read == head + _names(cls), node.name
     assert set(found) == set(WRITERS)
+
+
+# The verdict vocabulary: the verdicts of fixed detail are module constants
+# of gamma.py and delta.py, and report.py keeps the text of each, and of each
+# row of two constants, from the writers above.
+GAMMA_MODULE = importlib.import_module("dihedral_parity.gamma")
+DELTA_MODULE = importlib.import_module("dihedral_parity.delta")
+CONSTANTS = [v for module, cls in ((GAMMA_MODULE, ConstantVerdict), (DELTA_MODULE, DeltaVerdict))
+             for v in vars(module).values() if isinstance(v, cls)]
+FIXED = {(c.case_tag, c.detail) for c in CONSTANTS}
+
+
+def test_the_vocabulary_is_every_module_constant():
+    assert GAMMA_MODULE.VOCABULARY and DELTA_MODULE.VOCABULARY
+    assert [*GAMMA_MODULE.VOCABULARY, *DELTA_MODULE.VOCABULARY] == CONSTANTS
+    assert len({id(c) for c in CONSTANTS}) == len(CONSTANTS)
+    assert GAMMA_MODULE.ARCHIMEDEAN_GAMMA in GAMMA_MODULE.VOCABULARY
+
+
+def _assert_fixed_verdicts_are_constants(rep):
+    for r in rep.rows:
+        for v in (r.gamma, *(dv for _, dv in r.deltas)):
+            if v is None:
+                continue
+            if (v.case_tag, v.detail) in FIXED:
+                assert any(v is c for c in CONSTANTS), v
+            else:  # a detail of its own, on the case and citation of a constant
+                assert v.detail and any((v.case_tag, v.citation) == (c.case_tag, c.citation)
+                                        for c in CONSTANTS), v
+
+
+@pytest.mark.parametrize("case", PARITY_CORPUS, ids=lambda c: c[0])
+def test_fixed_verdicts_are_constants_on_the_corpus(case):
+    label, E, d, p, n, rams = case
+    _assert_fixed_verdicts_are_constants(analyze(E, make_tower(d, p, n, rams)))
+
+
+OVERRIDES = st.builds(SiteOverrides, st.sampled_from([None, *DEFECTS]),
+                      st.sampled_from([None, False, True]),
+                      st.sampled_from([None, *KV_REDUCTIONS]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(SMALL_CURVES, st.sampled_from(SMALL_TOWERS), st.none() | OVERRIDES, st.data())
+def test_fixed_verdicts_are_constants_on_small_curves(E, tower, override, data):
+    d, p, rams = tower
+    overrides = {} if override is None else {data.draw(st.sampled_from([p, *rams])): override}
+    _assert_fixed_verdicts_are_constants(analyze(E, make_tower(d, p, 1, rams, overrides)))
+
+
+def _fresh(record):
+    """An equal record that is not the same object."""
+    copy = replace(record)
+    assert copy == record and copy is not record
+    return copy
+
+
+@pytest.mark.parametrize("g", GAMMA_MODULE.VOCABULARY, ids=lambda g: g.case_tag)
+def test_each_gamma_text_is_what_the_writer_writes(g):
+    assert report._GAMMA_TEXT[id(g)] == report._gamma_text(g) == report._gamma(_fresh(g))
+
+
+SHAPES = [PrimeSite(7, "split", "first"), PrimeSite(7, "inert"), PrimeSite(7, "ramified")]
+
+
+def test_each_row_text_is_what_the_writer_writes(monkeypatch):
+    # a row of two constants is written once per key by _row, then filled in
+    # at each place; the two fixed rows are written once, at import
+    writes = []
+    row_writer = report._row
+    monkeypatch.setattr(report, "_row", lambda r: writes.append(r) or row_writer(r))
+    for g in GAMMA_MODULE.VOCABULARY:
+        for v in DELTA_MODULE.VOCABULARY:
+            dsum = v.contribution()
+            for site, status in product(SHAPES, (MATCH, MISMATCH, UNDETERMINED)):
+                for ell in (7, 11, 10 ** 50 + 151):
+                    row = ParityRow(ell, g, ((replace(site, ell=ell), v),), dsum, status)
+                    fresh = ParityRow(ell, _fresh(g), ((replace(site, ell=ell), _fresh(v)),),
+                                      dsum, status)
+                    assert report._row_text(row) == row_writer(fresh)
+                    assert report._row_text(fresh) == row_writer(fresh)
+    fixed = [r for r in writes if id(r.gamma) in report._VOCABULARY]
+    assert len(fixed) <= len(GAMMA_MODULE.VOCABULARY) * len(DELTA_MODULE.VOCABULARY) * 3 * 3
+    writes.clear()
+    for r in (ARCHIMEDEAN_ROW, BLANKET_ROW):
+        assert report._row_text(r) == row_writer(_fresh(r))
+    assert writes == []
