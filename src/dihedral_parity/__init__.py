@@ -14,7 +14,6 @@ from .curves import (
     WeierstrassCurve,
     count_points,
     frobenius_data,
-    invariants,
     local_reduction,
     minimal_model_at,
     model_from_invariants,

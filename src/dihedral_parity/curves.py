@@ -12,7 +12,6 @@ minimal model; Kodaira symbols are never needed downstream.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from math import gcd
 from typing import Optional, Union
@@ -91,26 +90,6 @@ class WeierstrassCurve:
                 padic_valuation(c6, ell) if c6 else None,
             )
         return vals
-
-
-@dataclass(frozen=True)
-class CurveInvariants:
-    b2: int
-    b4: int
-    b6: int
-    b8: int
-    c4: int
-    c6: int
-    disc: int
-    j: Fraction
-
-
-def invariants(E: WeierstrassCurve) -> CurveInvariants:
-    b2, b4, b6, b8 = E.b_invariants()
-    c4, c6 = E.c_invariants()
-    disc = E.discriminant()
-    assert c4 ** 3 - c6 ** 2 == 1728 * disc
-    return CurveInvariants(b2, b4, b6, b8, c4, c6, disc, Fraction(c4 ** 3, disc))
 
 
 def transform(E: WeierstrassCurve, u: int, r: int, s: int, t: int) -> WeierstrassCurve:

@@ -12,7 +12,6 @@ maps on them, and the inner product is the dot product of coefficients.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable
 
 
@@ -133,11 +132,11 @@ def restrict(chi: ClassFunction, H: str) -> ClassFunction:
     raise ValueError(f"unsupported subgroup {H!r}")
 
 
-def inner_product(chi1: ClassFunction, chi2: ClassFunction) -> Fraction:
+def inner_product(chi1: ClassFunction, chi2: ClassFunction) -> int:
     """(1/|G|) sum_g chi1(g) conj(chi2(g)): the dot product of coefficients."""
     if chi1.group != chi2.group:
         raise ValueError("group mismatch")
-    return Fraction(sum(a * b for a, b in zip(chi1.coeffs, chi2.coeffs)))
+    return sum(a * b for a, b in zip(chi1.coeffs, chi2.coeffs))
 
 
 def random_virtual_character(G: DihedralGroupSpec, rng,

@@ -1,6 +1,6 @@
-"""Exact local arithmetic over Q_l: valuations, Kronecker symbols, square classes.
+"""Exact local arithmetic over Q_l: valuations, Jacobi symbols, square classes.
 
-Everything here is elementary and exact (integers and fractions only).  Every
+Everything here is elementary and exact, on Python ints only.  Every
 quadratic question over Q_l is read from one square class: Q_l^x / squares
 has order 4, or 8 at l = 2 (Serre, A Course in Arithmetic, II.3.3), and the
 class of z = l^v u is v mod 2 with u's Legendre symbol, or u mod 8 at l = 2.
@@ -14,12 +14,9 @@ z*d.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, prod
 from typing import Optional, Union
-
-Rational = Union[int, Fraction]
 
 
 # Primality and factoring.  is_prime is exact below _MR_LIMIT, where the first
@@ -230,14 +227,15 @@ def squarefree_part(n: int) -> int:
     return sign * prod(q for q, e in _factorization(n).items() if e % 2)
 
 
-def _ratio(x: Rational) -> tuple[int, int]:
-    """(numerator, denominator) of x in lowest terms; an int is not made a
-    Fraction."""
-    return (x, 1) if isinstance(x, int) else Fraction(x).as_integer_ratio()
-
-
 def _strip(n: int, ell: int) -> tuple[int, int]:
-    """(v, n / ell^v) with v = v_ell(n), for a nonzero integer n."""
+    """(v, n / ell^v) with v = v_ell(n), for a nonzero int n.
+
+    Anything but an exact int raises TypeError: the loop below would value
+    a Fraction, a float or a bool, silently wrong (1/3 would get v_3 = 0)."""
+    if type(n) is not int:
+        raise TypeError(f"{n!r} is not an int")
+    if n == 0:
+        raise ValueError("0 has no valuation and no square class")
     if ell < 2:
         raise ValueError(f"{ell} is not prime")
     v = 0
@@ -247,36 +245,24 @@ def _strip(n: int, ell: int) -> tuple[int, int]:
     return v, n
 
 
-def padic_valuation(x: Rational, ell: int) -> int:
-    """v_ell(x) for a nonzero rational x and a prime ell.
+def padic_valuation(x: int, ell: int) -> int:
+    """v_ell(x) for a nonzero integer x and a prime ell.
 
     ell is not tested for primality here: callers pass primes that were
     checked where they entered (a config, a factorization, a public entry
     point)."""
-    num, den = _ratio(x)
-    if num == 0:
-        raise ValueError("valuation of 0 is undefined")
-    return _strip(num, ell)[0] - _strip(den, ell)[0]
+    return _strip(x, ell)[0]
 
 
 def kronecker_symbol(a: int, n: int) -> int:
-    """Kronecker symbol (a|n), multiplicative in both arguments."""
-    if n == 0:
-        raise ValueError("Kronecker symbol (a|0) is not defined here")
+    """Jacobi symbol (a|n) for an odd n > 0, the Legendre symbol when n is
+    prime.  split_type, local_square_class and the Lucas test pass no other
+    modulus, so any other n raises ValueError."""
+    if n < 1 or n % 2 == 0:
+        raise ValueError(f"(a|{n}) is taken only for odd n > 0")
     result = 1
-    if n < 0:
-        n = -n
-        if a < 0:
-            result = -result
-    if n % 2 == 0:
-        if a % 2 == 0:
-            return 0
-        while n % 2 == 0:
-            n //= 2
-            if a % 8 in (3, 5):
-                result = -result
     a %= n
-    # Jacobi symbol by reciprocity; n is now odd and positive.
+    # Jacobi symbol by reciprocity; n stays odd and positive
     while a:
         while a % 2 == 0:
             a //= 2
@@ -291,7 +277,7 @@ def kronecker_symbol(a: int, n: int) -> int:
 
 @dataclass(frozen=True)
 class LocalSquareVerdict:
-    """Class of a nonzero rational z = ell^v u in Q_ell^x / squares: v mod 2,
+    """Class of a nonzero integer z = ell^v u in Q_ell^x / squares: v mod 2,
     and u mod 8 at ell = 2 or the Legendre symbol (u|ell) at odd ell."""
 
     valuation_parity: int
@@ -307,19 +293,14 @@ class LocalSquareVerdict:
         return self.valuation_parity == 0 and self.unit_class in (5, -1)
 
 
-def local_square_class(z: Rational, ell: int) -> LocalSquareVerdict:
-    """Square class of z in Q_ell^x.  z = a/b is in the class of a*b, and an
-    odd unit's class mod 8 is its residue mod 8."""
-    num, den = _ratio(z)
-    if num == 0:
-        raise ValueError("square class of 0 is undefined")
-    v, num = _strip(num, ell)
-    w, den = _strip(den, ell)
-    u = num * den
-    return LocalSquareVerdict((v - w) % 2, u % 8 if ell == 2 else kronecker_symbol(u, ell))
+def local_square_class(z: int, ell: int) -> LocalSquareVerdict:
+    """Square class of the nonzero integer z in Q_ell^x; an odd unit's class
+    mod 8 is its residue mod 8."""
+    v, u = _strip(z, ell)
+    return LocalSquareVerdict(v % 2, u % 8 if ell == 2 else kronecker_symbol(u, ell))
 
 
-def is_local_square(z: Rational, ell: int) -> bool:
+def is_local_square(z: int, ell: int) -> bool:
     return local_square_class(z, ell).is_square
 
 
@@ -355,18 +336,18 @@ def check_extension(ell: int, ext: QuadraticExtension) -> None:
         raise ValueError(f"unsupported extension descriptor {ext!r}")
 
 
-def is_square_in_quadratic_ext(z: Rational, ell: int, ext: QuadraticExtension) -> bool:
+def is_square_in_quadratic_ext(z: int, ell: int, ext: QuadraticExtension) -> bool:
     """Is z a square in the given quadratic extension of Q_ell?"""
     check_extension(ell, ext)  # quadratic_character_type also takes None
     return quadratic_character_type(z, ell, ext) == "trivial"
 
 
-def quadratic_character_type(z: Rational, ell: int,
+def quadratic_character_type(z: int, ell: int,
                              ext: QuadraticExtension | None) -> str:
     """Type of K_v(sqrt(z))/K_v: 'trivial', 'unramified' or 'ramified'.
 
     K_v is Q_ell itself (ext None), its unramified quadratic extension
-    Q_ell(sqrt w), or a ramified one Q_ell(sqrt d); z is a nonzero rational.
+    Q_ell(sqrt w), or a ramified one Q_ell(sqrt d); z is a nonzero integer.
     z is a square in F(sqrt t) iff z or z*t is a square in F, so over
     Q_ell(sqrt d) the classes of z and z*d decide.  Over the unramified
     extension a rational nonsquare always generates a ramified extension

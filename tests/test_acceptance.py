@@ -26,7 +26,6 @@ from dihedral_parity.cli import (
 from dihedral_parity.curves import (
     count_points,
     frobenius_data,
-    invariants,
     local_reduction,
     minimal_model_at,
 )

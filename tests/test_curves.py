@@ -1,4 +1,5 @@
 import dataclasses
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
@@ -15,7 +16,6 @@ from dihedral_parity.curves import (
     count_points,
     frobenius_data,
     good_twist_at,
-    invariants,
     local_reduction,
     minimal_model_at,
     model_from_invariants,
@@ -51,10 +51,10 @@ def test_singular_rejected():
 
 
 def test_known_invariants_11a1():
-    inv = invariants(CURVES["11a1"])
-    assert (inv.b2, inv.b4, inv.b6) == (-4, -20, -79)
-    assert (inv.c4, inv.c6, inv.disc) == (496, 20008, -161051)
-    assert inv.disc == -(11 ** 5)
+    E = CURVES["11a1"]
+    assert E.b_invariants()[:3] == (-4, -20, -79)
+    assert (*E.c_invariants(), E.discriminant()) == (496, 20008, -161051)
+    assert E.discriminant() == -(11 ** 5)
 
 
 @pytest.mark.parametrize("label,E", list(CURVES.items()))
@@ -80,8 +80,8 @@ def test_c_invariant_identity(ainvs):
     E = _try_curve(ainvs)
     if E is None:
         return
-    inv = invariants(E)
-    assert inv.c4 ** 3 - inv.c6 ** 2 == 1728 * inv.disc
+    c4, c6 = E.c_invariants()
+    assert c4 ** 3 - c6 ** 2 == 1728 * E.discriminant()
 
 
 @given(curves_strategy(), st.integers(min_value=1, max_value=3),
@@ -95,11 +95,11 @@ def test_transform_scales_invariants(ainvs, u, r, s, t):
     if u > 1:
         big = WeierstrassCurve(big.a1 * u, big.a2 * u ** 2, big.a3 * u ** 3,
                                big.a4 * u ** 4, big.a6 * u ** 6)
-    inv = invariants(big)
-    inv2 = invariants(transform(big, u, 0, 0, 0))
-    assert inv2.c4 * u ** 4 == inv.c4
-    assert inv2.c6 * u ** 6 == inv.c6
-    assert inv2.disc * u ** 12 == inv.disc
+    small = transform(big, u, 0, 0, 0)
+    (c4, c6), (c4_small, c6_small) = big.c_invariants(), small.c_invariants()
+    assert c4_small * u ** 4 == c4
+    assert c6_small * u ** 6 == c6
+    assert small.discriminant() * u ** 12 == big.discriminant()
 
 
 @given(curves_strategy())
@@ -107,11 +107,9 @@ def test_model_from_invariants_round_trip(ainvs):
     E = _try_curve(ainvs)
     if E is None:
         return
-    inv = invariants(E)
-    model = model_from_invariants(inv.c4, inv.c6)
+    model = model_from_invariants(*E.c_invariants())
     assert model is not None
-    inv2 = invariants(model)
-    assert (inv2.c4, inv2.c6) == (inv.c4, inv.c6)
+    assert model.c_invariants() == E.c_invariants()
 
 
 @settings(max_examples=60)
@@ -196,7 +194,7 @@ def test_local_reduction_matches_oracle(label, E):
         assert data.reduction_type == kind, (label, ell)
         assert data.split == split, (label, ell)
         assert data.v_disc_min == v, (label, ell)
-        assert padic_valuation(invariants(minimal_model_at(E, ell)).disc,
+        assert padic_valuation(minimal_model_at(E, ell).discriminant(),
                                ell) == v if v else True
 
 
@@ -205,16 +203,17 @@ def test_minimal_model_reduces_twist():
     E = TWIST_11A1_7
     for ell in (2, 7, 11):
         got = oracles.minimal_disc_valuation(E, ell)
-        assert padic_valuation(invariants(minimal_model_at(E, ell)).disc, ell) \
+        assert padic_valuation(minimal_model_at(E, ell).discriminant(), ell) \
             == got if got else True
         assert local_reduction(E, ell).v_disc_min == got
 
 
 def test_quadratic_twist_invariants():
     E = CURVES["11a1"]
+    j = Fraction(E.c_invariants()[0] ** 3, E.discriminant())
     for d in (-1, 2, 7, -15):
         Ed = quadratic_twist(E, d)
-        assert invariants(Ed).j == invariants(E).j
+        assert Fraction(Ed.c_invariants()[0] ** 3, Ed.discriminant()) == j
     # non-squarefree twist parameters are rejected
     with pytest.raises(ValueError):
         quadratic_twist(E, 4)

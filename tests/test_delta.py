@@ -2,8 +2,18 @@ import pytest
 
 from corpus import CURVES, TWIST_11A1_7, TWIST_37A1_5, make_tower
 from dihedral_parity import verdicts as V
-from dihedral_parity.delta import delta, residue_frobenius_over_Kv
-from dihedral_parity.tower import SiteOverrides, sites_above
+from dihedral_parity.curves import WeierstrassCurve
+from dihedral_parity.delta import (
+    ANOMALOUS_OVER_M,
+    NO_GOOD_TWIST,
+    NO_RESIDUE_TWIST,
+    SUPERSINGULAR_OVER_M,
+    delta,
+    delta_at,
+    residue_frobenius_over_Kv,
+)
+from dihedral_parity.parity import UNDETERMINED, analyze
+from dihedral_parity.tower import SiteOverrides, local_data, sites_above
 
 
 def _site(T, ell, which=None):
@@ -110,3 +120,28 @@ def test_every_delta_has_citation():
     for ell in (2, 3, 5, 7, 11, 13):
         for s in sites_above(ell, T.K):
             assert delta(CURVES["11a1"], T, s).citation
+
+
+# Undetermined, never silently wrong: each branch above p = 7 that declines
+# to give a value, in K = Q(sqrt 5) with 7 inert and ramified in L/K.
+@pytest.mark.parametrize("ainvs, override, verdict", [
+    # y^2 = x^3 + x twisted by 7: additive, defect 2, and the good twist
+    # over F_49 is supersingular (a_7 = 0)
+    ([0, 0, 0, 49, 0], None, SUPERSINGULAR_OVER_M),
+    # y^2 = x^3 - 9x - 9 twisted by 7: the good twist has a_7 = 1, ordinary
+    # but anomalous over F_49
+    ([0, 0, 0, -441, -3087], None, ANOMALOUS_OVER_M),
+    # y^2 = x^3 + 7 has defect 6; forced to 2, no quadratic twist is good
+    ([0, 0, 0, 0, 7], SiteOverrides(defect=2), NO_GOOD_TWIST),
+    # forced good over K_v, but no quadratic twist reaches the residue curve
+    ([0, 0, 0, 49, 0], SiteOverrides(reduction_over_Kv="good"), NO_RESIDUE_TWIST),
+], ids=["supersingular over M", "anomalous over M", "no good twist",
+        "no residue twist"])
+def test_undetermined_branches_above_p(ainvs, override, verdict):
+    E = WeierstrassCurve(*ainvs)
+    T = make_tower(5, 7, 1, [7], overrides={7: override} if override else None)
+    site = _site(T, 7)
+    assert delta_at(T, site, local_data(E, T, site)) is verdict
+    assert verdict.value is None and verdict.case_tag == V.UNCOVERED
+    row = next(r for r in analyze(E, T).rows if r.place == 7)
+    assert row.status == UNDETERMINED

@@ -1,25 +1,29 @@
 """Design rules of the package, checked on its source with ``ast``.
 
 Every fact the engine states is an identity between integers or rationals, so
-no module needs a float or complex constant, a tolerance parameter or
-``cmath``; no module imports another module's private (underscore)
+no module needs a float or complex constant, a tolerance parameter,
+``cmath`` or ``fractions`` (every local question is asked of an integer);
+no module imports another module's private (underscore)
 helpers; the values a local fact or an override may take are stated
 once, in ``curves``; and every JSON document is written from the record
 templates in ``report``, never by an ``indent=`` call, which would put
 ``json``'s pure-Python encoder back, and ``cli`` spells out no JSON
 bracket.  A square class of Q_ell is read only by ``localarith.local_square_class``.  The
 oracles in ``tests/oracles.py`` take only ``WeierstrassCurve`` from the
-package, so a bug in the code they check cannot move them too.
+package, so a bug in the code they check cannot move them too.  Every
+function the benchmark's tracer names by string still exists.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
 from dihedral_parity.curves import DEFECTS, KV_REDUCTIONS, UNKNOWN
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "dihedral_parity"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "dihedral_parity"
 MODULES = sorted(SRC.glob("*.py"))
 
 
@@ -45,15 +49,24 @@ def test_no_tolerance_parameter(path):
     assert not bad, f"{path.name}: tolerance parameters {bad}"
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
-def test_no_cmath_import(path):
+def _imported(path):
     imported = set()
     for node in ast.walk(_tree(path)):
         if isinstance(node, ast.Import):
             imported.update(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             imported.add(node.module)
-    assert "cmath" not in imported
+    return imported
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_cmath_import(path):
+    assert "cmath" not in _imported(path)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_fractions_import(path):
+    assert "fractions" not in _imported(path), f"{path.name}: ask the question of an int"
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -103,7 +116,7 @@ def test_square_classes_are_read_in_one_place():
     local_square_class: none of them takes a valuation or a residue itself."""
     readers = {"is_local_square", "check_extension", "is_square_in_quadratic_ext",
                "quadratic_character_type"}
-    banned = {"kronecker_symbol", "padic_valuation", "_strip", "_ratio"}
+    banned = {"kronecker_symbol", "padic_valuation", "_strip"}
     found = {}
     for node in ast.walk(_tree(SRC / "localarith.py")):
         if isinstance(node, ast.FunctionDef) and node.name in readers:
@@ -115,3 +128,18 @@ def test_square_classes_are_read_in_one_place():
     assert all(calls & (readers | {"local_square_class"}) for calls in found.values())
     bad = {name: sorted(calls & banned) for name, calls in found.items() if calls & banned}
     assert not bad, f"read the class through local_square_class: {bad}"
+
+
+def test_traced_layers_still_resolve():
+    """bench/tracing.py names the functions it wraps by string, so a rename
+    or a deletion here would break the traced benchmark and no import would
+    fail.  LAYERS is read from its source, importing nothing from bench/."""
+    tree = _tree(ROOT / "bench" / "tracing.py")
+    layers = next(ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and any(getattr(t, "id", None) == "LAYERS" for t in node.targets))
+    assert layers
+    missing = [f"{mod}.{name}" for mod, names in layers.items() for name in names
+               if not callable(getattr(importlib.import_module(f"dihedral_parity.{mod}"),
+                                       name, None))]
+    assert not missing, f"bench/tracing.py traces names that no longer exist: {missing}"

@@ -46,7 +46,7 @@ def test_squarefree_part_properties(n):
     assert (n > 0) == (sf > 0)
 
 
-@given(st.fractions(min_value=-1000, max_value=1000).filter(lambda x: x != 0),
+@given(st.integers(min_value=-10**6, max_value=10**6).filter(bool),
        st.sampled_from([2, 3, 5, 7, 11]))
 def test_padic_valuation_multiplicative(x, ell):
     assert padic_valuation(x * x, ell) == 2 * padic_valuation(x, ell)
@@ -59,6 +59,12 @@ def test_kronecker_vs_euler():
         for a in range(-60, 60):
             expected = 0 if a % ell == 0 else (1 if a % ell in residues else -1)
             assert kronecker_symbol(a, ell) == expected, (a, ell)
+
+
+@pytest.mark.parametrize("n", [0, -3, 2, 8])
+def test_kronecker_symbol_takes_only_odd_positive_moduli(n):
+    with pytest.raises(ValueError, match="only for odd n > 0"):
+        kronecker_symbol(3, n)
 
 
 def test_local_square_class_odd_vs_enumeration():
@@ -88,10 +94,16 @@ def test_two_adic_square_classes():
         assert not is_local_square(2 * unit, 2)
 
 
-def test_local_square_class_rational_inputs():
-    assert is_local_square(Fraction(1, 9), 3)
-    assert not is_local_square(Fraction(1, 3), 3)
-    assert is_local_square(Fraction(49, 4), 2)
+def test_non_integers_are_refused():
+    # the valuation loop would value them silently wrong: 1/3 would get v_3 = 0
+    for bad in (Fraction(1, 3), Fraction(9), 9.0, True, False):
+        for question in (lambda: padic_valuation(bad, 3),
+                         lambda: local_square_class(bad, 3),
+                         lambda: is_local_square(bad, 2),
+                         lambda: quadratic_character_type(bad, 7, None),
+                         lambda: quadratic_character_type(bad, 7, RamifiedQuadratic(7))):
+            with pytest.raises(TypeError, match="is not an int"):
+                question()
 
 
 def test_unramified_ext_vs_F49_squares():
@@ -159,17 +171,15 @@ def test_quadratic_character_type_over_inert_Kv():
 @settings(max_examples=400)
 @given(ell=st.sampled_from([2, 3, 5, 7, 11, 13, 10007]),
        sign=st.sampled_from([1, -1]), a=st.integers(1, 10**6),
-       k=st.integers(0, 3), b=st.integers(1, 10**6), as_fraction=st.booleans(),
+       k=st.integers(0, 3),
        ext_kind=st.sampled_from([None, "unramified", "ramified"]),
        d_sign=st.sampled_from([1, -1]), d_unit=st.integers(0, 10**6),
        j=st.integers(0, 3))
-def test_quadratic_questions_match_the_oracle(ell, sign, a, k, b, as_fraction,
-                                              ext_kind, d_sign, d_unit, j):
+def test_quadratic_questions_match_the_oracle(ell, sign, a, k, ext_kind,
+                                              d_sign, d_unit, j):
     """Every quadratic question over Q_ell against residue enumeration with an
-    explicit unramified generator; Fraction(a, b) is in the class of a*b."""
+    explicit unramified generator."""
     z = oracle_z = sign * a * ell ** k
-    if as_fraction:
-        z, oracle_z = Fraction(z, b), z * b
     d = d_sign * d_unit * ell ** j
     ext = {None: None, "unramified": UnramifiedQuadratic(),
            "ramified": RamifiedQuadratic(d)}[ext_kind]
@@ -386,14 +396,13 @@ def test_hard_discriminant_factors_in_a_subprocess():
 @given(st.integers(min_value=-10**6, max_value=10**6).filter(bool),
        st.integers(min_value=0, max_value=8),
        st.sampled_from([2, 3, 5, 7, 11, 1000003]))
-def test_integer_paths_match_the_fraction_paths(u, k, ell):
-    # an int is divided directly, a Fraction through its numerator and
-    # denominator; both must give the same valuation and square class
-    for n in (u * ell ** k, u):
-        assert padic_valuation(n, ell) == padic_valuation(Fraction(n), ell)
-        assert local_square_class(n, ell) == local_square_class(Fraction(n), ell)
+def test_a_power_of_ell_moves_only_the_valuation(u, k, ell):
+    # u * ell^k strips to u's unit part: the valuation grows by k and the
+    # unit class is u's
     assert padic_valuation(u * ell ** k, ell) == padic_valuation(u, ell) + k
-    assert padic_valuation(Fraction(u, ell ** k), ell) == padic_valuation(u, ell) - k
+    c, c_u = local_square_class(u * ell ** k, ell), local_square_class(u, ell)
+    assert c.unit_class == c_u.unit_class
+    assert c.valuation_parity == (c_u.valuation_parity + k) % 2
 
 
 @pytest.mark.parametrize("bad", [0])
@@ -404,8 +413,8 @@ def test_padic_valuation_zero_rejected(bad):
 
 @pytest.mark.parametrize("ell", [1, 0, -3])
 def test_a_modulus_below_two_is_rejected(ell):
-    # neither valuation loop may run with ell < 2 (it would never end at 1)
+    # the valuation loop may not run with ell < 2 (it would never end at 1)
     with pytest.raises(ValueError, match="is not prime"):
         padic_valuation(12, ell)
     with pytest.raises(ValueError, match="is not prime"):
-        local_square_class(Fraction(12, 5), ell)
+        local_square_class(60, ell)

@@ -81,6 +81,16 @@ def test_validate_rejects_ramified_in_K_not_above_p():
     assert any("unramified" in v.citation for v in viols)
 
 
+def test_validate_rejects_sites_that_contradict_the_splitting():
+    # 11 is inert in Q(i), so parse_tower never builds these two split
+    # sites, but a TowerSpec built by hand can hold them
+    sites = frozenset(PrimeSite(11, SPLIT, which) for which in ("first", "second"))
+    T = TowerSpec(K=QuadraticFieldSpec(-1), p=5, n=1, ramified_sites=sites)
+    viols = validate_tower(T)
+    assert [v.code for v in viols] == ["site_consistency"] * 2
+    assert all("declared split but 11 is inert" in v.message for v in viols)
+
+
 def test_validate_rejects_bad_d():
     assert any(v.code == "d_squarefree"
                for v in validate_tower(make_tower(12, 5, 1, [])))
