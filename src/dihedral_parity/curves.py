@@ -30,7 +30,7 @@ from .localarith import (
 from .pointcount import count_points
 
 # The bound above which no Frobenius trace is computed.
-POINT_COUNT_BOUND = 100_000
+POINT_COUNT_BOUND = 10**12
 
 
 class SingularCurveError(ValueError):

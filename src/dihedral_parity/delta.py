@@ -107,11 +107,11 @@ def delta(E: WeierstrassCurve, T: TowerSpec, v: PrimeSite) -> DeltaVerdict:
     return delta_at(T, v, local_data(E, T, v))
 
 
-def delta_at(T: TowerSpec, v: PrimeSite, loc: LocalData) -> DeltaVerdict:
+def delta_at(T: TowerSpec, v: PrimeSite, loc: Optional[LocalData]) -> DeltaVerdict:
     """delta_v read off the local record of the prime below v, in a valid tower."""
     if v.split_type == SPLIT:
         return PAIR_CANCELS
-    if not T.is_ramified_in_L(v):
+    if v.ell not in T.ramified_primes:
         return SPLITS_COMPLETELY
 
     kv, red = loc.kv, loc.red

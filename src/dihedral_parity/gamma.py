@@ -10,7 +10,7 @@ and reports Undetermined outside them.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Union
+from typing import Optional, Union
 
 from . import verdicts as V
 from .curves import UNKNOWN, LocalData, WeierstrassCurve
@@ -70,11 +70,11 @@ def gamma(E: WeierstrassCurve, T: TowerSpec, u: Place) -> ConstantVerdict:
     return gamma_at(T, site, local_data(E, T, site))
 
 
-def gamma_at(T: TowerSpec, site: PrimeSite, loc: LocalData) -> ConstantVerdict:
+def gamma_at(T: TowerSpec, site: PrimeSite, loc: Optional[LocalData]) -> ConstantVerdict:
     """gamma_u at the prime below site (the first above it), in a valid tower."""
     if site.split_type == SPLIT:
         return SPLIT_PAIR
-    if not T.is_ramified_in_L(site):
+    if site.ell not in T.ramified_primes:
         return SELF_CONJ_UNRAMIFIED
 
     # v = v^c, ramified in L/K.

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from . import verdicts as V
-from .curves import LocalData, WeierstrassCurve
+from .curves import LocalData, WeierstrassCurve, minimal_model_at
 from .delta import delta_at
 from .gamma import ARCHIMEDEAN_GAMMA, INFINITE_PLACE, gamma_at
 from .tower import (
@@ -106,7 +106,7 @@ class ParityReport:
                 or self.mr64_sum is None)
 
 
-def _row_for_prime(T: TowerSpec, site: PrimeSite, loc: LocalData) -> ParityRow:
+def _row_for_prime(T: TowerSpec, site: PrimeSite, loc: Optional[LocalData]) -> ParityRow:
     """The row of the prime below site; its one delta entry stands for the
     conjugate pair when the prime splits in K."""
     g = gamma_at(T, site, loc)
@@ -151,22 +151,22 @@ def analyze(E: WeierstrassCurve, T: TowerSpec,
             dim_Sp_E_K: Optional[int] = None) -> ParityReport:
     """Full report: parity table, aggregation, audit and optional bound.
 
-    The tower is validated once per TowerSpec, and each support prime gets
-    one LocalData record and one row; every aggregate is read from those rows.
+    The tower is validated once per TowerSpec; each support prime gets one row,
+    and a LocalData record only where L/K ramifies.  Aggregates read the rows.
     """
     if dim_Sp_E_K is not None and dim_Sp_E_K < 0:
         raise ValueError("dim_Sp_E_K must be nonnegative")
     check_tower(T)
     disc = E.discriminant()
     # The aggregation set S: sites above p, sites ramified in L/K, and sites
-    # of bad reduction.
-    s_primes = {T.p, *(s.ell for s in T.ramified_sites)}
+    # of bad reduction, where the minimal discriminant is not a unit.
+    s_primes = T.ramified_primes | {T.p}
     rows, S, sums = [], [], []
     for ell in support_primes(T, E):
         above = T.sites_at.get(ell) or sites_above(ell, T.K)
-        loc = local_data(E, T, above[0])
+        loc = local_data(E, T, above[0]) if ell in T.ramified_primes else None
         rows.append(_row_for_prime(T, above[0], loc))
-        if ell in s_primes or (disc % ell == 0 and loc.red.reduction_type != "good"):
+        if ell in s_primes or disc % ell == 0 and minimal_model_at(E, ell).valuations_at(ell)[0]:
             S.extend(above)
             sums.append(rows[-1].delta_sum)
     delta_at_ell = {r.place: r.deltas[0][1] for r in rows}

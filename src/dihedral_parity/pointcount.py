@@ -8,10 +8,8 @@ affine pairs over F_ell, or None for the point at infinity.
 
 from __future__ import annotations
 
-from math import gcd, isqrt
-from typing import TYPE_CHECKING, Optional
-
-from .localarith import prime_factors
+from math import isqrt
+from typing import TYPE_CHECKING, Optional, Union
 
 if TYPE_CHECKING:
     from .curves import WeierstrassCurve
@@ -25,8 +23,7 @@ MESTRE_BOUND = 229
 
 def count_points(E: WeierstrassCurve, ell: int) -> int:
     """#E~(F_ell) for a model with good reduction at ell: by Shanks-Mestre
-    baby-step giant-step above MESTRE_BOUND, in O(ell^(1/4)) group
-    operations per point, and by enumeration of F_ell at and below it."""
+    above MESTRE_BOUND, and by enumeration of F_ell at and below it."""
     if ell > MESTRE_BOUND:
         c4, c6 = E.c_invariants()
         return _mestre_count(-27 * c4 % ell, -54 * c6 % ell, ell)
@@ -58,29 +55,27 @@ def _mestre_count(A: int, B: int, ell: int) -> int:
 
     For r = f(x0) != 0 the point (x0 r, r^2) lies on y^2 = x^3 + A r^2 x +
     B r^3, which is E when r is a square and its twist E' otherwise, with
-    #E' = 2 ell + 2 - #E.  The order of each such point gives a congruence
-    on N = #E, and the congruences are merged by the Chinese remainder
-    theorem into N = n0 (mod m), until one N of the Hasse interval is left.
+    #E' = 2 ell + 2 - #E.  Each such point allows the N of the Hasse
+    interval that kill it, and the sets are intersected until one N is left.
     """
-    width = isqrt(4 * ell)
-    lo, hi = ell + 1 - width, ell + 1 + width
-    n0, m = 0, 1
-    half = (ell - 1) // 2
+    lo, hi = ell + 1 - isqrt(4 * ell), ell + 1 + isqrt(4 * ell)
+    kept: Optional[set[int]] = None  # the N every point so far allows
     for x0 in range(ell):
         r = (x0 * x0 * x0 + A * x0 + B) % ell
         if r == 0:
             continue
-        a = A * r * r % ell
-        order = _point_order((x0 * r % ell, r * r % ell), a, ell, lo, hi)
-        # a point of E' of this order: 2 ell + 2 - N = 0 (mod order)
-        residue = 0 if pow(r, half, ell) == 1 else (2 * ell + 2) % order
-        g = gcd(m, order)
-        assert (residue - n0) % g == 0, "point orders disagree: counting bug"
-        step = (residue - n0) // g * pow(m // g, -1, order // g) % (order // g)
-        n0, m = n0 + m * step, m * order // g
-        first = lo + (n0 - lo) % m
-        if first + m > hi:
-            return first
+        kills = _annihilators((x0 * r % ell, r * r % ell), A * r * r % ell, ell, lo, hi)
+        twist = pow(r, (ell - 1) // 2, ell) != 1  # a point of E' is killed by 2 ell + 2 - N
+        if kept is None:
+            if isinstance(kills, range):
+                continue  # a point of small order allows too many N to list
+            kept = {2 * ell + 2 - n for n in kills} if twist else kills
+        else:
+            kept = {n for n in kept if (2 * ell + 2 - n if twist else n) in kills}
+        if len(kept) < 2:
+            break
+    if kept is not None and len(kept) == 1:
+        return kept.pop()
     raise AssertionError(f"no point fixes #E(F_{ell}): counting bug")
 
 
@@ -106,44 +101,47 @@ def _ec_add(P: Point, Q: Point, a: int, ell: int) -> Point:
 
 
 def _ec_mul(k: int, P: Point, a: int, ell: int) -> Point:
-    """[k] P for k >= 0, by double-and-add."""
-    R = None
-    for bit in bin(k)[2:]:
+    """[k] P for k >= 1, by double-and-add."""
+    R = P
+    for bit in bin(k)[3:]:
         R = _ec_add(R, R, a, ell)
         if bit == "1":
             R = _ec_add(R, P, a, ell)
     return R
 
 
-def _point_order(P: Point, a: int, ell: int, lo: int, hi: int) -> int:
-    """The order of P, from a multiple of it found by baby-step giant-step
-    in the Hasse interval [lo, hi], which holds the group's order."""
+def _annihilators(P: Point, a: int, ell: int, lo: int, hi: int) -> Union[range, set[int]]:
+    """Every N in [lo, hi] with N P = O, for an affine point P, by one
+    baby-step giant-step sweep: a point of order m < 2s shows m among the
+    baby steps and gives the range of m's multiples, any other point the set
+    the giant steps find, of at most (hi - lo) / 2s + 1 values."""
     s = isqrt((hi - lo) // 2) + 1
     baby: dict[int, tuple[int, int]] = {}  # x(jP) -> (j, y(jP)), 1 <= j <= s
-    R, multiple = P, None
+    R: Point = P
     for j in range(1, s + 1):
-        if R is None:  # jP = O
-            multiple = j
-            break
-        baby.setdefault(R[0], (j, R[1]))
-        R = _ec_add(R, P, a, ell)
-    if multiple is None:
-        # giant steps: c P for c = lo + s, lo + 3s, ..., so that c +- j
-        # with 0 <= j <= s covers [lo, hi]
-        step = _ec_mul(2 * s, P, a, ell)
-        c, R = lo + s, _ec_mul(lo + s, P, a, ell)
-        while multiple is None:
-            if c - s > hi:
-                raise AssertionError("no multiple of the order in the Hasse interval")
-            if R is None:
-                multiple = c
-            elif R[0] in baby:
-                j, y = baby[R[0]]
-                multiple = c - j if y == R[1] else c + j  # c P = +-j P
-            else:
-                c, R = c + 2 * s, _ec_add(R, step, a, ell)
-    order = multiple
-    for q in prime_factors(multiple):
-        while order % q == 0 and _ec_mul(order // q, P, a, ell) is None:
-            order //= q
-    return order
+        if j > 1:
+            R = _ec_add(R, P, a, ell)
+        if R is None or R[0] in baby:  # the order: j, or j + j' < 2j for jP = -j'P
+            m = j if R is None else j + baby[R[0]][0]
+            return range(lo + -lo % m, hi + 1, m)
+        baby[R[0]] = (j, R[1])
+    # The order is at least 2s, so an x names at most one baby point.  Giant
+    # points cP, c = 2sk, sweep the windows [c - s, c + s] that meet [lo, hi]:
+    # cP = jP gives N = c - j, and cP = -jP gives N = c + j.
+    step = _ec_add(R, R, a, ell)  # 2s P
+    k = (lo + s) // (2 * s)
+    c, G = 2 * s * k, _ec_mul(k, step, a, ell)
+    found = set()
+    while True:
+        if G is None:
+            found.add(c)
+        elif G[0] in baby:
+            j, y = baby[G[0]]
+            if y == G[1]:
+                found.add(c - j)
+            if (y + G[1]) % ell == 0:
+                found.add(c + j)
+        c += 2 * s
+        if c - s > hi:
+            return {n for n in found if lo <= n <= hi}
+        G = _ec_add(G, step, a, ell)

@@ -136,14 +136,11 @@ class TowerSpec:
     def degree_over_K(self) -> int:
         return self.p ** self.n
 
-    def is_ramified_in_L(self, site: PrimeSite) -> bool:
-        return site in self.ramified_sites
-
     def override_for(self, ell: int) -> SiteOverrides:
         return self.overrides.get(ell, NO_OVERRIDES)
 
     # Each is taken once per tower and lives in the instance dict, like
-    # K.d_primes: neither reads the overrides, and every other field is immutable.
+    # K.d_primes: none reads the overrides, and every other field is immutable.
     @cached_property
     def violations(self) -> tuple[Violation, ...]:
         """validate_tower's verdict on this tower."""
@@ -153,10 +150,15 @@ class TowerSpec:
     def sites_at(self) -> dict[int, tuple[PrimeSite, ...]]:
         """The sites above each prime every support set holds: p, the primes
         of disc(K) and the ramified ones, in a valid tower."""
-        primes = {self.p, *self.K.d_primes, *(s.ell for s in self.ramified_sites)}
+        primes = {self.p, *self.K.d_primes, *self.ramified_primes}
         if self.K.d % 4 != 1:
             primes.add(2)
         return {ell: tuple(sites_above(ell, self.K)) for ell in primes}
+
+    @cached_property
+    def ramified_primes(self) -> frozenset[int]:
+        """The primes below the sites ramified in L/K."""
+        return frozenset(s.ell for s in self.ramified_sites)
 
 
 CITE_P_GT_3 = "standing hypothesis: the tower degree prime p exceeds 3"

@@ -6,8 +6,10 @@ but ``WeierstrassCurve`` and the invariants it computes: realizability of
 model itself by a search for b2 over a full residue system mod 1728, reduction
 types by discriminant/c4 valuations of the oracle minimal model, split
 multiplicative type by brute-force point counting, point counts over F_ell
-by enumeration of x and over F_(ell^2) by explicit finite-field arithmetic, and local squares and the type of
-a quadratic character by exhaustive residue enumeration.  Primality and
+by enumeration of x and over F_(ell^2) by explicit finite-field arithmetic,
+large counts by a certificate on points of E and its twist in a model and
+group law of their own, and local squares and the type of a quadratic
+character by exhaustive residue enumeration.  Primality and
 factoring are by trial division up to sqrt(n), the package's method before it
 moved to Miller-Rabin and Pollard-Brent rho.  Reduction over a ramified
 quadratic K_v is read off the reduction type of a quadratic twist over Q_ell.
@@ -189,6 +191,81 @@ def count_points(E: WeierstrassCurve, ell: int) -> int:
         rhs = (4 * x ** 3 + b2 * x * x + 2 * b4 * x + b6) % ell
         n += 1 if rhs == 0 else 1 + (1 if pow(rhs, half, ell) == 1 else -1)
     return n
+
+
+def sqrt_mod(z: int, ell: int) -> int:
+    """A square root of the nonzero square z modulo the odd prime ell, by
+    Tonelli-Shanks."""
+    q, e = ell - 1, 0
+    while q % 2 == 0:
+        q, e = q // 2, e + 1
+    w = next(w for w in range(2, ell) if pow(w, (ell - 1) // 2, ell) == ell - 1)
+    c, x, t = pow(w, q, ell), pow(z, (q + 1) // 2, ell), pow(z, q, ell)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            i, t2 = i + 1, t2 * t2 % ell
+        b = pow(c, 1 << (e - i - 1), ell)
+        x, c, t, e = x * b % ell, b * b % ell, t * b * b % ell, i
+    assert x * x % ell == z % ell
+    return x
+
+
+def twist_model(E: WeierstrassCurve, ell: int, u: int) -> tuple[int, int, int]:
+    """(A2, A4, A6) of y^2 = x^3 + A2 x^2 + A4 x + A6 over F_ell, the twist
+    of E by u (E itself for u = 1): E is (2y + a1 x + a3)^2 = g(x) = 4x^3 +
+    b2 x^2 + 2 b4 x + b6, its twist u Y^2 = g(x), and X = 4u x, y = 4u^2 Y."""
+    b2, b4, b6, _ = E.b_invariants()
+    return u * b2 % ell, 8 * u * u * b4 % ell, 16 * u ** 3 * b6 % ell
+
+
+def multiple(n: int, P, model, ell: int):
+    """n P on y^2 = x^3 + A2 x^2 + A4 x + A6 (affine chord and tangent, None
+    at infinity), by double-and-add."""
+    A2, A4, _ = model
+
+    def add(P, Q):
+        if P is None or Q is None:
+            return Q if P is None else P
+        if P[0] == Q[0] and (P[1] + Q[1]) % ell == 0:
+            return None
+        if P == Q:
+            lam = (3 * P[0] ** 2 + 2 * A2 * P[0] + A4) * pow(2 * P[1], -1, ell)
+        else:
+            lam = (Q[1] - P[1]) * pow(Q[0] - P[0], -1, ell)
+        x = (lam * lam - A2 - P[0] - Q[0]) % ell
+        return x, (lam * (P[0] - x) - P[1]) % ell
+
+    R = None
+    for bit in bin(n)[2:]:
+        R = add(R, R)
+        if bit == "1":
+            R = add(R, P)
+    return R
+
+
+def count_is_certified(E: WeierstrassCurve, ell: int, N: int, points: int = 6) -> bool:
+    """Whether N = #E(F_ell) passes the checks a count must pass, at any odd
+    ell of good reduction: the Hasse bound, N P = O for the first points P of
+    E by x, and (2 ell + 2 - N) Q = O for the first points Q of its
+    quadratic twist.  A wrong N passes only if the order of every point
+    checked, of E and of its twist alike, divides its distance from the true
+    count, which is less than 4 sqrt(ell)."""
+    if (ell + 1 - N) ** 2 > 4 * ell:
+        return False
+    u = next(u for u in range(2, ell) if pow(u, (ell - 1) // 2, ell) == ell - 1)
+    for twist, order in ((1, N), (u, 2 * ell + 2 - N)):
+        model = A2, A4, A6 = twist_model(E, ell, twist)
+        found = 0
+        for x in range(ell):
+            rhs = (x ** 3 + A2 * x * x + A4 * x + A6) % ell
+            if rhs and pow(rhs, (ell - 1) // 2, ell) == 1:
+                if multiple(order, (x, sqrt_mod(rhs, ell)), model, ell) is not None:
+                    return False
+                found += 1
+                if found == points:
+                    break
+    return True
 
 
 def reduction_type(E: WeierstrassCurve, ell: int):

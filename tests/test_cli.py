@@ -181,14 +181,30 @@ def test_overrides_parsed(tmp_path, capsys):
                    "unknown value 'bogus'\n")
 
 
+# p = 10**12 + 39 is prime and 3 mod 4, so inert in Q(i), and lies beyond the
+# point-counting bound that delta at p needs
+OVER_BOUND_P = 10**12 + 39
+
+
 def test_analyze_error_is_one_line(tmp_path, capsys):
-    # p = 100003 lies beyond the point-counting bound that delta at p needs
+    cfg = write_json(tmp_path / "c.json", {
+        "curve": [0, 0, 0, 1, 0], "d": -1, "p": OVER_BOUND_P, "n": 1,
+        "ramified_sites": [{"ell": OVER_BOUND_P}]})
+    code, out = run_cli(capsys, ["analyze", str(cfg)])
+    assert code == EXIT_INVALID
+    assert out == "error: ell = 1000000000039 exceeds the counting bound 1000000000000\n"
+
+
+def test_analyze_counts_points_at_the_old_bound(tmp_path, capsys):
+    # p = 100003 lay beyond the old counting bound of 100000: x^3 + x is good
+    # supersingular there (100003 = 3 mod 4), and 100003 is inert in Q(i)
     cfg = write_json(tmp_path / "c.json", {
         "curve": [0, 0, 0, 1, 0], "d": -1, "p": 100003, "n": 1,
         "ramified_sites": [{"ell": 100003}]})
     code, out = run_cli(capsys, ["analyze", str(cfg)])
-    assert code == EXIT_INVALID
-    assert out == "error: ell = 100003 exceeds the counting bound 100000\n"
+    assert code == EXIT_OK
+    row = next(r for r in json.loads(out)["rows"] if r["place"] == 100003)
+    assert row["deltas"][0]["case_tag"] == "GoodSupersingularMR57"
 
 
 FLAGSHIP_TOWER = {"d": -1, "p": 5, "n": 1, "ramified_sites": [{"ell": 11}]}
@@ -483,7 +499,8 @@ def test_batch_malformed_row_continues(tmp_path, capsys):
 
 
 MALFORMED_ROWS = "oops,0,0,x,0,1\nshort,1,2\nsing,0,0,0,0,0\n"
-OVER_BOUND_TOWER = {"d": -1, "p": 100003, "n": 1, "ramified_sites": [{"ell": 100003}]}
+OVER_BOUND_TOWER = {"d": -1, "p": OVER_BOUND_P, "n": 1,
+                    "ramified_sites": [{"ell": OVER_BOUND_P}]}
 
 
 def batch_document(curves_path, config_path) -> str:

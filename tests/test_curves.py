@@ -268,6 +268,11 @@ def test_count_points_matches_enumeration_at_large_primes(ainvs, ell):
 CM_SUPERSINGULAR = {(0, 0, 0, 1, 0): (4, 3), (0, 0, 0, 0, 1): (3, 2)}
 
 
+# A few primes on either side of 1e8 and 1e12, the counting bound.
+LARGE_PRIMES = [99_999_971, 99_999_989, 100_000_007, 100_000_037, 100_000_039,
+                999_999_999_959, 999_999_999_961, 999_999_999_989, 10**12 + 39, 10**12 + 63]
+
+
 @pytest.mark.parametrize("ainvs,modulus,residue",
                          [(a, m, r) for a, (m, r) in CM_SUPERSINGULAR.items()])
 def test_count_points_cm_curves_are_supersingular(ainvs, modulus, residue):
@@ -275,18 +280,40 @@ def test_count_points_cm_curves_are_supersingular(ainvs, modulus, residue):
     primes = [ell for ell in [*range(5, 400), *range(10_000, 12_500), 99_971, 99_991]
               if ell % modulus == residue and oracles.is_prime(ell)]
     assert len(primes) > 150
-    for ell in primes:
+    large = [ell for ell in LARGE_PRIMES if ell % modulus == residue]
+    assert len(large) >= 4 and all(map(oracles.is_prime, large))
+    for ell in primes + large:
         assert count_points(E, ell) == ell + 1, ell
+
+
+@pytest.mark.parametrize("ell", [233, 1009, 2999])
+def test_count_certificate_accepts_only_the_enumerated_count(ell):
+    for ainvs in [(0, -1, 1, -10, -20), (0, 0, 1, -1, 0), (1, 0, 1, 4, -6)]:
+        E = WeierstrassCurve(*ainvs)
+        N = oracles.count_points(E, ell)
+        assert oracles.count_is_certified(E, ell, N)
+        assert not any(oracles.count_is_certified(E, ell, N + k) for k in (-2, -1, 1, 2))
+
+
+@pytest.mark.parametrize("ell", LARGE_PRIMES[1:3] + LARGE_PRIMES[-3:-1])
+def test_count_points_is_certified_near_the_bound(ell):
+    # non-CM curves, where E(F_ell) is no fixed value: the count passes the
+    # oracle's certificate (Hasse bound; N kills points of E, 2 ell + 2 - N
+    # points of the twist), in its own model and group law
+    for ainvs in [(0, -1, 1, -10, -20), (0, 0, 1, -1, 0), (1, 0, 1, 4, -6), (0, 1, 1, -7, 5)]:
+        E = WeierstrassCurve(*ainvs)
+        assert oracles.count_is_certified(E, ell, count_points(E, ell)), (ainvs, ell)
 
 
 def test_count_points_takes_quarter_power_work(monkeypatch):
     # at ell = 99991 a count reads a handful of x, where enumeration reads
     # all 99991, and makes O(ell^(1/4)) group operations per point: about
-    # 2 ell^(1/4) baby and giant steps, and scalar multiples of log size
+    # 2 sqrt(2) ell^(1/4) baby and giant steps, and one scalar multiple of
+    # size ell^(3/4)
     adds, points = [], []
-    add, order = pointcount._ec_add, pointcount._point_order
+    add, sweep = pointcount._ec_add, pointcount._annihilators
     monkeypatch.setattr(pointcount, "_ec_add", lambda *a: adds.append(1) or add(*a))
-    monkeypatch.setattr(pointcount, "_point_order", lambda *a: points.append(1) or order(*a))
+    monkeypatch.setattr(pointcount, "_annihilators", lambda *a: points.append(1) or sweep(*a))
     ell = 99_991
     for ainvs in [(0, -1, 1, -10, -20), (0, 0, 1, -1, 0), (0, 0, 0, 1, 0), (1, 0, 1, 4, -6)]:
         adds.clear()
@@ -294,7 +321,7 @@ def test_count_points_takes_quarter_power_work(monkeypatch):
         E = WeierstrassCurve(*ainvs)
         assert count_points(E, ell) == oracles.count_points(E, ell)
         assert len(points) <= 4
-        assert len(adds) <= 16 * len(points) * ell ** 0.25, (ainvs, len(adds))
+        assert len(adds) <= 5 * len(points) * ell ** 0.25, (ainvs, len(adds))
 
 
 def test_frobenius_known_values():

@@ -158,6 +158,23 @@ def test_each_local_stage_runs_once_per_prime(monkeypatch):
     assert len(calls["count_points"]) == 1
 
 
+def test_no_local_record_where_L_is_unramified(monkeypatch):
+    # 11a1 in Q(sqrt 7) with only 5 ramified in L: 11 divides the
+    # discriminant and is inert in K, so its row is read off the tower alone
+    # and its place in S off v(Delta) of the minimal model at 11
+    E = CURVES["11a1"]
+    T = make_tower(7, 5, 1, [5])
+    calls = _record_calls(monkeypatch, STAGES)
+    rep = analyze(E, T, dim_Sp_E_K=0)
+    assert [args[1] for args in calls["local_reduction"]] == [5]
+    row = next(r for r in rep.rows if r.place == 11)
+    assert (row.gamma.case_tag, row.deltas[0][1].case_tag, row.status) == (
+        V.SELF_CONJ_UNRAMIFIED, V.SPLITS_COMPLETELY, MATCH)
+    bad = [ell for ell in support_primes(T, E) if oracles.reduction_type(E, ell)[0] != "good"]
+    assert bad == [11]
+    assert [s.ell for s in rep.S] == [5, 11]
+
+
 @pytest.mark.parametrize("case", PARITY_CORPUS, ids=lambda c: c[0])
 def test_no_local_stage_repeats(monkeypatch, case):
     _, E, d, p, n, rams = case

@@ -78,8 +78,9 @@ INVALID_CONFIGS = {
     "defect true": {"overrides": {"3": {"defect_override": True}}},
     "defect 2.0": {"overrides": {"3": {"defect_override": 2.0}}},
     # an analysis error: point counting at p lies beyond the counting bound
-    "counting bound": {"curve": [0, 0, 0, 1, 0], "p": 100003,
-                       "ramified_sites": [{"ell": 100003}]},
+    # (p = 10**12 + 39 is prime and inert in Q(i))
+    "counting bound": {"curve": [0, 0, 0, 1, 0], "p": 10**12 + 39,
+                       "ramified_sites": [{"ell": 10**12 + 39}]},
 }
 
 
