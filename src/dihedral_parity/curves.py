@@ -92,28 +92,6 @@ class WeierstrassCurve:
         return vals
 
 
-def transform(E: WeierstrassCurve, u: int, r: int, s: int, t: int) -> WeierstrassCurve:
-    """Change of model x = u^2 x' + r, y = u^3 y' + u^2 s x' + t.
-
-    Raises ValueError if the transformed model is not integral.
-    """
-    a1, a2, a3, a4, a6 = E.ainvs()
-    nums = (
-        a1 + 2 * s,
-        a2 - s * a1 + 3 * r - s * s,
-        a3 + r * a1 + 2 * t,
-        a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t,
-        a6 + r * a4 + r * r * a2 + r ** 3 - t * a3 - t * t - r * t * a1,
-    )
-    out = []
-    for num, i in zip(nums, (1, 2, 3, 4, 6)):
-        q, rem = divmod(num, u ** i)
-        if rem:
-            raise ValueError("transformation does not preserve integrality")
-        out.append(q)
-    return WeierstrassCurve(*out)
-
-
 def model_from_invariants(c4: int, c6: int) -> Optional[WeierstrassCurve]:
     """The integral model with exactly these c-invariants and a1, a3 in
     {0, 1}, b2 in [0, 11], if any integral model has them.

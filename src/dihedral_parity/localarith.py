@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd, isqrt, prod
+from math import gcd, isqrt
 from typing import Optional, Union
 
 
@@ -217,14 +217,6 @@ def prime_factors(n: int) -> list[int]:
 
 def is_squarefree(n: int) -> bool:
     return n != 0 and all(e == 1 for e in _factorization(n).values())
-
-
-def squarefree_part(n: int) -> int:
-    """Largest squarefree divisor class: n modulo rational squares."""
-    if n == 0:
-        raise ValueError("0 has no squarefree part")
-    sign = -1 if n < 0 else 1
-    return sign * prod(q for q, e in _factorization(n).items() if e % 2)
 
 
 def _strip(n: int, ell: int) -> tuple[int, int]:

@@ -2,13 +2,8 @@
 
 from __future__ import annotations
 
-from dihedral_parity import (
-    QuadraticFieldSpec,
-    TowerSpec,
-    WeierstrassCurve,
-    quadratic_twist,
-    sites_above,
-)
+from dihedral_parity import QuadraticFieldSpec, TowerSpec, WeierstrassCurve, sites_above
+from dihedral_parity.curves import quadratic_twist
 
 CURVES = {
     "11a1": WeierstrassCurve(0, -1, 1, -10, -20),

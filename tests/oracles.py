@@ -9,7 +9,8 @@ multiplicative type by brute-force point counting, point counts over F_ell
 by enumeration of x and over F_(ell^2) by explicit finite-field arithmetic,
 large counts by a certificate on points of E and its twist in a model and
 group law of their own, and local squares and the type of a quadratic
-character by exhaustive residue enumeration.  Primality and
+character by exhaustive residue enumeration.  A change of model is the
+textbook substitution x = u^2 x' + r, y = u^3 y' + u^2 s x' + t.  Primality and
 factoring are by trial division up to sqrt(n), the package's method before it
 moved to Miller-Rabin and Pollard-Brent rho.  Reduction over a ramified
 quadratic K_v is read off the reduction type of a quadratic twist over Q_ell.
@@ -68,6 +69,28 @@ def valuation(n: int, ell: int) -> int:
         n //= ell
         v += 1
     return v
+
+
+def transform(E: WeierstrassCurve, u: int, r: int, s: int, t: int) -> WeierstrassCurve:
+    """Change of model x = u^2 x' + r, y = u^3 y' + u^2 s x' + t.
+
+    Raises ValueError if the transformed model is not integral.
+    """
+    a1, a2, a3, a4, a6 = E.ainvs()
+    nums = (
+        a1 + 2 * s,
+        a2 - s * a1 + 3 * r - s * s,
+        a3 + r * a1 + 2 * t,
+        a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t,
+        a6 + r * a4 + r * r * a2 + r ** 3 - t * a3 - t * t - r * t * a1,
+    )
+    out = []
+    for num, i in zip(nums, (1, 2, 3, 4, 6)):
+        q, rem = divmod(num, u ** i)
+        if rem:
+            raise ValueError("transformation does not preserve integrality")
+        out.append(q)
+    return WeierstrassCurve(*out)
 
 
 def reduced_model(c4: int, c6: int) -> Optional[WeierstrassCurve]:

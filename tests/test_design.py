@@ -11,7 +11,8 @@ templates in ``report``, never by an ``indent=`` call, which would put
 bracket.  A square class of Q_ell is read only by ``localarith.local_square_class``.  The
 oracles in ``tests/oracles.py`` take only ``WeierstrassCurve`` from the
 package, so a bug in the code they check cannot move them too.  Every
-function the benchmark's tracer names by string still exists.
+function the benchmark's tracer names by string still exists, and every
+function or class in ``src/`` has a user outside the tests.
 """
 
 import ast
@@ -130,16 +131,50 @@ def test_square_classes_are_read_in_one_place():
     assert not bad, f"read the class through local_square_class: {bad}"
 
 
+def _traced_layers():
+    """bench/tracing.py's LAYERS, read from its source, importing nothing
+    from bench/."""
+    tree = _tree(ROOT / "bench" / "tracing.py")
+    return next(ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "LAYERS" for t in node.targets))
+
+
 def test_traced_layers_still_resolve():
     """bench/tracing.py names the functions it wraps by string, so a rename
     or a deletion here would break the traced benchmark and no import would
-    fail.  LAYERS is read from its source, importing nothing from bench/."""
-    tree = _tree(ROOT / "bench" / "tracing.py")
-    layers = next(ast.literal_eval(node.value) for node in tree.body
-                  if isinstance(node, ast.Assign)
-                  and any(getattr(t, "id", None) == "LAYERS" for t in node.targets))
+    fail."""
+    layers = _traced_layers()
     assert layers
     missing = [f"{mod}.{name}" for mod, names in layers.items() for name in names
                if not callable(getattr(importlib.import_module(f"dihedral_parity.{mod}"),
                                        name, None))]
     assert not missing, f"bench/tracing.py traces names that no longer exist: {missing}"
+
+
+def test_every_definition_in_src_has_a_user():
+    """A top-level function or class in src/ is read by name elsewhere in
+    src/ (outside its own definition and __init__.py), traced by the
+    benchmark, imported by the acceptance suite, or part of the character
+    layer of dihedral.py that criterion 6 checks.  A helper only the other
+    tests call belongs in tests/."""
+    read, defined = set(), []
+    for path in MODULES:
+        if path.name == "__init__.py":
+            continue
+        for stmt in _tree(path).body:
+            names = {n.attr if isinstance(n, ast.Attribute) else n.id
+                     for n in ast.walk(stmt) if isinstance(n, ast.Attribute)
+                     or isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((path.stem, stmt.name))
+                names.discard(stmt.name)
+            read |= names
+    traced = {name for names in _traced_layers().values() for name in names}
+    accepted = {alias.name for node in ast.walk(_tree(ROOT / "tests" / "test_acceptance.py"))
+                if isinstance(node, ast.ImportFrom)
+                and (node.module or "").partition(".")[0] == "dihedral_parity"
+                for alias in node.names}
+    unused = [f"{module}.{name}" for module, name in defined
+              if module != "dihedral" and name not in read | traced | accepted]
+    assert not unused, f"defined in src/ but used only by tests, if at all: {unused}"

@@ -20,7 +20,6 @@ from dihedral_parity.localarith import (
     padic_valuation,
     prime_factors,
     quadratic_character_type,
-    squarefree_part,
 )
 
 # Square-class representatives of Q_2^x; unit classes are distinguished by the
@@ -34,16 +33,6 @@ def test_is_prime_small():
     primes = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47}
     for n in range(-3, 50):
         assert is_prime(n) == (n in primes)
-
-
-@given(st.integers(min_value=-10_000, max_value=10_000).filter(lambda n: n != 0))
-def test_squarefree_part_properties(n):
-    sf = squarefree_part(n)
-    assert is_squarefree(sf)
-    q, r = divmod(n, sf)
-    assert r == 0
-    assert q > 0 and math.isqrt(q) ** 2 == q
-    assert (n > 0) == (sf > 0)
 
 
 @given(st.integers(min_value=-10**6, max_value=10**6).filter(bool),
@@ -143,7 +132,8 @@ def test_check_extension_reads_the_local_square_class(ell, d, ramified):
     ext = RamifiedQuadratic(d)
     if ramified:
         localarith.check_extension(ell, ext)
-        rep = RamifiedQuadratic(squarefree_part(d))
+        rep = RamifiedQuadratic((1 if d > 0 else -1) * math.prod(
+            q for q, e in oracles.factorization(d).items() if e % 2))
         for z in (1, -1, 2, 3, 5, ell, 3 * ell):
             assert quadratic_character_type(z, ell, ext) == \
                 quadratic_character_type(z, ell, rep)
@@ -211,7 +201,7 @@ def test_prime_factors():
     # prime powers beyond 41 are split by rho, not by trial division
     n = -(43 ** 2) * 47 ** 3 * 999983 ** 2 * 2147483647 ** 2
     assert localarith._factorization(n) == {43: 2, 47: 3, 999983: 2, 2147483647: 2}
-    assert squarefree_part(n) == -47
+    assert not is_squarefree(n) and is_squarefree(-43 * 47)
 
 
 # Primes up to 1e12, each confirmed by trial division below.
@@ -254,8 +244,6 @@ def test_squarefree_matches_trial_division(a, b, sign):
     n = sign * a * b * b
     exponents = oracles.factorization(n)
     assert is_squarefree(n) == all(e == 1 for e in exponents.values())
-    assert squarefree_part(n) == sign * math.prod(
-        q for q, e in exponents.items() if e % 2)
 
 
 # The bounds of is_prime's base table, OEIS A014233: n is the least odd
@@ -344,7 +332,7 @@ def test_factoring_budget_raises_instead_of_hanging(monkeypatch):
     with pytest.raises(ValueError, match="beyond the factoring budget"):
         prime_factors(p * q)
     with pytest.raises(ValueError, match=f"cannot factor {-p * q}"):
-        squarefree_part(-p * q)
+        is_squarefree(-p * q)
     assert prime_factors(2 * 1009 * 1013) == [2, 1009, 1013]
 
 

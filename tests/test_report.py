@@ -12,7 +12,6 @@ order, and a value of a type that schema 1 has no place for (a float, an
 """
 
 import ast
-import importlib
 import json
 from dataclasses import fields, replace
 from enum import IntEnum
@@ -25,6 +24,8 @@ from hypothesis import strategies as st
 
 import oracles
 from corpus import PARITY_CORPUS, SMALL_TOWERS, make_tower
+import dihedral_parity.delta as DELTA_MODULE
+import dihedral_parity.gamma as GAMMA_MODULE
 from dihedral_parity import report
 from dihedral_parity.curves import DEFECTS, KV_REDUCTIONS, SingularCurveError, WeierstrassCurve
 from dihedral_parity.parity import (
@@ -205,8 +206,6 @@ def test_each_writer_fills_its_template_in_field_order():
 # The verdict vocabulary: the verdicts of fixed detail are module constants
 # of gamma.py and delta.py, and report.py keeps the text of each, and of each
 # row of two constants, from the writers above.
-GAMMA_MODULE = importlib.import_module("dihedral_parity.gamma")
-DELTA_MODULE = importlib.import_module("dihedral_parity.delta")
 CONSTANTS = [v for module, cls in ((GAMMA_MODULE, ConstantVerdict), (DELTA_MODULE, DeltaVerdict))
              for v in vars(module).values() if isinstance(v, cls)]
 FIXED = {(c.case_tag, c.detail) for c in CONSTANTS}

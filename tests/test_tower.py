@@ -3,7 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from corpus import CURVES, make_tower
-from dihedral_parity.localarith import is_prime, kronecker_symbol, squarefree_part
+from dihedral_parity.localarith import is_prime, is_squarefree, kronecker_symbol
 from dihedral_parity.tower import (
     INERT,
     RAMIFIED,
@@ -18,7 +18,7 @@ from dihedral_parity.tower import (
 )
 
 SQUAREFREE_D = st.integers(min_value=-60, max_value=60).filter(
-    lambda d: d not in (0, 1) and squarefree_part(d) == d)
+    lambda d: d not in (0, 1) and is_squarefree(d))
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23]
 
 
