@@ -266,17 +266,20 @@ def _emit(text: str, quiet: bool) -> None:
         sys.stdout.write(text)
 
 
+def _exit_code(failure: bool, undetermined: bool, strict: bool) -> int:
+    return (EXIT_FAILURE if failure
+            else EXIT_STRICT_UNDETERMINED if strict and undetermined else EXIT_OK)
+
+
 def run_analyze(config_path: str, *, fmt: str = "json", strict: bool = False,
                 quiet: bool = False) -> int:
     try:
-        raw = load_config(config_path)
-        E, T, dim = parse_config(raw)
+        E, T, dim = parse_config(load_config(config_path))
     except ConfigError as exc:
         _emit("\n".join(exc.messages) + "\n", quiet)
         return EXIT_INVALID
-    violations = T.violations
-    if violations:
-        _emit("".join(f"{v}\n" for v in violations), quiet)
+    if T.violations:
+        _emit("".join(f"{v}\n" for v in T.violations), quiet)
         return EXIT_INVALID
     try:
         rep = analyze(E, T, dim_Sp_E_K=dim)
@@ -286,18 +289,13 @@ def run_analyze(config_path: str, *, fmt: str = "json", strict: bool = False,
     if not quiet:
         sys.stdout.write(report.report_json(rep) + "\n" if fmt == "json"
                          else report.render_text(rep))
-    if rep.failure:
-        return EXIT_FAILURE
-    if strict and rep.has_undetermined:
-        return EXIT_STRICT_UNDETERMINED
-    return EXIT_OK
+    return _exit_code(rep.failure, rep.has_undetermined, strict)
 
 
 def run_validate(config_path: str, *, fmt: str = "json",
                  quiet: bool = False) -> int:
     try:
-        raw = load_config(config_path)
-        _, T, _ = parse_config(raw, need_curve=False)
+        _, T, _ = parse_config(load_config(config_path), need_curve=False)
     except ConfigError as exc:
         _emit("\n".join(exc.messages) + "\n", quiet)
         return EXIT_INVALID
@@ -328,15 +326,13 @@ def run_batch(curves_path: str, config_path: str, *, fmt: str = "json",
     CPU-bound pure Python, so worker threads gave no speed-up.
     """
     try:
-        raw = load_config(config_path)
-        _, T, dim = parse_config(raw, need_curve=False)
+        _, T, dim = parse_config(load_config(config_path), need_curve=False)
         rows, row_errors = read_curve_csv(curves_path)
     except ConfigError as exc:
         _emit("\n".join(exc.messages) + "\n", quiet)
         return EXIT_INVALID
-    violations = T.violations
-    if violations:
-        _emit("".join(f"{v}\n" for v in violations), quiet)
+    if T.violations:
+        _emit("".join(f"{v}\n" for v in T.violations), quiet)
         return EXIT_INVALID
     as_json, write = fmt == "json", sys.stdout.write
     errors = list(row_errors)
@@ -365,11 +361,7 @@ def run_batch(curves_path: str, config_path: str, *, fmt: str = "json",
     elif not quiet:  # the CSV row errors: an analysis error was written with its row
         write("".join(f"error: {e}\n" for e in row_errors)
               + "summary: " + json.dumps(summary) + "\n")
-    if summary["failures"]:
-        return EXIT_FAILURE
-    if strict and summary["undetermined"]:
-        return EXIT_STRICT_UNDETERMINED
-    return EXIT_OK
+    return _exit_code(summary["failures"], summary["undetermined"], strict)
 
 
 # ---------------------------------------------------------------------------

@@ -125,7 +125,8 @@ def minimal_model_at(E: WeierstrassCurve, ell: int) -> WeierstrassCurve:
         raise ValueError(f"{ell} is not prime")
     c4, c6 = E.c_invariants()
     v_disc, v_c4, v_c6 = E.valuations_at(ell)
-    k = min(v // w for v, w in ((v_disc, 12), (v_c4, 4), (v_c6, 6)) if v is not None)
+    k = v_disc // 12 and min(v // w for v, w in ((v_disc, 12), (v_c4, 4), (v_c6, 6))
+                             if v is not None)
     while k > 0:
         M = model_from_invariants(c4 // ell ** (4 * k), c6 // ell ** (6 * k))
         if M is not None:

@@ -10,20 +10,15 @@ reported as FAILURE.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional, Union
 
 from . import verdicts as V
-from .curves import LocalData, WeierstrassCurve, minimal_model_at
-from .delta import delta_at
-from .gamma import ARCHIMEDEAN_GAMMA, INFINITE_PLACE, gamma_at
-from .tower import (
-    PrimeSite,
-    TowerSpec,
-    check_tower,
-    local_data,
-    sites_above,
-    support_primes,
-)
+from .curves import WeierstrassCurve, minimal_model_at
+from .delta import VOCABULARY as DELTA_VOCABULARY, delta_at
+from .gamma import ARCHIMEDEAN_GAMMA, INFINITE_PLACE, VOCABULARY as GAMMA_VOCABULARY, gamma_at
+from .localarith import padic_valuation
+from .tower import PrimeSite, TowerSpec, check_tower, local_data, sites_above, support_primes
 from .verdicts import ConstantVerdict, DeltaVerdict
 
 # A serialized report's keys are the field names of the records below (and of
@@ -34,6 +29,14 @@ MATCH = "Match"
 MISMATCH = "Mismatch"
 UNDETERMINED = "Undetermined"
 
+RELATIVE_STATEMENT = (
+    "r_p^arith(E, tau_rho) - r_p^arith(E, tau_1) and "
+    "r^an(E, tau_rho) - r^an(E, tau_1) share the parity below (mod 2)")
+ARCHIMEDEAN_NOTE = ("archimedean places contribute 0 to both sides by a documented "
+                    "extension of the finite-place case analysis")
+TAME_NOTE = ("the tame abelian criterion (residue size congruent to 1 mod e) was "
+             "used to certify good reduction over an abelian extension of K_v")
+NOTES = ((ARCHIMEDEAN_NOTE,), (ARCHIMEDEAN_NOTE, TAME_NOTE))  # the notes a report may hold
 BLANKET_CITATION = (
     "all remaining primes: good reduction, unramified everywhere in the tower; "
     "both constants vanish (good-reduction and unramified cases)")
@@ -94,121 +97,118 @@ class ParityReport:
     hypothesis_audit: list[SiteAudit]
     selmer_bound: Optional[SelmerBound]
     relative_parity: Optional[dict]
+    # Both flags are read off the rows once, as the report is built.
+    failure: bool = field(init=False)
+    has_undetermined: bool = field(init=False)
     notes: list[str] = field(default_factory=list)
 
-    @property
-    def failure(self) -> bool:
-        return any(r.status == MISMATCH for r in self.rows)
-
-    @property
-    def has_undetermined(self) -> bool:
-        return (any(r.status == UNDETERMINED for r in self.rows)
-                or self.mr64_sum is None)
+    def __post_init__(self):
+        statuses = {r.status for r in self.rows}
+        self.failure = MISMATCH in statuses
+        self.has_undetermined = UNDETERMINED in statuses or self.mr64_sum is None
 
 
-def _row_for_prime(T: TowerSpec, site: PrimeSite, loc: Optional[LocalData]) -> ParityRow:
+# The verdict constants of gamma.py and delta.py, by identity: a record
+# built from the tower and constants alone is the same in all its reports.
+CONSTANTS = frozenset(map(id, (*GAMMA_VOCABULARY, *DELTA_VOCABULARY)))
+
+
+@lru_cache(maxsize=1)
+def _shared(T: TowerSpec) -> dict:
+    """The records a tower's analyses share: by prime, the row of each prime of T.sites_at
+    whose verdicts read the tower alone; then, as first met, the rows of verdict constants
+    at the ramified sites, each passing audit, and the bound when every audit passes."""
+    return {ell: _row_for_prime(T, above[0]) for ell, above in T.sites_at.items()
+            if above[0] not in T.self_conjugate_ramified}
+
+
+def _row_for_prime(T: TowerSpec, site: PrimeSite, E: Optional[WeierstrassCurve] = None,
+                   shared: Optional[dict] = None) -> ParityRow:
     """The row of the prime below site; its one delta entry stands for the
-    conjugate pair when the prime splits in K."""
-    g = gamma_at(T, site, loc)
-    dv = delta_at(T, site, loc)
+    conjugate pair when the prime splits in K.  Only at a self-conjugate
+    site ramified in L/K do the verdicts read E, through its LocalData."""
+    ramified = site.self_conjugate and site.ell in T.ramified_primes
+    loc = local_data(E, T, site) if ramified else None
+    g, dv = gamma_at(T, site, loc), delta_at(T, site, loc)
+    key = (site.ell, id(g), id(dv))
+    if ramified and key in shared:
+        return shared[key]
     dsum = dv.contribution()
-    if g.value is None or dsum is None:
-        status = UNDETERMINED
-    else:
-        status = MATCH if g.value % 2 == dsum else MISMATCH
-    return ParityRow(place=site.ell, gamma=g, deltas=((site, dv),), delta_sum=dsum,
-                     status=status)
+    status = (UNDETERMINED if g.value is None or dsum is None
+              else MATCH if g.value % 2 == dsum else MISMATCH)
+    row = ParityRow(site.ell, g, ((site, dv),), dsum, status)
+    if ramified and id(g) in CONSTANTS and id(dv) in CONSTANTS:
+        shared[key] = row
+    return row
 
 
-def _audit(site: PrimeSite, dv: DeltaVerdict) -> SiteAudit:
-    """Which parity-theorem condition a self-conjugate ramified site meets.
-
-    A site passes when the delta engine's governing theorem applies (tags map
-    onto conditions (a)-(d)); an Uncovered verdict fails the audit.
-    """
+def _audit(site: PrimeSite, dv: DeltaVerdict, shared: dict) -> SiteAudit:
+    """Which parity-theorem condition a self-conjugate ramified site meets: it
+    passes when the delta engine's governing theorem applies (tags map onto
+    conditions (a)-(d)); an Uncovered verdict fails, for its detail's reason."""
     cond = _CONDITION_BY_TAG.get(dv.case_tag)
-    return SiteAudit(site=site, condition=cond, passes=cond is not None,
-                     reason=dv.detail if cond is None else "")
+    if cond is None:
+        return SiteAudit(site, None, False, dv.detail)
+    return shared.get((site.ell, cond)) or shared.setdefault((site.ell, cond),
+                                                             SiteAudit(site, cond, True))
 
 
-def _selmer_bound(T: TowerSpec, audit: list[SiteAudit], s_m: list[PrimeSite],
-                  dim_Sp_E_K: int) -> SelmerBound:
-    reasons = [f"site above {a.site.ell}: {a.reason or 'no known case applies'}"
-               for a in audit if not a.passes]
-    if (dim_Sp_E_K + len(s_m)) % 2 == 0:
-        reasons.append(f"dim S_p(E/K) + |S_m| = {dim_Sp_E_K} + {len(s_m)} is even")
-    applicable = not reasons
-    return SelmerBound(
-        applicable=applicable,
-        bound=dim_Sp_E_K + T.degree_over_K() - 1 if applicable else None,
-        dim_Sp_E_K=dim_Sp_E_K,
-        s_m_size=len(s_m),
-        reasons=tuple(reasons),
-    )
+def _selmer_bound(T: TowerSpec, failed: list[SiteAudit], s_m_size: int, dim_Sp_E_K: int,
+                  shared: dict) -> SelmerBound:
+    bound = shared.get(("bound", s_m_size))
+    if failed or bound is None or bound.dim_Sp_E_K != dim_Sp_E_K:
+        reasons = [f"site above {a.site.ell}: {a.reason or 'no known case applies'}"
+                   for a in failed]
+        if (dim_Sp_E_K + s_m_size) % 2 == 0:
+            reasons.append(f"dim S_p(E/K) + |S_m| = {dim_Sp_E_K} + {s_m_size} is even")
+        bound = SelmerBound(not reasons, None if reasons else dim_Sp_E_K + T.degree_over_K() - 1,
+                            dim_Sp_E_K, s_m_size, tuple(reasons))
+        if not failed:
+            shared["bound", s_m_size] = bound
+    return bound
 
 
 def analyze(E: WeierstrassCurve, T: TowerSpec,
             dim_Sp_E_K: Optional[int] = None) -> ParityReport:
     """Full report: parity table, aggregation, audit and optional bound.
 
-    The tower is validated once per TowerSpec; each support prime gets one row,
-    and a LocalData record only where L/K ramifies.  Aggregates read the rows.
-    """
+    The tower is validated, and the records its reports share are built, once
+    per TowerSpec.  Each support prime gets a row, and a LocalData record only
+    at a self-conjugate site ramified in L/K.  Aggregates read the rows."""
     if dim_Sp_E_K is not None and dim_Sp_E_K < 0:
         raise ValueError("dim_Sp_E_K must be nonnegative")
     check_tower(T)
-    disc = E.discriminant()
+    disc, shared, primes = E.discriminant(), _shared(T), support_primes(T, E)
     # The aggregation set S: sites above p, sites ramified in L/K, and sites
-    # of bad reduction, where the minimal discriminant is not a unit.
-    s_primes = T.ramified_primes | {T.p}
+    # of bad reduction, where the minimal discriminant is not a unit.  A model
+    # with v(Delta) < 12 at ell is already minimal there.
     rows, S, sums = [], [], []
-    for ell in support_primes(T, E):
+    for ell in primes:
         above = T.sites_at.get(ell) or sites_above(ell, T.K)
-        loc = local_data(E, T, above[0]) if ell in T.ramified_primes else None
-        rows.append(_row_for_prime(T, above[0], loc))
-        if ell in s_primes or disc % ell == 0 and minimal_model_at(E, ell).valuations_at(ell)[0]:
+        row = shared.get(ell) or _row_for_prime(T, above[0], E, shared)
+        rows.append(row)
+        if ell == T.p or ell in T.ramified_primes or disc % ell == 0 and (
+                padic_valuation(disc, ell) < 12
+                or minimal_model_at(E, ell).valuations_at(ell)[0]):
             S.extend(above)
-            sums.append(rows[-1].delta_sum)
-    delta_at_ell = {r.place: r.deltas[0][1] for r in rows}
+            sums.append(row.delta_sum)
     total = None if None in sums else sum(sums) % 2
-    s_frak = sorted((s for s in T.ramified_sites if s.self_conjugate),
-                    key=lambda s: s.ell)
-    s_m = [s for s in s_frak if delta_at_ell[s.ell].case_tag == V.POT_MULT_SPLIT]
-    audit = [_audit(s, delta_at_ell[s.ell]) for s in s_frak]
+    row_at, s_frak = dict(zip(primes, rows)), list(T.self_conjugate_ramified)
+    ramified = [(s, row_at[s.ell]) for s in s_frak]
+    s_m = [s for s, r in ramified if r.deltas[0][1].case_tag == V.POT_MULT_SPLIT]
+    audit = [_audit(s, r.deltas[0][1], shared) for s, r in ramified]
+    failed = [a for a in audit if not a.passes]
     # The relative parity fragment needs the audit to pass at every site
     # above 6p and the aggregated sum to be determined.
-    relative = None
-    if total is not None and all(a.passes for a in audit
-                                 if a.site.ell in (2, 3) or a.site.ell == T.p):
-        relative = {
-            "statement": (
-                "r_p^arith(E, tau_rho) - r_p^arith(E, tau_1) and "
-                "r^an(E, tau_rho) - r^an(E, tau_1) share the parity below (mod 2)"),
-            "parity": total,
-        }
-    bound = None if dim_Sp_E_K is None else _selmer_bound(T, audit, s_m, dim_Sp_E_K)
-    notes = [
-        "archimedean places contribute 0 to both sides by a documented "
-        "extension of the finite-place case analysis",
-    ]
-    if any(r.gamma.case_tag == V.POT_GOOD_RAMIFIED_ABELIAN for r in rows):
-        notes.append(
-            "the tame abelian criterion (residue size congruent to 1 mod e) was "
-            "used to certify good reduction over an abelian extension of K_v")
+    relative = (None if total is None or any(a.site.ell in (2, 3, T.p) for a in failed)
+                else {"statement": RELATIVE_STATEMENT, "parity": total})
+    bound = (None if dim_Sp_E_K is None
+             else _selmer_bound(T, failed, len(s_m), dim_Sp_E_K, shared))
+    notes = NOTES[any(r.gamma.case_tag == V.POT_GOOD_RAMIFIED_ABELIAN for _, r in ramified)]
     rows += ARCHIMEDEAN_ROW, BLANKET_ROW
-    return ParityReport(
-        curve=E,
-        tower=T,
-        rows=rows,
-        S=S,
-        mr64_sum=total,
-        S_frak=s_frak,
-        S_m=s_m,
-        hypothesis_audit=audit,
-        selmer_bound=bound,
-        relative_parity=relative,
-        notes=notes,
-    )
+    return ParityReport(curve=E, tower=T, rows=rows, S=S, mr64_sum=total, S_frak=s_frak,
+                        S_m=s_m, hypothesis_audit=audit, selmer_bound=bound,
+                        relative_parity=relative, notes=list(notes))
 
 
 # The entry points below each run one analysis and read one part of it.

@@ -6,24 +6,20 @@ its records; a report's dict; and its text table.
 from __future__ import annotations
 
 import json
-from dataclasses import fields, replace
-from functools import lru_cache
-from itertools import chain
+from dataclasses import astuple, fields
+from functools import partial
 from json.encoder import encode_basestring_ascii
-from typing import Any, Optional, Sequence, Union
+from typing import Any, Callable, Optional, Sequence, Union
 
 from .curves import SiteOverrides
-from .delta import VOCABULARY as DELTA_VOCABULARY
-from .gamma import VOCABULARY as GAMMA_VOCABULARY
-from .parity import ARCHIMEDEAN_ROW, BLANKET_ROW, SCHEMA_VERSION, ParityReport, ParityRow
-from .parity import SelmerBound, SiteAudit
+from .parity import CONSTANTS, NOTES, RELATIVE_STATEMENT, SCHEMA_VERSION, ParityReport
+from .parity import ParityRow, SelmerBound, SiteAudit
 from .tower import PrimeSite, TowerSpec, Violation
 from .verdicts import ConstantVerdict, DeltaVerdict
 
 
 def report_to_dict(rep: ParityReport) -> dict:
-    """Schema 1 as a dict, read back from ``report_json``: the output shares
-    no mutable object with the report."""
+    """Schema 1 as a dict, read back from ``report_json``: it shares nothing."""
     return json.loads(report_json(rep))
 
 
@@ -31,24 +27,20 @@ _str = encode_basestring_ascii
 
 # The text of a JSON scalar, keyed on its exact type: a subclass (an IntEnum,
 # a str subclass) is not guessed at, and a float is not a value of schema 1.
-_SCALAR_TEXT = {
-    str: _str,
-    int: int.__repr__,
-    bool: ("false", "true").__getitem__,
-    type(None): "null".format,
-}
+_SCALAR_TEXT = {str: _str, int: int.__repr__, bool: ("false", "true").__getitem__,
+                type(None): "null".format}
 
 
 def _scalar(value: Any) -> str:
-    text = _SCALAR_TEXT.get(type(value))
-    if text is None:
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-    return text(value)
+    try:
+        return _SCALAR_TEXT[type(value)](value)
+    except KeyError:
+        raise TypeError(f"Object of type {type(value).__name__} "
+                        "is not JSON serializable") from None
 
 
 def _array(items: list[str], depth: int, brackets: str = "[]") -> str:
-    """Item texts between brackets, depth brackets deep in a document written
-    at level 0: one item per line, or nothing between empty brackets."""
+    """Item texts between brackets depth deep, one a line, or empty brackets."""
     if not items:
         return brackets
     inner = "\n" + "  " * (depth + 1)
@@ -57,8 +49,7 @@ def _array(items: list[str], depth: int, brackets: str = "[]") -> str:
 
 
 def _object(keys: Sequence[str], depth: int, values: Optional[Sequence[str]] = None) -> str:
-    """A JSON object with these keys and value texts; without values, its
-    %-template, with a %s for each value's text."""
+    """A JSON object of these keys and value texts, or its %-template without."""
     values = ["%s"] * len(keys) if values is None else values
     return _array([f"{_str(k)}: {v}" for k, v in zip(keys, values)], depth, "{}")
 
@@ -67,19 +58,46 @@ def _names(cls: type) -> tuple[str, ...]:
     return tuple(f.name for f in fields(cls))
 
 
+class _ByDepth(dict):
+    """Templates by depth, each built on first use."""
+
+    def __init__(self, build: Callable[[int], Any]):
+        self.build = build
+
+    def __missing__(self, depth: int) -> Any:
+        return self.setdefault(depth, self.build(depth))
+
+
+def _kept(record: Any, depth: int, write: Callable[[Any, int], str], lasting: bool = True) -> str:
+    """record's text depth brackets deep, as write (its type's one writer) writes it; kept
+    in its instance dict under the key depth if lasting: a verdict constant, a fixed row, a
+    tower, or a site, row of constants, passing audit or applicable bound a tower shares."""
+    texts = vars(record) if lasting else {}
+    text = texts.get(depth)
+    if text is None:
+        text = texts[depth] = write(record, depth)
+    return text
+
+
 # A record's keys are its fields in order (a delta entry is its site, then
-# the verdict's fields), so renaming or reordering a field changes the
-# schema; each writer below fills in its record's fields in that order.  A
-# record sits at the same depth in every document.
-_SITE = {depth: _object(_names(PrimeSite), depth) for depth in (2, 3, 5)}
-_GAMMA = _object(_names(ConstantVerdict), 3)
-_DELTA = _object(("site", *_names(DeltaVerdict)), 4)
-_ROW = _object(_names(ParityRow), 2)
-_AUDIT = _object(_names(SiteAudit), 2)
-_BOUND = _object(_names(SelmerBound), 1)
-*_BODY, _NOTES = _names(ParityReport)  # the two flags go before the notes
-_KEYS = ("schema_version", *_BODY, "failure", "has_undetermined", _NOTES)
-_REPORT, _LABELLED = _object(_KEYS, 0), _object((*_KEYS, "label"), 0)
+# the verdict's fields), and each writer below fills them in that order.
+_SITE = _ByDepth(partial(_object, _names(PrimeSite)))
+_GAMMA = _ByDepth(partial(_object, _names(ConstantVerdict)))
+# a delta entry as the text before its site, and its verdict's template
+_ENTRY = _ByDepth(lambda d: _object(("site", *_names(DeltaVerdict)), d).split("%s", 1))
+_ROW = _ByDepth(partial(_object, _names(ParityRow)))
+_AUDIT = _ByDepth(partial(_object, _names(SiteAudit)))
+_BOUND = _ByDepth(partial(_object, _names(SelmerBound)))
+_KEYS = ("schema_version", *_names(ParityReport))
+_REPORT = _ByDepth(partial(_object, _KEYS))
+_LABELLED = _ByDepth(partial(_object, (*_KEYS, "label")))
+_TOWER = _ByDepth(partial(_object, ("d", "p", "n", "ramified_sites", "overrides")))
+_OVERRIDE = _ByDepth(partial(_object, tuple(f"{n}_override" for n in _names(SiteOverrides))))
+# analyze's notes and relative-parity objects hold parity's constants alone,
+# so each of their texts is written once a depth, keyed by the texts it holds
+_FIXED = _ByDepth(lambda d: {**{n: _array(list(map(_str, n)), d) for n in NOTES}, **{
+    ("statement", "parity", _str(RELATIVE_STATEMENT), p):
+    _object(("statement", "parity"), d, [_str(RELATIVE_STATEMENT), p]) for p in "01"}})
 _ERROR = _object(("label", "error"), 2)
 _VIOLATION = _object(_names(Violation), 2)
 _VALIDATION = _object(("schema_version", "valid", "violations"), 0)
@@ -88,139 +106,124 @@ _BATCH = _object(("schema_version", "tower", "reports", "errors", "summary"), 0)
 _BATCH_HEAD, _BATCH_TAIL = "%s".join(_BATCH[:3]), "%s".join(_BATCH[3:])
 
 
-def _fill(template: str, record: Any) -> str:
-    """The template of a record filled with all its fields, in order."""
-    return template % tuple(map(_scalar, vars(record).values()))
+def _site(s: PrimeSite, depth: int, ell: Optional[str] = None) -> str:
+    return _SITE[depth] % (ell or _scalar(s.ell), _str(s.split_type), _scalar(s.which))
 
 
-def _site(s: PrimeSite, depth: int) -> str:
-    return _SITE[depth] % (_scalar(s.ell), _str(s.split_type), _scalar(s.which))
+def _gamma(g: ConstantVerdict, depth: int) -> str:
+    return _GAMMA[depth] % (_scalar(g.value), _str(g.case_tag), _str(g.citation), _str(g.detail))
 
 
-def _gamma(g: ConstantVerdict) -> str:
-    return _GAMMA % (_scalar(g.value), _str(g.case_tag), _str(g.citation), _str(g.detail))
+def _verdict(v: DeltaVerdict, depth: int) -> str:
+    return _ENTRY[depth][1] % (_scalar(v.value), _str(v.case_tag), _str(v.citation),
+                               _str(v.detail), _scalar(v.pair_sum))
 
 
-def _entry(site: PrimeSite, v: DeltaVerdict) -> str:
-    return _DELTA % (_site(site, 5), _scalar(v.value), _str(v.case_tag),
-                     _str(v.citation), _str(v.detail), _scalar(v.pair_sum))
+def _row(r: ParityRow, depth: int, place: Optional[str] = None) -> str:
+    """A row; place, if given, is the text put for its place and its sites' prime."""
+    entry = _ENTRY[depth + 2][0]
+    return _ROW[depth] % (place or _scalar(r.place),
+                          "null" if r.gamma is None
+                          else _kept(r.gamma, depth + 1, _gamma, id(r.gamma) in CONSTANTS),
+                          _array([entry + _site(s, depth + 3, place)
+                                  + _kept(v, depth + 2, _verdict, id(v) in CONSTANTS)
+                                  for s, v in r.deltas], depth + 1),
+                          _scalar(r.delta_sum), _str(r.status), _str(r.note))
 
 
-def _row(r: ParityRow) -> str:
-    return _ROW % (_scalar(r.place), "null" if r.gamma is None else _gamma_text(r.gamma),
-                   _array([_entry(*e) for e in r.deltas], 3),
-                   _scalar(r.delta_sum), _str(r.status), _str(r.note))
+def _row_text(r: ParityRow, depth: int, templates: dict, at: Sequence[int] = ()) -> str:
+    """A row.  A fixed row (no site) keeps its text, as does a row of verdict
+    constants at its one site above a prime of at; another such row is filled
+    in at its place from its tower's template for its shape: the row written
+    with a NUL, which no ASCII-escaped JSON text holds, for its place."""
+    if not r.deltas:
+        return _kept(r, depth, _row)
+    (site, v), *more = r.deltas
+    if more or site.ell != r.place or id(r.gamma) not in CONSTANTS or id(v) not in CONSTANTS:
+        return _row(r, depth)
+    if site.ell in at:
+        return _kept(r, depth, _row)
+    key = (id(r.gamma), id(v), site.split_type, site.which, _scalar(r.delta_sum), r.status, r.note)
+    parts = templates.get(key)
+    if parts is None:
+        parts = templates[key] = _row(r, depth, "\0").split("\0")
+    return _scalar(r.place).join(parts)
 
 
-def _audit(a: SiteAudit) -> str:
-    return _AUDIT % (_site(a.site, 3), _scalar(a.condition), _scalar(a.passes),
-                     _str(a.reason))
+def _audit(a: SiteAudit, depth: int) -> str:
+    return _AUDIT[depth] % (_kept(a.site, depth + 1, _site), _scalar(a.condition),
+                            _scalar(a.passes), _str(a.reason))
 
 
-def _bound(b: SelmerBound) -> str:
-    return _BOUND % (_scalar(b.applicable), _scalar(b.bound), _scalar(b.dim_Sp_E_K),
-                     _scalar(b.s_m_size), _array(list(map(_str, b.reasons)), 2))
+def _bound(b: SelmerBound, depth: int) -> str:
+    return _BOUND[depth] % (_scalar(b.applicable), _scalar(b.bound), _scalar(b.dim_Sp_E_K),
+                            _scalar(b.s_m_size), _array(list(map(_str, b.reasons)), depth + 1))
 
 
-# The verdict vocabulary: the module constants of gamma.py and delta.py,
-# never freed, so that an id names one for good.  The memos below sit in
-# front of the writers and hold texts the writers wrote: each gamma's text,
-# and each row whose verdicts are constants, cut at its place, per (verdicts,
-# site shape, sum, status, note).  A verdict with a detail of its own is
-# encoded when written.
-_GAMMA_TEXT = {id(g): _gamma(g) for g in GAMMA_VOCABULARY}
-_VOCABULARY = {*_GAMMA_TEXT, *map(id, DELTA_VOCABULARY)}
-_MARK = 10 ** 40 + 7  # a place no text holds, written and then cut out
-_ROW_PARTS: dict[tuple, list[str]] = {}
+def _sites(sites: Sequence[PrimeSite], depth: int, at: Sequence[int]) -> str:
+    return _array([_kept(s, depth + 1, _site, s.ell in at) for s in sites], depth)
 
 
-def _gamma_text(g: ConstantVerdict) -> str:
-    return _GAMMA_TEXT.get(id(g)) or _gamma(g)
-
-
-_FIXED_ROWS = {id(r): _row(r) for r in (ARCHIMEDEAN_ROW, BLANKET_ROW)}
-
-
-def _row_text(r: ParityRow) -> str:
-    """_row's text, from the row's parts when its verdicts are constants."""
-    if len(r.deltas) == 1 and id(r.gamma) in _VOCABULARY and id(r.deltas[0][1]) in _VOCABULARY:
-        ((site, v),) = r.deltas
-        key = (id(r.gamma), id(v), site.split_type, site.which,
-               _scalar(r.delta_sum), r.status, r.note)
-        if key not in _ROW_PARTS:
-            marked = replace(r, place=_MARK, deltas=((replace(site, ell=_MARK), v),))
-            _ROW_PARTS[key] = _row(marked).split(str(_MARK))
-        if site.ell == r.place and len(_ROW_PARTS[key]) == 3:
-            return _scalar(r.place).join(_ROW_PARTS[key])
-    return _FIXED_ROWS.get(id(r)) or _row(r)
-
-
-_TOWER = _object(("d", "p", "n", "ramified_sites", "overrides"), 1)
-_OVERRIDE = _object(tuple(f"{name}_override" for name in _names(SiteOverrides)), 3)
-
-
-def tower_json(T: TowerSpec) -> str:
+def tower_json(T: TowerSpec, depth: int = 1) -> str:
     """A tower as ``d, p, n, ramified_sites, overrides``, each override field
-    suffixed ``_override``, so that it is itself a valid config: the text
-    one bracket deep, where it sits in a report and in a batch document."""
-    sites = sorted(T.ramified_sites, key=lambda s: (s.ell, s.which))
+    suffixed ``_override`` so that it is a valid config, depth brackets deep."""
     overrides = sorted(T.overrides.items())
-    return _TOWER % (_scalar(T.K.d), _scalar(T.p), _scalar(T.n),
-                     _array([_site(s, 3) for s in sites], 2),
-                     _object([str(ell) for ell, _ in overrides], 2,
-                             [_fill(_OVERRIDE, o) for _, o in overrides]))
+    return _TOWER[depth] % (
+        _scalar(T.K.d), _scalar(T.p), _scalar(T.n),
+        _array([_kept(s, depth + 2, _site) for s in
+                sorted(T.ramified_sites, key=lambda s: (s.ell, s.which))], depth + 1),
+        _object([str(ell) for ell, _ in overrides], depth + 1,
+                [_OVERRIDE[depth + 2] % tuple(map(_scalar, astuple(o))) for _, o in overrides]))
 
 
-@lru_cache(maxsize=1)
-def _tower_texts(T: TowerSpec) -> tuple[str, dict[int, str]]:
-    """The texts of the last tower written and, by id, of the sites it holds,
-    which a report's S shares: the cache holds the tower, so no other object
-    takes one of those ids."""
-    sites = (*T.ramified_sites, *chain.from_iterable(() if T.violations else T.sites_at.values()))
-    return tower_json(T), {id(s): _site(s, 2) for s in sites}
+def _tower_texts(T: TowerSpec, depth: int) -> tuple[str, str, dict]:
+    """A tower's text and its S_frak list's, depth deep, and its row templates."""
+    return tower_json(T, depth), _sites(T.self_conjugate_ramified, depth, T.sites_at), {}
 
 
 def report_json(rep: ParityReport, level: int = 0, label: Optional[str] = None) -> str:
     """Schema 1 of a report as an item level brackets deep, with a last key
-    ``label`` unless label is None, written in one pass from the records.
-    The text is built at level 0 and re-indented once: no string value holds
-    a raw line break, as ``encode_basestring_ascii`` escapes it."""
-    rel = rep.relative_parity
-    tower, sites = _tower_texts(rep.tower)
-    values = (
+    ``label`` unless label is None, written at its depth in one pass."""
+    depth, rel, sb, at = level + 1, rep.relative_parity, rep.selmer_bound, rep.tower.sites_at
+    tower, s_frak, templates = _kept(rep.tower, depth, _tower_texts)
+    fixed, values = _FIXED[depth], () if rel is None else tuple(map(_scalar, rel.values()))
+    texts = (
         _scalar(SCHEMA_VERSION),
-        _array(list(map(_scalar, rep.curve.ainvs())), 1),
+        _array(list(map(_scalar, rep.curve.ainvs())), depth),
         tower,
-        _array(list(map(_row_text, rep.rows)), 1),
-        _array([sites.get(id(s)) or _site(s, 2) for s in rep.S], 1),
+        _array([vars(r).get(depth + 1) or _row_text(r, depth + 1, templates, at)
+                for r in rep.rows], depth),
+        _sites(rep.S, depth, at),
         _scalar(rep.mr64_sum),
-        _array([sites.get(id(s)) or _site(s, 2) for s in rep.S_frak], 1),
-        _array([sites.get(id(s)) or _site(s, 2) for s in rep.S_m], 1),
-        _array(list(map(_audit, rep.hypothesis_audit)), 1),
-        "null" if rep.selmer_bound is None else _bound(rep.selmer_bound),
-        "null" if rel is None else _object(list(rel), 1, list(map(_scalar, rel.values()))),
+        s_frak if tuple(rep.S_frak) == rep.tower.self_conjugate_ramified
+        else _sites(rep.S_frak, depth, at),
+        _sites(rep.S_m, depth, at),
+        _array([_kept(a, depth + 1, _audit, a.passes) for a in rep.hypothesis_audit], depth),
+        "null" if sb is None else _kept(sb, depth, _bound, sb.applicable),
+        "null" if rel is None else fixed.get((*rel, *values)) or _object(list(rel), depth, values),
         _scalar(rep.failure),
         _scalar(rep.has_undetermined),
-        _array(list(map(_str, rep.notes)), 1),
+        fixed.get(tuple(rep.notes)) or _array(list(map(_str, rep.notes)), depth),
     )
-    text = _REPORT % values if label is None else _LABELLED % (*values, _str(label))
-    return text.replace("\n", "\n" + "  " * level) if level else text
+    return (_REPORT[level] % texts if label is None
+            else _LABELLED[level] % (*texts, _str(label)))
 
 
 def validation_json(violations: list[Violation]) -> str:
     """The ``validate`` document: whether the tower is valid, and why not."""
     return _VALIDATION % (_scalar(SCHEMA_VERSION), _scalar(not violations),
-                          _array([_fill(_VIOLATION, v) for v in violations], 1))
+                          _array([_VIOLATION % tuple(map(_scalar, astuple(v)))
+                                  for v in violations], 1))
 
 
 def batch_head(T: TowerSpec) -> str:
     """A ``batch`` document up to its list of reports."""
-    return _BATCH_HEAD % (_scalar(SCHEMA_VERSION), _tower_texts(T)[0])
+    return _BATCH_HEAD % (_scalar(SCHEMA_VERSION), _kept(T, 1, _tower_texts)[0])
 
 
 def batch_entry(index: int, label: str, result: Union[ParityReport, str]) -> str:
-    """Item index of a ``batch`` document's reports, with the bracket or
-    comma before it: a labelled report, or the label and its error text."""
+    """Item index of a ``batch`` document's reports after its bracket or comma:
+    a labelled report, or the label and its error text."""
     text = (_ERROR % (_str(label), _str(result)) if isinstance(result, str)
             else report_json(result, 2, label))
     return ("[" if index == 0 else ",") + "\n    " + text
@@ -250,11 +253,8 @@ def render_text(rep: ParityReport) -> str:
     lines.append(f"mr64_sum = {_fmt_value(rep.mr64_sum)}   "
                  f"|S_frak| = {len(rep.S_frak)}   |S_m| = {len(rep.S_m)}")
     if sb is not None:
-        if sb.applicable:
-            lines.append(f"Selmer growth bound: dim S_p(E/F) >= {sb.bound}")
-        else:
-            lines.append("Selmer growth bound: not applicable ("
-                         + "; ".join(sb.reasons) + ")")
+        lines.append(f"Selmer growth bound: dim S_p(E/F) >= {sb.bound}" if sb.applicable else
+                     "Selmer growth bound: not applicable (" + "; ".join(sb.reasons) + ")")
     if rep.failure:
         lines.append("FAILURE: parity mismatch at a determined row "
                      "(implementation bug, not arithmetic)")

@@ -160,6 +160,12 @@ class TowerSpec:
         """The primes below the sites ramified in L/K."""
         return frozenset(s.ell for s in self.ramified_sites)
 
+    @cached_property
+    def self_conjugate_ramified(self) -> tuple[PrimeSite, ...]:
+        """The self-conjugate sites ramified in L/K, by the prime below."""
+        return tuple(s for s in sorted(self.ramified_sites, key=lambda s: s.ell)
+                     if s.self_conjugate)
+
 
 CITE_P_GT_3 = "standing hypothesis: the tower degree prime p exceeds 3"
 CITE_RAMIFIED_ABOVE_P = (

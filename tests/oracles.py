@@ -22,6 +22,7 @@ before it read the report itself.
 
 from __future__ import annotations
 
+from dataclasses import fields
 from typing import Optional
 
 from dihedral_parity.curves import WeierstrassCurve
@@ -435,6 +436,12 @@ def gf_squares(ell: int):
     return {F.mul(u, u) for u in F.elements()}
 
 
+def _fields(record) -> dict:
+    """A record's dataclass fields and their values, in field order: its
+    instance dict may also keep values derived from them."""
+    return {f.name: getattr(record, f.name) for f in fields(record)}
+
+
 def tower_dict(T) -> dict:
     """A tower as a config: d, p, n, its ramified sites in order, and each
     override's fields suffixed ``_override``."""
@@ -442,10 +449,10 @@ def tower_dict(T) -> dict:
         "d": T.K.d,
         "p": T.p,
         "n": T.n,
-        "ramified_sites": [dict(vars(s)) for s in sorted(
+        "ramified_sites": [_fields(s) for s in sorted(
             T.ramified_sites, key=lambda s: (s.ell, s.which))],
         "overrides": {str(ell): {f"{name}_override": value
-                                 for name, value in vars(o).items()}
+                                 for name, value in _fields(o).items()}
                       for ell, o in sorted(T.overrides.items())},
     }
 
@@ -459,18 +466,18 @@ def report_dict(rep) -> dict:
         "schema_version": 1,
         "curve": list(rep.curve.ainvs()),
         "tower": tower_dict(rep.tower),
-        "rows": [{**vars(r),
-                  "gamma": None if r.gamma is None else dict(vars(r.gamma)),
-                  "deltas": [{"site": dict(vars(s)), **vars(v)} for s, v in r.deltas]}
+        "rows": [{**_fields(r),
+                  "gamma": None if r.gamma is None else _fields(r.gamma),
+                  "deltas": [{"site": _fields(s), **_fields(v)} for s, v in r.deltas]}
                  for r in rep.rows],
-        "S": [dict(vars(s)) for s in rep.S],
+        "S": [_fields(s) for s in rep.S],
         "mr64_sum": rep.mr64_sum,
-        "S_frak": [dict(vars(s)) for s in rep.S_frak],
-        "S_m": [dict(vars(s)) for s in rep.S_m],
-        "hypothesis_audit": [{**vars(a), "site": dict(vars(a.site))}
+        "S_frak": [_fields(s) for s in rep.S_frak],
+        "S_m": [_fields(s) for s in rep.S_m],
+        "hypothesis_audit": [{**_fields(a), "site": _fields(a.site)}
                              for a in rep.hypothesis_audit],
         "selmer_bound": (None if sb is None
-                         else {**vars(sb), "reasons": list(sb.reasons)}),
+                         else {**_fields(sb), "reasons": list(sb.reasons)}),
         "relative_parity": (None if rep.relative_parity is None
                             else dict(rep.relative_parity)),
         "failure": rep.failure,

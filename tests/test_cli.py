@@ -1,14 +1,22 @@
 import copy
+import gc
+import importlib
 import json
+import pkgutil
+import random
 import resource
+import weakref
+from dataclasses import fields
 from functools import cached_property
 
 import pytest
 
+import dihedral_parity
 import oracles
 from conftest import run_isolated, write_json
 from dihedral_parity import cli, localarith, tower
-from dihedral_parity.curves import WeierstrassCurve
+from dihedral_parity import delta as DELTA_MODULE, gamma as GAMMA_MODULE
+from dihedral_parity.curves import SingularCurveError, WeierstrassCurve
 from dihedral_parity.cli import (
     EXIT_FAILURE,
     EXIT_INVALID,
@@ -22,7 +30,15 @@ from dihedral_parity.cli import (
     run_batch,
     run_validate,
 )
-from dihedral_parity.parity import ParityReport, ParityRow, SelmerBound, SiteAudit, analyze
+from dihedral_parity.parity import (
+    ARCHIMEDEAN_ROW,
+    BLANKET_ROW,
+    ParityReport,
+    ParityRow,
+    SelmerBound,
+    SiteAudit,
+    analyze,
+)
 from dihedral_parity.report import report_json, tower_json
 from dihedral_parity.tower import PrimeSite, QuadraticFieldSpec, SiteOverrides
 from dihedral_parity.verdicts import ConstantVerdict, DeltaVerdict
@@ -838,3 +854,61 @@ def test_unfactorable_inputs_are_one_line_errors(tmp_path, capsys, monkeypatch):
     assert payload["reports"][1] == {
         "label": "hard",
         "error": f"ValueError: cannot factor {disc}: beyond the factoring budget"}
+
+
+def _package_tables() -> dict[str, int]:
+    """The size of each table the package keeps from one analysis to the
+    next: the module dicts of report.py, and each lru_cache's entries."""
+    sizes = {f"report.{name}": len(value) for name, value in vars(cli.report).items()
+             if isinstance(value, dict)}
+    for info in pkgutil.iter_modules(dihedral_parity.__path__):
+        module = importlib.import_module(f"dihedral_parity.{info.name}")
+        for name, value in vars(module).items():
+            if hasattr(value, "cache_info"):
+                sizes[f"{info.name}.{name}"] = value.cache_info().currsize
+    return sizes
+
+
+def _random_csv(path, seed: int, count: int = 200):
+    rng, lines = random.Random(seed), [CSV_HEADER]
+    while len(lines) <= count:
+        ainvs = [rng.randint(-60, 60) for _ in range(5)]
+        try:
+            WeierstrassCurve(*ainvs)
+        except SingularCurveError:
+            continue
+        lines.append(f"c{len(lines)}," + ",".join(map(str, ainvs)) + "\n")
+    path.write_text("".join(lines), encoding="utf-8")
+    return path
+
+
+def test_no_table_grows_with_the_curves_analyzed(tmp_path, capsys, monkeypatch):
+    # batches of 200 different curves in one tower: what the package keeps
+    # across analyses is the same size after each, and of the towers read,
+    # with the tables kept beside them, one at most is still held
+    cfg = write_json(tmp_path / "tower.json", {**FLAGSHIP_TOWER, "dim_Sp_E_K": 0,
+                                               "ramified_sites": [{"ell": 3}, {"ell": 5},
+                                                                  {"ell": 11}]})
+    towers, parse = [], cli.parse_config
+
+    def parse_and_keep(*args, **kwargs):
+        curve, T, dim = parse(*args, **kwargs)
+        towers.append(weakref.ref(T))
+        return curve, T, dim
+
+    monkeypatch.setattr(cli, "parse_config", parse_and_keep)
+    sizes = []
+    for seed in (1, 2, 3):
+        assert run_batch(str(_random_csv(tmp_path / f"{seed}.csv", seed)), str(cfg)) in (
+            EXIT_OK, EXIT_FAILURE)
+        assert json.loads(capsys.readouterr().out)["summary"]["curves"] == 200
+        sizes.append(_package_tables())
+    assert sizes[0] == sizes[1] == sizes[2]
+    gc.collect()
+    assert len(towers) == 3 and sum(ref() is not None for ref in towers) <= 1
+    # a verdict constant or fixed row keeps, beside its fields, only its text
+    # at each depth it was written at
+    for record in (*GAMMA_MODULE.VOCABULARY, *DELTA_MODULE.VOCABULARY, ARCHIMEDEAN_ROW,
+                   BLANKET_ROW):
+        kept = set(vars(record)) - {f.name for f in fields(record)}
+        assert all(isinstance(depth, int) and 0 < depth < 10 for depth in kept), kept

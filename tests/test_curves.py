@@ -226,6 +226,15 @@ def test_semistability_defect_large_ell():
     assert d49 == 12 // __import__("math").gcd(v, 12)
 
 
+@pytest.mark.parametrize("a6, v_disc", [(7 ** 2, 4), (7 ** 4, 8)], ids=["IV", "IV*"])
+def test_defect_is_three_where_v_disc_is_4_or_8_mod_12(a6, v_disc):
+    # y^2 = x^3 + a6 at 7: Kodaira IV (v = 4) and IV* (v = 8) have e = 3;
+    # 12 // gcd(v, 6) would give 6, and no verdict at 7 would move
+    E = WeierstrassCurve(0, 0, 0, 0, a6)
+    assert oracles.minimal_disc_valuation(E, 7) == v_disc
+    assert LocalData(E, 7).defect == semistability_defect(E, 7) == 3
+
+
 def test_semistability_defect_small_ell_honesty():
     # x^3 + 1 at 3: never a silent wrong cyclic value
     d = semistability_defect(CURVES["x3+1"], 3)

@@ -1,3 +1,4 @@
+import random
 import sys
 from collections import Counter
 
@@ -6,6 +7,7 @@ import pytest
 import oracles
 from corpus import CURVES, PARITY_CORPUS, SMALL_TOWERS, make_tower
 from dihedral_parity import curves, localarith
+from dihedral_parity.curves import WeierstrassCurve
 from dihedral_parity import verdicts as V
 from dihedral_parity.delta import delta
 from dihedral_parity.gamma import gamma
@@ -18,6 +20,7 @@ from dihedral_parity.parity import (
     parity_table,
     selmer_growth_bound,
 )
+from dihedral_parity.localarith import padic_valuation
 from dihedral_parity.tower import sites_above, support_primes
 
 
@@ -278,3 +281,59 @@ def test_each_prime_is_proven_at_most_once_per_analysis(E, T):
         2: 2, 13: 1, 2170919741: 1}
     counts = _proofs(lambda: analyze(E, T, dim_Sp_E_K=0))
     assert counts and max(counts.values()) == 1, counts
+
+
+def test_ramified_abelian_detail_names_the_defect():
+    # y^2 = x^3 + 49 at p = 7, ramified in K = Q(sqrt -7) and in L: additive
+    # with e = 3 dividing p - 1, so the tame abelian criterion applies
+    rep = analyze(WeierstrassCurve(0, 0, 0, 0, 49), make_tower(-7, 7, 1, [7]))
+    row = next(r for r in rep.rows if r.place == 7)
+    assert row.gamma.case_tag == V.POT_GOOD_RAMIFIED_ABELIAN
+    assert row.gamma.detail == ("tame abelian criterion used: residue size 7 is 1 mod "
+                                "e = 3, so the defect extension of K_v is abelian")
+
+
+AGGREGATES = ("S", "mr64_sum", "S_frak", "S_m", "hypothesis_audit", "selmer_bound",
+              "relative_parity")
+
+
+def _scaled(E, ell):
+    """E's model with a_i -> ell^i a_i: v_ell(Delta) = 12 + v_ell(Delta_E)."""
+    return WeierstrassCurve(*(a * ell ** i for a, i in zip(E.ainvs(), (1, 2, 3, 4, 6))))
+
+
+def _assert_scaling_moves_nothing(E, T, ell):
+    scaled = _scaled(E, ell)
+    assert oracles.transform(scaled, ell, 0, 0, 0) == E
+    assert padic_valuation(scaled.discriminant(), ell) == 12
+    rep, other = analyze(E, T, dim_Sp_E_K=0), analyze(scaled, T, dim_Sp_E_K=0)
+    for key in AGGREGATES:
+        assert getattr(other, key) == getattr(rep, key), key
+    # the one row the model adds, at ell, where the curve is good
+    extra = [r for r in other.rows if r.place == ell]
+    assert [r for r in other.rows if r.place != ell] == rep.rows
+    assert [(r.status, r.delta_sum) for r in extra] == [(MATCH, 0)]
+
+
+def test_a_non_minimal_model_at_a_good_prime_moves_nothing():
+    # 11a1 in the flagship tower, scaled by 13: v_13(Delta) = 12 on a curve
+    # good at 13, so 13 is not in S, though the model's discriminant says so
+    _assert_scaling_moves_nothing(CURVES["11a1"], make_tower(-1, 5, 1, [11]), 13)
+
+
+@pytest.mark.parametrize("tower", SMALL_TOWERS, ids=lambda t: f"d{t[0]}-p{t[1]}")
+def test_non_minimal_models_move_nothing_on_generated_curves(tower):
+    d, p, rams = tower
+    T = make_tower(d, p, 1, rams)
+    rng, checked = random.Random(f"scaled/{d}/{p}"), 0
+    while checked < 8:
+        try:
+            E = WeierstrassCurve(*(rng.randint(-30, 30) for _ in range(5)))
+        except curves.SingularCurveError:
+            continue
+        disc = E.discriminant()
+        # the least prime from 13 on where E is good and the tower has no site
+        ell = next(q for q in range(13, 10 ** 4) if localarith.is_prime(q)
+                   and disc % q and q not in T.sites_at)
+        _assert_scaling_moves_nothing(E, T, ell)
+        checked += 1

@@ -41,7 +41,7 @@ from dihedral_parity.parity import (
     analyze,
 )
 from dihedral_parity.report import render_text, report_json, report_to_dict
-from dihedral_parity.tower import PrimeSite, SiteOverrides
+from dihedral_parity.tower import PrimeSite, SiteOverrides, Violation
 from dihedral_parity.verdicts import ConstantVerdict, DeltaVerdict
 
 
@@ -144,8 +144,7 @@ def test_each_record_is_written_in_field_order():
     rep = analyze(WeierstrassCurve(0, -1, 1, -10, -20),
                   make_tower(-1, 5, 1, [(5, "first"), (5, "second"), 11]), dim_Sp_E_K=0)
     top = dict(_pairs(report_json(rep)))
-    *body, notes = _names(ParityReport)
-    assert list(top) == ["schema_version", *body, "failure", "has_undetermined", notes]
+    assert list(top) == ["schema_version", *_names(ParityReport)]
     sites = [s for key in ("S", "S_frak", "S_m") for s in top[key]]
     assert top["S_m"] and top["hypothesis_audit"] and top["selmer_bound"]
     for row in top["rows"]:
@@ -170,7 +169,7 @@ def test_each_record_is_written_in_field_order():
 WRITERS = {
     "_site": (PrimeSite, "s", []),
     "_gamma": (ConstantVerdict, "g", []),
-    "_entry": (DeltaVerdict, "v", ["site"]),  # the entry's site comes first
+    "_verdict": (DeltaVerdict, "v", []),  # a delta entry's fields after its site
     "_row": (ParityRow, "r", []),
     "_audit": (SiteAudit, "a", []),
     "_bound": (SelmerBound, "b", []),
@@ -204,11 +203,13 @@ def test_each_writer_fills_its_template_in_field_order():
 
 
 # The verdict vocabulary: the verdicts of fixed detail are module constants
-# of gamma.py and delta.py, and report.py keeps the text of each, and of each
-# row of two constants, from the writers above.
+# of gamma.py and delta.py.  Each record keeps its text at each depth it was
+# written at, so a constant, a tower and the tower's sites and rows are each
+# written once per depth.
 CONSTANTS = [v for module, cls in ((GAMMA_MODULE, ConstantVerdict), (DELTA_MODULE, DeltaVerdict))
              for v in vars(module).values() if isinstance(v, cls)]
 FIXED = {(c.case_tag, c.detail) for c in CONSTANTS}
+DEPTHS = (3, 4, 5, 6)  # those of a report alone and in a batch document, and two others
 
 
 def test_the_vocabulary_is_every_module_constant():
@@ -256,20 +257,42 @@ def _fresh(record):
     return copy
 
 
+def _never(record, depth):
+    raise AssertionError(f"{record} written again at depth {depth}")
+
+
+def _assert_kept_as_written(v, write):
+    # the text kept beside a constant at each depth is its writer's, and the
+    # writer is not called again for it
+    for depth in DEPTHS:
+        text = report._kept(v, depth, write)
+        assert text == write(_fresh(v), depth)
+        assert report._kept(v, depth, _never) == text
+
+
 @pytest.mark.parametrize("g", GAMMA_MODULE.VOCABULARY, ids=lambda g: g.case_tag)
 def test_each_gamma_text_is_what_the_writer_writes(g):
-    assert report._GAMMA_TEXT[id(g)] == report._gamma_text(g) == report._gamma(_fresh(g))
+    _assert_kept_as_written(g, report._gamma)
+
+
+@pytest.mark.parametrize("v", DELTA_MODULE.VOCABULARY, ids=lambda v: v.case_tag)
+def test_each_delta_text_is_what_the_writer_writes(v):
+    _assert_kept_as_written(v, report._verdict)
 
 
 SHAPES = [PrimeSite(7, "split", "first"), PrimeSite(7, "inert"), PrimeSite(7, "ramified")]
 
 
 def test_each_row_text_is_what_the_writer_writes(monkeypatch):
-    # a row of two constants is written once per key by _row, then filled in
-    # at each place; the two fixed rows are written once, at import
+    # a row of two constants is written by _row once per shape and depth,
+    # into its tower's templates, and then filled in at each place; a row of
+    # fresh copies is written whole; the two fixed rows are written once a
+    # depth; every text is what _row writes of the fresh row
     writes = []
     row_writer = report._row
-    monkeypatch.setattr(report, "_row", lambda r: writes.append(r) or row_writer(r))
+    monkeypatch.setattr(report, "_row", lambda r, depth, place=None: writes.append(
+        r.gamma) or row_writer(r, depth, place))
+    templates = {depth: {} for depth in DEPTHS[:2]}
     for g in GAMMA_MODULE.VOCABULARY:
         for v in DELTA_MODULE.VOCABULARY:
             dsum = v.contribution()
@@ -278,11 +301,66 @@ def test_each_row_text_is_what_the_writer_writes(monkeypatch):
                     row = ParityRow(ell, g, ((replace(site, ell=ell), v),), dsum, status)
                     fresh = ParityRow(ell, _fresh(g), ((replace(site, ell=ell), _fresh(v)),),
                                       dsum, status)
-                    assert report._row_text(row) == row_writer(fresh)
-                    assert report._row_text(fresh) == row_writer(fresh)
-    fixed = [r for r in writes if id(r.gamma) in report._VOCABULARY]
-    assert len(fixed) <= len(GAMMA_MODULE.VOCABULARY) * len(DELTA_MODULE.VOCABULARY) * 3 * 3
+                    for depth in DEPTHS[:2]:
+                        text = row_writer(fresh, depth)
+                        assert report._row_text(row, depth, templates[depth]) == text
+                        assert report._row_text(fresh, depth, templates[depth]) == text
+    shapes = len(GAMMA_MODULE.VOCABULARY) * len(DELTA_MODULE.VOCABULARY) * 3 * 3
+    assert [len(t) for t in templates.values()] == [shapes, shapes]
+    assert sum(any(g is c for c in CONSTANTS) for g in writes) == 2 * shapes
     writes.clear()
     for r in (ARCHIMEDEAN_ROW, BLANKET_ROW):
-        assert report._row_text(r) == row_writer(_fresh(r))
-    assert writes == []
+        for depth in DEPTHS:
+            assert report._kept(r, depth, report._row) == row_writer(_fresh(r), depth)
+            assert report._kept(r, depth, _never) == row_writer(_fresh(r), depth)
+    assert len(writes) <= 2 * len(DEPTHS)
+
+
+def _keeps_text(record) -> bool:
+    return any(isinstance(key, int) for key in vars(record))
+
+
+def test_only_lasting_records_keep_their_texts():
+    # a verdict constant, a fixed row, a site or a row of constants above
+    # one of the tower's own primes, a passing audit and an applicable bound
+    # are shared across a tower's reports and keep their texts; a record
+    # that lives for one analysis (a site from sites_above, a row at another
+    # prime, a verdict with a detail of its own, a failing audit, a bound
+    # that does not apply) is written afresh and keeps nothing
+    constants, seen = {id(c) for c in CONSTANTS}, set()
+    failing = ("x3-6x-6", WeierstrassCurve(0, 0, 0, -6, -6), 5, 7, 1, [2, 3, 7, 13])
+    for label, E, d, p, n, rams in (*PARITY_CORPUS, failing):
+        T = make_tower(d, p, n, rams)
+        rep = analyze(E, T, dim_Sp_E_K=0)
+        assert report_json(rep, 2, label) == _oracle_text(rep, 2, label)
+        for r in rep.rows:
+            verdicts = [v for v in (r.gamma, *(dv for _, dv in r.deltas)) if v is not None]
+            for v in verdicts:
+                assert _keeps_text(v) == (id(v) in constants), v
+                seen.add("own detail" if id(v) not in constants else "constant")
+            lasting = not r.deltas or (r.place in T.sites_at
+                                       and all(id(v) in constants for v in verdicts))
+            assert _keeps_text(r) == lasting, r
+            seen.add(("row", lasting))
+        for s in rep.S:
+            assert _keeps_text(s) == (s.ell in T.sites_at), s
+            seen.add(("site", s.ell in T.sites_at))
+        for a in rep.hypothesis_audit:
+            assert _keeps_text(a) == a.passes, a
+            seen.add(("audit", a.passes))
+        assert _keeps_text(rep.selmer_bound) == rep.selmer_bound.applicable
+        seen.add(("bound", rep.selmer_bound.applicable))
+    assert seen >= {"own detail", "constant", *product(("row", "site", "audit", "bound"),
+                                                       (True, False))}
+
+
+def test_override_and_violation_texts_read_fields_alone():
+    # tower_json and validation_json fill their templates from the records'
+    # fields in order: anything else in an instance dict changes no byte
+    o = SiteOverrides(defect=2, anomalous=True)
+    T = make_tower(-1, 5, 1, [11], overrides={11: o})
+    v = Violation("code", "message", "citation")
+    before = report.tower_json(T), report.validation_json([v])
+    assert json.loads(before[0]) == oracles.tower_dict(T)
+    vars(o)[3] = vars(v)[1] = "a kept text"
+    assert (report.tower_json(T), report.validation_json([v])) == before
