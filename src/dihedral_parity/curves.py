@@ -11,7 +11,7 @@ minimal model; Kodaira symbols are never needed downstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from math import gcd
 from typing import Optional, Union
@@ -37,37 +37,31 @@ class SingularCurveError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class WeierstrassCurve:
+class WeierstrassCurve(namedtuple("WeierstrassCurve", "a1 a2 a3 a4 a6")):
     """An integral Weierstrass model.  Its invariants are computed once, at
     construction, and its valuations at a prime on first request; both live
-    in the instance dict, outside the dataclass fields, so they take no part
+    in the instance dict, outside the record's fields, so they take no part
     in equality, hashing or a written report."""
 
-    a1: int
-    a2: int
-    a3: int
-    a4: int
-    a6: int
-
-    def __post_init__(self):
-        a1, a2, a3, a4, a6 = self.ainvs()
+    def __new__(cls, a1, a2, a3, a4, a6):
         b2 = a1 * a1 + 4 * a2
         b4 = 2 * a4 + a1 * a3
         b6 = a3 * a3 + 4 * a6
         b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
         disc = -b2 * b2 * b8 - 8 * b4 ** 3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
         if disc == 0:
-            raise SingularCurveError(f"singular model {self.ainvs()}")
+            raise SingularCurveError(f"singular model {(a1, a2, a3, a4, a6)}")
+        self = tuple.__new__(cls, (a1, a2, a3, a4, a6))
         vars(self).update(
             _b=(b2, b4, b6, b8),
             _c=(b2 * b2 - 24 * b4, -b2 ** 3 + 36 * b2 * b4 - 216 * b6),
             _disc=disc,
             _valuations={},
         )
+        return self
 
     def ainvs(self) -> tuple[int, int, int, int, int]:
-        return (self.a1, self.a2, self.a3, self.a4, self.a6)
+        return tuple(self)
 
     def b_invariants(self) -> tuple[int, int, int, int]:
         return self._b
@@ -79,16 +73,16 @@ class WeierstrassCurve:
         return self._disc
 
     def valuations_at(self, ell: int) -> tuple[int, Optional[int], Optional[int]]:
-        """(v(Delta), v(c4), v(c6)) at the prime ell, None for a zero c4 or
-        c6; taken once per prime and model."""
+        """(v(Delta), v(c4), v(c6)) at the prime ell, taken once per prime
+        and model; v(c4) and v(c6) are None for a zero c4 or c6, and where
+        v(Delta) = 0, which alone decides a good prime."""
         vals = self._valuations.get(ell)
         if vals is None:
             c4, c6 = self._c
-            vals = self._valuations[ell] = (
-                padic_valuation(self._disc, ell),
-                padic_valuation(c4, ell) if c4 else None,
-                padic_valuation(c6, ell) if c6 else None,
-            )
+            v = padic_valuation(self._disc, ell)
+            vals = self._valuations[ell] = (v, None, None) if v == 0 else (
+                v, padic_valuation(c4, ell) if c4 else None,
+                padic_valuation(c6, ell) if c6 else None)
         return vals
 
 
@@ -137,17 +131,10 @@ def minimal_model_at(E: WeierstrassCurve, ell: int) -> WeierstrassCurve:
     return E
 
 
-ReductionType = str  # "good" | "multiplicative" | "additive"
-
-
-@dataclass(frozen=True)
-class LocalReductionData:
-    ell: int
-    reduction_type: ReductionType
-    split: Optional[bool]  # meaningful only for multiplicative reduction
-    v_disc_min: int
-    potentially_multiplicative: bool
-    minimal_model: WeierstrassCurve
+class LocalReductionData(namedtuple("LocalReductionData", "ell reduction_type split v_disc_min "
+                                    "potentially_multiplicative minimal_model")):
+    """The reduction of E over Q_ell, read off its ell-minimal model: good,
+    multiplicative or additive, and split only for multiplicative reduction."""
 
 
 def local_reduction(E: WeierstrassCurve, ell: int) -> LocalReductionData:
@@ -242,13 +229,8 @@ def reduction_over_Kv(E: WeierstrassCurve, ell: int,
     return LocalData(E, ell, ext).kv
 
 
-@dataclass(frozen=True)
-class FrobeniusData:
-    ell: int
-    p: int
-    a_ell: int
-    a_ell2: int
-    ordinary: bool
+class FrobeniusData(namedtuple("FrobeniusData", "ell p a_ell a_ell2 ordinary")):
+    """The traces of Frobenius at a good prime ell, over F_ell and F_ell^2."""
 
     def point_count(self, q: int) -> int:
         if q == self.ell:
@@ -283,35 +265,25 @@ def _frobenius(red: LocalReductionData, p: int) -> FrobeniusData:
     )
 
 
-@dataclass(frozen=True)
-class ResidueFrobenius:
-    """Frobenius data of the reduction of E over a local field above p."""
-
-    q: int  # residue field size
-    a_q: int
-    ordinary: bool
+class ResidueFrobenius(namedtuple("ResidueFrobenius", "q a_q ordinary")):
+    """Frobenius data of the reduction of E over a local field above p, whose
+    residue field has q elements."""
 
 
-@dataclass(frozen=True)
-class SiteOverrides:
-    """Optional per-prime data the implemented criteria cannot certify."""
-
-    defect: Union[int, str, None] = None  # one of DEFECTS
-    anomalous: Optional[bool] = None
-    reduction_over_Kv: Optional[str] = None  # one of KV_REDUCTIONS
+class SiteOverrides(namedtuple("SiteOverrides", "defect anomalous reduction_over_Kv",
+                               defaults=(None, None, None))):
+    """Optional per-prime data the implemented criteria cannot certify: a
+    defect (one of DEFECTS), whether the reduction is anomalous, and the
+    reduction over K_v (one of KV_REDUCTIONS); None where not supplied."""
 
 
-@dataclass(frozen=True)
-class LocalData:
+class LocalData(namedtuple("LocalData", "E ell ext overrides",
+                           defaults=(None, SiteOverrides()))):
     """Every local fact the case engines read about E at one prime ell, with
     K_v above ell (Q_ell when ext is None, else the quadratic extension ext)
     and the user's overrides at ell.  Each fact is computed lazily, at most
-    once per record; a record lives for one analysis only."""
-
-    E: WeierstrassCurve
-    ell: int
-    ext: Optional[QuadraticExtension] = None
-    overrides: SiteOverrides = SiteOverrides()
+    once per record, and lives in the instance dict; a record lives for one
+    analysis only."""
 
     @cached_property
     def red(self) -> LocalReductionData:

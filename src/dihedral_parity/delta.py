@@ -10,7 +10,6 @@ one known theorem.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Optional
 
 from . import verdicts as V
@@ -50,19 +49,19 @@ ADDITIVE_NOT_P = DeltaVerdict(0, V.ADDITIVE_NOT_P, (
 ADDITIVE_P_ORD_NONANOM = DeltaVerdict(0, V.ADDITIVE_P_ORD_NONANOM, (
     "additive above p acquiring good ordinary non-anomalous reduction over a "
     "Galois extension of K_v of degree prime to p: delta_v = 0"))
-ORDINARY_BY_OVERRIDE = replace(ADDITIVE_P_ORD_NONANOM,
-                               detail="ordinary non-anomalous reduction supplied by override")
+ORDINARY_BY_OVERRIDE = ADDITIVE_P_ORD_NONANOM._replace(
+    detail="ordinary non-anomalous reduction supplied by override")
 UNCOVERED = DeltaVerdict(None, V.UNCOVERED, "no evaluated case applies; no value is asserted")
-ANOMALOUS_BY_OVERRIDE = replace(UNCOVERED, detail="override reports anomalous reduction "
-                                "over the defect extension; no value is known")
-NO_GOOD_TWIST = replace(UNCOVERED, detail="no good quadratic twist found despite defect 2")
-NO_RESIDUE_TWIST = replace(UNCOVERED, detail="good over K_v above p but the residue curve "
-                           "is not reachable by a quadratic twist")
-SUPERSINGULAR_OUTSIDE_MR57 = replace(UNCOVERED, detail="supersingular at p outside the "
-                                     "known case (p must be inert with E good over Q_p)")
-SUPERSINGULAR_OVER_M = replace(UNCOVERED,
-                               detail="reduction over the defect extension is supersingular")
-ANOMALOUS_OVER_M = replace(UNCOVERED, detail="reduction over the defect extension is anomalous")
+ANOMALOUS_BY_OVERRIDE = UNCOVERED._replace(detail="override reports anomalous reduction "
+                                           "over the defect extension; no value is known")
+NO_GOOD_TWIST = UNCOVERED._replace(detail="no good quadratic twist found despite defect 2")
+NO_RESIDUE_TWIST = UNCOVERED._replace(detail="good over K_v above p but the residue curve "
+                                      "is not reachable by a quadratic twist")
+SUPERSINGULAR_OUTSIDE_MR57 = UNCOVERED._replace(detail="supersingular at p outside the known "
+                                                "case (p must be inert with E good over Q_p)")
+SUPERSINGULAR_OVER_M = UNCOVERED._replace(
+    detail="reduction over the defect extension is supersingular")
+ANOMALOUS_OVER_M = UNCOVERED._replace(detail="reduction over the defect extension is anomalous")
 VOCABULARY = tuple(v for v in globals().values() if isinstance(v, DeltaVerdict))
 
 
@@ -88,7 +87,7 @@ def _additive_above_p(loc: LocalData) -> DeltaVerdict:
         return ANOMALOUS_BY_OVERRIDE if ov.anomalous else ORDINARY_BY_OVERRIDE
     defect = loc.defect
     if not (defect == 2 and isinstance(loc.ext, UnramifiedQuadratic)):
-        return replace(UNCOVERED, detail=f"defect {defect} over K_v not reachable by a "
+        return UNCOVERED._replace(detail=f"defect {defect} over K_v not reachable by a "
                                          "quadratic twist; supply an override")
     if loc.twist_frobenius is None:
         return NO_GOOD_TWIST
@@ -96,8 +95,8 @@ def _additive_above_p(loc: LocalData) -> DeltaVerdict:
     # M = K_v(sqrt(t)) has residue field F_{p^2}.
     anomalous = fd.anomalous_over(loc.ell ** 2)
     if fd.ordinary and not anomalous:
-        return replace(ADDITIVE_P_ORD_NONANOM,
-                       detail=f"good ordinary non-anomalous over M = K_v(sqrt({t}))")
+        return ADDITIVE_P_ORD_NONANOM._replace(
+            detail=f"good ordinary non-anomalous over M = K_v(sqrt({t}))")
     return ANOMALOUS_OVER_M if fd.ordinary else SUPERSINGULAR_OVER_M
 
 
@@ -123,7 +122,7 @@ def delta_at(T: TowerSpec, v: PrimeSite, loc: Optional[LocalData]) -> DeltaVerdi
         if rf is None:
             return NO_RESIDUE_TWIST
         if rf.ordinary:
-            return replace(GOOD_ORDINARY_P, detail=f"a_q = {rf.a_q} over F_{rf.q} is prime to p")
+            return GOOD_ORDINARY_P._replace(detail=f"a_q = {rf.a_q} over F_{rf.q} is prime to p")
         # supersingular: only the inert, defined-over-Q_p case is known
         if isinstance(loc.ext, UnramifiedQuadratic) and red.reduction_type == "good":
             return GOOD_SUPERSINGULAR_MR57
@@ -131,7 +130,7 @@ def delta_at(T: TowerSpec, v: PrimeSite, loc: Optional[LocalData]) -> DeltaVerdi
     if red.potentially_multiplicative:
         return POT_MULT_SPLIT if kv == "multiplicative_split" else POT_MULT_NONSPLIT_OR_ADDITIVE
     if kv == UNKNOWN:
-        return replace(UNCOVERED, detail=f"reduction over K_v at {v.ell} undetermined")
+        return UNCOVERED._replace(detail=f"reduction over K_v at {v.ell} undetermined")
     # additive over K_v, potentially good
     if v.ell != p:
         return ADDITIVE_NOT_P

@@ -11,28 +11,37 @@ maps on them, and the inner product is the dot product of coefficients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterable
 
 
-@dataclass(frozen=True)
-class CyclicGroupSpec:
-    m: int
+class _Group:
+    """Equality of group specs that tells the kind of group: C_3 is not D_6."""
+
+    def __eq__(self, other):
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    __hash__ = tuple.__hash__
+
+
+class CyclicGroupSpec(_Group, namedtuple("CyclicGroupSpec", "m")):
+    """C_m."""
 
     @property
     def n_irreducibles(self) -> int:
         return self.m
 
 
-@dataclass(frozen=True)
-class DihedralGroupSpec:
+class DihedralGroupSpec(_Group, namedtuple("DihedralGroupSpec", "m")):
     """D_{2m} = <r, s | r^m = s^2 = 1, s r s = r^-1>, m odd >= 3."""
 
-    m: int
-
-    def __post_init__(self):
-        if self.m < 3 or self.m % 2 == 0:
+    def __new__(cls, m):
+        if m < 3 or m % 2 == 0:
             raise ValueError("rotation order m must be odd and >= 3")
+        return tuple.__new__(cls, (m,))
 
     @property
     def n_irreducibles(self) -> int:
@@ -42,16 +51,16 @@ class DihedralGroupSpec:
 GroupSpec = CyclicGroupSpec | DihedralGroupSpec
 
 
-@dataclass(frozen=True)
-class ClassFunction:
-    group: GroupSpec
-    coeffs: tuple[int, ...]  # multiplicity of each irreducible, in basis order
+class ClassFunction(namedtuple("ClassFunction", "group coeffs")):
+    """A virtual character: coeffs is the multiplicity of each irreducible of
+    group, in basis order."""
 
-    def __post_init__(self):
-        if (len(self.coeffs) != self.group.n_irreducibles
-                or not all(isinstance(c, int) for c in self.coeffs)):
-            raise ValueError(f"expected {self.group.n_irreducibles} integer "
-                             f"coefficients, got {self.coeffs!r}")
+    def __new__(cls, group, coeffs):
+        if (len(coeffs) != group.n_irreducibles
+                or not all(isinstance(c, int) for c in coeffs)):
+            raise ValueError(f"expected {group.n_irreducibles} integer "
+                             f"coefficients, got {coeffs!r}")
+        return tuple.__new__(cls, (group, coeffs))
 
     def __add__(self, other: "ClassFunction") -> "ClassFunction":
         if self.group != other.group:

@@ -9,7 +9,6 @@ and reports Undetermined outside them.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Optional, Union
 
 from . import verdicts as V
@@ -33,8 +32,8 @@ SELF_CONJ_UNRAMIFIED = ConstantVerdict(0, V.SELF_CONJ_UNRAMIFIED, (
 GOOD_OVER_KV = ConstantVerdict(0, V.GOOD_OVER_KV, (
     "good reduction over K_v: by Rohrlich's good-reduction formula both root "
     "numbers equal det tau(-1), which agrees for the two twists"))
-GOOD_ACQUIRED_OVER_KV = replace(GOOD_OVER_KV,
-                                detail="good reduction acquired over the ramified K_v")
+GOOD_ACQUIRED_OVER_KV = GOOD_OVER_KV._replace(
+    detail="good reduction acquired over the ramified K_v")
 POT_MULT_SPLIT = ConstantVerdict(1, V.POT_MULT_SPLIT, (
     "potentially multiplicative with split multiplicative reduction over K_v: "
     "Rohrlich's v(j)<0 formula gives ratio -1"))
@@ -56,8 +55,8 @@ ARCHIMEDEAN_GAMMA = ConstantVerdict(0, V.ARCHIMEDEAN, (
     "case analysis does not cover infinity (p > 3 makes the local layer "
     "trivial there)"))
 UNCOVERED = ConstantVerdict(None, V.UNCOVERED, "no evaluated case applies; no value is asserted")
-ABELIAN_CRITERION_FAILS = replace(UNCOVERED, detail="ramified above p and the abelian "
-                                  "criterion fails or the defect is unknown")
+ABELIAN_CRITERION_FAILS = UNCOVERED._replace(detail="ramified above p and the abelian "
+                                             "criterion fails or the defect is unknown")
 VOCABULARY = tuple(v for v in globals().values() if isinstance(v, ConstantVerdict))
 
 
@@ -93,15 +92,15 @@ def gamma_at(T: TowerSpec, site: PrimeSite, loc: Optional[LocalData]) -> Constan
         # ramified above p: abelian criterion q = p congruent to 1 mod e
         defect = loc.defect
         if isinstance(defect, int) and (T.p - 1) % defect == 0:
-            return replace(POT_GOOD_RAMIFIED_ABELIAN, detail=(
+            return POT_GOOD_RAMIFIED_ABELIAN._replace(detail=(
                 f"tame abelian criterion used: residue size {T.p} is 1 mod "
                 f"e = {defect}, so the defect extension of K_v is abelian"))
         return ABELIAN_CRITERION_FAILS
     # ell in {2, 3}
     defect = loc.defect
     if isinstance(defect, int):
-        return replace(POT_GOOD_WILD_CYCLIC_DEFECT,
-                       detail=f"inertia image certified cyclic of order {defect}")
+        return POT_GOOD_WILD_CYCLIC_DEFECT._replace(
+            detail=f"inertia image certified cyclic of order {defect}")
     if kv == UNKNOWN:
-        return replace(UNCOVERED, detail=f"reduction over K_v at {ell} undetermined")
-    return replace(UNCOVERED, detail=f"semistability defect at {ell} is {defect}")
+        return UNCOVERED._replace(detail=f"reduction over K_v at {ell} undetermined")
+    return UNCOVERED._replace(detail=f"semistability defect at {ell} is {defect}")

@@ -13,7 +13,7 @@ z*d.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from math import gcd, isqrt
 from typing import Optional, Union
@@ -267,13 +267,9 @@ def kronecker_symbol(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
-@dataclass(frozen=True)
-class LocalSquareVerdict:
+class LocalSquareVerdict(namedtuple("LocalSquareVerdict", "valuation_parity unit_class")):
     """Class of a nonzero integer z = ell^v u in Q_ell^x / squares: v mod 2,
     and u mod 8 at ell = 2 or the Legendre symbol (u|ell) at odd ell."""
-
-    valuation_parity: int
-    unit_class: int
 
     @property
     def is_square(self) -> bool:
@@ -296,18 +292,17 @@ def is_local_square(z: int, ell: int) -> bool:
     return local_square_class(z, ell).is_square
 
 
-@dataclass(frozen=True)
-class UnramifiedQuadratic:
+class UnramifiedQuadratic(namedtuple("UnramifiedQuadratic", "")):
     """The unramified quadratic extension of Q_ell."""
 
+    def __bool__(self) -> bool:  # a record, not an empty tuple
+        return True
 
-@dataclass(frozen=True)
-class RamifiedQuadratic:
+
+class RamifiedQuadratic(namedtuple("RamifiedQuadratic", "d")):
     """A ramified quadratic extension Q_ell(sqrt(d)): d is a nonzero integer,
     read only through its square class in Q_ell, so a squarefree d of a
     quadratic field K = Q(sqrt(d)) serves as is, unfactored."""
-
-    d: int
 
 
 QuadraticExtension = Union[UnramifiedQuadratic, RamifiedQuadratic]

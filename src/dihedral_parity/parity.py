@@ -9,9 +9,9 @@ reported as FAILURE.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import lru_cache
-from typing import Optional, Union
+from typing import Optional
 
 from . import verdicts as V
 from .curves import WeierstrassCurve, minimal_model_at
@@ -19,7 +19,7 @@ from .delta import VOCABULARY as DELTA_VOCABULARY, delta_at
 from .gamma import ARCHIMEDEAN_GAMMA, INFINITE_PLACE, VOCABULARY as GAMMA_VOCABULARY, gamma_at
 from .localarith import padic_valuation
 from .tower import PrimeSite, TowerSpec, check_tower, local_data, sites_above, support_primes
-from .verdicts import ConstantVerdict, DeltaVerdict
+from .verdicts import DeltaVerdict
 
 # A serialized report's keys are the field names of the records below (and of
 # PrimeSite and the verdicts), in field order; see report.report_json.
@@ -53,22 +53,13 @@ _CONDITION_BY_TAG = {
 }
 
 
-@dataclass(frozen=True)
-class SiteAudit:
-    site: PrimeSite
-    condition: Optional[str]  # "a" | "b" | "c" | "d" | None
-    passes: bool
-    reason: str = ""
+class SiteAudit(namedtuple("SiteAudit", "site condition passes reason", defaults=("",))):
+    """The parity-theorem condition ("a" to "d", or None) a site meets."""
 
 
-@dataclass(frozen=True)
-class ParityRow:
-    place: Union[int, str]
-    gamma: Optional[ConstantVerdict]
-    deltas: tuple[tuple[PrimeSite, DeltaVerdict], ...]
-    delta_sum: Optional[int]
-    status: str
-    note: str = ""
+class ParityRow(namedtuple("ParityRow", "place gamma deltas delta_sum status note",
+                           defaults=("",))):
+    """A place's gamma (None for the blanket row) and its (site, delta) pairs."""
 
 
 ARCHIMEDEAN_ROW = ParityRow(INFINITE_PLACE, ARCHIMEDEAN_GAMMA, (), 0, MATCH,
@@ -76,36 +67,28 @@ ARCHIMEDEAN_ROW = ParityRow(INFINITE_PLACE, ARCHIMEDEAN_GAMMA, (), 0, MATCH,
 BLANKET_ROW = ParityRow("other", None, (), 0, MATCH, note=BLANKET_CITATION)
 
 
-@dataclass(frozen=True)
-class SelmerBound:
-    applicable: bool
-    bound: Optional[int]
-    dim_Sp_E_K: int
-    s_m_size: int
-    reasons: tuple[str, ...] = ()
+class SelmerBound(namedtuple("SelmerBound", "applicable bound dim_Sp_E_K s_m_size reasons",
+                             defaults=((),))):
+    """The p-Selmer growth bound, or None with the reasons it does not apply."""
 
 
-@dataclass
-class ParityReport:
-    curve: WeierstrassCurve
-    tower: TowerSpec
-    rows: list[ParityRow]
-    S: list[PrimeSite]                 # aggregation prime set
-    mr64_sum: Optional[int]
-    S_frak: list[PrimeSite]            # self-conjugate sites ramified in L/K
-    S_m: list[PrimeSite]               # split multiplicative subset of S_frak
-    hypothesis_audit: list[SiteAudit]
-    selmer_bound: Optional[SelmerBound]
-    relative_parity: Optional[dict]
-    # Both flags are read off the rows once, as the report is built.
-    failure: bool = field(init=False)
-    has_undetermined: bool = field(init=False)
-    notes: list[str] = field(default_factory=list)
+class ParityReport(namedtuple("ParityReport", "curve tower rows S mr64_sum S_frak S_m "
+                              "hypothesis_audit selmer_bound relative_parity failure "
+                              "has_undetermined notes")):
+    """One analysis.  S is the aggregation set, S_frak the self-conjugate sites
+    ramified in L/K and S_m its split multiplicative part.  The flags failure
+    and has_undetermined are read off the rows once, as the report is built."""
 
-    def __post_init__(self):
-        statuses = {r.status for r in self.rows}
-        self.failure = MISMATCH in statuses
-        self.has_undetermined = UNDETERMINED in statuses or self.mr64_sum is None
+    def __new__(cls, curve, tower, rows, S, mr64_sum, S_frak, S_m, hypothesis_audit,
+                selmer_bound, relative_parity, notes=None):
+        statuses = {r.status for r in rows}
+        return tuple.__new__(cls, (
+            curve, tower, rows, S, mr64_sum, S_frak, S_m, hypothesis_audit, selmer_bound,
+            relative_parity, MISMATCH in statuses, UNDETERMINED in statuses or mr64_sum is None,
+            [] if notes is None else notes))
+
+    def __getnewargs__(self):  # a copy is built by __new__, which takes no flags
+        return (*self[:10], self.notes)
 
 
 # The verdict constants of gamma.py and delta.py, by identity: a record

@@ -6,7 +6,6 @@ its records; a report's dict; and its text table.
 from __future__ import annotations
 
 import json
-from dataclasses import astuple, fields
 from functools import partial
 from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Optional, Sequence, Union
@@ -54,10 +53,6 @@ def _object(keys: Sequence[str], depth: int, values: Optional[Sequence[str]] = N
     return _array([f"{_str(k)}: {v}" for k, v in zip(keys, values)], depth, "{}")
 
 
-def _names(cls: type) -> tuple[str, ...]:
-    return tuple(f.name for f in fields(cls))
-
-
 class _ByDepth(dict):
     """Templates by depth, each built on first use."""
 
@@ -81,25 +76,25 @@ def _kept(record: Any, depth: int, write: Callable[[Any, int], str], lasting: bo
 
 # A record's keys are its fields in order (a delta entry is its site, then
 # the verdict's fields), and each writer below fills them in that order.
-_SITE = _ByDepth(partial(_object, _names(PrimeSite)))
-_GAMMA = _ByDepth(partial(_object, _names(ConstantVerdict)))
+_SITE = _ByDepth(partial(_object, PrimeSite._fields))
+_GAMMA = _ByDepth(partial(_object, ConstantVerdict._fields))
 # a delta entry as the text before its site, and its verdict's template
-_ENTRY = _ByDepth(lambda d: _object(("site", *_names(DeltaVerdict)), d).split("%s", 1))
-_ROW = _ByDepth(partial(_object, _names(ParityRow)))
-_AUDIT = _ByDepth(partial(_object, _names(SiteAudit)))
-_BOUND = _ByDepth(partial(_object, _names(SelmerBound)))
-_KEYS = ("schema_version", *_names(ParityReport))
+_ENTRY = _ByDepth(lambda d: _object(("site", *DeltaVerdict._fields), d).split("%s", 1))
+_ROW = _ByDepth(partial(_object, ParityRow._fields))
+_AUDIT = _ByDepth(partial(_object, SiteAudit._fields))
+_BOUND = _ByDepth(partial(_object, SelmerBound._fields))
+_KEYS = ("schema_version", *ParityReport._fields)
 _REPORT = _ByDepth(partial(_object, _KEYS))
 _LABELLED = _ByDepth(partial(_object, (*_KEYS, "label")))
 _TOWER = _ByDepth(partial(_object, ("d", "p", "n", "ramified_sites", "overrides")))
-_OVERRIDE = _ByDepth(partial(_object, tuple(f"{n}_override" for n in _names(SiteOverrides))))
+_OVERRIDE = _ByDepth(partial(_object, tuple(f"{n}_override" for n in SiteOverrides._fields)))
 # analyze's notes and relative-parity objects hold parity's constants alone,
 # so each of their texts is written once a depth, keyed by the texts it holds
 _FIXED = _ByDepth(lambda d: {**{n: _array(list(map(_str, n)), d) for n in NOTES}, **{
     ("statement", "parity", _str(RELATIVE_STATEMENT), p):
     _object(("statement", "parity"), d, [_str(RELATIVE_STATEMENT), p]) for p in "01"}})
 _ERROR = _object(("label", "error"), 2)
-_VIOLATION = _object(_names(Violation), 2)
+_VIOLATION = _object(Violation._fields, 2)
 _VALIDATION = _object(("schema_version", "valid", "violations"), 0)
 # a batch document is streamed: a head, its reports one by one, a tail
 _BATCH = _object(("schema_version", "tower", "reports", "errors", "summary"), 0).split("%s")
@@ -173,7 +168,7 @@ def tower_json(T: TowerSpec, depth: int = 1) -> str:
         _array([_kept(s, depth + 2, _site) for s in
                 sorted(T.ramified_sites, key=lambda s: (s.ell, s.which))], depth + 1),
         _object([str(ell) for ell, _ in overrides], depth + 1,
-                [_OVERRIDE[depth + 2] % tuple(map(_scalar, astuple(o))) for _, o in overrides]))
+                [_OVERRIDE[depth + 2] % tuple(map(_scalar, o)) for _, o in overrides]))
 
 
 def _tower_texts(T: TowerSpec, depth: int) -> tuple[str, str, dict]:
@@ -212,7 +207,7 @@ def report_json(rep: ParityReport, level: int = 0, label: Optional[str] = None) 
 def validation_json(violations: list[Violation]) -> str:
     """The ``validate`` document: whether the tower is valid, and why not."""
     return _VALIDATION % (_scalar(SCHEMA_VERSION), _scalar(not violations),
-                          _array([_VIOLATION % tuple(map(_scalar, astuple(v)))
+                          _array([_VIOLATION % tuple(map(_scalar, v))
                                   for v in violations], 1))
 
 

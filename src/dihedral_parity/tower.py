@@ -8,7 +8,7 @@ constants never depend on).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cached_property
 from math import prod
 from typing import Optional
@@ -31,20 +31,17 @@ FIRST = "first"
 SECOND = "second"
 
 
-@dataclass(frozen=True)
-class QuadraticFieldSpec:
+class QuadraticFieldSpec(namedtuple("QuadraticFieldSpec", "d")):
     """K = Q(sqrt(d)); d should be squarefree and not 0 or 1.
 
     Construction is lenient so that validate_tower can report bad d as a
     violation instead of an exception.
     """
 
-    d: int
-
     @cached_property
     def d_primes(self) -> tuple[int, ...]:
         """The primes dividing d: d is factored once per field, here.  The
-        value lives in the instance dict, outside the dataclass fields, so
+        value lives in the instance dict, outside the record's fields, so
         it takes no part in equality, hashing or a written report."""
         return tuple(prime_factors(self.d))
 
@@ -66,19 +63,16 @@ def split_type(ell: int, K: QuadraticFieldSpec) -> str:
     return SPLIT if kronecker_symbol(d, ell) == 1 else INERT
 
 
-@dataclass(frozen=True)
-class PrimeSite:
-    """A prime v of K, named by the rational prime below it."""
+class PrimeSite(namedtuple("PrimeSite", "ell split_type which", defaults=(None,))):
+    """A prime v of K, named by the rational prime below it; which is FIRST
+    or SECOND for a split prime, None otherwise."""
 
-    ell: int
-    split_type: str
-    which: Optional[str] = None  # FIRST or SECOND, only for split primes
-
-    def __post_init__(self):
-        if self.split_type == SPLIT and self.which not in (FIRST, SECOND):
+    def __new__(cls, ell, split_type, which=None):
+        if split_type == SPLIT and which not in (FIRST, SECOND):
             raise ValueError("split sites need which=first|second")
-        if self.split_type != SPLIT and self.which is not None:
+        if split_type != SPLIT and which is not None:
             raise ValueError("which is only meaningful for split sites")
+        return tuple.__new__(cls, (ell, split_type, which))
 
     @property
     def self_conjugate(self) -> bool:
@@ -106,11 +100,8 @@ def sites_above(ell: int, K: QuadraticFieldSpec) -> list[PrimeSite]:
     return [PrimeSite(ell, st)]
 
 
-@dataclass(frozen=True)
-class Violation:
-    code: str
-    message: str
-    citation: str = ""
+class Violation(namedtuple("Violation", "code message citation", defaults=("",))):
+    """A standing hypothesis a tower breaks, and its citation if any."""
 
     def __str__(self) -> str:
         cite = f" [{self.citation}]" if self.citation else ""
@@ -120,15 +111,14 @@ class Violation:
 NO_OVERRIDES = SiteOverrides()
 
 
-@dataclass(frozen=True)
-class TowerSpec:
-    """K = Q(sqrt(d)) together with the cyclic p^n layer's ramified sites."""
+class TowerSpec(namedtuple("TowerSpec", "K p n ramified_sites overrides")):
+    """K = Q(sqrt(d)) together with the cyclic p^n layer's ramified sites (a
+    frozenset of PrimeSite) and the overrides (a dict of SiteOverrides by
+    prime), each tower with a dict of its own."""
 
-    K: QuadraticFieldSpec
-    p: int
-    n: int
-    ramified_sites: frozenset[PrimeSite] = field(default_factory=frozenset)
-    overrides: dict[int, SiteOverrides] = field(default_factory=dict)
+    def __new__(cls, K, p, n, ramified_sites=frozenset(), overrides=None):
+        return tuple.__new__(cls, (K, p, n, ramified_sites,
+                                   {} if overrides is None else overrides))
 
     def __hash__(self):
         return hash((self.K, self.p, self.n, self.ramified_sites))

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Optional
 
 # Analytic case tags.
@@ -27,36 +27,26 @@ ADDITIVE_NOT_P = "AdditiveNotP"
 ADDITIVE_P_ORD_NONANOM = "AdditiveP_OrdNonAnom"
 
 
-@dataclass(frozen=True)
-class ConstantVerdict:
+class ConstantVerdict(namedtuple("ConstantVerdict", "value case_tag citation detail",
+                                 defaults=("",))):
     """A value of a local constant in Z/2Z, or Undetermined (value None)."""
 
-    value: Optional[int]
-    case_tag: str
-    citation: str
-    detail: str = ""
-
-    def __post_init__(self):
-        if self.value not in (0, 1, None):
+    def __new__(cls, value, case_tag, citation, detail=""):
+        if value not in (0, 1, None):
             raise ValueError("value must be 0, 1 or None")
-        if (self.value is None) != (self.case_tag in (UNCOVERED,)):
+        if (value is None) != (case_tag in (UNCOVERED,)):
             raise ValueError("value is determined iff the case is covered")
+        return tuple.__new__(cls, (value, case_tag, citation, detail))
 
 
-@dataclass(frozen=True)
-class DeltaVerdict:
+class DeltaVerdict(namedtuple("DeltaVerdict", "value case_tag citation detail pair_sum",
+                              defaults=("", None))):
     """Arithmetic local constant verdict.
 
     For a split pair {v, v^c} only the pair sum is asserted (pair_sum = 0,
     value None with case PairCancels); for self-conjugate sites value is the
     individual delta_v or None when undetermined.
     """
-
-    value: Optional[int]
-    case_tag: str
-    citation: str
-    detail: str = ""
-    pair_sum: Optional[int] = None
 
     def contribution(self) -> Optional[int]:
         """Contribution of this verdict to a sum over sites (per split pair

@@ -22,7 +22,6 @@ before it read the report itself.
 
 from __future__ import annotations
 
-from dataclasses import fields
 from typing import Optional
 
 from dihedral_parity.curves import WeierstrassCurve
@@ -437,9 +436,9 @@ def gf_squares(ell: int):
 
 
 def _fields(record) -> dict:
-    """A record's dataclass fields and their values, in field order: its
-    instance dict may also keep values derived from them."""
-    return {f.name: getattr(record, f.name) for f in fields(record)}
+    """A record's fields and their values, in field order: its instance dict
+    may also keep values derived from them."""
+    return {name: getattr(record, name) for name in record._fields}
 
 
 def tower_dict(T) -> dict:
@@ -458,7 +457,7 @@ def tower_dict(T) -> dict:
 
 
 def report_dict(rep) -> dict:
-    """Schema 1 of a ParityReport: each record as a copy of its dataclass
+    """Schema 1 of a ParityReport: each record as a copy of its named-tuple
     fields, in field order, a delta entry as its site then the verdict's
     fields, the curve as its a-invariants and the tower as a config."""
     sb = rep.selmer_bound

@@ -8,19 +8,25 @@ helpers; the values a local fact or an override may take are stated
 once, in ``curves``; and every JSON document is written from the record
 templates in ``report``, never by an ``indent=`` call, which would put
 ``json``'s pure-Python encoder back, and ``cli`` spells out no JSON
-bracket.  A square class of Q_ell is read only by ``localarith.local_square_class``.  The
-oracles in ``tests/oracles.py`` take only ``WeierstrassCurve`` from the
-package, so a bug in the code they check cannot move them too.  Every
+bracket.  A square class of Q_ell is read only by ``localarith.local_square_class``.
+Records are named tuples: no module imports ``dataclasses``, so importing
+the command line loads neither it nor ``inspect``, and a record is copied by
+``_replace`` only where its detail text alone changes, since ``_replace``
+skips the checks of a record's ``__new__``.  The oracles in
+``tests/oracles.py`` take only ``WeierstrassCurve`` from the package, so a
+bug in the code they check cannot move them too.  Every
 function the benchmark's tracer names by string still exists, and every
 function or class in ``src/`` has a user outside the tests.
 """
 
 import ast
 import importlib
+import json
 from pathlib import Path
 
 import pytest
 
+from conftest import run_isolated
 from dihedral_parity.curves import DEFECTS, KV_REDUCTIONS, UNKNOWN
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -68,6 +74,37 @@ def test_no_cmath_import(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_fractions_import(path):
     assert "fractions" not in _imported(path), f"{path.name}: ask the question of an int"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_dataclasses_import(path):
+    assert "dataclasses" not in _imported(path), f"{path.name}: a record is a named tuple"
+
+
+# The package modules the command line loads: dihedral.py is not one of them.
+CLI_CLOSURE = {"dihedral_parity", *(f"dihedral_parity.{name}" for name in (
+    "cli", "curves", "delta", "gamma", "localarith", "parity", "pointcount", "report",
+    "tower", "verdicts"))}
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    out = run_isolated(["-c", "import json, sys; before = set(sys.modules); "
+                              "import dihedral_parity.cli; "
+                              "print(json.dumps(sorted(set(sys.modules) - before)))"])
+    assert out.returncode == 0, out.stderr
+    added = set(json.loads(out.stdout))
+    assert not added & {"dataclasses", "inspect"}, sorted(added)
+    assert {m for m in added if m.partition(".")[0] == "dihedral_parity"} == CLI_CLOSURE
+
+
+def test_records_are_replaced_only_in_their_detail():
+    """_replace builds its copy without the record's __new__, so it may
+    change only a field no __new__ checks or computes: a verdict's detail."""
+    bad = [f"{path.name}:{node.lineno}" for path in MODULES for node in ast.walk(_tree(path))
+           if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+           and node.func.attr == "_replace"
+           and (node.args or [kw.arg for kw in node.keywords] != ["detail"])]
+    assert not bad, f"_replace of a field other than detail at {bad}"
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -1,0 +1,170 @@
+"""The record contract: every record class in ``src/`` is a named tuple.
+
+Its field names, in order, are pinned: they are the keys of a written
+report.  Its fields are read-only, equal records hash alike, and a copy by
+``copy.deepcopy`` is equal.  The checks each record's ``__new__`` makes still
+raise, and the three ways a named tuple differs from the dataclass it
+replaced are covered: a record with no fields is still truthy, a default is
+one shared object (so a tower's overrides dict is built per tower), and
+records of two kinds of group with equal fields are not equal.
+"""
+
+import copy
+import importlib
+import pkgutil
+
+import pytest
+
+import dihedral_parity
+from corpus import CURVES, make_tower
+from dihedral_parity.curves import (
+    FrobeniusData,
+    LocalData,
+    LocalReductionData,
+    ResidueFrobenius,
+    SingularCurveError,
+    SiteOverrides,
+    WeierstrassCurve,
+    local_reduction,
+)
+from dihedral_parity.dihedral import (
+    ClassFunction,
+    CyclicGroupSpec,
+    DihedralGroupSpec,
+    inner_product,
+    trivial_character,
+)
+from dihedral_parity.localarith import LocalSquareVerdict, RamifiedQuadratic, UnramifiedQuadratic
+from dihedral_parity.parity import ParityReport, ParityRow, SelmerBound, SiteAudit, analyze
+from dihedral_parity.tower import PrimeSite, QuadraticFieldSpec, TowerSpec, Violation
+from dihedral_parity.verdicts import ConstantVerdict, DeltaVerdict
+
+E = CURVES["11a1"]
+
+
+def _tower():
+    return make_tower(-1, 5, 1, [11], {11: SiteOverrides(defect=2)})
+
+
+# Each record class: its fields in order, and a function that builds a fresh
+# record, equal to but not the same object as the one before.
+RECORDS = {
+    ConstantVerdict: ("value case_tag citation detail",
+                      lambda: ConstantVerdict(0, "SplitPair", "a citation", "a detail")),
+    DeltaVerdict: ("value case_tag citation detail pair_sum",
+                   lambda: DeltaVerdict(None, "PairCancels", "a citation", pair_sum=0)),
+    LocalSquareVerdict: ("valuation_parity unit_class", lambda: LocalSquareVerdict(1, -1)),
+    UnramifiedQuadratic: ("", UnramifiedQuadratic),
+    RamifiedQuadratic: ("d", lambda: RamifiedQuadratic(-1)),
+    WeierstrassCurve: ("a1 a2 a3 a4 a6", lambda: WeierstrassCurve(0, -1, 1, -10, -20)),
+    LocalReductionData: ("ell reduction_type split v_disc_min potentially_multiplicative "
+                         "minimal_model", lambda: local_reduction(E, 11)),
+    FrobeniusData: ("ell p a_ell a_ell2 ordinary", lambda: FrobeniusData(7, 5, -2, -10, True)),
+    ResidueFrobenius: ("q a_q ordinary", lambda: ResidueFrobenius(49, -10, True)),
+    SiteOverrides: ("defect anomalous reduction_over_Kv", lambda: SiteOverrides(defect=2)),
+    LocalData: ("E ell ext overrides", lambda: LocalData(E, 11, UnramifiedQuadratic())),
+    QuadraticFieldSpec: ("d", lambda: QuadraticFieldSpec(-1)),
+    PrimeSite: ("ell split_type which", lambda: PrimeSite(5, "split", "first")),
+    Violation: ("code message citation", lambda: Violation("p_gt_3", "p = 3", "a citation")),
+    TowerSpec: ("K p n ramified_sites overrides", _tower),
+    SiteAudit: ("site condition passes reason",
+                lambda: SiteAudit(PrimeSite(11, "inert"), "c", True)),
+    ParityRow: ("place gamma deltas delta_sum status note",
+                lambda: ParityRow(11, ConstantVerdict(1, "PotMultSplit", "c"), (
+                    (PrimeSite(11, "inert"), DeltaVerdict(1, "PotMultSplit", "c")),), 1, "Match")),
+    SelmerBound: ("applicable bound dim_Sp_E_K s_m_size reasons",
+                  lambda: SelmerBound(False, None, 0, 1, ("a reason",))),
+    ParityReport: ("curve tower rows S mr64_sum S_frak S_m hypothesis_audit selmer_bound "
+                   "relative_parity failure has_undetermined notes",
+                   lambda: analyze(E, _tower(), 0)),
+    CyclicGroupSpec: ("m", lambda: CyclicGroupSpec(5)),
+    DihedralGroupSpec: ("m", lambda: DihedralGroupSpec(5)),
+    ClassFunction: ("group coeffs", lambda: ClassFunction(DihedralGroupSpec(5), (1, 0, 2, -1))),
+}
+
+
+def _record_classes():
+    """Every class defined in a module of the package that is a tuple."""
+    found = set()
+    for info in pkgutil.iter_modules(dihedral_parity.__path__):
+        module = importlib.import_module(f"dihedral_parity.{info.name}")
+        found.update(v for v in vars(module).values() if isinstance(v, type)
+                     and issubclass(v, tuple) and v.__module__ == module.__name__)
+    return found
+
+
+def test_every_record_class_is_pinned():
+    assert _record_classes() == set(RECORDS)
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__name__)
+def test_record_contract(cls):
+    names, build = RECORDS[cls]
+    record, again = build(), build()
+    assert type(record) is cls and list(cls._fields) == names.split()
+    assert record == again and record is not again
+    if cls is ParityReport:  # it holds lists, as the dataclass it was did not hash
+        with pytest.raises(TypeError):
+            hash(record)
+    else:
+        assert hash(record) == hash(again)
+    for name in cls._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+    assert copy.deepcopy(record) == record
+
+
+@pytest.mark.parametrize("build, error", [
+    (lambda: ConstantVerdict(2, "SplitPair", "c"), ValueError),
+    (lambda: ConstantVerdict(0, "Uncovered", "c"), ValueError),
+    (lambda: ConstantVerdict(None, "SplitPair", "c"), ValueError),
+    (lambda: PrimeSite(5, "split"), ValueError),
+    (lambda: PrimeSite(5, "inert", "first"), ValueError),
+    (lambda: WeierstrassCurve(0, 0, 0, 0, 0), SingularCurveError),
+    (lambda: DihedralGroupSpec(4), ValueError),
+    (lambda: DihedralGroupSpec(1), ValueError),
+    (lambda: ClassFunction(DihedralGroupSpec(5), (1, 0, 0)), ValueError),
+    (lambda: ClassFunction(CyclicGroupSpec(3), (1, 0, 0.5)), ValueError),
+], ids=["value-2", "uncovered-with-value", "covered-without-value", "split-without-which",
+        "inert-with-which", "singular", "even-m", "m-1", "short-coeffs", "float-coeff"])
+def test_construction_checks_still_raise(build, error):
+    with pytest.raises(error):
+        build()
+
+
+def test_construction_checks_read_keywords():
+    assert PrimeSite(ell=5, split_type="split", which="second").which == "second"
+    assert ConstantVerdict(value=None, case_tag="Uncovered", citation="c").detail == ""
+    with pytest.raises(ValueError):
+        PrimeSite(ell=5, split_type="split")
+
+
+def test_a_record_without_fields_is_truthy():
+    ext = UnramifiedQuadratic()
+    assert ext and ext == UnramifiedQuadratic() and hash(ext) == hash(UnramifiedQuadratic())
+
+
+def test_each_tower_builds_its_own_overrides():
+    K = QuadraticFieldSpec(-1)
+    a, b = TowerSpec(K, 5, 1), TowerSpec(K, 5, 1)
+    assert a.overrides == b.overrides == {} and a.overrides is not b.overrides
+    assert a.ramified_sites == frozenset()
+
+
+def test_a_tower_hashes_through_its_own_hash():
+    assert "__hash__" in vars(TowerSpec)
+    a, b = _tower(), _tower()
+    assert a.overrides and a == b and hash(a) == hash(b)
+    assert hash(a) == hash((a.K, a.p, a.n, a.ramified_sites))
+    assert len({a, b}) == 1
+
+
+def test_group_specs_of_two_kinds_are_not_equal():
+    C, D = CyclicGroupSpec(3), DihedralGroupSpec(3)
+    assert C != D and not C == D and C == CyclicGroupSpec(3) and not C != CyclicGroupSpec(3)
+    assert hash(C) == hash(CyclicGroupSpec(3))
+    assert trivial_character(C) != trivial_character(D)
+    with pytest.raises(ValueError, match="group mismatch"):
+        inner_product(trivial_character(C), trivial_character(D))
+    with pytest.raises(ValueError, match="group mismatch"):
+        trivial_character(C) + trivial_character(D)
