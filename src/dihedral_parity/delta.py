@@ -123,8 +123,8 @@ def delta_at(T: TowerSpec, v: PrimeSite, loc: Optional[LocalData]) -> DeltaVerdi
             return NO_RESIDUE_TWIST
         if rf.ordinary:
             return GOOD_ORDINARY_P._replace(detail=f"a_q = {rf.a_q} over F_{rf.q} is prime to p")
-        # supersingular: only the inert, defined-over-Q_p case is known
-        if isinstance(loc.ext, UnramifiedQuadratic) and red.reduction_type == "good":
+        # supersingular: only the inert case is known (rf there means E good over Q_p)
+        if isinstance(loc.ext, UnramifiedQuadratic):
             return GOOD_SUPERSINGULAR_MR57
         return SUPERSINGULAR_OUTSIDE_MR57
     if red.potentially_multiplicative:

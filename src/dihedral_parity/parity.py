@@ -158,6 +158,8 @@ def analyze(E: WeierstrassCurve, T: TowerSpec,
     The tower is validated, and the records its reports share are built, once
     per TowerSpec.  Each support prime gets a row, and a LocalData record only
     at a self-conjugate site ramified in L/K.  Aggregates read the rows."""
+    if dim_Sp_E_K is not None and type(dim_Sp_E_K) is not int:  # True == 1 == 1.0
+        raise TypeError(f"dim_Sp_E_K = {dim_Sp_E_K!r} is not an int")
     if dim_Sp_E_K is not None and dim_Sp_E_K < 0:
         raise ValueError("dim_Sp_E_K must be nonnegative")
     check_tower(T)

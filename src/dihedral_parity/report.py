@@ -54,7 +54,7 @@ def _object(keys: Sequence[str], depth: int, values: Optional[Sequence[str]] = N
 
 
 class _ByDepth(dict):
-    """Templates by depth, each built on first use."""
+    """Templates (or keys) by depth, each built on first use."""
 
     def __init__(self, build: Callable[[int], Any]):
         self.build = build
@@ -63,17 +63,18 @@ class _ByDepth(dict):
         return self.setdefault(depth, self.build(depth))
 
 
-def _kept(record: Any, depth: int, write: Callable[[Any, int], str], lasting: bool = True) -> str:
-    """record's text depth brackets deep, as write (its type's one writer) writes it; kept
-    in its instance dict under the key depth if lasting: a verdict constant, a fixed row, a
-    tower, or a site, row of constants, passing audit or applicable bound a tower shares."""
-    texts = vars(record) if lasting else {}
-    text = texts.get(depth)
+def _kept(record: Any, depth: int, write: Callable[[Any, int], str]) -> str:
+    """record's text depth brackets deep, as write (its type's one writer) writes it, kept
+    in its instance dict: a record met again (a verdict constant, a fixed row, a tower, or
+    what parity shares across a tower's reports) reuses it, and any other takes it along."""
+    texts, key = vars(record), _DEPTH_KEY[depth]
+    text = texts.get(key)
     if text is None:
-        text = texts[depth] = write(record, depth)
+        text = texts[key] = write(record, depth)
     return text
 
 
+_DEPTH_KEY = _ByDepth(str)  # the key of a depth's kept text: a str, as an attribute name is
 # A record's keys are its fields in order (a delta entry is its site, then
 # the verdict's fields), and each writer below fills them in that order.
 _SITE = _ByDepth(partial(_object, PrimeSite._fields))
@@ -118,26 +119,19 @@ def _row(r: ParityRow, depth: int, place: Optional[str] = None) -> str:
     """A row; place, if given, is the text put for its place and its sites' prime."""
     entry = _ENTRY[depth + 2][0]
     return _ROW[depth] % (place or _scalar(r.place),
-                          "null" if r.gamma is None
-                          else _kept(r.gamma, depth + 1, _gamma, id(r.gamma) in CONSTANTS),
+                          "null" if r.gamma is None else _kept(r.gamma, depth + 1, _gamma),
                           _array([entry + _site(s, depth + 3, place)
-                                  + _kept(v, depth + 2, _verdict, id(v) in CONSTANTS)
-                                  for s, v in r.deltas], depth + 1),
+                                  + _kept(v, depth + 2, _verdict) for s, v in r.deltas],
+                                 depth + 1),
                           _scalar(r.delta_sum), _str(r.status), _str(r.note))
 
 
-def _row_text(r: ParityRow, depth: int, templates: dict, at: Sequence[int] = ()) -> str:
-    """A row.  A fixed row (no site) keeps its text, as does a row of verdict
-    constants at its one site above a prime of at; another such row is filled
-    in at its place from its tower's template for its shape: the row written
-    with a NUL, which no ASCII-escaped JSON text holds, for its place."""
-    if not r.deltas:
-        return _kept(r, depth, _row)
-    (site, v), *more = r.deltas
-    if more or site.ell != r.place or id(r.gamma) not in CONSTANTS or id(v) not in CONSTANTS:
+def _row_text(r: ParityRow, depth: int, templates: dict) -> str:
+    """A row; one of verdict constants at its one site is its tower's template for its
+    shape, the row with a NUL (no ASCII-escaped JSON text holds one) for its place, filled."""
+    site, v = r.deltas[0] if len(r.deltas) == 1 else (None, None)
+    if id(r.gamma) not in CONSTANTS or id(v) not in CONSTANTS or site.ell != r.place:
         return _row(r, depth)
-    if site.ell in at:
-        return _kept(r, depth, _row)
     key = (id(r.gamma), id(v), site.split_type, site.which, _scalar(r.delta_sum), r.status, r.note)
     parts = templates.get(key)
     if parts is None:
@@ -155,8 +149,8 @@ def _bound(b: SelmerBound, depth: int) -> str:
                             _scalar(b.s_m_size), _array(list(map(_str, b.reasons)), depth + 1))
 
 
-def _sites(sites: Sequence[PrimeSite], depth: int, at: Sequence[int]) -> str:
-    return _array([_kept(s, depth + 1, _site, s.ell in at) for s in sites], depth)
+def _sites(sites: Sequence[PrimeSite], depth: int) -> str:
+    return _array([_kept(s, depth + 1, _site) for s in sites], depth)
 
 
 def tower_json(T: TowerSpec, depth: int = 1) -> str:
@@ -171,30 +165,29 @@ def tower_json(T: TowerSpec, depth: int = 1) -> str:
                 [_OVERRIDE[depth + 2] % tuple(map(_scalar, o)) for _, o in overrides]))
 
 
-def _tower_texts(T: TowerSpec, depth: int) -> tuple[str, str, dict]:
-    """A tower's text and its S_frak list's, depth deep, and its row templates."""
-    return tower_json(T, depth), _sites(T.self_conjugate_ramified, depth, T.sites_at), {}
+def _tower_texts(T: TowerSpec, depth: int) -> tuple[str, dict]:
+    """A tower's text depth deep, and its row templates."""
+    return tower_json(T, depth), {}
 
 
 def report_json(rep: ParityReport, level: int = 0, label: Optional[str] = None) -> str:
     """Schema 1 of a report as an item level brackets deep, with a last key
     ``label`` unless label is None, written at its depth in one pass."""
-    depth, rel, sb, at = level + 1, rep.relative_parity, rep.selmer_bound, rep.tower.sites_at
-    tower, s_frak, templates = _kept(rep.tower, depth, _tower_texts)
+    depth, rel, sb = level + 1, rep.relative_parity, rep.selmer_bound
+    tower, templates = _kept(rep.tower, depth, _tower_texts)
+    row = partial(_row_text, templates=templates)
     fixed, values = _FIXED[depth], () if rel is None else tuple(map(_scalar, rel.values()))
     texts = (
         _scalar(SCHEMA_VERSION),
         _array(list(map(_scalar, rep.curve.ainvs())), depth),
         tower,
-        _array([vars(r).get(depth + 1) or _row_text(r, depth + 1, templates, at)
-                for r in rep.rows], depth),
-        _sites(rep.S, depth, at),
+        _array([_kept(r, depth + 1, row) for r in rep.rows], depth),
+        _sites(rep.S, depth),
         _scalar(rep.mr64_sum),
-        s_frak if tuple(rep.S_frak) == rep.tower.self_conjugate_ramified
-        else _sites(rep.S_frak, depth, at),
-        _sites(rep.S_m, depth, at),
-        _array([_kept(a, depth + 1, _audit, a.passes) for a in rep.hypothesis_audit], depth),
-        "null" if sb is None else _kept(sb, depth, _bound, sb.applicable),
+        _sites(rep.S_frak, depth),
+        _sites(rep.S_m, depth),
+        _array([_kept(a, depth + 1, _audit) for a in rep.hypothesis_audit], depth),
+        "null" if sb is None else _kept(sb, depth, _bound),
         "null" if rel is None else fixed.get((*rel, *values)) or _object(list(rel), depth, values),
         _scalar(rep.failure),
         _scalar(rep.has_undetermined),

@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import cached_property
 from math import prod
+from types import MappingProxyType
 from typing import Optional
 
 from .curves import LocalData, SiteOverrides, WeierstrassCurve
@@ -113,12 +114,15 @@ NO_OVERRIDES = SiteOverrides()
 
 class TowerSpec(namedtuple("TowerSpec", "K p n ramified_sites overrides")):
     """K = Q(sqrt(d)) together with the cyclic p^n layer's ramified sites (a
-    frozenset of PrimeSite) and the overrides (a dict of SiteOverrides by
-    prime), each tower with a dict of its own."""
+    frozenset of PrimeSite) and the overrides (SiteOverrides by prime), each
+    tower with a read-only mapping over a dict of its own."""
 
     def __new__(cls, K, p, n, ramified_sites=frozenset(), overrides=None):
         return tuple.__new__(cls, (K, p, n, ramified_sites,
-                                   {} if overrides is None else overrides))
+                                   MappingProxyType(dict(overrides or {}))))
+
+    def __getnewargs__(self):  # a copy or pickle rebuilds the mapping in __new__
+        return (*self[:4], dict(self.overrides))
 
     def __hash__(self):
         return hash((self.K, self.p, self.n, self.ramified_sites))

@@ -145,3 +145,20 @@ def test_undetermined_branches_above_p(ainvs, override, verdict):
     assert verdict.value is None and verdict.case_tag == V.UNCOVERED
     row = next(r for r in analyze(E, T).rows if r.place == 7)
     assert row.status == UNDETERMINED
+
+
+def test_an_inert_site_has_residue_frobenius_data_only_where_E_is_good():
+    # delta_at takes residue Frobenius data at an inert site for E good over
+    # Q_p; an override of good reduction over K_v opens the one other path,
+    # E bad over Q_p, where there are none and the verdict is NO_RESIDUE_TWIST
+    T = make_tower(5, 7, 1, [7], overrides={7: SiteOverrides(reduction_over_Kv="good")})
+    site = _site(T, 7)
+    bad = 0
+    for E in (*CURVES.values(), TWIST_11A1_7, WeierstrassCurve(0, 0, 0, 49, 0),
+              WeierstrassCurve(0, 0, 0, -441, -3087), WeierstrassCurve(0, 0, 0, 0, 7)):
+        loc = local_data(E, T, site)
+        assert site.split_type == "inert" and loc.kv == "good"
+        if loc.red.reduction_type != "good":
+            bad += 1
+            assert loc.residue_frobenius is None and delta_at(T, site, loc) is NO_RESIDUE_TWIST
+    assert bad >= 4

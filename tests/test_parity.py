@@ -21,6 +21,7 @@ from dihedral_parity.parity import (
     selmer_growth_bound,
 )
 from dihedral_parity.localarith import padic_valuation
+from dihedral_parity.report import report_to_dict
 from dihedral_parity.tower import sites_above, support_primes
 
 
@@ -105,6 +106,21 @@ def test_undetermined_blocks_bound_and_statement():
 def test_negative_dim_rejected():
     with pytest.raises(ValueError):
         selmer_growth_bound(CURVES["11a1"], make_tower(-1, 5, 1, [11]), -1)
+
+
+@pytest.mark.parametrize("dim", [True, 1.0])
+def test_a_dim_that_is_not_an_int_is_rejected(dim):
+    # True == 1 == 1.0, so a bound built for one would be shared by the tower
+    # with the others, and written as "true" in each later report; no bound is
+    # shared, and a freshly built equal tower's report writes the int
+    E = CURVES["11a1"]
+    T = make_tower(-1, 5, 1, [11])
+    with pytest.raises(TypeError):
+        analyze(E, T, dim)
+    for tower in (T, make_tower(-1, 5, 1, [11])):
+        bound = report_to_dict(analyze(E, tower, 1))["selmer_bound"]
+        assert bound["dim_Sp_E_K"] == 1 and type(bound["dim_Sp_E_K"]) is int
+        assert bound["reasons"] == ["dim S_p(E/K) + |S_m| = 1 + 1 is even"]
 
 
 def test_analyze_rejects_invalid_tower():

@@ -11,6 +11,7 @@ records of two kinds of group with equal fields are not equal.
 
 import copy
 import importlib
+import pickle
 import pkgutil
 
 import pytest
@@ -36,6 +37,7 @@ from dihedral_parity.dihedral import (
 )
 from dihedral_parity.localarith import LocalSquareVerdict, RamifiedQuadratic, UnramifiedQuadratic
 from dihedral_parity.parity import ParityReport, ParityRow, SelmerBound, SiteAudit, analyze
+from dihedral_parity.report import report_json
 from dihedral_parity.tower import PrimeSite, QuadraticFieldSpec, TowerSpec, Violation
 from dihedral_parity.verdicts import ConstantVerdict, DeltaVerdict
 
@@ -149,6 +151,22 @@ def test_each_tower_builds_its_own_overrides():
     a, b = TowerSpec(K, 5, 1), TowerSpec(K, 5, 1)
     assert a.overrides == b.overrides == {} and a.overrides is not b.overrides
     assert a.ramified_sites == frozenset()
+
+
+def test_a_towers_overrides_are_read_only():
+    # a tower keeps its report texts, so its overrides cannot change under
+    # them: neither by item assignment nor through the dict it was built from;
+    # a copy or a pickle rebuilds the mapping and equals the tower
+    E, given = CURVES["11a1"], {}
+    T = TowerSpec(*make_tower(-1, 5, 1, [11])[:4], given)
+    given[11] = SiteOverrides(reduction_over_Kv="good")
+    text = report_json(analyze(E, T))
+    with pytest.raises(TypeError):
+        T.overrides[11] = SiteOverrides(reduction_over_Kv="good")
+    assert T.overrides == {} and report_json(analyze(E, T)) == text
+    for other in (copy.deepcopy(T), pickle.loads(pickle.dumps(T))):
+        assert other == T and type(other.overrides) is type(T.overrides)
+        assert report_json(analyze(E, other)) == text
 
 
 def test_a_tower_hashes_through_its_own_hash():

@@ -322,42 +322,55 @@ def test_each_row_text_is_what_the_writer_writes(monkeypatch):
     assert len(writes) <= 2 * len(DEPTHS)
 
 
-def _keeps_text(record) -> bool:
-    return any(isinstance(key, int) for key in vars(record))
+def _kept_texts(record) -> dict:
+    """The texts kept in record's instance dict, by depth."""
+    return {int(key): text for key, text in vars(record).items()
+            if isinstance(key, str) and key.isdigit()}
 
 
-def test_only_lasting_records_keep_their_texts():
-    # a verdict constant, a fixed row, a site or a row of constants above
-    # one of the tower's own primes, a passing audit and an applicable bound
-    # are shared across a tower's reports and keep their texts; a record
-    # that lives for one analysis (a site from sites_above, a row at another
-    # prime, a verdict with a detail of its own, a failing audit, a bound
-    # that does not apply) is written afresh and keeps nothing
-    constants, seen = {id(c) for c in CONSTANTS}, set()
+def _written(rep):
+    """Each record reachable from rep, its writer in report.py, and the depths
+    at which rep's texts at levels 0 and 2 keep its text: none for a site in
+    a row, whose text its row's text holds."""
+    for r in rep.rows:
+        yield r, report._row, (2, 4)
+        if r.gamma is not None:
+            yield r.gamma, report._gamma, (3, 5)
+        for s, v in r.deltas:
+            yield s, report._site, ()
+            yield v, report._verdict, (4, 6)
+    for s in (*rep.S, *rep.S_frak, *rep.S_m):
+        yield s, report._site, (2, 4)
+    for a in rep.hypothesis_audit:
+        yield a, report._audit, (2, 4)
+        yield a.site, report._site, (3, 5)
+    if rep.selmer_bound is not None:
+        yield rep.selmer_bound, report._bound, (1, 3)
+
+
+def test_kept_texts_are_fresh_writes():
+    # every record keeps the text it was written as, at each depth: one met
+    # again (a verdict constant, a fixed row, a tower, what parity shares
+    # across a tower's reports) reuses it, and any other takes it along; so
+    # each kept text is what its writer writes of an equal fresh record
+    seen = set()
     failing = ("x3-6x-6", WeierstrassCurve(0, 0, 0, -6, -6), 5, 7, 1, [2, 3, 7, 13])
     for label, E, d, p, n, rams in (*PARITY_CORPUS, failing):
-        T = make_tower(d, p, n, rams)
-        rep = analyze(E, T, dim_Sp_E_K=0)
-        assert report_json(rep, 2, label) == _oracle_text(rep, 2, label)
-        for r in rep.rows:
-            verdicts = [v for v in (r.gamma, *(dv for _, dv in r.deltas)) if v is not None]
-            for v in verdicts:
-                assert _keeps_text(v) == (id(v) in constants), v
-                seen.add("own detail" if id(v) not in constants else "constant")
-            lasting = not r.deltas or (r.place in T.sites_at
-                                       and all(id(v) in constants for v in verdicts))
-            assert _keeps_text(r) == lasting, r
-            seen.add(("row", lasting))
-        for s in rep.S:
-            assert _keeps_text(s) == (s.ell in T.sites_at), s
-            seen.add(("site", s.ell in T.sites_at))
-        for a in rep.hypothesis_audit:
-            assert _keeps_text(a) == a.passes, a
-            seen.add(("audit", a.passes))
-        assert _keeps_text(rep.selmer_bound) == rep.selmer_bound.applicable
+        rep = analyze(E, make_tower(d, p, n, rams), dim_Sp_E_K=0)
+        for level, _ in product((0, 2), range(2)):
+            assert report_json(rep, level, label) == _oracle_text(rep, level, label)
+        tower = _kept_texts(rep.tower)
+        assert {1, 3} <= set(tower)
+        for depth, (text, _) in tower.items():
+            assert text == report.tower_json(_fresh(rep.tower), depth)
+        for record, write, depths in _written(rep):
+            texts = _kept_texts(record)
+            assert set(depths) <= set(texts), (record, depths)
+            for depth, text in texts.items():
+                assert text == write(_fresh(record), depth), (record, depth)
+        seen.update(("audit", a.passes) for a in rep.hypothesis_audit)
         seen.add(("bound", rep.selmer_bound.applicable))
-    assert seen >= {"own detail", "constant", *product(("row", "site", "audit", "bound"),
-                                                       (True, False))}
+    assert seen == set(product(("audit", "bound"), (True, False)))
 
 
 def test_override_and_violation_texts_read_fields_alone():
