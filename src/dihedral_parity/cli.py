@@ -59,7 +59,7 @@ def _is_int(x: Any) -> bool:
 
 def load_config(path: str) -> dict:
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             raw = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError([f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}"]) from exc
@@ -223,7 +223,7 @@ def read_curve_csv(path: str):
     """Return (rows, errors): rows are (label, curve), errors are per-line
     messages.  Raises ConfigError only on file-level problems."""
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)
             try:
                 header = next(reader)

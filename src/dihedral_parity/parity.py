@@ -10,7 +10,6 @@ reported as FAILURE.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import lru_cache
 from typing import Optional
 
 from . import verdicts as V
@@ -96,32 +95,24 @@ class ParityReport(namedtuple("ParityReport", "curve tower rows S mr64_sum S_fra
 CONSTANTS = frozenset(map(id, (*GAMMA_VOCABULARY, *DELTA_VOCABULARY)))
 
 
-@lru_cache(maxsize=1)
-def _shared(T: TowerSpec) -> dict:
-    """The records a tower's analyses share: by prime, the row of each prime of T.sites_at
-    whose verdicts read the tower alone; then, as first met, the rows of verdict constants
-    at the ramified sites, each passing audit, and the bound when every audit passes."""
-    return {ell: _row_for_prime(T, above[0]) for ell, above in T.sites_at.items()
-            if above[0] not in T.self_conjugate_ramified}
-
-
-def _row_for_prime(T: TowerSpec, site: PrimeSite, E: Optional[WeierstrassCurve] = None,
-                   shared: Optional[dict] = None) -> ParityRow:
+def _row_for_prime(T: TowerSpec, site: PrimeSite, E: WeierstrassCurve,
+                   shared: dict) -> ParityRow:
     """The row of the prime below site; its one delta entry stands for the
     conjugate pair when the prime splits in K.  Only at a self-conjugate
-    site ramified in L/K do the verdicts read E, through its LocalData."""
+    site ramified in L/K do the verdicts read E, through its LocalData.  A row
+    of two verdict constants at one of T's own primes is shared as first met."""
     ramified = site.self_conjugate and site.ell in T.ramified_primes
     loc = local_data(E, T, site) if ramified else None
     g, dv = gamma_at(T, site, loc), delta_at(T, site, loc)
     key = (site.ell, id(g), id(dv))
-    if ramified and key in shared:
-        return shared[key]
-    dsum = dv.contribution()
-    status = (UNDETERMINED if g.value is None or dsum is None
-              else MATCH if g.value % 2 == dsum else MISMATCH)
-    row = ParityRow(site.ell, g, ((site, dv),), dsum, status)
-    if ramified and id(g) in CONSTANTS and id(dv) in CONSTANTS:
-        shared[key] = row
+    row = shared.get(key)
+    if row is None:
+        dsum = dv.contribution()
+        status = (UNDETERMINED if g.value is None or dsum is None
+                  else MATCH if g.value % 2 == dsum else MISMATCH)
+        row = ParityRow(site.ell, g, ((site, dv),), dsum, status)
+        if id(g) in CONSTANTS and id(dv) in CONSTANTS and site.ell in T.sites_at:
+            shared[key] = row
     return row
 
 
@@ -138,8 +129,8 @@ def _audit(site: PrimeSite, dv: DeltaVerdict, shared: dict) -> SiteAudit:
 
 def _selmer_bound(T: TowerSpec, failed: list[SiteAudit], s_m_size: int, dim_Sp_E_K: int,
                   shared: dict) -> SelmerBound:
-    bound = shared.get(("bound", s_m_size))
-    if failed or bound is None or bound.dim_Sp_E_K != dim_Sp_E_K:
+    bound = shared.get((s_m_size, dim_Sp_E_K))
+    if failed or bound is None:
         reasons = [f"site above {a.site.ell}: {a.reason or 'no known case applies'}"
                    for a in failed]
         if (dim_Sp_E_K + s_m_size) % 2 == 0:
@@ -147,7 +138,7 @@ def _selmer_bound(T: TowerSpec, failed: list[SiteAudit], s_m_size: int, dim_Sp_E
         bound = SelmerBound(not reasons, None if reasons else dim_Sp_E_K + T.degree_over_K() - 1,
                             dim_Sp_E_K, s_m_size, tuple(reasons))
         if not failed:
-            shared["bound", s_m_size] = bound
+            shared[s_m_size, dim_Sp_E_K] = bound
     return bound
 
 
@@ -155,22 +146,23 @@ def analyze(E: WeierstrassCurve, T: TowerSpec,
             dim_Sp_E_K: Optional[int] = None) -> ParityReport:
     """Full report: parity table, aggregation, audit and optional bound.
 
-    The tower is validated, and the records its reports share are built, once
-    per TowerSpec.  Each support prime gets a row, and a LocalData record only
-    at a self-conjugate site ramified in L/K.  Aggregates read the rows."""
+    The tower is validated once, and keeps the records its reports share.
+    Each support prime gets a row, and a LocalData record only at a
+    self-conjugate site ramified in L/K.  Aggregates read the rows."""
     if dim_Sp_E_K is not None and type(dim_Sp_E_K) is not int:  # True == 1 == 1.0
         raise TypeError(f"dim_Sp_E_K = {dim_Sp_E_K!r} is not an int")
     if dim_Sp_E_K is not None and dim_Sp_E_K < 0:
         raise ValueError("dim_Sp_E_K must be nonnegative")
     check_tower(T)
-    disc, shared, primes = E.discriminant(), _shared(T), support_primes(T, E)
+    disc, primes = E.discriminant(), support_primes(T, E)
+    shared = vars(T).setdefault("shared", {})
     # The aggregation set S: sites above p, sites ramified in L/K, and sites
     # of bad reduction, where the minimal discriminant is not a unit.  A model
     # with v(Delta) < 12 at ell is already minimal there.
     rows, S, sums = [], [], []
     for ell in primes:
         above = T.sites_at.get(ell) or sites_above(ell, T.K)
-        row = shared.get(ell) or _row_for_prime(T, above[0], E, shared)
+        row = _row_for_prime(T, above[0], E, shared)
         rows.append(row)
         if ell == T.p or ell in T.ramified_primes or disc % ell == 0 and (
                 padic_valuation(disc, ell) < 12

@@ -114,15 +114,23 @@ NO_OVERRIDES = SiteOverrides()
 
 class TowerSpec(namedtuple("TowerSpec", "K p n ramified_sites overrides")):
     """K = Q(sqrt(d)) together with the cyclic p^n layer's ramified sites (a
-    frozenset of PrimeSite) and the overrides (SiteOverrides by prime), each
-    tower with a read-only mapping over a dict of its own."""
+    frozenset of PrimeSite) and the overrides (SiteOverrides by prime), a
+    read-only mapping over a dict of its own.  No field changes, so each
+    tower keeps what its analyses share, for as long as it lives."""
 
     def __new__(cls, K, p, n, ramified_sites=frozenset(), overrides=None):
-        return tuple.__new__(cls, (K, p, n, ramified_sites,
+        return tuple.__new__(cls, (K, p, n, frozenset(ramified_sites),
                                    MappingProxyType(dict(overrides or {}))))
+
+    @classmethod
+    def _make(cls, iterable):  # so _replace builds its tower in __new__ too
+        return cls(*iterable)
 
     def __getnewargs__(self):  # a copy or pickle rebuilds the mapping in __new__
         return (*self[:4], dict(self.overrides))
+
+    def __getstate__(self):  # and carries the fields alone, not what the tower keeps
+        return None
 
     def __hash__(self):
         return hash((self.K, self.p, self.n, self.ramified_sites))

@@ -1,0 +1,43 @@
+import importlib.util
+import json
+import shutil
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("ab_inprocess", ROOT / "tools" / "ab_inprocess.py")
+ab_inprocess = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(ab_inprocess)
+
+ARGV = ["--base", "BASE", "--workload", "batch", "--seed", "1", "--rounds", "1", "--passes", "2"]
+
+
+def _extract_as(monkeypatch, edit=None):
+    """Make the tool's base this tree's sources, edited by edit(parity.py text)."""
+    def extract(rev, dest):
+        shutil.copytree(ROOT / "src", dest / "src", ignore=shutil.ignore_patterns("__pycache__"))
+        if edit is not None:
+            parity = dest / "src" / "dihedral_parity" / "parity.py"
+            parity.write_text(edit(parity.read_text(encoding="utf-8")), encoding="utf-8")
+        return "0" * 40
+    monkeypatch.setattr(ab_inprocess.bench_pairs, "extract", extract)
+
+
+def test_the_summary_holds_each_pass_and_its_quartiles(monkeypatch, capsys):
+    _extract_as(monkeypatch)
+    assert ab_inprocess.main(ARGV) == 0
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1
+    result = json.loads(out)
+    assert (result["base"], result["workload"], result["passes"]) == ("0" * 40, "batch", 2)
+    assert result["calls_per_pass"] == 4  # one batch call per tower of the round
+    assert all(len(result["seconds"][side]) == 2 for side in ab_inprocess.SIDES)
+    for key in ("change_over_base", "aa_over_base"):
+        s = result[key]
+        assert len(s["runs"]) == 2 and s["q1"] <= s["median"] <= s["q3"]
+
+
+def test_differing_outputs_exit_1(monkeypatch, capsys):
+    _extract_as(monkeypatch, lambda text: text.replace("SCHEMA_VERSION = 1", "SCHEMA_VERSION = 2"))
+    assert ab_inprocess.main(ARGV) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "pass 0: change differs from base" in captured.err

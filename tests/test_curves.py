@@ -224,6 +224,9 @@ def test_semistability_defect_large_ell():
     d49 = semistability_defect(CURVES["49a1"], 7)
     v = oracles.minimal_disc_valuation(CURVES["49a1"], 7)
     assert d49 == 12 // __import__("math").gcd(v, 12)
+    assert semistability_defect(CURVES["11a1"], 7) == 1  # good at 7
+    with pytest.raises(ValueError):  # multiplicative at 11
+        semistability_defect(CURVES["11a1"], 11)
 
 
 @pytest.mark.parametrize("a6, v_disc", [(7 ** 2, 4), (7 ** 4, 8)], ids=["IV", "IV*"])

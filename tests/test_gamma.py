@@ -88,9 +88,13 @@ def test_defect_override_resolves_small_prime():
 
 
 def test_noncyclic_override_stays_undetermined():
-    T = make_tower(-1, 5, 1, [3], overrides={3: SiteOverrides(defect="noncyclic")})
-    g = gamma(CURVES["x3+1"], T, 3)
-    assert g.value is None
+    for override, detail in [
+            (SiteOverrides(defect="noncyclic"), "reduction over K_v at 3 undetermined"),
+            (SiteOverrides(defect="noncyclic", reduction_over_Kv="additive"),
+             "semistability defect at 3 is noncyclic")]:
+        T = make_tower(-1, 5, 1, [3], overrides={3: override})
+        g = gamma(CURVES["x3+1"], T, 3)
+        assert (g.value, g.detail) == (None, detail)
 
 
 def test_split_pair_always_zero():

@@ -123,6 +123,30 @@ def test_a_dim_that_is_not_an_int_is_rejected(dim):
         assert bound["reasons"] == ["dim S_p(E/K) + |S_m| = 1 + 1 is even"]
 
 
+def _rows_read_off_the_tower(rep):
+    """rep's rows at its tower's own primes whose verdicts read the tower alone."""
+    T = rep.tower
+    return {r.place: r for r in rep.rows if r.place in T.sites_at
+            and not (r.deltas[0][0].self_conjugate and r.place in T.ramified_primes)}
+
+
+def test_each_tower_keeps_its_own_rows():
+    # analyses alternate between two towers: a later report's rows at a
+    # tower's unramified (or split) primes are the objects of its first
+    # report; an equal but distinct tower builds rows of its own
+    towers = [make_tower(d, p, 1, rams) for d, p, rams in SMALL_TOWERS[2:]]
+    first = [_rows_read_off_the_tower(analyze(CURVES["11a1"], T)) for T in towers]
+    assert all(first)
+    for E in CURVES.values():
+        for T, kept in zip(towers, first):
+            rows = _rows_read_off_the_tower(analyze(E, T))
+            assert rows.keys() == kept.keys()
+            assert all(rows[ell] is row for ell, row in kept.items())
+    for (d, p, rams), kept in zip(SMALL_TOWERS[2:], first):
+        rows = _rows_read_off_the_tower(analyze(CURVES["11a1"], make_tower(d, p, 1, rams)))
+        assert rows == kept and not any(rows[ell] is row for ell, row in kept.items())
+
+
 def test_analyze_rejects_invalid_tower():
     with pytest.raises(ValueError):
         analyze(CURVES["11a1"], make_tower(-1, 3, 1, [11]))

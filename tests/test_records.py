@@ -13,10 +13,12 @@ import copy
 import importlib
 import pickle
 import pkgutil
+from types import MappingProxyType
 
 import pytest
 
 import dihedral_parity
+from dihedral_parity import delta as DELTA_MODULE, gamma as GAMMA_MODULE
 from corpus import CURVES, make_tower
 from dihedral_parity.curves import (
     FrobeniusData,
@@ -42,6 +44,7 @@ from dihedral_parity.tower import PrimeSite, QuadraticFieldSpec, TowerSpec, Viol
 from dihedral_parity.verdicts import ConstantVerdict, DeltaVerdict
 
 E = CURVES["11a1"]
+VERDICTS = (*GAMMA_MODULE.VOCABULARY, *DELTA_MODULE.VOCABULARY)
 
 
 def _tower():
@@ -155,18 +158,57 @@ def test_each_tower_builds_its_own_overrides():
 
 def test_a_towers_overrides_are_read_only():
     # a tower keeps its report texts, so its overrides cannot change under
-    # them: neither by item assignment nor through the dict it was built from;
-    # a copy or a pickle rebuilds the mapping and equals the tower
+    # them: neither by item assignment nor through the dict it was built from,
+    # whether TowerSpec or _replace built it; a copy or a pickle rebuilds the
+    # mapping and equals the tower
     E, given = CURVES["11a1"], {}
     T = TowerSpec(*make_tower(-1, 5, 1, [11])[:4], given)
-    given[11] = SiteOverrides(reduction_over_Kv="good")
+    U = make_tower(-1, 5, 1, [11])._replace(overrides=given)
     text = report_json(analyze(E, T))
-    with pytest.raises(TypeError):
-        T.overrides[11] = SiteOverrides(reduction_over_Kv="good")
-    assert T.overrides == {} and report_json(analyze(E, T)) == text
+    assert report_json(analyze(E, U)) == text
+    given[11] = SiteOverrides(reduction_over_Kv="good")
+    for tower in (T, U):
+        with pytest.raises(TypeError):
+            tower.overrides[11] = SiteOverrides(reduction_over_Kv="good")
+        assert type(tower.overrides) is MappingProxyType
+        assert tower.overrides == {} and report_json(analyze(E, tower)) == text
     for other in (copy.deepcopy(T), pickle.loads(pickle.dumps(T))):
         assert other == T and type(other.overrides) is type(T.overrides)
         assert report_json(analyze(E, other)) == text
+
+
+@pytest.mark.parametrize("kind", [set, list])
+def test_a_towers_sites_are_a_frozenset_of_its_own(kind):
+    # a set or a list of sites builds a tower, by TowerSpec or by _replace,
+    # that writes the report of the frozenset's tower; a later change to the
+    # given sites reaches neither the tower nor its report
+    built = make_tower(-1, 5, 1, [11])
+    text = report_json(analyze(E, built, 0))
+    for make in (lambda sites: TowerSpec(*built[:3], sites),
+                 lambda sites: built._replace(ramified_sites=sites)):
+        given = kind(built.ramified_sites)
+        T = make(given)
+        assert type(T.ramified_sites) is frozenset and T == built
+        assert report_json(analyze(E, T, 0)) == text
+        given.clear()
+        assert T == built and report_json(analyze(E, T, 0)) == text
+
+
+def test_a_copy_of_a_tower_carries_its_fields_alone():
+    # an analyzed tower keeps what its analyses share in its instance dict; a
+    # copy or a pickle is an equal tower that keeps nothing yet, and its
+    # reports hold the verdict constants themselves, not copies of them
+    T = make_tower(-1, 5, 1, [11])
+    text = report_json(analyze(E, T, 0))
+    assert vars(T)
+    for other in (copy.copy(T), copy.deepcopy(T),
+                  *(pickle.loads(pickle.dumps(T, protocol)) for protocol in range(2, 6))):
+        assert other == T and vars(other) == {}
+        rep = analyze(E, other, 0)
+        assert report_json(rep) == text
+        verdicts = [v for r in rep.rows for v in (r.gamma, *(v for _, v in r.deltas))
+                    if v is not None]
+        assert verdicts and all(any(v is c for c in VERDICTS) for v in verdicts)
 
 
 def test_a_tower_hashes_through_its_own_hash():

@@ -1,0 +1,132 @@
+"""In-process A/B of the ``batch`` command: a base commit against this working tree.
+
+    python3 tools/ab_inprocess.py --base HEAD~1 --workload batch --seed 23 --rounds 6 --passes 10
+
+Extracts the commit ``--base`` with ``bench_pairs.extract`` and imports its
+``src/dihedral_parity`` and this tree's under two package names in one
+process, with a second import of the base as an A/A control.  The rounds
+``0 .. --rounds - 1`` of ``bench/workloads.round_jobs`` are written to files
+once, as ``bench/run.py`` writes them.  Each pass runs every side over all of
+them through ``cli.main(["batch", csv, config, "--jobs", "1"])``, in an order
+that rotates from pass to pass, so that the machine's drift falls on each side
+alike.  Only the standard library is used.
+
+Exits 1 if in any pass the output or exit code of a side differs from the
+base's.  Otherwise it prints one JSON line: each side's seconds per pass, and
+the median and quartiles over the passes of change/base and of A/A (the
+second import of the base over the first).  A change that moves the time by
+less than the A/A quartiles do is not resolved.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import gc
+import hashlib
+import importlib.util
+import io
+import itertools
+import json
+import sys
+import tempfile
+from pathlib import Path
+from time import perf_counter
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "bench"))
+sys.path.insert(0, str(ROOT / "tools"))
+
+import bench_pairs  # noqa: E402
+import run as bench_run  # noqa: E402
+import workloads  # noqa: E402
+
+SIDES = ("base", "change", "aa")
+_IMPORTS = itertools.count()  # each import of a package takes a name of its own
+
+
+def import_cli(name: str, src: Path):
+    """The ``cli`` module of the package under src, imported as package name."""
+    init = src / "dihedral_parity" / "__init__.py"
+    spec = importlib.util.spec_from_file_location(
+        name, init, submodule_search_locations=[str(init.parent)])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    return importlib.import_module(f"{name}.cli")
+
+
+def write_rounds(workload: str, seed: int, rounds: int, workdir: Path) -> list[tuple[str, str]]:
+    """The (csv, config) files of every job of the rounds, as bench/run.py writes them."""
+    writer = bench_run.Bench(None, workdir)
+    return [writer.write_job(job, f"r{i}j{j}") for i in range(rounds)
+            for j, job in enumerate(workloads.round_jobs(workload, seed, i))]
+
+
+def run_side(cli, files: list[tuple[str, str]]) -> tuple[float, list[str]]:
+    """Seconds spent in cli.main over the files, and a digest of each call's
+    exit code and output."""
+    seconds, digests = 0.0, []
+    gc.collect()
+    for curves, config in files:
+        buf = io.StringIO()
+        t0 = perf_counter()
+        with contextlib.redirect_stdout(buf):
+            code = cli.main(["batch", curves, config, "--jobs", "1"])
+        seconds += perf_counter() - t0
+        digests.append(hashlib.sha256(f"{code}\n{buf.getvalue()}".encode()).hexdigest())
+    return seconds, digests
+
+
+def compare(base_src: Path, change_src: Path, workload: str, seed: int, rounds: int,
+            passes: int, workdir: Path) -> dict | None:
+    """The summary of passes over the rounds, or None if any output differs."""
+    clis = {side: import_cli(f"ab{next(_IMPORTS)}_{side}", src)
+            for side, src in zip(SIDES, (base_src, change_src, base_src))}
+    files = write_rounds(workload, seed, rounds, workdir)
+    seconds = {side: [] for side in SIDES}
+    for i in range(passes):
+        digests = {}
+        for side in SIDES[i % 3:] + SIDES[:i % 3]:
+            spent, digests[side] = run_side(clis[side], files)
+            seconds[side].append(spent)
+        for side in SIDES[1:]:
+            if digests[side] != digests["base"]:
+                job = next(j for j, (a, b) in enumerate(zip(digests["base"], digests[side]))
+                           if a != b)
+                print(f"pass {i}: {side} differs from base at {files[job][0]}", file=sys.stderr)
+                return None
+    return {
+        "workload": workload, "seed": seed, "rounds": rounds, "passes": passes,
+        "calls_per_pass": len(files),
+        "seconds": seconds,
+        "change_over_base": bench_pairs.summary([c / b for b, c in zip(seconds["base"], seconds["change"])]),
+        "aa_over_base": bench_pairs.summary([a / b for b, a in zip(seconds["base"], seconds["aa"])]),
+    }
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--base", required=True, help="commit to compare against")
+    ap.add_argument("--workload", required=True, choices=sorted(workloads.ROUNDS))
+    ap.add_argument("--seed", type=int, required=True)
+    ap.add_argument("--rounds", type=int, required=True)
+    ap.add_argument("--passes", type=int, required=True)
+    args = ap.parse_args(argv)
+    if args.rounds < 1 or args.passes < 2:
+        ap.error("--rounds must be at least 1 and --passes at least 2 (for quartiles)")
+    with tempfile.TemporaryDirectory(prefix="ab-inprocess-") as tmp:
+        base_tree = Path(tmp) / "base"
+        commit = bench_pairs.extract(args.base, base_tree)
+        work = Path(tmp) / "work"
+        work.mkdir()
+        result = compare(base_tree / "src", ROOT / "src", args.workload, args.seed,
+                         args.rounds, args.passes, work)
+    if result is None:
+        return 1
+    print(json.dumps({"base": commit, **result}))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
