@@ -30,6 +30,12 @@ EXIT_STRICT_UNDETERMINED = 4
 
 CSV_HEADER = ["label", "a1", "a2", "a3", "a4", "a6"]
 
+# the fields a config, a site entry and an override may hold: any other is
+# refused; a site's split_type is not read, but a report's tower writes it
+_CONFIG_KEYS = ("curve", "curve_file", "d", "p", "n", "ramified_sites", "overrides", "dim_Sp_E_K")
+_SITE_KEYS = ("ell", "which", "split_type")
+_OVERRIDE_KEYS = tuple(f"{name}_override" for name in SiteOverrides._fields)
+
 MAX_BOUND_DIGITS = 4300  # the most digits Python prints or reads of an int by default
 _INTEGER = re.compile(r"\s*[+-]?\d+(_\d+)*\s*")  # the decimal strings int() reads
 
@@ -101,6 +107,13 @@ def parse_curve(raw: Any, curve_file: Optional[str], errors: list):
     return None
 
 
+def _unknown_fields(raw: dict, known: tuple, path: str, errors: list) -> bool:
+    """Append an error naming each field of raw not in known; whether any was."""
+    unknown = [f"{path}{key}: unknown field" for key in raw if key not in known]
+    errors.extend(unknown)
+    return bool(unknown)
+
+
 def _parse_overrides(raw: Any, errors: list) -> dict[int, SiteOverrides]:
     out: dict[int, SiteOverrides] = {}
     if raw is None:
@@ -123,6 +136,8 @@ def _parse_overrides(raw: Any, errors: list) -> dict[int, SiteOverrides]:
             continue
         if not isinstance(val, dict):
             errors.append(f"overrides.{key}: expected an object")
+            continue
+        if _unknown_fields(val, _OVERRIDE_KEYS, f"overrides.{key}.", errors):
             continue
         defect = val.get("defect_override")
         if defect is not None and not any(type(defect) is type(e) and defect == e
@@ -166,6 +181,8 @@ def parse_tower(raw: dict, errors: list) -> Optional[TowerSpec]:
             errors.append(f"ramified_sites[{i}]: expected "
                           '{"ell": prime, "which": "first"|"second"?}')
             continue
+        if _unknown_fields(entry, _SITE_KEYS, f"ramified_sites[{i}].", errors):
+            continue
         ell = entry["ell"]
         if not is_prime(ell):
             errors.append(f"ramified_sites[{i}].ell: {ell} is not prime")
@@ -196,6 +213,7 @@ def parse_tower(raw: dict, errors: list) -> Optional[TowerSpec]:
 def parse_config(raw: dict, *, need_curve: bool = True):
     """Return (curve, tower, dim_Sp_E_K) or raise ConfigError."""
     errors: list[str] = []
+    _unknown_fields(raw, _CONFIG_KEYS, "", errors)
     curve = None
     if need_curve or "curve" in raw:
         curve = parse_curve(raw.get("curve"), raw.get("curve_file"), errors)

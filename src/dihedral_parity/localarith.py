@@ -49,10 +49,10 @@ _MR_BASES = (
 # test.  A rho step on n costs _rho_step_cost(n), the square of n's length in
 # 64-bit words (1 below 2^64), as a step is a multiplication mod n, and a
 # strong test bit_length(n) steps.  The budget splits off every prime factor
-# below 1e10 in the trials made (100 of 100) and most below 1e11 (38 of 40),
-# and runs out after at most about two seconds whatever the size of n; a
-# number whose two largest prime factors are beyond reach, or whose largest
-# has more than about 280 digits, then raises ValueError.
+# below 1e10 in the trials made (100 of 100) and most below 1e11 (38 of 40).
+# A number whose two largest prime factors are beyond reach, or whose largest
+# has more than about 280 digits, raises ValueError: p*q and p*q^2 with p, q
+# of 12 to 300 digits did so in at most 0.075 s (2-vCPU Xeon, Python 3.11.7).
 RHO_BUDGET = 1 << 20
 
 

@@ -176,9 +176,10 @@ def analyze(E: WeierstrassCurve, T: TowerSpec,
     audit = [_audit(s, r.deltas[0][1], shared) for s, r in ramified]
     failed = [a for a in audit if not a.passes]
     # The relative parity fragment needs the audit to pass at every site
-    # above 6p and the aggregated sum to be determined.
-    relative = (None if total is None or any(a.site.ell in (2, 3, T.p) for a in failed)
-                else {"statement": RELATIVE_STATEMENT, "parity": total})
+    # above 6p and the aggregated sum to be determined.  The sum covers the
+    # audit: an audit fails only at an Uncovered delta, whose delta_sum is
+    # None, at a self-conjugate site ramified in L/K, whose prime is in S.
+    relative = None if total is None else {"statement": RELATIVE_STATEMENT, "parity": total}
     bound = (None if dim_Sp_E_K is None
              else _selmer_bound(T, failed, len(s_m), dim_Sp_E_K, shared))
     notes = NOTES[any(r.gamma.case_tag == V.POT_GOOD_RAMIFIED_ABELIAN for _, r in ramified)]

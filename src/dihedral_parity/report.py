@@ -11,7 +11,7 @@ from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Optional, Sequence, Union
 
 from .curves import SiteOverrides
-from .parity import CONSTANTS, NOTES, RELATIVE_STATEMENT, SCHEMA_VERSION, ParityReport
+from .parity import NOTES, RELATIVE_STATEMENT, SCHEMA_VERSION, ParityReport
 from .parity import ParityRow, SelmerBound, SiteAudit
 from .tower import PrimeSite, TowerSpec, Violation
 from .verdicts import ConstantVerdict, DeltaVerdict
@@ -102,8 +102,8 @@ _BATCH = _object(("schema_version", "tower", "reports", "errors", "summary"), 0)
 _BATCH_HEAD, _BATCH_TAIL = "%s".join(_BATCH[:3]), "%s".join(_BATCH[3:])
 
 
-def _site(s: PrimeSite, depth: int, ell: Optional[str] = None) -> str:
-    return _SITE[depth] % (ell or _scalar(s.ell), _str(s.split_type), _scalar(s.which))
+def _site(s: PrimeSite, depth: int) -> str:
+    return _SITE[depth] % (_scalar(s.ell), _str(s.split_type), _scalar(s.which))
 
 
 def _gamma(g: ConstantVerdict, depth: int) -> str:
@@ -115,28 +115,13 @@ def _verdict(v: DeltaVerdict, depth: int) -> str:
                                _str(v.detail), _scalar(v.pair_sum))
 
 
-def _row(r: ParityRow, depth: int, place: Optional[str] = None) -> str:
-    """A row; place, if given, is the text put for its place and its sites' prime."""
+def _row(r: ParityRow, depth: int) -> str:
     entry = _ENTRY[depth + 2][0]
-    return _ROW[depth] % (place or _scalar(r.place),
+    return _ROW[depth] % (_scalar(r.place),
                           "null" if r.gamma is None else _kept(r.gamma, depth + 1, _gamma),
-                          _array([entry + _site(s, depth + 3, place)
-                                  + _kept(v, depth + 2, _verdict) for s, v in r.deltas],
-                                 depth + 1),
+                          _array([entry + _site(s, depth + 3) + _kept(v, depth + 2, _verdict)
+                                  for s, v in r.deltas], depth + 1),
                           _scalar(r.delta_sum), _str(r.status), _str(r.note))
-
-
-def _row_text(r: ParityRow, depth: int, templates: dict) -> str:
-    """A row; one of verdict constants at its one site is its tower's template for its
-    shape, the row with a NUL (no ASCII-escaped JSON text holds one) for its place, filled."""
-    site, v = r.deltas[0] if len(r.deltas) == 1 else (None, None)
-    if id(r.gamma) not in CONSTANTS or id(v) not in CONSTANTS or site.ell != r.place:
-        return _row(r, depth)
-    key = (id(r.gamma), id(v), site.split_type, site.which, _scalar(r.delta_sum), r.status, r.note)
-    parts = templates.get(key)
-    if parts is None:
-        parts = templates[key] = _row(r, depth, "\0").split("\0")
-    return _scalar(r.place).join(parts)
 
 
 def _audit(a: SiteAudit, depth: int) -> str:
@@ -165,23 +150,16 @@ def tower_json(T: TowerSpec, depth: int = 1) -> str:
                 [_OVERRIDE[depth + 2] % tuple(map(_scalar, o)) for _, o in overrides]))
 
 
-def _tower_texts(T: TowerSpec, depth: int) -> tuple[str, dict]:
-    """A tower's text depth deep, and its row templates."""
-    return tower_json(T, depth), {}
-
-
 def report_json(rep: ParityReport, level: int = 0, label: Optional[str] = None) -> str:
     """Schema 1 of a report as an item level brackets deep, with a last key
     ``label`` unless label is None, written at its depth in one pass."""
     depth, rel, sb = level + 1, rep.relative_parity, rep.selmer_bound
-    tower, templates = _kept(rep.tower, depth, _tower_texts)
-    row = partial(_row_text, templates=templates)
     fixed, values = _FIXED[depth], () if rel is None else tuple(map(_scalar, rel.values()))
     texts = (
         _scalar(SCHEMA_VERSION),
         _array(list(map(_scalar, rep.curve.ainvs())), depth),
-        tower,
-        _array([_kept(r, depth + 1, row) for r in rep.rows], depth),
+        _kept(rep.tower, depth, tower_json),
+        _array([_kept(r, depth + 1, _row) for r in rep.rows], depth),
         _sites(rep.S, depth),
         _scalar(rep.mr64_sum),
         _sites(rep.S_frak, depth),
@@ -206,7 +184,7 @@ def validation_json(violations: list[Violation]) -> str:
 
 def batch_head(T: TowerSpec) -> str:
     """A ``batch`` document up to its list of reports."""
-    return _BATCH_HEAD % (_scalar(SCHEMA_VERSION), _kept(T, 1, _tower_texts)[0])
+    return _BATCH_HEAD % (_scalar(SCHEMA_VERSION), _kept(T, 1, tower_json))
 
 
 def batch_entry(index: int, label: str, result: Union[ParityReport, str]) -> str:

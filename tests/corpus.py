@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+from hypothesis import strategies as st
+
 from dihedral_parity import QuadraticFieldSpec, TowerSpec, WeierstrassCurve, sites_above
-from dihedral_parity.curves import quadratic_twist
+from dihedral_parity.curves import SingularCurveError, quadratic_twist
 
 CURVES = {
     "11a1": WeierstrassCurve(0, -1, 1, -10, -20),
@@ -67,3 +69,14 @@ PARITY_CORPUS = [
 # (d, p, ramified primes), n = 1: between them, sites at 2, 3, 11, 13 and at
 # p inert, ramified and split in K.
 SMALL_TOWERS = [(5, 7, [2, 3, 7, 13]), (-7, 7, [3, 7]), (-1, 5, [3, 5]), (-3, 5, [2, 5, 11])]
+
+
+def _curve(ainvs):
+    try:
+        return WeierstrassCurve(*ainvs)
+    except SingularCurveError:
+        return None
+
+
+SMALL_CURVES = st.tuples(st.integers(0, 1), st.integers(-1, 1), st.integers(0, 1),
+                         st.integers(-50, 50), st.integers(-50, 50)).map(_curve).filter(bool)

@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import shutil
+from itertools import product
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -30,10 +31,17 @@ def test_the_summary_holds_each_pass_and_its_quartiles(monkeypatch, capsys):
     result = json.loads(out)
     assert (result["base"], result["workload"], result["passes"]) == ("0" * 40, "batch", 2)
     assert result["calls_per_pass"] == 4  # one batch call per tower of the round
-    assert all(len(result["seconds"][side]) == 2 for side in ab_inprocess.SIDES)
-    for key in ("change_over_base", "aa_over_base"):
-        s = result[key]
+    seconds = result["seconds"]
+    assert set(seconds) == {"wall", "cpu"}
+    for side in ab_inprocess.SIDES:
+        assert len(seconds["wall"][side]) == len(seconds["cpu"][side]) == 2
+        # one thread's CPU time is never more than the wall time it ran in
+        assert all(0 < c <= w for w, c in zip(seconds["wall"][side], seconds["cpu"][side]))
+    for key, clock in product(("change_over_base", "aa_over_base"), ("wall", "cpu")):
+        s = result[key][clock]
         assert len(s["runs"]) == 2 and s["q1"] <= s["median"] <= s["q3"]
+        assert s["runs"] == [x / b for b, x in zip(seconds[clock]["base"],
+                                                   seconds[clock][key.split("_")[0]])]
 
 
 def test_differing_outputs_exit_1(monkeypatch, capsys):

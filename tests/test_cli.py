@@ -752,6 +752,27 @@ def test_every_config_error_is_reported_in_one_run(tmp_path, capsys, command):
         "overrides.4: key must be a prime\n"))
 
 
+@pytest.mark.parametrize("command", ["analyze", "validate"])
+def test_a_field_nothing_reads_is_a_config_error(tmp_path, capsys, command):
+    # a misspelt field would otherwise be dropped: no bound, no override
+    cfg = write_json(tmp_path / "c.json", {
+        **X3P1_AT_3, "dim_Sp_E_k": 1, "label": "x",
+        "ramified_sites": [{"ell": 3}, {"ell": 5, "whihc": "first"}],
+        "overrides": {"3": {"defect_overide": 2, "anomalous_override": True},
+                      "5": {"defect_override": 2}}})
+    assert run_cli(capsys, [command, str(cfg)]) == (EXIT_INVALID, "".join(
+        f"{line}\n" for line in [
+            "dim_Sp_E_k: unknown field",
+            "label: unknown field",
+            "ramified_sites[1].whihc: unknown field",
+            "overrides.3.defect_overide: unknown field"]))
+    # a report's tower, whose sites carry split_type, stays a valid config
+    tower = json.loads(tower_json(OVERRIDE_TOWER))
+    assert tower["ramified_sites"][0]["split_type"] and tower["overrides"]
+    cfg = write_json(tmp_path / "tower.json", {**tower, "curve": X3P1_AT_3["curve"]})
+    assert run_cli(capsys, [command, str(cfg)])[0] == EXIT_OK
+
+
 def test_analyze_factors_d_at_most_once(monkeypatch):
     # d is factored only by QuadraticFieldSpec.d_primes, evaluated at most
     # once per analysis; nothing calls prime_factors on d or K's discriminant

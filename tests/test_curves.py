@@ -374,6 +374,21 @@ def test_reduction_over_Kv_potentially_good():
     assert good_twist_at(t, 7) is not None
 
 
+def test_residue_trace_over_a_ramified_Kv_carries_the_twist_sign():
+    # 11a1 twisted by 5 is additive at 5 and good over each ramified Q_5(sqrt d);
+    # its residue curve there is E^d, the twist by d, reduced mod 5: a_q is
+    # 6 - #E^d(F_5), whose sign the unit class of d over the good twist sets
+    E = quadratic_twist(CURVES["11a1"], 5)
+    c4, c6 = E.c_invariants()
+    traces = []
+    for d in (5, -5, 10, 15, -10, 30):
+        twist = WeierstrassCurve(0, 0, 0, -27 * d ** 2 * c4, -54 * d ** 3 * c6)
+        expected = 6 - oracles.count_points(oracles.minimal_model(twist, 5), 5)
+        traces.append(LocalData(E, 5, RamifiedQuadratic(d)).residue_frobenius.a_q)
+        assert traces[-1] == expected, d
+    assert traces == [1, 1, -1, -1, -1, 1]
+
+
 # Every nontrivial square class of Q_ell^x, in the order of an exhaustive
 # search, and the unramified class.
 ALL_TWIST_CLASSES = {2: [-1, 2, -2, 5, -5, 10, -10], 3: [2, 3, 6], 5: [2, 5, 10],

@@ -3,11 +3,13 @@ import sys
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
-from corpus import CURVES, PARITY_CORPUS, SMALL_TOWERS, make_tower
+from corpus import CURVES, PARITY_CORPUS, SMALL_CURVES, SMALL_TOWERS, make_tower
 from dihedral_parity import curves, localarith
-from dihedral_parity.curves import WeierstrassCurve
+from dihedral_parity.curves import SiteOverrides, WeierstrassCurve
 from dihedral_parity import verdicts as V
 from dihedral_parity.delta import delta
 from dihedral_parity.gamma import gamma
@@ -158,6 +160,22 @@ def test_relative_parity_zero_case():
     T = make_tower(-1, 5, 1, [7])
     stmt = analyze(TWIST_11A1_7, T).relative_parity
     assert stmt is not None and stmt["parity"] == 0
+
+
+@settings(max_examples=120, deadline=None)
+@given(SMALL_CURVES, st.sampled_from(SMALL_TOWERS), st.none() | st.booleans(), st.data())
+def test_a_failing_audit_leaves_the_sum_and_relative_parity_undetermined(E, tower, anomalous,
+                                                                          data):
+    # an audit fails only at an Uncovered delta at a site ramified in L/K,
+    # whose prime is in S: so the sum is undetermined, and the relative
+    # parity is given exactly when the sum is
+    d, p, rams = tower
+    overrides = ({} if anomalous is None else
+                 {data.draw(st.sampled_from(rams)): SiteOverrides(anomalous=anomalous)})
+    rep = analyze(E, make_tower(d, p, 1, rams, overrides))
+    if not all(a.passes for a in rep.hypothesis_audit):
+        assert rep.mr64_sum is None
+    assert (rep.relative_parity is None) == (rep.mr64_sum is None)
 
 
 def _rebind(monkeypatch, original, wrapper):

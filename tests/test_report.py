@@ -22,11 +22,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from corpus import PARITY_CORPUS, SMALL_TOWERS, make_tower
+from corpus import PARITY_CORPUS, SMALL_CURVES, SMALL_TOWERS, make_tower
 import dihedral_parity.delta as DELTA_MODULE
 import dihedral_parity.gamma as GAMMA_MODULE
 from dihedral_parity import report
-from dihedral_parity.curves import DEFECTS, KV_REDUCTIONS, SingularCurveError, WeierstrassCurve
+from dihedral_parity.curves import DEFECTS, KV_REDUCTIONS, WeierstrassCurve
 from dihedral_parity.parity import (
     ARCHIMEDEAN_ROW,
     BLANKET_ROW,
@@ -63,17 +63,6 @@ def _oracle_text(rep, level, label):
 
 def _oracle_table(rep):
     return oracles.render_text(oracles.report_dict(rep))
-
-
-def _curve(ainvs):
-    try:
-        return WeierstrassCurve(*ainvs)
-    except SingularCurveError:
-        return None
-
-
-SMALL_CURVES = st.tuples(st.integers(0, 1), st.integers(-1, 1), st.integers(0, 1),
-                         st.integers(-50, 50), st.integers(-50, 50)).map(_curve).filter(bool)
 
 
 @settings(max_examples=60, deadline=None)
@@ -289,16 +278,10 @@ def test_each_delta_text_is_what_the_writer_writes(v):
 SHAPES = [PrimeSite(7, "split", "first"), PrimeSite(7, "inert"), PrimeSite(7, "ramified")]
 
 
-def test_each_row_text_is_what_the_writer_writes(monkeypatch):
-    # a row of two constants is written by _row once per shape and depth,
-    # into its tower's templates, and then filled in at each place; a row of
-    # fresh copies is written whole; the two fixed rows are written once a
-    # depth; every text is what _row writes of the fresh row
-    writes = []
-    row_writer = report._row
-    monkeypatch.setattr(report, "_row", lambda r, depth, place=None: writes.append(
-        r.gamma) or row_writer(r, depth, place))
-    templates = {depth: {} for depth in DEPTHS[:2]}
+def test_each_row_text_is_what_the_writer_writes():
+    # at each depth a row keeps the text _row writes of an equal fresh row,
+    # and is not written again: a row of constants at any place and site
+    # shape, and the two fixed rows alike
     for g in GAMMA_MODULE.VOCABULARY:
         for v in DELTA_MODULE.VOCABULARY:
             dsum = v.contribution()
@@ -308,18 +291,13 @@ def test_each_row_text_is_what_the_writer_writes(monkeypatch):
                     fresh = ParityRow(ell, _fresh(g), ((site._replace(ell=ell), _fresh(v)),),
                                       dsum, status)
                     for depth in DEPTHS[:2]:
-                        text = row_writer(fresh, depth)
-                        assert report._row_text(row, depth, templates[depth]) == text
-                        assert report._row_text(fresh, depth, templates[depth]) == text
-    shapes = len(GAMMA_MODULE.VOCABULARY) * len(DELTA_MODULE.VOCABULARY) * 3 * 3
-    assert [len(t) for t in templates.values()] == [shapes, shapes]
-    assert sum(any(g is c for c in CONSTANTS) for g in writes) == 2 * shapes
-    writes.clear()
+                        text = report._kept(row, depth, report._row)
+                        assert text == report._row(fresh, depth)
+                        assert report._kept(row, depth, _never) == text
     for r in (ARCHIMEDEAN_ROW, BLANKET_ROW):
         for depth in DEPTHS:
-            assert report._kept(r, depth, report._row) == row_writer(_fresh(r), depth)
-            assert report._kept(r, depth, _never) == row_writer(_fresh(r), depth)
-    assert len(writes) <= 2 * len(DEPTHS)
+            assert report._kept(r, depth, report._row) == report._row(_fresh(r), depth)
+            assert report._kept(r, depth, _never) == report._row(_fresh(r), depth)
 
 
 def _kept_texts(record) -> dict:
@@ -361,7 +339,7 @@ def test_kept_texts_are_fresh_writes():
             assert report_json(rep, level, label) == _oracle_text(rep, level, label)
         tower = _kept_texts(rep.tower)
         assert {1, 3} <= set(tower)
-        for depth, (text, _) in tower.items():
+        for depth, text in tower.items():
             assert text == report.tower_json(_fresh(rep.tower), depth)
         for record, write, depths in _written(rep):
             texts = _kept_texts(record)

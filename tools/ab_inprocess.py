@@ -14,8 +14,10 @@ alike.  Only the standard library is used.
 Exits 1 if in any pass the output or exit code of a side differs from the
 base's.  Otherwise it prints one JSON line: each side's seconds per pass, and
 the median and quartiles over the passes of change/base and of A/A (the
-second import of the base over the first).  A change that moves the time by
-less than the A/A quartiles do is not resolved.
+second import of the base over the first), each on two clocks: ``wall``
+(``time.perf_counter``) and ``cpu`` (``time.thread_time``, this thread's CPU
+time alone).  A change that moves the time by less than the A/A quartiles do
+is not resolved.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import json
 import sys
 import tempfile
 from pathlib import Path
-from time import perf_counter
+from time import perf_counter, thread_time
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "bench"))
@@ -42,6 +44,7 @@ import run as bench_run  # noqa: E402
 import workloads  # noqa: E402
 
 SIDES = ("base", "change", "aa")
+CLOCKS = ("wall", "cpu")  # perf_counter and thread_time
 _IMPORTS = itertools.count()  # each import of a package takes a name of its own
 
 
@@ -63,19 +66,21 @@ def write_rounds(workload: str, seed: int, rounds: int, workdir: Path) -> list[t
             for j, job in enumerate(workloads.round_jobs(workload, seed, i))]
 
 
-def run_side(cli, files: list[tuple[str, str]]) -> tuple[float, list[str]]:
-    """Seconds spent in cli.main over the files, and a digest of each call's
-    exit code and output."""
-    seconds, digests = 0.0, []
+def run_side(cli, files: list[tuple[str, str]]) -> tuple[tuple[float, float], list[str]]:
+    """Wall and CPU seconds spent in cli.main over the files, and a digest of
+    each call's exit code and output."""
+    wall = cpu = 0.0
+    digests = []
     gc.collect()
     for curves, config in files:
         buf = io.StringIO()
-        t0 = perf_counter()
+        w0, c0 = perf_counter(), thread_time()
         with contextlib.redirect_stdout(buf):
             code = cli.main(["batch", curves, config, "--jobs", "1"])
-        seconds += perf_counter() - t0
+        cpu += thread_time() - c0
+        wall += perf_counter() - w0
         digests.append(hashlib.sha256(f"{code}\n{buf.getvalue()}".encode()).hexdigest())
-    return seconds, digests
+    return (wall, cpu), digests
 
 
 def compare(base_src: Path, change_src: Path, workload: str, seed: int, rounds: int,
@@ -84,24 +89,30 @@ def compare(base_src: Path, change_src: Path, workload: str, seed: int, rounds: 
     clis = {side: import_cli(f"ab{next(_IMPORTS)}_{side}", src)
             for side, src in zip(SIDES, (base_src, change_src, base_src))}
     files = write_rounds(workload, seed, rounds, workdir)
-    seconds = {side: [] for side in SIDES}
+    seconds = {clock: {side: [] for side in SIDES} for clock in CLOCKS}
     for i in range(passes):
         digests = {}
         for side in SIDES[i % 3:] + SIDES[:i % 3]:
             spent, digests[side] = run_side(clis[side], files)
-            seconds[side].append(spent)
+            for clock, s in zip(CLOCKS, spent):
+                seconds[clock][side].append(s)
         for side in SIDES[1:]:
             if digests[side] != digests["base"]:
                 job = next(j for j, (a, b) in enumerate(zip(digests["base"], digests[side]))
                            if a != b)
                 print(f"pass {i}: {side} differs from base at {files[job][0]}", file=sys.stderr)
                 return None
+
+    def over_base(side: str) -> dict:
+        return {clock: bench_pairs.summary([s / b for b, s in zip(by_side["base"], by_side[side])])
+                for clock, by_side in seconds.items()}
+
     return {
         "workload": workload, "seed": seed, "rounds": rounds, "passes": passes,
         "calls_per_pass": len(files),
         "seconds": seconds,
-        "change_over_base": bench_pairs.summary([c / b for b, c in zip(seconds["base"], seconds["change"])]),
-        "aa_over_base": bench_pairs.summary([a / b for b, a in zip(seconds["base"], seconds["aa"])]),
+        "change_over_base": over_base("change"),
+        "aa_over_base": over_base("aa"),
     }
 
 
