@@ -21,7 +21,8 @@ from .curves import DEFECTS, KV_REDUCTIONS, SingularCurveError, WeierstrassCurve
 from .localarith import is_prime
 from .parity import ParityReport, analyze
 from .report import report_to_dict  # not called here: bench/tracing.py times cli.report_to_dict
-from .tower import QuadraticFieldSpec, SiteOverrides, TowerSpec, sites_above
+from .tower import FIRST, INERT, RAMIFIED, SECOND, SPLIT, PrimeSite, QuadraticFieldSpec
+from .tower import SiteOverrides, TowerSpec, split_type
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -30,13 +31,12 @@ EXIT_STRICT_UNDETERMINED = 4
 
 CSV_HEADER = ["label", "a1", "a2", "a3", "a4", "a6"]
 
-# the fields a config, a site entry and an override may hold: any other is
-# refused; a site's split_type is not read, but a report's tower writes it
+# the fields a config, a site entry and an override may hold: any other is refused
 _CONFIG_KEYS = ("curve", "curve_file", "d", "p", "n", "ramified_sites", "overrides", "dim_Sp_E_K")
-_SITE_KEYS = ("ell", "which", "split_type")
 _OVERRIDE_KEYS = tuple(f"{name}_override" for name in SiteOverrides._fields)
 
 MAX_BOUND_DIGITS = 4300  # the most digits Python prints or reads of an int by default
+_MAX_BOUND = 10 ** MAX_BOUND_DIGITS
 _INTEGER = re.compile(r"\s*[+-]?\d+(_\d+)*\s*")  # the decimal strings int() reads
 
 
@@ -181,28 +181,28 @@ def parse_tower(raw: dict, errors: list) -> Optional[TowerSpec]:
             errors.append(f"ramified_sites[{i}]: expected "
                           '{"ell": prime, "which": "first"|"second"?}')
             continue
-        if _unknown_fields(entry, _SITE_KEYS, f"ramified_sites[{i}].", errors):
+        if _unknown_fields(entry, PrimeSite._fields, f"ramified_sites[{i}].", errors):
             continue
-        ell = entry["ell"]
+        ell, declared, which = entry["ell"], entry.get("split_type"), entry.get("which")
         if not is_prime(ell):
             errors.append(f"ramified_sites[{i}].ell: {ell} is not prime")
             continue
-        which = entry.get("which")
-        if which not in (None, "first", "second"):
+        if declared not in (None, SPLIT, INERT, RAMIFIED):
+            errors.append(f"ramified_sites[{i}].split_type: "
+                          'expected "split", "inert" or "ramified"')
+            continue
+        if which not in (None, FIRST, SECOND):
             errors.append(f"ramified_sites[{i}].which: expected \"first\" or \"second\"")
             continue
         if K is None:
             continue
-        above = sites_above(ell, K)
-        if which is None:
-            sites.extend(above)
-        else:
-            matches = [s for s in above if s.which == which]
-            if not matches:
-                errors.append(f"ramified_sites[{i}]: no site {which!r} above {ell} "
-                              f"(prime is {above[0].split_type} in K)")
-                continue
-            sites.extend(matches)
+        st = declared or split_type(ell, K)  # validate_tower checks a declared one
+        try:  # no which names both sites of a split prime
+            sites += [PrimeSite(ell, st, w) for w in
+                      ((FIRST, SECOND) if st == SPLIT and which is None else (which,))]
+        except ValueError:  # which is given exactly for a split site
+            errors.append(f"ramified_sites[{i}]: no site {which!r} above {ell} (prime is "
+                          + (f"declared {st})" if declared else f"{st} in K)"))
     overrides = _parse_overrides(raw.get("overrides"), errors)
     if errors:
         return None
@@ -225,7 +225,7 @@ def parse_config(raw: dict, *, need_curve: bool = True):
             # p^n >= 2^((bits of p - 1) n) and 2^(10/3) > 10, so n may decide
             # without taking p^n; validate_tower rejects a smaller p or n
             3 * (tower.p.bit_length() - 1) * tower.n > 10 * MAX_BOUND_DIGITS
-            or dim + tower.p ** tower.n > 10 ** MAX_BOUND_DIGITS):
+            or dim + tower.p ** tower.n > _MAX_BOUND):
         errors.append(f"n: the Selmer bound dim_Sp_E_K + p^n - 1 has more than "
                       f"{MAX_BOUND_DIGITS} digits")
     if errors:

@@ -11,8 +11,7 @@ from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Optional, Sequence, Union
 
 from .curves import SiteOverrides
-from .parity import NOTES, RELATIVE_STATEMENT, SCHEMA_VERSION, ParityReport
-from .parity import ParityRow, SelmerBound, SiteAudit
+from .parity import SCHEMA_VERSION, ParityReport, ParityRow, SelmerBound, SiteAudit
 from .tower import PrimeSite, TowerSpec, Violation
 from .verdicts import ConstantVerdict, DeltaVerdict
 
@@ -89,11 +88,6 @@ _REPORT = _ByDepth(partial(_object, _KEYS))
 _LABELLED = _ByDepth(partial(_object, (*_KEYS, "label")))
 _TOWER = _ByDepth(partial(_object, ("d", "p", "n", "ramified_sites", "overrides")))
 _OVERRIDE = _ByDepth(partial(_object, tuple(f"{n}_override" for n in SiteOverrides._fields)))
-# analyze's notes and relative-parity objects hold parity's constants alone,
-# so each of their texts is written once a depth, keyed by the texts it holds
-_FIXED = _ByDepth(lambda d: {**{n: _array(list(map(_str, n)), d) for n in NOTES}, **{
-    ("statement", "parity", _str(RELATIVE_STATEMENT), p):
-    _object(("statement", "parity"), d, [_str(RELATIVE_STATEMENT), p]) for p in "01"}})
 _ERROR = _object(("label", "error"), 2)
 _VIOLATION = _object(Violation._fields, 2)
 _VALIDATION = _object(("schema_version", "valid", "violations"), 0)
@@ -154,7 +148,6 @@ def report_json(rep: ParityReport, level: int = 0, label: Optional[str] = None) 
     """Schema 1 of a report as an item level brackets deep, with a last key
     ``label`` unless label is None, written at its depth in one pass."""
     depth, rel, sb = level + 1, rep.relative_parity, rep.selmer_bound
-    fixed, values = _FIXED[depth], () if rel is None else tuple(map(_scalar, rel.values()))
     texts = (
         _scalar(SCHEMA_VERSION),
         _array(list(map(_scalar, rep.curve.ainvs())), depth),
@@ -166,10 +159,10 @@ def report_json(rep: ParityReport, level: int = 0, label: Optional[str] = None) 
         _sites(rep.S_m, depth),
         _array([_kept(a, depth + 1, _audit) for a in rep.hypothesis_audit], depth),
         "null" if sb is None else _kept(sb, depth, _bound),
-        "null" if rel is None else fixed.get((*rel, *values)) or _object(list(rel), depth, values),
+        "null" if rel is None else _object(list(rel), depth, list(map(_scalar, rel.values()))),
         _scalar(rep.failure),
         _scalar(rep.has_undetermined),
-        fixed.get(tuple(rep.notes)) or _array(list(map(_str, rep.notes)), depth),
+        _array(list(map(_str, rep.notes)), depth),
     )
     return (_REPORT[level] % texts if label is None
             else _LABELLED[level] % (*texts, _str(label)))

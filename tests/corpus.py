@@ -80,3 +80,22 @@ def _curve(ainvs):
 
 SMALL_CURVES = st.tuples(st.integers(0, 1), st.integers(-1, 1), st.integers(0, 1),
                          st.integers(-50, 50), st.integers(-50, 50)).map(_curve).filter(bool)
+
+
+def _tower(d: int, p: int, n: int, primes: set) -> TowerSpec:
+    K = QuadraticFieldSpec(d)
+    return TowerSpec(K=K, p=p, n=n,
+                     ramified_sites=frozenset(s for ell in primes for s in sites_above(ell, K)))
+
+
+# Valid towers: squarefree d in [-30, 30], p in {5, 7, 11, 13}, n in {1, 2},
+# and every site above one to three primes up to 23 ramified in L/K (so the
+# set is closed under conjugation); a tower that breaks a standing hypothesis
+# (a site ramified in K/Q but not above p) is dropped.
+VALID_TOWERS = st.builds(
+    _tower,
+    st.sampled_from([d for d in range(-30, 31) if QuadraticFieldSpec(d).is_valid()]),
+    st.sampled_from([5, 7, 11, 13]),
+    st.integers(1, 2),
+    st.sets(st.sampled_from([2, 3, 5, 7, 11, 13, 17, 19, 23]), min_size=1, max_size=3),
+).filter(lambda T: not T.violations)

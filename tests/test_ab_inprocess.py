@@ -28,7 +28,9 @@ def test_the_summary_holds_each_pass_and_its_quartiles(monkeypatch, capsys):
     assert ab_inprocess.main(ARGV) == 0
     out = capsys.readouterr().out
     assert out.count("\n") == 1
-    result = json.loads(out)
+    results = json.loads(out)
+    assert list(results) == ["batch"]
+    result = results["batch"]
     assert (result["base"], result["workload"], result["passes"]) == ("0" * 40, "batch", 2)
     assert result["calls_per_pass"] == 4  # one batch call per tower of the round
     seconds = result["seconds"]
@@ -44,8 +46,17 @@ def test_the_summary_holds_each_pass_and_its_quartiles(monkeypatch, capsys):
                                                    seconds[clock][key.split("_")[0]])]
 
 
+def test_one_run_covers_every_workload_named(monkeypatch, capsys):
+    _extract_as(monkeypatch)
+    assert ab_inprocess.main([*ARGV[:4], "large_p", "batch", "large_p", *ARGV[4:]]) == 0
+    results = json.loads(capsys.readouterr().out)
+    assert list(results) == ["batch", "large_p"]  # in the order named, each once
+    assert {w: r["workload"] for w, r in results.items()} == {w: w for w in results}
+    assert all(r["base"] == "0" * 40 and r["passes"] == 2 for r in results.values())
+
+
 def test_differing_outputs_exit_1(monkeypatch, capsys):
     _extract_as(monkeypatch, lambda text: text.replace("SCHEMA_VERSION = 1", "SCHEMA_VERSION = 2"))
     assert ab_inprocess.main(ARGV) == 1
     captured = capsys.readouterr()
-    assert captured.out == "" and "pass 0: change differs from base" in captured.err
+    assert captured.out == "" and "batch pass 0: change differs from base" in captured.err

@@ -773,6 +773,104 @@ def test_a_field_nothing_reads_is_a_config_error(tmp_path, capsys, command):
     assert run_cli(capsys, [command, str(cfg)])[0] == EXIT_OK
 
 
+def _argv(tmp_path, command, cfg):
+    """The command line of command on the config cfg: batch runs it over 11a1,
+    and validate prints its violations one a line, as analyze and batch do."""
+    if command == "batch":
+        curves = tmp_path / "curves.csv"
+        curves.write_text(CSV_HEADER + "11a1,0,-1,1,-10,-20\n", encoding="utf-8")
+        return ["batch", str(curves), str(cfg)]
+    return [command, str(cfg), *(["--format", "text"] if command == "validate" else [])]
+
+
+@pytest.mark.parametrize("split_type, line", [
+    ("ramified", "site_consistency: site above 11 declared ramified but 11 is inert "
+                 "in Q(sqrt(-1))"),
+    ("bogus", 'ramified_sites[0].split_type: expected "split", "inert" or "ramified"'),
+])
+@pytest.mark.parametrize("command", ["analyze", "batch", "validate"])
+def test_a_declared_split_type_is_checked_against_K(tmp_path, capsys, flagship_config,
+                                                     command, split_type, line):
+    flagship = json.loads(flagship_config.read_text(encoding="utf-8"))
+    cfg = write_json(tmp_path / "c.json", {
+        **flagship, "ramified_sites": [{"ell": 11, "split_type": split_type}]})
+    assert run_cli(capsys, _argv(tmp_path, command, cfg)) == (EXIT_INVALID, line + "\n")
+
+
+@pytest.mark.parametrize("command", ["analyze", "batch", "validate"])
+def test_a_flagship_report_tower_fed_back_is_a_valid_config(tmp_path, capsys,
+                                                            flagship_config, command):
+    code, out = run_cli(capsys, ["analyze", str(flagship_config)])
+    tower = json.loads(out)["tower"]
+    assert code == EXIT_OK
+    assert tower["ramified_sites"] == [{"ell": 11, "split_type": "inert", "which": None}]
+    flagship = json.loads(flagship_config.read_text(encoding="utf-8"))
+    cfg = write_json(tmp_path / "c.json", {**flagship, **tower})
+    assert run_cli(capsys, _argv(tmp_path, command, cfg))[0] == EXIT_OK
+
+
+@pytest.mark.parametrize("entry, sites, consistent", [
+    ({"ell": 5}, [("split", "first"), ("split", "second")], True),
+    ({"ell": 5, "split_type": "split"}, [("split", "first"), ("split", "second")], True),
+    ({"ell": 5, "which": "second"}, [("split", "second")], True),
+    ({"ell": 5, "split_type": "split", "which": "first"}, [("split", "first")], True),
+    ({"ell": 11, "split_type": "inert", "which": None}, [("inert", None)], True),
+    # a declared split_type is taken as declared: validate_tower compares it with K
+    ({"ell": 11, "split_type": "split"}, [("split", "first"), ("split", "second")], False),
+    ({"ell": 5, "split_type": "inert"}, [("inert", None)], False),
+])
+def test_a_site_entry_is_the_site_it_names(entry, sites, consistent):
+    errors = []
+    T = parse_tower({"d": -1, "p": 7, "n": 1, "ramified_sites": [entry]}, errors)
+    assert errors == []
+    assert T.ramified_sites == {PrimeSite(entry["ell"], *s) for s in sites}
+    # one site of a split pair also breaks conjugation closure
+    assert ("site_consistency" in {v.code for v in T.violations}) != consistent
+
+
+@pytest.mark.parametrize("entry, error", [
+    ({"ell": 11, "which": "first"},
+     "ramified_sites[0]: no site 'first' above 11 (prime is inert in K)"),
+    ({"ell": 5, "split_type": "inert", "which": "second"},
+     "ramified_sites[0]: no site 'second' above 5 (prime is declared inert)"),
+    ({"ell": 11, "split_type": None, "which": "third"},
+     'ramified_sites[0].which: expected "first" or "second"'),
+    ({"ell": 11, "split_type": ["inert"]},
+     'ramified_sites[0].split_type: expected "split", "inert" or "ramified"'),
+])
+def test_a_site_entry_that_names_no_site_is_a_field_error(entry, error):
+    errors = []
+    assert parse_tower({"d": -1, "p": 7, "n": 1, "ramified_sites": [entry]}, errors) is None
+    assert errors == [error]
+
+
+@pytest.mark.parametrize("command", ["analyze", "batch", "validate"])
+def test_a_config_that_is_not_an_object_is_refused(tmp_path, capsys, command):
+    cfg = write_json(tmp_path / "c.json", [FLAGSHIP_TOWER])
+    assert run_cli(capsys, _argv(tmp_path, command, cfg)) == (
+        EXIT_INVALID, f"{cfg}: top-level value must be a JSON object\n")
+
+
+def test_an_empty_csv_is_refused(tmp_path, capsys):
+    curves = tmp_path / "curves.csv"
+    curves.write_text("", encoding="utf-8")
+    cfg = write_json(tmp_path / "tower.json", FLAGSHIP_TOWER)
+    assert run_cli(capsys, ["batch", str(curves), str(cfg)]) == (
+        EXIT_INVALID, f"{curves}: empty file\n")
+
+
+def test_blank_csv_rows_are_skipped(tmp_path, capsys):
+    cfg = write_json(tmp_path / "tower.json", FLAGSHIP_TOWER)
+    outputs = []
+    for blank in ("", "\n , ,\t,,,\n\n"):
+        curves = tmp_path / "curves.csv"
+        curves.write_text(CSV_HEADER + blank + BATCH_CSV[len(CSV_HEADER):] + blank,
+                          encoding="utf-8")
+        outputs.append(run_cli(capsys, ["batch", str(curves), str(cfg)]))
+    assert outputs[1] == outputs[0]
+    assert outputs[0][0] == EXIT_OK and json.loads(outputs[0][1])["errors"] == []
+
+
 def test_analyze_factors_d_at_most_once(monkeypatch):
     # d is factored only by QuadraticFieldSpec.d_primes, evaluated at most
     # once per analysis; nothing calls prime_factors on d or K's discriminant

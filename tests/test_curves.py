@@ -343,6 +343,22 @@ def test_frobenius_known_values():
     assert g.a_ell == 0 and not g.ordinary
 
 
+def test_frobenius_data_asks_for_a_good_prime_and_its_fields():
+    f = frobenius_data(CURVES["11a1"], 5, 5)
+    assert (f.point_count(5), f.point_count(25)) == (5, 25 + 1 - f.a_ell2)
+    for q in (1, 4, 125):
+        with pytest.raises(ValueError, match=r"^q must be 5 or 25$"):
+            f.point_count(q)
+    with pytest.raises(ValueError, match=r"^E has bad reduction at 11$"):
+        frobenius_data(CURVES["11a1"], 11, 5)
+
+
+@pytest.mark.parametrize("ell", [0, 1, 4, -3, 121])
+def test_minimal_model_at_asks_for_a_prime(ell):
+    with pytest.raises(ValueError, match=rf"^{ell} is not prime$"):
+        minimal_model_at(CURVES["11a1"], ell)
+
+
 @pytest.mark.parametrize("label,E", list(CURVES.items()))
 def test_hasse_and_a_ell2_against_field_oracle(label, E):
     for ell in (2, 3, 5, 7, 11, 13):

@@ -94,6 +94,25 @@ def test_class_function_holds_integer_coefficients_only():
         two_dim_character(G, 3)
 
 
+def test_class_functions_of_other_groups_do_not_mix():
+    G, H = DihedralGroupSpec(5), DihedralGroupSpec(7)
+    for op in (lambda a, b: a + b, lambda a, b: a - b, inner_product):
+        with pytest.raises(ValueError, match="^group mismatch$"):
+            op(trivial_character(G), trivial_character(H))
+
+
+def test_induce_and_restrict_refuse_the_wrong_group():
+    G = DihedralGroupSpec(5)
+    with pytest.raises(ValueError, match="^chi must live on the rotation subgroup of G$"):
+        induce(cyclic_character(7, 1), G)
+    with pytest.raises(ValueError, match="^chi must live on the rotation subgroup of G$"):
+        induce(trivial_character(G), G)
+    with pytest.raises(ValueError, match="^restriction is implemented from dihedral "):
+        restrict(cyclic_character(5, 1), "reflection")
+    with pytest.raises(ValueError, match="^unsupported subgroup 'center'$"):
+        restrict(trivial_character(G), "center")
+
+
 def _values(chi):
     """Values of chi from the character tables, as complex floats: at r^j for
     j = 0..m-1, then (dihedral groups only) at the reflections s r^j."""

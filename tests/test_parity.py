@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from corpus import CURVES, PARITY_CORPUS, SMALL_CURVES, SMALL_TOWERS, make_tower
+from corpus import CURVES, PARITY_CORPUS, SMALL_CURVES, SMALL_TOWERS, VALID_TOWERS, make_tower
 from dihedral_parity import curves, localarith
 from dihedral_parity.curves import SiteOverrides, WeierstrassCurve
 from dihedral_parity import verdicts as V
@@ -15,6 +15,7 @@ from dihedral_parity.delta import delta
 from dihedral_parity.gamma import gamma
 from dihedral_parity.parity import (
     MATCH,
+    MISMATCH,
     UNDETERMINED,
     analyze,
     hypothesis_audit,
@@ -389,9 +390,27 @@ def test_non_minimal_models_move_nothing_on_generated_curves(tower):
             E = WeierstrassCurve(*(rng.randint(-30, 30) for _ in range(5)))
         except curves.SingularCurveError:
             continue
-        disc = E.discriminant()
-        # the least prime from 13 on where E is good and the tower has no site
-        ell = next(q for q in range(13, 10 ** 4) if localarith.is_prime(q)
-                   and disc % q and q not in T.sites_at)
-        _assert_scaling_moves_nothing(E, T, ell)
+        _assert_scaling_moves_nothing(E, T, _good_prime_off_the_tower(E, T))
         checked += 1
+
+
+def _good_prime_off_the_tower(E, T):
+    """The least prime from 13 on where E is good and T has no site."""
+    disc = E.discriminant()
+    return next(q for q in range(13, 10 ** 4) if localarith.is_prime(q)
+                and disc % q and q not in T.sites_at)
+
+
+@settings(max_examples=400, deadline=None)
+@given(VALID_TOWERS, SMALL_CURVES)
+def test_generated_towers_keep_the_contract(T, E):
+    rep = analyze(E, T)
+    assert not rep.failure and MISMATCH not in {r.status for r in rep.rows}
+    if rep.mr64_sum is not None:
+        assert rep.mr64_sum == sum(r.delta_sum for r in rep.rows if isinstance(r.place, int)) % 2
+    if not all(a.passes for a in rep.hypothesis_audit):
+        assert rep.mr64_sum is None
+    for r in rep.rows:
+        if r.status == UNDETERMINED:
+            assert r.gamma.value is None or r.delta_sum is None, r
+    _assert_scaling_moves_nothing(E, T, _good_prime_off_the_tower(E, T))

@@ -35,8 +35,7 @@ BATCH_TOWER = {
 
 
 # Each invalid config is the flagship config with these fields replaced: every
-# violation code a config can reach (site_consistency cannot be reached from
-# a config), every family of config error, and an analysis error.
+# violation code, every family of config error, and an analysis error.
 FLAGSHIP = {"curve": [0, -1, 1, -10, -20], "d": -1, "p": 5, "n": 1,
             "ramified_sites": [{"ell": 11}], "dim_Sp_E_K": 0}
 INVALID_CONFIGS = {
@@ -47,6 +46,7 @@ INVALID_CONFIGS = {
     "n_positive": {"n": 0},
     "conjugation_closure": {"p": 7, "ramified_sites": [{"ell": 5, "which": "first"}]},
     "ramified_site_above_p": {"d": 11},
+    "site_consistency": {"ramified_sites": [{"ell": 11, "split_type": "ramified"}]},
     "three violations": {"p": 3, "d": 4, "n": 0},
     # config errors
     "d null": {"d": None},

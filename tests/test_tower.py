@@ -125,3 +125,9 @@ def test_support_primes_cover():
 def test_site_validation():
     with pytest.raises(ValueError):
         PrimeSite(ell=4, split_type=INERT, which="first")
+
+
+@pytest.mark.parametrize("ell", [0, 1, 4, -5, 121])
+def test_split_type_asks_for_a_prime(ell):
+    with pytest.raises(ValueError, match=rf"^{ell} is not prime$"):
+        split_type(ell, QuadraticFieldSpec(-1))

@@ -1,20 +1,23 @@
 """In-process A/B of the ``batch`` command: a base commit against this working tree.
 
-    python3 tools/ab_inprocess.py --base HEAD~1 --workload batch --seed 23 --rounds 6 --passes 10
+    python3 tools/ab_inprocess.py --base HEAD~1 --workload batch large_disc large_p \\
+        --seed 23 --rounds 6 --passes 10
 
 Extracts the commit ``--base`` with ``bench_pairs.extract`` and imports its
 ``src/dihedral_parity`` and this tree's under two package names in one
-process, with a second import of the base as an A/A control.  The rounds
-``0 .. --rounds - 1`` of ``bench/workloads.round_jobs`` are written to files
-once, as ``bench/run.py`` writes them.  Each pass runs every side over all of
-them through ``cli.main(["batch", csv, config, "--jobs", "1"])``, in an order
-that rotates from pass to pass, so that the machine's drift falls on each side
-alike.  Only the standard library is used.
+process, with a second import of the base as an A/A control.  For each
+workload in turn, the rounds ``0 .. --rounds - 1`` of
+``bench/workloads.round_jobs`` are written to files once, as ``bench/run.py``
+writes them.  Each pass runs every side over all of them through
+``cli.main(["batch", csv, config, "--jobs", "1"])``, in an order that rotates
+from pass to pass, so that the machine's drift falls on each side alike.
+Only the standard library is used.
 
 Exits 1 if in any pass the output or exit code of a side differs from the
-base's.  Otherwise it prints one JSON line: each side's seconds per pass, and
-the median and quartiles over the passes of change/base and of A/A (the
-second import of the base over the first), each on two clocks: ``wall``
+base's.  Otherwise it prints one JSON line: an object keyed by workload, each
+value holding the base commit, each side's seconds per pass, and the median
+and quartiles over the passes of change/base and of A/A (the second import of
+the base over the first), each on two clocks: ``wall``
 (``time.perf_counter``) and ``cpu`` (``time.thread_time``, this thread's CPU
 time alone).  A change that moves the time by less than the A/A quartiles do
 is not resolved.
@@ -83,11 +86,10 @@ def run_side(cli, files: list[tuple[str, str]]) -> tuple[tuple[float, float], li
     return (wall, cpu), digests
 
 
-def compare(base_src: Path, change_src: Path, workload: str, seed: int, rounds: int,
-            passes: int, workdir: Path) -> dict | None:
-    """The summary of passes over the rounds, or None if any output differs."""
-    clis = {side: import_cli(f"ab{next(_IMPORTS)}_{side}", src)
-            for side, src in zip(SIDES, (base_src, change_src, base_src))}
+def compare(clis: dict, workload: str, seed: int, rounds: int, passes: int,
+            workdir: Path) -> dict | None:
+    """The summary of passes of each side's cli over the rounds, or None if
+    any output differs."""
     files = write_rounds(workload, seed, rounds, workdir)
     seconds = {clock: {side: [] for side in SIDES} for clock in CLOCKS}
     for i in range(passes):
@@ -100,7 +102,8 @@ def compare(base_src: Path, change_src: Path, workload: str, seed: int, rounds: 
             if digests[side] != digests["base"]:
                 job = next(j for j, (a, b) in enumerate(zip(digests["base"], digests[side]))
                            if a != b)
-                print(f"pass {i}: {side} differs from base at {files[job][0]}", file=sys.stderr)
+                print(f"{workload} pass {i}: {side} differs from base at {files[job][0]}",
+                      file=sys.stderr)
                 return None
 
     def over_base(side: str) -> dict:
@@ -119,23 +122,27 @@ def compare(base_src: Path, change_src: Path, workload: str, seed: int, rounds: 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--base", required=True, help="commit to compare against")
-    ap.add_argument("--workload", required=True, choices=sorted(workloads.ROUNDS))
+    ap.add_argument("--workload", required=True, nargs="+", choices=sorted(workloads.ROUNDS))
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--rounds", type=int, required=True)
     ap.add_argument("--passes", type=int, required=True)
     args = ap.parse_args(argv)
     if args.rounds < 1 or args.passes < 2:
         ap.error("--rounds must be at least 1 and --passes at least 2 (for quartiles)")
+    results = {}
     with tempfile.TemporaryDirectory(prefix="ab-inprocess-") as tmp:
         base_tree = Path(tmp) / "base"
         commit = bench_pairs.extract(args.base, base_tree)
-        work = Path(tmp) / "work"
-        work.mkdir()
-        result = compare(base_tree / "src", ROOT / "src", args.workload, args.seed,
-                         args.rounds, args.passes, work)
-    if result is None:
-        return 1
-    print(json.dumps({"base": commit, **result}))
+        clis = {side: import_cli(f"ab{next(_IMPORTS)}_{side}", src)
+                for side, src in zip(SIDES, (base_tree / "src", ROOT / "src", base_tree / "src"))}
+        for workload in dict.fromkeys(args.workload):
+            work = Path(tmp) / workload
+            work.mkdir()
+            result = compare(clis, workload, args.seed, args.rounds, args.passes, work)
+            if result is None:
+                return 1
+            results[workload] = {"base": commit, **result}
+    print(json.dumps(results))
     return 0
 
 
