@@ -17,9 +17,9 @@ import sys
 from typing import Any, Optional, Union
 
 from . import report
-from .curves import DEFECTS, KV_REDUCTIONS, SingularCurveError, WeierstrassCurve
+from .curves import SingularCurveError, WeierstrassCurve
 from .localarith import is_prime
-from .parity import ParityReport, analyze
+from .parity import BOUND_TOO_LONG, MAX_BOUND_DIGITS, ParityReport, analyze, bound_too_long
 from .report import report_to_dict  # not called here: bench/tracing.py times cli.report_to_dict
 from .tower import FIRST, INERT, RAMIFIED, SECOND, SPLIT, PrimeSite, QuadraticFieldSpec
 from .tower import SiteOverrides, TowerSpec, split_type
@@ -35,8 +35,6 @@ CSV_HEADER = ["label", "a1", "a2", "a3", "a4", "a6"]
 _CONFIG_KEYS = ("curve", "curve_file", "d", "p", "n", "ramified_sites", "overrides", "dim_Sp_E_K")
 _OVERRIDE_KEYS = tuple(f"{name}_override" for name in SiteOverrides._fields)
 
-MAX_BOUND_DIGITS = 4300  # the most digits Python prints or reads of an int by default
-_MAX_BOUND = 10 ** MAX_BOUND_DIGITS
 _INTEGER = re.compile(r"\s*[+-]?\d+(_\d+)*\s*")  # the decimal strings int() reads
 
 
@@ -50,12 +48,6 @@ class ConfigError(Exception):
 
 # ---------------------------------------------------------------------------
 # config parsing
-
-
-def _require(cond: bool, errors: list, msg: str) -> bool:
-    if not cond:
-        errors.append(msg)
-    return cond
 
 
 def _is_int(x: Any) -> bool:
@@ -139,34 +131,21 @@ def _parse_overrides(raw: Any, errors: list) -> dict[int, SiteOverrides]:
             continue
         if _unknown_fields(val, _OVERRIDE_KEYS, f"overrides.{key}.", errors):
             continue
-        defect = val.get("defect_override")
-        if defect is not None and not any(type(defect) is type(e) and defect == e
-                                          for e in DEFECTS):
-            errors.append(f"overrides.{key}.defect_override: expected "
-                          + "|".join(json.dumps(e) for e in DEFECTS))
-            continue
-        anomalous = val.get("anomalous_override")
-        if anomalous is not None and not isinstance(anomalous, bool):
-            errors.append(f"overrides.{key}.anomalous_override: expected boolean")
-            continue
-        red = val.get("reduction_over_Kv_override")
-        if red is not None and red not in KV_REDUCTIONS:
-            errors.append(f"overrides.{key}.reduction_over_Kv_override: "
-                          f"unknown value {red!r}")
-            continue
-        out[ell] = SiteOverrides(defect=defect, anomalous=anomalous,
-                                 reduction_over_Kv=red)
+        try:
+            out[ell] = SiteOverrides(*map(val.get, _OVERRIDE_KEYS))
+        except ValueError as exc:  # "<field>: <expectation>", named here by its key
+            errors.append(f"overrides.{key}." + str(exc).replace(": ", "_override: ", 1))
     return out
 
 
 def parse_tower(raw: dict, errors: list) -> Optional[TowerSpec]:
     """The tower of a config, or None with every error appended: a malformed
     field skips only the checks that need it."""
-    for key in ("d", "p", "n"):
-        _require(_is_int(raw.get(key)), errors, f"{key}: required integer field")
+    errors += [f"{key}: required integer field" for key in ("d", "p", "n")
+               if not _is_int(raw.get(key))]
     sites_raw = raw.get("ramified_sites")
-    if not _require(isinstance(sites_raw, list), errors,
-                    "ramified_sites: required list of {ell, which?}"):
+    if not isinstance(sites_raw, list):
+        errors.append("ramified_sites: required list of {ell, which?}")
         sites_raw = []
     K = None  # the checks that need a valid d are skipped without one
     if _is_int(raw.get("d")):
@@ -221,13 +200,8 @@ def parse_config(raw: dict, *, need_curve: bool = True):
     dim = raw.get("dim_Sp_E_K")
     if dim is not None and not (_is_int(dim) and dim >= 0):
         errors.append("dim_Sp_E_K: expected a nonnegative integer")
-    elif dim is not None and tower is not None and tower.p > 1 and tower.n > 0 and (
-            # p^n >= 2^((bits of p - 1) n) and 2^(10/3) > 10, so n may decide
-            # without taking p^n; validate_tower rejects a smaller p or n
-            3 * (tower.p.bit_length() - 1) * tower.n > 10 * MAX_BOUND_DIGITS
-            or dim + tower.p ** tower.n > _MAX_BOUND):
-        errors.append(f"n: the Selmer bound dim_Sp_E_K + p^n - 1 has more than "
-                      f"{MAX_BOUND_DIGITS} digits")
+    elif dim is not None and tower is not None and bound_too_long(tower.p, tower.n, dim):
+        errors.append(f"n: {BOUND_TOO_LONG}")
     if errors:
         raise ConfigError(errors)
     return curve, tower, dim

@@ -11,6 +11,7 @@ minimal model; Kodaira symbols are never needed downstream.
 
 from __future__ import annotations
 
+import json
 from collections import namedtuple
 from functools import cached_property
 from math import gcd
@@ -273,8 +274,22 @@ class ResidueFrobenius(namedtuple("ResidueFrobenius", "q a_q ordinary")):
 class SiteOverrides(namedtuple("SiteOverrides", "defect anomalous reduction_over_Kv",
                                defaults=(None, None, None))):
     """Optional per-prime data the implemented criteria cannot certify: a
-    defect (one of DEFECTS), whether the reduction is anomalous, and the
-    reduction over K_v (one of KV_REDUCTIONS); None where not supplied."""
+    defect (one of DEFECTS, not True or 2.0), whether the reduction is
+    anomalous (a bool), and the reduction over K_v (one of KV_REDUCTIONS);
+    None where not supplied.  Any other value is a ValueError naming its field."""
+
+    def __new__(cls, defect=None, anomalous=None, reduction_over_Kv=None):
+        if (type(defect), defect) not in [(type(e), e) for e in (None, *DEFECTS)]:
+            raise ValueError("defect: expected " + "|".join(map(json.dumps, DEFECTS)))
+        if anomalous is not None and not isinstance(anomalous, bool):
+            raise ValueError("anomalous: expected boolean")
+        if reduction_over_Kv is not None and reduction_over_Kv not in KV_REDUCTIONS:
+            raise ValueError(f"reduction_over_Kv: unknown value {reduction_over_Kv!r}")
+        return tuple.__new__(cls, (defect, anomalous, reduction_over_Kv))
+
+    @classmethod
+    def _make(cls, iterable):  # so _replace checks its values in __new__ too
+        return cls(*iterable)
 
 
 class LocalData(namedtuple("LocalData", "E ell ext overrides",

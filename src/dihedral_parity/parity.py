@@ -39,6 +39,9 @@ NOTES = ((ARCHIMEDEAN_NOTE,), (ARCHIMEDEAN_NOTE, TAME_NOTE))  # the notes a repo
 BLANKET_CITATION = (
     "all remaining primes: good reduction, unramified everywhere in the tower; "
     "both constants vanish (good-reduction and unramified cases)")
+MAX_BOUND_DIGITS = 4300  # the most digits Python prints or reads of an int by default
+_MAX_BOUND = 10 ** MAX_BOUND_DIGITS
+BOUND_TOO_LONG = f"the Selmer bound dim_Sp_E_K + p^n - 1 has more than {MAX_BOUND_DIGITS} digits"
 
 # Hypothesis labels of the parity theorem, keyed by delta case tag.
 _CONDITION_BY_TAG = {
@@ -127,6 +130,13 @@ def _audit(site: PrimeSite, dv: DeltaVerdict, shared: dict) -> SiteAudit:
                                                              SiteAudit(site, cond, True))
 
 
+def bound_too_long(p: int, n: int, dim_Sp_E_K: int) -> bool:
+    """Whether dim_Sp_E_K + p^n - 1 has more than MAX_BOUND_DIGITS digits (never for p < 2
+    or n < 1): n may decide first, as p^n >= 2^((bits of p - 1) n) and 2^(10/3) > 10."""
+    return p > 1 and n > 0 and (3 * (p.bit_length() - 1) * n > 10 * MAX_BOUND_DIGITS
+                                or dim_Sp_E_K + p ** n > _MAX_BOUND)
+
+
 def _selmer_bound(T: TowerSpec, failed: list[SiteAudit], s_m_size: int, dim_Sp_E_K: int,
                   shared: dict) -> SelmerBound:
     bound = shared.get((s_m_size, dim_Sp_E_K))
@@ -154,6 +164,8 @@ def analyze(E: WeierstrassCurve, T: TowerSpec,
     if dim_Sp_E_K is not None and dim_Sp_E_K < 0:
         raise ValueError("dim_Sp_E_K must be nonnegative")
     check_tower(T)
+    if dim_Sp_E_K is not None and bound_too_long(T.p, T.n, dim_Sp_E_K):
+        raise ValueError(BOUND_TOO_LONG)
     disc, primes = E.discriminant(), support_primes(T, E)
     shared = vars(T).setdefault("shared", {})
     # The aggregation set S: sites above p, sites ramified in L/K, and sites

@@ -33,7 +33,7 @@ SECOND = "second"
 
 
 class QuadraticFieldSpec(namedtuple("QuadraticFieldSpec", "d")):
-    """K = Q(sqrt(d)); d should be squarefree and not 0 or 1.
+    """K = Q(sqrt(d)); d should be a squarefree int and not 0 or 1.
 
     Construction is lenient so that validate_tower can report bad d as a
     violation instead of an exception.
@@ -47,7 +47,7 @@ class QuadraticFieldSpec(namedtuple("QuadraticFieldSpec", "d")):
         return tuple(prime_factors(self.d))
 
     def is_valid(self) -> bool:
-        return self.d not in (0, 1) and prod(self.d_primes) == abs(self.d)
+        return type(self.d) is int and self.d not in (0, 1) and prod(self.d_primes) == abs(self.d)
 
 
 def split_type(ell: int, K: QuadraticFieldSpec) -> str:
@@ -177,18 +177,17 @@ CITE_RAMIFIED_ABOVE_P = (
 
 
 def validate_tower(T: TowerSpec, E: Optional[WeierstrassCurve] = None) -> list[Violation]:
-    """All standing-hypothesis violations of the tower (empty means valid).
-
-    E is accepted and not read: a WeierstrassCurve is never singular."""
+    """All standing-hypothesis violations of the tower (empty means valid); p, n
+    and d are ints, not True or 5.0.  E is not read: a curve is never singular."""
     out: list[Violation] = []
-    if not (is_prime(T.p) and T.p > 3):
+    if not (type(T.p) is int and is_prime(T.p) and T.p > 3):
         out.append(Violation("p_gt_3", f"p = {T.p}: p > 3 required and p must be prime",
                              CITE_P_GT_3))
     K_valid = T.K.is_valid()
     if not K_valid:
         out.append(Violation("d_squarefree",
                              f"d = {T.K.d} must be squarefree and not 0 or 1"))
-    if T.n < 1:
+    if type(T.n) is not int or T.n < 1:
         out.append(Violation("n_positive", f"n = {T.n} must be >= 1"))
     for site in sorted(T.ramified_sites, key=lambda s: (s.ell, s.which or "")):
         if K_valid and site.split_type != split_type(site.ell, T.K):

@@ -1,7 +1,8 @@
 import importlib.util
 import json
 import shutil
-from itertools import product
+from collections import Counter
+from itertools import pairwise, permutations, product
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -53,6 +54,22 @@ def test_one_run_covers_every_workload_named(monkeypatch, capsys):
     assert list(results) == ["batch", "large_p"]  # in the order named, each once
     assert {w: r["workload"] for w, r in results.items()} == {w: w for w in results}
     assert all(r["base"] == "0" * 40 and r["passes"] == 2 for r in results.values())
+
+
+def test_over_six_passes_each_side_follows_each_other_side_equally_often(monkeypatch, tmp_path):
+    runs = []
+
+    def run_side(cli, files):  # each side's cli is its name here
+        runs.append(cli)
+        return (1.0, 1.0), []
+    monkeypatch.setattr(ab_inprocess, "run_side", run_side)
+    monkeypatch.setattr(ab_inprocess, "write_rounds", lambda *args: [])
+    sides = ab_inprocess.SIDES
+    assert ab_inprocess.compare(dict(zip(sides, sides)), "batch", 1, 1, 6, tmp_path)
+    passes = [tuple(runs[i:i + 3]) for i in range(0, 18, 3)]
+    assert sorted(passes) == sorted(permutations(sides))
+    follows = Counter(pair for order in passes for pair in pairwise(order))
+    assert follows == {pair: 2 for pair in permutations(sides, 2)}
 
 
 def test_differing_outputs_exit_1(monkeypatch, capsys):

@@ -9,20 +9,24 @@ import weakref
 from functools import cached_property
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dihedral_parity
 import oracles
 from conftest import run_isolated, write_json
 from dihedral_parity import cli, localarith, tower
 from dihedral_parity import delta as DELTA_MODULE, gamma as GAMMA_MODULE
-from dihedral_parity.curves import SingularCurveError, WeierstrassCurve
+from dihedral_parity.curves import DEFECTS, KV_REDUCTIONS, SingularCurveError, WeierstrassCurve
 from dihedral_parity.cli import (
+    ConfigError,
     EXIT_FAILURE,
     EXIT_INVALID,
     EXIT_OK,
     EXIT_STRICT_UNDETERMINED,
     build_parser,
     main,
+    parse_config,
     parse_tower,
     report_to_dict,
     run_analyze,
@@ -297,6 +301,30 @@ def test_a_selmer_bound_too_long_to_print_is_rejected_at_once(tmp_path):
     assert (proc.returncode, proc.stdout) == (EXIT_INVALID, SELMER_TOO_LONG)
 
 
+def test_analyze_refuses_a_selmer_bound_too_long_to_print_at_once():
+    # the library refuses the bound a config cannot hold, from n alone
+    code = "\n".join([
+        "import time, dihedral_parity as dp",
+        "K = dp.QuadraticFieldSpec(-1)",
+        "T = dp.TowerSpec(K, 5, 10 ** 9, dp.sites_above(11, K))",
+        "start = time.perf_counter()",
+        "try:",
+        "    dp.analyze(dp.WeierstrassCurve(0, -1, 1, -10, -20), T, dim_Sp_E_K=0)",
+        "except ValueError as exc:",
+        "    print(time.perf_counter() - start < 1, exc)"])
+    proc = run_isolated(["-c", code], timeout=10)
+    assert proc.stdout == "True " + SELMER_TOO_LONG[len("n: "):]
+
+
+def test_analyze_gives_the_longest_selmer_bound_a_config_may_hold():
+    E, T = CURVES["11a1"], make_tower(-1, 5, 6151, [11])
+    assert analyze(E, T, dim_Sp_E_K=0).selmer_bound.bound == 5 ** 6151 - 1
+    with pytest.raises(ValueError) as refused:
+        analyze(E, T._replace(n=6152), dim_Sp_E_K=0)
+    assert f"n: {refused.value}\n" == SELMER_TOO_LONG
+    assert analyze(E, T._replace(n=6152)).selmer_bound is None  # no bound, no limit
+
+
 # x^3 + 1 in Q(i), p = 5, ramified {3}: the row at 3 is Undetermined unless
 # a defect is supplied, so a defect of true, read as 1, would make it Match.
 X3P1_AT_3 = {"curve": [0, 0, 0, 0, 1], "d": -1, "p": 5, "n": 1,
@@ -324,6 +352,36 @@ def test_booleans_and_floats_are_not_integers(tmp_path, capsys, command, field,
                                               value, message):
     cfg = write_json(tmp_path / "c.json", {**X3P1_AT_3, field: value})
     assert run_cli(capsys, [command, str(cfg)]) == (EXIT_INVALID, message)
+
+
+# JSON scalars, with every value an override field holds and floats and
+# booleans equal to some of them
+OVERRIDE_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(min_value=-8, max_value=8),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([*DEFECTS, *KV_REDUCTIONS, 1.0, 2.0, 6.0, "Good", ""]), st.text(max_size=8))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(SiteOverrides._fields), OVERRIDE_VALUES)
+def test_a_config_override_is_refused_exactly_where_site_overrides_refuses_it(field, value):
+    try:
+        expected = SiteOverrides(**{field: value})
+    except ValueError as exc:
+        expected = exc
+    raw = {**X3P1_AT_3, "overrides": {"3": {f"{field}_override": value}}}
+    try:
+        _, tower, _ = parse_config(raw)
+    except ConfigError as exc:
+        assert isinstance(expected, ValueError)
+        name, _, expectation = str(expected).partition(": ")
+        assert name == field
+        assert exc.messages == [f"overrides.3.{field}_override: {expectation}"]
+    else:
+        assert isinstance(expected, SiteOverrides)
+        assert list(tower.overrides) == [3]
+        assert list(map(type, tower.overrides[3])) == list(map(type, expected))
+        assert tower.overrides[3] == expected
 
 
 def test_violation_without_citation_prints_no_brackets(tmp_path, capsys):

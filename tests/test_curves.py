@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -9,7 +10,9 @@ from corpus import CURVES, TWIST_11A1_7
 from dihedral_parity import pointcount
 from dihedral_parity.curves import (
     LocalData,
+    ResidueFrobenius,
     SingularCurveError,
+    SiteOverrides,
     UNKNOWN,
     WeierstrassCurve,
     count_points,
@@ -403,6 +406,39 @@ def test_residue_trace_over_a_ramified_Kv_carries_the_twist_sign():
         traces.append(LocalData(E, 5, RamifiedQuadratic(d)).residue_frobenius.a_q)
         assert traces[-1] == expected, d
     assert traces == [1, 1, -1, -1, -1, 1]
+
+
+def test_residue_field_over_an_inert_Kv_has_ell_squared_elements():
+    # K_v unramified over Q_ell has residue field F_(ell^2): a_q is the trace
+    # over it, a_ell^2 - 2 ell, here read against an exhaustive count
+    assert (LocalData(CURVES["11a1"], 7, UnramifiedQuadratic()).residue_frobenius
+            == ResidueFrobenius(49, -10, True))
+    good = [E for E in CURVES.values()
+            if all(local_reduction(E, ell).reduction_type == "good" for ell in (5, 7, 11))]
+    assert len(good) >= 3
+    for E, ell in product(good, (5, 7, 11)):
+        rf = LocalData(E, ell, UnramifiedQuadratic()).residue_frobenius
+        assert rf.q == ell ** 2
+        count = oracles.count_points_ext(oracles.minimal_model(E, ell), ell)
+        assert rf.a_q == ell ** 2 + 1 - count
+
+
+@pytest.mark.parametrize("build", [
+    lambda: SiteOverrides(reduction_over_Kv="bogus"),
+    lambda: SiteOverrides(defect=5),
+    lambda: SiteOverrides(defect=True),
+    lambda: SiteOverrides(defect=2.0),
+    lambda: SiteOverrides(anomalous="no"),
+    lambda: SiteOverrides(anomalous=1),
+    lambda: SiteOverrides()._replace(defect=5),
+    lambda: SiteOverrides._make(["noncyclic", None, "Good"]),
+], ids=["kv-bogus", "defect-5", "defect-true", "defect-float", "anomalous-str",
+        "anomalous-int", "replace", "make"])
+def test_site_overrides_refuse_a_value_outside_their_field(build):
+    # a wrong value would be read as a certified local fact, so it is refused
+    # however the record is built; the message names the field
+    with pytest.raises(ValueError, match=r"^(defect|anomalous|reduction_over_Kv): "):
+        build()
 
 
 # Every nontrivial square class of Q_ell^x, in the order of an exhaustive

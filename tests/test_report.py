@@ -119,7 +119,9 @@ def _gamma_as_float(rep):
 
 @pytest.mark.parametrize("spoil", [
     _gamma_as_float,
-    lambda rep: _rebuilt(rep, tower=rep.tower._replace(overrides={13: SiteOverrides(defect=2.0)})),
+    # SiteOverrides refuses 2.0 itself, so the float is put in past its check
+    lambda rep: _rebuilt(rep, tower=rep.tower._replace(
+        overrides={13: tuple.__new__(SiteOverrides, (2.0, None, None))})),
     lambda rep: _rebuilt(rep, mr64_sum=Bit.ONE),
 ], ids=["float-gamma", "float-override", "int-subclass"])
 def test_report_json_rejects_values_outside_schema_1(spoil):

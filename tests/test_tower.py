@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from corpus import CURVES, make_tower
 from dihedral_parity.localarith import is_prime, is_squarefree, kronecker_symbol
+from dihedral_parity.parity import analyze
 from dihedral_parity.tower import (
     INERT,
     RAMIFIED,
@@ -97,6 +98,24 @@ def test_validate_rejects_bad_d():
     K = QuadraticFieldSpec(1)
     T = TowerSpec(K=K, p=5, n=1, ramified_sites=frozenset(), overrides={})
     assert any(v.code == "d_squarefree" for v in validate_tower(T))
+
+
+@pytest.mark.parametrize("field, value, code", [
+    ("p", 5.0, "p_gt_3"),
+    ("n", True, "n_positive"),
+    ("n", 1.0, "n_positive"),
+    ("d", -1.0, "d_squarefree"),
+], ids=["p-float", "n-true", "n-float", "d-float"])
+def test_validate_rejects_tower_fields_that_are_not_ints(field, value, code):
+    # each value equals the flagship's own (True == 1, 5.0 == 5), whose tower
+    # is valid, so only its type is refused; a report would write "n": true
+    # or fail on the float
+    fields = {"d": -1, "p": 5, "n": 1, field: value}
+    T = TowerSpec(QuadraticFieldSpec(fields["d"]), fields["p"], fields["n"],
+                  [PrimeSite(11, INERT)])
+    assert [v.code for v in validate_tower(T)] == [code]
+    with pytest.raises(ValueError, match=f"^invalid tower: {code}: {field} = {value}"):
+        analyze(CURVES["11a1"], T)
 
 
 def test_validate_monotone():

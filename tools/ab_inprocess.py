@@ -9,8 +9,10 @@ process, with a second import of the base as an A/A control.  For each
 workload in turn, the rounds ``0 .. --rounds - 1`` of
 ``bench/workloads.round_jobs`` are written to files once, as ``bench/run.py``
 writes them.  Each pass runs every side over all of them through
-``cli.main(["batch", csv, config, "--jobs", "1"])``, in an order that rotates
-from pass to pass, so that the machine's drift falls on each side alike.
+``cli.main(["batch", csv, config, "--jobs", "1"])``, in an order that cycles
+through the six orders of the sides from pass to pass, so that over six
+passes each side runs first, second and third, and follows each other side,
+equally often, and the machine's drift falls on each side alike.
 Only the standard library is used.
 
 Exits 1 if in any pass the output or exit code of a side differs from the
@@ -47,6 +49,7 @@ import run as bench_run  # noqa: E402
 import workloads  # noqa: E402
 
 SIDES = ("base", "change", "aa")
+ORDERS = tuple(itertools.permutations(SIDES))  # a pass's order of the sides
 CLOCKS = ("wall", "cpu")  # perf_counter and thread_time
 _IMPORTS = itertools.count()  # each import of a package takes a name of its own
 
@@ -94,7 +97,7 @@ def compare(clis: dict, workload: str, seed: int, rounds: int, passes: int,
     seconds = {clock: {side: [] for side in SIDES} for clock in CLOCKS}
     for i in range(passes):
         digests = {}
-        for side in SIDES[i % 3:] + SIDES[:i % 3]:
+        for side in ORDERS[i % len(ORDERS)]:
             spent, digests[side] = run_side(clis[side], files)
             for clock, s in zip(CLOCKS, spent):
                 seconds[clock][side].append(s)
