@@ -17,12 +17,11 @@ import sys
 from typing import Any, Optional, Union
 
 from . import report
-from .curves import SingularCurveError, WeierstrassCurve
-from .localarith import is_prime
+from .curves import OVERRIDE_KEYS, SingularCurveError, WeierstrassCurve
 from .parity import BOUND_TOO_LONG, MAX_BOUND_DIGITS, ParityReport, analyze, bound_too_long
 from .report import report_to_dict  # not called here: bench/tracing.py times cli.report_to_dict
-from .tower import FIRST, INERT, RAMIFIED, SECOND, SPLIT, PrimeSite, QuadraticFieldSpec
-from .tower import SiteOverrides, TowerSpec, split_type
+from .tower import FIRST, INERT, SECOND, SPLIT, PrimeSite, QuadraticFieldSpec
+from .tower import SiteOverrides, TowerSpec, check_override, split_type
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -31,9 +30,8 @@ EXIT_STRICT_UNDETERMINED = 4
 
 CSV_HEADER = ["label", "a1", "a2", "a3", "a4", "a6"]
 
-# the fields a config, a site entry and an override may hold: any other is refused
+# the fields a config may hold: any other is refused
 _CONFIG_KEYS = ("curve", "curve_file", "d", "p", "n", "ramified_sites", "overrides", "dim_Sp_E_K")
-_OVERRIDE_KEYS = tuple(f"{name}_override" for name in SiteOverrides._fields)
 
 _INTEGER = re.compile(r"\s*[+-]?\d+(_\d+)*\s*")  # the decimal strings int() reads
 
@@ -48,11 +46,6 @@ class ConfigError(Exception):
 
 # ---------------------------------------------------------------------------
 # config parsing
-
-
-def _is_int(x: Any) -> bool:
-    """A JSON integer: true and false are not integers here."""
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def load_config(path: str) -> dict:
@@ -88,13 +81,14 @@ def _resolve_label(label: str, curve_file: Optional[str], errors: list):
 def parse_curve(raw: Any, curve_file: Optional[str], errors: list):
     if isinstance(raw, str):
         return _resolve_label(raw, curve_file, errors)
-    if (isinstance(raw, list) and len(raw) == 5
-            and all(_is_int(a) for a in raw)):
+    if isinstance(raw, list) and len(raw) == 5:
         try:
             return WeierstrassCurve(*raw)
         except SingularCurveError:
             errors.append("curve: discriminant is zero (singular model)")
             return None
+        except ValueError:  # a coefficient that is not an integer
+            pass
     errors.append("curve: expected [a1,a2,a3,a4,a6] (five integers) or a label string")
     return None
 
@@ -123,16 +117,18 @@ def _parse_overrides(raw: Any, errors: list) -> dict[int, SiteOverrides]:
             errors.append(f"overrides.{key}: key must be a prime in plain decimal "
                           f"({str(ell)!r}, not {key!r})")
             continue
-        if not is_prime(ell):
-            errors.append(f"overrides.{key}: key must be a prime")
+        try:
+            check_override(ell)  # the key: SiteOverrides checks the value below
+        except ValueError as exc:
+            errors.append(str(exc))
             continue
         if not isinstance(val, dict):
             errors.append(f"overrides.{key}: expected an object")
             continue
-        if _unknown_fields(val, _OVERRIDE_KEYS, f"overrides.{key}.", errors):
+        if _unknown_fields(val, OVERRIDE_KEYS, f"overrides.{key}.", errors):
             continue
         try:
-            out[ell] = SiteOverrides(*map(val.get, _OVERRIDE_KEYS))
+            out[ell] = SiteOverrides(*map(val.get, OVERRIDE_KEYS))
         except ValueError as exc:  # "<field>: <expectation>", named here by its key
             errors.append(f"overrides.{key}." + str(exc).replace(": ", "_override: ", 1))
     return out
@@ -142,13 +138,13 @@ def parse_tower(raw: dict, errors: list) -> Optional[TowerSpec]:
     """The tower of a config, or None with every error appended: a malformed
     field skips only the checks that need it."""
     errors += [f"{key}: required integer field" for key in ("d", "p", "n")
-               if not _is_int(raw.get(key))]
+               if type(raw.get(key)) is not int]
     sites_raw = raw.get("ramified_sites")
     if not isinstance(sites_raw, list):
         errors.append("ramified_sites: required list of {ell, which?}")
         sites_raw = []
     K = None  # the checks that need a valid d are skipped without one
-    if _is_int(raw.get("d")):
+    if type(raw.get("d")) is int:
         K = QuadraticFieldSpec(raw["d"])
         try:
             K.is_valid()  # factors d; validate_tower reports a bad one
@@ -156,31 +152,23 @@ def parse_tower(raw: dict, errors: list) -> Optional[TowerSpec]:
             errors.append(f"d: {exc}")
     sites = []
     for i, entry in enumerate(sites_raw):
-        if not (isinstance(entry, dict) and _is_int(entry.get("ell"))):
+        if not (isinstance(entry, dict) and type(entry.get("ell")) is int):
             errors.append(f"ramified_sites[{i}]: expected "
                           '{"ell": prime, "which": "first"|"second"?}')
             continue
         if _unknown_fields(entry, PrimeSite._fields, f"ramified_sites[{i}].", errors):
             continue
         ell, declared, which = entry["ell"], entry.get("split_type"), entry.get("which")
-        if not is_prime(ell):
-            errors.append(f"ramified_sites[{i}].ell: {ell} is not prime")
-            continue
-        if declared not in (None, SPLIT, INERT, RAMIFIED):
-            errors.append(f"ramified_sites[{i}].split_type: "
-                          'expected "split", "inert" or "ramified"')
-            continue
-        if which not in (None, FIRST, SECOND):
-            errors.append(f"ramified_sites[{i}].which: expected \"first\" or \"second\"")
-            continue
-        if K is None:
-            continue
-        st = declared or split_type(ell, K)  # validate_tower checks a declared one
-        try:  # no which names both sites of a split prime
+        st = declared if declared is not None else INERT if which is None else SPLIT  # fits which
+        try:  # PrimeSite refuses a bad value; no which names both sites of a split prime
+            if K is not None and declared is None:  # validate_tower checks a declared one
+                st = split_type(PrimeSite(ell, st, which).ell, K)  # once PrimeSite checks ell
             sites += [PrimeSite(ell, st, w) for w in
                       ((FIRST, SECOND) if st == SPLIT and which is None else (which,))]
-        except ValueError:  # which is given exactly for a split site
-            errors.append(f"ramified_sites[{i}]: no site {which!r} above {ell} (prime is "
+        except ValueError as exc:  # "<field>: <expectation>", or which fits no site
+            field = str(exc).split(":")[0]
+            errors.append(f"ramified_sites[{i}].{exc}" if field in PrimeSite._fields else
+                          f"ramified_sites[{i}]: no site {which!r} above {ell} (prime is "
                           + (f"declared {st})" if declared else f"{st} in K)"))
     overrides = _parse_overrides(raw.get("overrides"), errors)
     if errors:
@@ -198,7 +186,7 @@ def parse_config(raw: dict, *, need_curve: bool = True):
         curve = parse_curve(raw.get("curve"), raw.get("curve_file"), errors)
     tower = parse_tower(raw, errors)
     dim = raw.get("dim_Sp_E_K")
-    if dim is not None and not (_is_int(dim) and dim >= 0):
+    if dim is not None and not (type(dim) is int and dim >= 0):
         errors.append("dim_Sp_E_K: expected a nonnegative integer")
     elif dim is not None and tower is not None and bound_too_long(tower.p, tower.n, dim):
         errors.append(f"n: {BOUND_TOO_LONG}")
@@ -253,9 +241,11 @@ def read_curve_csv(path: str):
 # commands
 
 
-def _emit(text: str, quiet: bool) -> None:
+def _refuse(lines, quiet: bool) -> int:
+    """Write each line (a message or a violation) of a refused input."""
     if not quiet:
-        sys.stdout.write(text)
+        sys.stdout.write("".join(f"{line}\n" for line in lines))
+    return EXIT_INVALID
 
 
 def _exit_code(failure: bool, undetermined: bool, strict: bool) -> int:
@@ -268,16 +258,13 @@ def run_analyze(config_path: str, *, fmt: str = "json", strict: bool = False,
     try:
         E, T, dim = parse_config(load_config(config_path))
     except ConfigError as exc:
-        _emit("\n".join(exc.messages) + "\n", quiet)
-        return EXIT_INVALID
+        return _refuse(exc.messages, quiet)
     if T.violations:
-        _emit("".join(f"{v}\n" for v in T.violations), quiet)
-        return EXIT_INVALID
+        return _refuse(T.violations, quiet)
     try:
         rep = analyze(E, T, dim_Sp_E_K=dim)
     except ValueError as exc:
-        _emit(f"error: {exc}\n", quiet)
-        return EXIT_INVALID
+        return _refuse([f"error: {exc}"], quiet)
     if not quiet:
         sys.stdout.write(report.report_json(rep) + "\n" if fmt == "json"
                          else report.render_text(rep))
@@ -289,8 +276,7 @@ def run_validate(config_path: str, *, fmt: str = "json",
     try:
         _, T, _ = parse_config(load_config(config_path), need_curve=False)
     except ConfigError as exc:
-        _emit("\n".join(exc.messages) + "\n", quiet)
-        return EXIT_INVALID
+        return _refuse(exc.messages, quiet)
     violations = T.violations
     if not quiet:
         sys.stdout.write(report.validation_json(violations) + "\n" if fmt == "json"
@@ -321,11 +307,9 @@ def run_batch(curves_path: str, config_path: str, *, fmt: str = "json",
         _, T, dim = parse_config(load_config(config_path), need_curve=False)
         rows, row_errors = read_curve_csv(curves_path)
     except ConfigError as exc:
-        _emit("\n".join(exc.messages) + "\n", quiet)
-        return EXIT_INVALID
+        return _refuse(exc.messages, quiet)
     if T.violations:
-        _emit("".join(f"{v}\n" for v in T.violations), quiet)
-        return EXIT_INVALID
+        return _refuse(T.violations, quiet)
     as_json, write = fmt == "json", sys.stdout.write
     errors = list(row_errors)
     summary = dict.fromkeys(("curves", "row_errors", "failures", "undetermined", "clean"), 0)

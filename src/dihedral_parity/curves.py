@@ -39,12 +39,15 @@ class SingularCurveError(ValueError):
 
 
 class WeierstrassCurve(namedtuple("WeierstrassCurve", "a1 a2 a3 a4 a6")):
-    """An integral Weierstrass model.  Its invariants are computed once, at
-    construction, and its valuations at a prime on first request; both live
-    in the instance dict, outside the record's fields, so they take no part
-    in equality, hashing or a written report."""
+    """An integral Weierstrass model; a coefficient that is not an int is a
+    ValueError naming it.  Its invariants are computed once, at construction,
+    and its valuations at a prime on first request; both live in the instance
+    dict, outside the fields, so they take no part in equality, hashing or a report."""
 
     def __new__(cls, a1, a2, a3, a4, a6):
+        if not type(a1) is type(a2) is type(a3) is type(a4) is type(a6) is int:
+            raise ValueError(next(f"{name}: expected an integer, not {a!r}" for name, a in
+                                  zip(cls._fields, (a1, a2, a3, a4, a6)) if type(a) is not int))
         b2 = a1 * a1 + 4 * a2
         b4 = 2 * a4 + a1 * a3
         b6 = a3 * a3 + 4 * a6
@@ -290,6 +293,9 @@ class SiteOverrides(namedtuple("SiteOverrides", "defect anomalous reduction_over
     @classmethod
     def _make(cls, iterable):  # so _replace checks its values in __new__ too
         return cls(*iterable)
+
+
+OVERRIDE_KEYS = tuple(f"{name}_override" for name in SiteOverrides._fields)  # in a config
 
 
 class LocalData(namedtuple("LocalData", "E ell ext overrides",

@@ -10,7 +10,7 @@ from functools import partial
 from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Optional, Sequence, Union
 
-from .curves import SiteOverrides
+from .curves import OVERRIDE_KEYS
 from .parity import SCHEMA_VERSION, ParityReport, ParityRow, SelmerBound, SiteAudit
 from .tower import PrimeSite, TowerSpec, Violation
 from .verdicts import ConstantVerdict, DeltaVerdict
@@ -87,7 +87,7 @@ _KEYS = ("schema_version", *ParityReport._fields)
 _REPORT = _ByDepth(partial(_object, _KEYS))
 _LABELLED = _ByDepth(partial(_object, (*_KEYS, "label")))
 _TOWER = _ByDepth(partial(_object, ("d", "p", "n", "ramified_sites", "overrides")))
-_OVERRIDE = _ByDepth(partial(_object, tuple(f"{n}_override" for n in SiteOverrides._fields)))
+_OVERRIDE = _ByDepth(partial(_object, OVERRIDE_KEYS))
 _ERROR = _object(("label", "error"), 2)
 _VIOLATION = _object(Violation._fields, 2)
 _VALIDATION = _object(("schema_version", "valid", "violations"), 0)

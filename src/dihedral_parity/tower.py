@@ -65,15 +65,23 @@ def split_type(ell: int, K: QuadraticFieldSpec) -> str:
 
 
 class PrimeSite(namedtuple("PrimeSite", "ell split_type which", defaults=(None,))):
-    """A prime v of K, named by the rational prime below it; which is FIRST
-    or SECOND for a split prime, None otherwise."""
+    """A prime v of K above the int prime ell; which is FIRST or SECOND for a
+    split prime, None otherwise.  Any other value is a ValueError naming its field."""
 
     def __new__(cls, ell, split_type, which=None):
-        if split_type == SPLIT and which not in (FIRST, SECOND):
-            raise ValueError("split sites need which=first|second")
-        if split_type != SPLIT and which is not None:
-            raise ValueError("which is only meaningful for split sites")
+        if not (type(ell) is int and is_prime(ell)):
+            raise ValueError(f"ell: {ell!r} is not prime")
+        if split_type not in (SPLIT, INERT, RAMIFIED):
+            raise ValueError('split_type: expected "split", "inert" or "ramified"')
+        if which not in (None, FIRST, SECOND):
+            raise ValueError('which: expected "first" or "second"')
+        if (split_type == SPLIT) != (which is not None):
+            raise ValueError("which is given exactly for a split site")
         return tuple.__new__(cls, (ell, split_type, which))
+
+    @classmethod
+    def _make(cls, iterable):  # so _replace checks its values in __new__ too
+        return cls(*iterable)
 
     @property
     def self_conjugate(self) -> bool:
@@ -112,15 +120,24 @@ class Violation(namedtuple("Violation", "code message citation", defaults=("",))
 NO_OVERRIDES = SiteOverrides()
 
 
+def check_override(ell, value=NO_OVERRIDES) -> SiteOverrides:
+    """value, if ell is an int prime and value a SiteOverrides; else a ValueError naming ell."""
+    if not (type(ell) is int and is_prime(ell)):
+        raise ValueError(f"overrides.{ell!r}: key must be a prime")
+    if not isinstance(value, SiteOverrides):
+        raise ValueError(f"overrides.{ell!r}: expected a SiteOverrides, not {value!r}")
+    return value
+
+
 class TowerSpec(namedtuple("TowerSpec", "K p n ramified_sites overrides")):
     """K = Q(sqrt(d)) together with the cyclic p^n layer's ramified sites (a
-    frozenset of PrimeSite) and the overrides (SiteOverrides by prime), a
-    read-only mapping over a dict of its own.  No field changes, so each
-    tower keeps what its analyses share, for as long as it lives."""
+    frozenset of PrimeSite) and the overrides, a read-only mapping over a dict
+    of its own from primes to SiteOverrides (check_override refuses any other
+    item).  No field changes, so each tower keeps what its analyses share."""
 
     def __new__(cls, K, p, n, ramified_sites=frozenset(), overrides=None):
-        return tuple.__new__(cls, (K, p, n, frozenset(ramified_sites),
-                                   MappingProxyType(dict(overrides or {}))))
+        return tuple.__new__(cls, (K, p, n, frozenset(ramified_sites), MappingProxyType(
+            {ell: check_override(ell, o) for ell, o in dict(overrides or {}).items()})))
 
     @classmethod
     def _make(cls, iterable):  # so _replace builds its tower in __new__ too

@@ -43,9 +43,10 @@ from dihedral_parity.parity import (
     analyze,
 )
 from dihedral_parity.report import report_json, tower_json
-from dihedral_parity.tower import PrimeSite, QuadraticFieldSpec, SiteOverrides
+from dihedral_parity.tower import PrimeSite, QuadraticFieldSpec, SiteOverrides, TowerSpec
 from dihedral_parity.verdicts import ConstantVerdict, DeltaVerdict
-from corpus import CURVES, PARITY_CORPUS, SMALL_TOWERS, TWIST_11A1_7, make_tower
+from corpus import (CURVES, PARITY_CORPUS, SMALL_CURVES, SMALL_TOWERS, TWIST_11A1_7,
+                    VALID_TOWERS, make_tower)
 
 CSV_HEADER = "label,a1,a2,a3,a4,a6\n"
 
@@ -382,6 +383,106 @@ def test_a_config_override_is_refused_exactly_where_site_overrides_refuses_it(fi
         assert list(tower.overrides) == [3]
         assert list(map(type, tower.overrides[3])) == list(map(type, expected))
         assert tower.overrides[3] == expected
+
+
+# JSON scalars a site entry, an override key or a curve coefficient may
+# hold: booleans, floats, digit strings, 0, negatives, composites and primes,
+# one of them above 10**12
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-30, 30),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([10**12 + 39, 10**12 + 41, 11.0, 2.0, "11", "", "bogus", "split",
+                     "inert", "ramified", "first", "second"]))
+ENTRY_SHAPE = 'ramified_sites[0]: expected {"ell": prime, "which": "first"|"second"?}'
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_VALUES, JSON_VALUES.filter(lambda v: v is not None), JSON_VALUES)
+def test_a_config_site_is_refused_exactly_where_prime_site_refuses_it(ell, split_type, which):
+    # the entry declares its split type, so K is not asked; with no which, a
+    # split prime names both of its sites, and PrimeSite is asked of the first
+    errors = []
+    T = parse_tower({"d": -1, "p": 7, "n": 1, "ramified_sites": [
+        {"ell": ell, "split_type": split_type, "which": which}]}, errors)
+    try:
+        expected = PrimeSite(ell, split_type, "first" if split_type == "split"
+                             and which is None else which)
+    except ValueError as exc:
+        expected = str(exc)
+    if isinstance(expected, PrimeSite):
+        assert errors == [] and expected in T.ramified_sites
+        assert {(s.ell, s.split_type) for s in T.ramified_sites} == {(ell, split_type)}
+    elif type(ell) is not int:  # the JSON shape: ell is an integer
+        assert errors == [ENTRY_SHAPE] and expected.startswith("ell: ")
+    elif expected.partition(":")[0] in PrimeSite._fields:
+        assert errors == [f"ramified_sites[0].{expected}"]
+    else:  # which does not fit the declared split type
+        assert errors == [f"ramified_sites[0]: no site {which!r} above {ell} "
+                          f"(prime is declared {split_type})"]
+
+
+def _refusal(build):
+    """The message of the ValueError build() raises, or None if it builds."""
+    try:
+        build()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(JSON_VALUES.filter(lambda v: not isinstance(v, str)))
+def test_a_config_override_key_is_refused_exactly_where_check_override_refuses_it(key):
+    # a config's key is the JSON text of key, so true, 11.0 and -3 are refused
+    # as check_override refuses their values, and an int key by its message
+    text, value = next(iter(json.loads(json.dumps({key: {}})))), SiteOverrides(defect=2)
+    refusal = _refusal(lambda: tower.check_override(key, value))
+    assert _refusal(lambda: TowerSpec(QuadraticFieldSpec(-1), 5, 1, (), {key: value})) == refusal
+    try:
+        _, T, _ = parse_config({**X3P1_AT_3, "overrides": {text: {"defect_override": 2}}})
+    except ConfigError as exc:
+        assert refusal is not None and len(exc.messages) == 1
+        assert exc.messages == [refusal] or type(key) is not int
+    else:
+        assert refusal is None and T.overrides == {key: value}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(JSON_VALUES, st.integers(-3, 3)), min_size=5, max_size=5))
+def test_a_config_curve_is_refused_exactly_where_weierstrass_curve_refuses_it(coefficients):
+    errors = []
+    curve = cli.parse_curve(coefficients, None, errors)
+    try:
+        expected = WeierstrassCurve(*coefficients)
+    except SingularCurveError:
+        assert errors == ["curve: discriminant is zero (singular model)"]
+    except ValueError as exc:
+        assert str(exc).partition(":")[0] in WeierstrassCurve._fields
+        assert errors == ["curve: expected [a1,a2,a3,a4,a6] (five integers) "
+                          "or a label string"]
+    else:
+        assert errors == [] and curve == expected
+        assert list(map(type, curve)) == [int] * 5
+
+
+OVERRIDE_ITEMS = st.dictionaries(
+    st.sampled_from([2, 3, 5, 7, 11, 13]),
+    st.builds(SiteOverrides, st.sampled_from([None, *DEFECTS]),
+              st.sampled_from([None, False, True]), st.sampled_from([None, *KV_REDUCTIONS])),
+    max_size=2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(VALID_TOWERS, OVERRIDE_ITEMS, SMALL_CURVES, st.sampled_from([None, 0, 1]))
+def test_a_valid_analysis_writes_a_curve_and_tower_the_cli_accepts(T, overrides, E, dim):
+    T = T._replace(overrides=overrides)
+    d = report_to_dict(analyze(E, T, dim))
+    raw = {"curve": d["curve"], **d["tower"]}
+    if dim is not None:
+        raw["dim_Sp_E_K"] = dim
+    curve, parsed, parsed_dim = parse_config(raw)
+    assert (curve, parsed, parsed_dim) == (E, T, dim)
+    assert parsed.overrides == T.overrides
 
 
 def test_violation_without_citation_prints_no_brackets(tmp_path, capsys):

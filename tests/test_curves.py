@@ -441,6 +441,22 @@ def test_site_overrides_refuse_a_value_outside_their_field(build):
         build()
 
 
+@pytest.mark.parametrize("ainvs, message", [
+    ((False, -1, True, -10, -20), "a1: expected an integer, not False"),
+    ((0, -1, 1, -10.0, -20), r"a4: expected an integer, not -10\.0"),
+    ((0, -1, 1, -10, "-20"), "a6: expected an integer, not '-20'"),
+    ((0, 0, 0, 0, 0.0), r"a6: expected an integer, not 0\.0"),
+], ids=["booleans", "float", "str", "singular-float"])
+def test_a_curve_refuses_a_coefficient_that_is_not_an_int(ainvs, message):
+    # (False, -1, True, -10, -20) equals 11a1, and its analysis wrote the
+    # curve [false, -1, true, -10, -20], a config that is refused; the check
+    # comes before any arithmetic, so a singular model of floats is not
+    # reported as singular
+    with pytest.raises(ValueError, match=f"^{message}$") as refused:
+        WeierstrassCurve(*ainvs)
+    assert type(refused.value) is ValueError
+
+
 # Every nontrivial square class of Q_ell^x, in the order of an exhaustive
 # search, and the unramified class.
 ALL_TWIST_CLASSES = {2: [-1, 2, -2, 5, -5, 10, -10], 3: [2, 3, 6], 5: [2, 5, 10],

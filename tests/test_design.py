@@ -5,7 +5,9 @@ no module needs a float or complex constant, a tolerance parameter,
 ``cmath`` or ``fractions`` (every local question is asked of an integer);
 no module imports another module's private (underscore)
 helpers; the values a local fact or an override may take are stated
-once, in ``curves``; and every JSON document is written from the record
+once, in ``curves``; ``cli`` checks only a config's JSON shape and leaves
+every value rule (a prime, an integer) to the record that holds the value;
+and every JSON document is written from the record
 templates in ``report``, never by an ``indent=`` call, which would put
 ``json``'s pure-Python encoder back, and ``cli`` spells out no JSON
 bracket.  A square class of Q_ell is read only by ``localarith.local_square_class``.
@@ -120,6 +122,20 @@ def test_cli_states_no_local_fact_value():
     bad = [node.value for node in ast.walk(_tree(SRC / "cli.py"))
            if isinstance(node, ast.Constant) and node.value in values]
     assert not bad, f"cli.py spells out {bad}; read curves.DEFECTS and KV_REDUCTIONS"
+
+
+def test_cli_checks_the_json_shape_only():
+    """A value rule is stated once, in the record that holds the value: cli
+    neither tests primality nor keeps its own notion of an integer."""
+    names = set()
+    for node in ast.walk(_tree(SRC / "cli.py")):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.FunctionDef, ast.alias)):
+            names.add(getattr(node, "name", None))
+    assert not names & {"is_prime", "_is_int"}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -1,8 +1,8 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import CURVES, make_tower
+from corpus import CURVES, VALID_TOWERS, make_tower
 from dihedral_parity.localarith import is_prime, is_squarefree, kronecker_symbol
 from dihedral_parity.parity import analyze
 from dihedral_parity.tower import (
@@ -11,7 +11,10 @@ from dihedral_parity.tower import (
     SPLIT,
     PrimeSite,
     QuadraticFieldSpec,
+    SiteOverrides,
     TowerSpec,
+    Violation,
+    check_override,
     sites_above,
     split_type,
     support_primes,
@@ -150,3 +153,97 @@ def test_site_validation():
 def test_split_type_asks_for_a_prime(ell):
     with pytest.raises(ValueError, match=rf"^{ell} is not prime$"):
         split_type(ell, QuadraticFieldSpec(-1))
+
+
+# Every case below built a record that no config can build: a site whose
+# violations raised, an override the analysis never read but the report
+# wrote, or a value that made a later step raise.  Each is refused where it
+# is built, by a ValueError that names its field.
+K_I = QuadraticFieldSpec(-1)
+SITES_11 = frozenset(sites_above(11, K_I))
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"11": SiteOverrides(defect=2)}, r"overrides\.'11': key must be a prime"),
+    ({4: SiteOverrides()}, r"overrides\.4: key must be a prime"),
+    ({True: SiteOverrides()}, r"overrides\.True: key must be a prime"),
+    ({"11": SiteOverrides(), 13: SiteOverrides()}, r"overrides\.'11': key must be a prime"),
+    ({11: (None, None, None)}, r"overrides\.11: expected a SiteOverrides, not \(None"),
+    ({11: {"defect": 2}}, r"overrides\.11: expected a SiteOverrides, not \{"),
+], ids=["str-key", "key-4", "key-true", "mixed-keys", "tuple-value", "dict-value"])
+def test_a_tower_refuses_an_override_a_config_refuses(overrides, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        TowerSpec(K_I, 5, 1, SITES_11, overrides)
+    with pytest.raises(ValueError, match=f"^{message}"):
+        make_tower(-1, 5, 1, [11])._replace(overrides=overrides)
+    with pytest.raises(ValueError, match=f"^{message}"):
+        check_override(*next(iter(overrides.items())))
+
+
+def test_check_override_returns_a_valid_item():
+    value = SiteOverrides(defect=2)
+    assert check_override(11, value) is value and check_override(11) == SiteOverrides()
+    assert check_override(10**12 + 39) == SiteOverrides()
+
+
+@pytest.mark.parametrize("args, message", [
+    ((4, INERT), "ell: 4 is not prime"),
+    ((11.0, INERT), "ell: 11.0 is not prime"),
+    ((True, INERT), "ell: True is not prime"),
+    (("11", INERT), "ell: '11' is not prime"),
+    ((11, "bogus"), 'split_type: expected "split", "inert" or "ramified"'),
+    ((5, SPLIT, "third"), 'which: expected "first" or "second"'),
+    ((4, "bogus", "third"), "ell: 4 is not prime"),
+    ((11, "bogus", "third"), 'split_type: expected "split", "inert" or "ramified"'),
+], ids=["ell-4", "ell-float", "ell-true", "ell-str", "bogus", "which-third",
+        "ell-first", "split-type-before-which"])
+def test_a_site_refuses_a_value_a_config_refuses(args, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        PrimeSite(*args)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        PrimeSite._make(args)
+    fields = dict(zip(PrimeSite._fields, args))
+    site = PrimeSite(5, SPLIT, "first") if fields.get("which") else PrimeSite(11, INERT)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        site._replace(**fields)
+
+
+# Any value a site, a tower or an override item may be given, where only an
+# int prime passes as ell or key: booleans, floats, digit strings, 0,
+# negatives, composites and a prime above 10**12.
+ANY_VALUE = st.one_of(
+    st.none(), st.booleans(), st.integers(-30, 30), st.floats(allow_nan=False),
+    st.sampled_from([10**12 + 39, 10**12 + 41, "11", "inert", "split", "ramified", "first",
+                     "second", 2.0, 11.0]))
+
+
+def _site_or_none(ell, split_type, which):
+    try:
+        return PrimeSite(ell, split_type, which)
+    except ValueError:
+        return None
+
+
+SITES = st.builds(_site_or_none, st.one_of(st.sampled_from(SMALL_PRIMES), ANY_VALUE),
+                  st.sampled_from([SPLIT, INERT, RAMIFIED]),
+                  st.sampled_from([None, "first", "second"])).filter(bool)
+OVERRIDES = st.dictionaries(st.sampled_from(SMALL_PRIMES + [10**12 + 39]),
+                            st.builds(SiteOverrides, defect=st.sampled_from([None, 2]),
+                                      anomalous=st.sampled_from([None, False])),
+                            max_size=2)
+
+
+# Towers that construct: any d, p and n, and any sites and overrides their
+# records admit.
+ANY_TOWER = st.builds(
+    lambda d, *fields: TowerSpec(QuadraticFieldSpec(d), *fields),
+    st.one_of(st.integers(-10**6, 10**6), ANY_VALUE), ANY_VALUE, ANY_VALUE,
+    st.frozensets(SITES, max_size=4), OVERRIDES)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(VALID_TOWERS, ANY_TOWER))
+def test_validate_tower_never_raises_on_a_tower_that_constructs(T):
+    violations = validate_tower(T)
+    assert type(violations) is list and all(type(v) is Violation for v in violations)
+    assert T.violations == tuple(violations)
