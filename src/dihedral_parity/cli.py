@@ -19,6 +19,7 @@ from typing import Any, Optional, Union
 from . import report
 from .curves import OVERRIDE_KEYS, SingularCurveError, WeierstrassCurve
 from .parity import BOUND_TOO_LONG, MAX_BOUND_DIGITS, ParityReport, analyze, bound_too_long
+from .parity import check_dim_Sp_E_K
 from .report import report_to_dict  # not called here: bench/tracing.py times cli.report_to_dict
 from .tower import FIRST, INERT, SECOND, SPLIT, PrimeSite, QuadraticFieldSpec
 from .tower import SiteOverrides, TowerSpec, check_override, split_type
@@ -186,9 +187,11 @@ def parse_config(raw: dict, *, need_curve: bool = True):
         curve = parse_curve(raw.get("curve"), raw.get("curve_file"), errors)
     tower = parse_tower(raw, errors)
     dim = raw.get("dim_Sp_E_K")
-    if dim is not None and not (type(dim) is int and dim >= 0):
-        errors.append("dim_Sp_E_K: expected a nonnegative integer")
-    elif dim is not None and tower is not None and bound_too_long(tower.p, tower.n, dim):
+    try:
+        check_dim_Sp_E_K(dim)
+    except (TypeError, ValueError):  # the last error a config can have
+        raise ConfigError([*errors, "dim_Sp_E_K: expected a nonnegative integer"]) from None
+    if dim is not None and tower is not None and bound_too_long(tower.p, tower.n, dim):
         errors.append(f"n: {BOUND_TOO_LONG}")
     if errors:
         raise ConfigError(errors)

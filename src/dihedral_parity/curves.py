@@ -29,6 +29,7 @@ from .localarith import (
     quadratic_character_type,
 )
 from .pointcount import count_points
+from .verdicts import CheckedRecord
 
 # The bound above which no Frobenius trace is computed.
 POINT_COUNT_BOUND = 10**12
@@ -38,7 +39,7 @@ class SingularCurveError(ValueError):
     pass
 
 
-class WeierstrassCurve(namedtuple("WeierstrassCurve", "a1 a2 a3 a4 a6")):
+class WeierstrassCurve(CheckedRecord, namedtuple("WeierstrassCurve", "a1 a2 a3 a4 a6")):
     """An integral Weierstrass model; a coefficient that is not an int is a
     ValueError naming it.  Its invariants are computed once, at construction,
     and its valuations at a prime on first request; both live in the instance
@@ -274,8 +275,8 @@ class ResidueFrobenius(namedtuple("ResidueFrobenius", "q a_q ordinary")):
     residue field has q elements."""
 
 
-class SiteOverrides(namedtuple("SiteOverrides", "defect anomalous reduction_over_Kv",
-                               defaults=(None, None, None))):
+class SiteOverrides(CheckedRecord, namedtuple(
+        "SiteOverrides", "defect anomalous reduction_over_Kv", defaults=(None, None, None))):
     """Optional per-prime data the implemented criteria cannot certify: a
     defect (one of DEFECTS, not True or 2.0), whether the reduction is
     anomalous (a bool), and the reduction over K_v (one of KV_REDUCTIONS);
@@ -289,10 +290,6 @@ class SiteOverrides(namedtuple("SiteOverrides", "defect anomalous reduction_over
         if reduction_over_Kv is not None and reduction_over_Kv not in KV_REDUCTIONS:
             raise ValueError(f"reduction_over_Kv: unknown value {reduction_over_Kv!r}")
         return tuple.__new__(cls, (defect, anomalous, reduction_over_Kv))
-
-    @classmethod
-    def _make(cls, iterable):  # so _replace checks its values in __new__ too
-        return cls(*iterable)
 
 
 OVERRIDE_KEYS = tuple(f"{name}_override" for name in SiteOverrides._fields)  # in a config

@@ -14,6 +14,8 @@ from __future__ import annotations
 from collections import namedtuple
 from typing import Iterable
 
+from .verdicts import CheckedRecord
+
 
 class _Group:
     """Equality of group specs that tells the kind of group: C_3 is not D_6."""
@@ -35,7 +37,7 @@ class CyclicGroupSpec(_Group, namedtuple("CyclicGroupSpec", "m")):
         return self.m
 
 
-class DihedralGroupSpec(_Group, namedtuple("DihedralGroupSpec", "m")):
+class DihedralGroupSpec(_Group, CheckedRecord, namedtuple("DihedralGroupSpec", "m")):
     """D_{2m} = <r, s | r^m = s^2 = 1, s r s = r^-1>, m odd >= 3."""
 
     def __new__(cls, m):
@@ -51,7 +53,7 @@ class DihedralGroupSpec(_Group, namedtuple("DihedralGroupSpec", "m")):
 GroupSpec = CyclicGroupSpec | DihedralGroupSpec
 
 
-class ClassFunction(namedtuple("ClassFunction", "group coeffs")):
+class ClassFunction(CheckedRecord, namedtuple("ClassFunction", "group coeffs")):
     """A virtual character: coeffs is the multiplicity of each irreducible of
     group, in basis order."""
 

@@ -18,7 +18,7 @@ from .delta import VOCABULARY as DELTA_VOCABULARY, delta_at
 from .gamma import ARCHIMEDEAN_GAMMA, INFINITE_PLACE, VOCABULARY as GAMMA_VOCABULARY, gamma_at
 from .localarith import padic_valuation
 from .tower import PrimeSite, TowerSpec, check_tower, local_data, sites_above, support_primes
-from .verdicts import DeltaVerdict
+from .verdicts import CheckedRecord, DeltaVerdict
 
 # A serialized report's keys are the field names of the records below (and of
 # PrimeSite and the verdicts), in field order; see report.report_json.
@@ -74,9 +74,9 @@ class SelmerBound(namedtuple("SelmerBound", "applicable bound dim_Sp_E_K s_m_siz
     """The p-Selmer growth bound, or None with the reasons it does not apply."""
 
 
-class ParityReport(namedtuple("ParityReport", "curve tower rows S mr64_sum S_frak S_m "
-                              "hypothesis_audit selmer_bound relative_parity failure "
-                              "has_undetermined notes")):
+class ParityReport(CheckedRecord, namedtuple("ParityReport", "curve tower rows S mr64_sum "
+                                             "S_frak S_m hypothesis_audit selmer_bound "
+                                             "relative_parity failure has_undetermined notes")):
     """One analysis.  S is the aggregation set, S_frak the self-conjugate sites
     ramified in L/K and S_m its split multiplicative part.  The flags failure
     and has_undetermined are read off the rows once, as the report is built."""
@@ -89,7 +89,7 @@ class ParityReport(namedtuple("ParityReport", "curve tower rows S mr64_sum S_fra
             relative_parity, MISMATCH in statuses, UNDETERMINED in statuses or mr64_sum is None,
             [] if notes is None else notes))
 
-    def __getnewargs__(self):  # a copy is built by __new__, which takes no flags
+    def __getnewargs__(self):  # __new__ takes no flags: it reads them off the rows
         return (*self[:10], self.notes)
 
 
@@ -137,6 +137,14 @@ def bound_too_long(p: int, n: int, dim_Sp_E_K: int) -> bool:
                                 or dim_Sp_E_K + p ** n > _MAX_BOUND)
 
 
+def check_dim_Sp_E_K(dim_Sp_E_K: Optional[int]) -> None:
+    """Raise TypeError unless dim_Sp_E_K is None or an int, ValueError if it is negative."""
+    if dim_Sp_E_K is not None and type(dim_Sp_E_K) is not int:  # True == 1 == 1.0
+        raise TypeError(f"dim_Sp_E_K = {dim_Sp_E_K!r} is not an int")
+    if dim_Sp_E_K is not None and dim_Sp_E_K < 0:
+        raise ValueError("dim_Sp_E_K must be nonnegative")
+
+
 def _selmer_bound(T: TowerSpec, failed: list[SiteAudit], s_m_size: int, dim_Sp_E_K: int,
                   shared: dict) -> SelmerBound:
     bound = shared.get((s_m_size, dim_Sp_E_K))
@@ -159,10 +167,7 @@ def analyze(E: WeierstrassCurve, T: TowerSpec,
     The tower is validated once, and keeps the records its reports share.
     Each support prime gets a row, and a LocalData record only at a
     self-conjugate site ramified in L/K.  Aggregates read the rows."""
-    if dim_Sp_E_K is not None and type(dim_Sp_E_K) is not int:  # True == 1 == 1.0
-        raise TypeError(f"dim_Sp_E_K = {dim_Sp_E_K!r} is not an int")
-    if dim_Sp_E_K is not None and dim_Sp_E_K < 0:
-        raise ValueError("dim_Sp_E_K must be nonnegative")
+    check_dim_Sp_E_K(dim_Sp_E_K)
     check_tower(T)
     if dim_Sp_E_K is not None and bound_too_long(T.p, T.n, dim_Sp_E_K):
         raise ValueError(BOUND_TOO_LONG)

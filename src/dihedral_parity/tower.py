@@ -23,6 +23,7 @@ from .localarith import (
     kronecker_symbol,
     prime_factors,
 )
+from .verdicts import CheckedRecord
 
 SPLIT = "split"
 INERT = "inert"
@@ -64,7 +65,7 @@ def split_type(ell: int, K: QuadraticFieldSpec) -> str:
     return SPLIT if kronecker_symbol(d, ell) == 1 else INERT
 
 
-class PrimeSite(namedtuple("PrimeSite", "ell split_type which", defaults=(None,))):
+class PrimeSite(CheckedRecord, namedtuple("PrimeSite", "ell split_type which", defaults=(None,))):
     """A prime v of K above the int prime ell; which is FIRST or SECOND for a
     split prime, None otherwise.  Any other value is a ValueError naming its field."""
 
@@ -78,10 +79,6 @@ class PrimeSite(namedtuple("PrimeSite", "ell split_type which", defaults=(None,)
         if (split_type == SPLIT) != (which is not None):
             raise ValueError("which is given exactly for a split site")
         return tuple.__new__(cls, (ell, split_type, which))
-
-    @classmethod
-    def _make(cls, iterable):  # so _replace checks its values in __new__ too
-        return cls(*iterable)
 
     @property
     def self_conjugate(self) -> bool:
@@ -129,25 +126,23 @@ def check_override(ell, value=NO_OVERRIDES) -> SiteOverrides:
     return value
 
 
-class TowerSpec(namedtuple("TowerSpec", "K p n ramified_sites overrides")):
+class TowerSpec(CheckedRecord, namedtuple("TowerSpec", "K p n ramified_sites overrides")):
     """K = Q(sqrt(d)) together with the cyclic p^n layer's ramified sites (a
     frozenset of PrimeSite) and the overrides, a read-only mapping over a dict
-    of its own from primes to SiteOverrides (check_override refuses any other
-    item).  No field changes, so each tower keeps what its analyses share."""
+    of its own from primes to SiteOverrides; any other K, site or item is a
+    ValueError.  No field changes, so each tower keeps what its analyses share."""
 
     def __new__(cls, K, p, n, ramified_sites=frozenset(), overrides=None):
-        return tuple.__new__(cls, (K, p, n, frozenset(ramified_sites), MappingProxyType(
+        if not isinstance(K, QuadraticFieldSpec):
+            raise ValueError(f"K: expected a QuadraticFieldSpec, not {K!r}")
+        sites = frozenset(ramified_sites)
+        if not all(isinstance(site, PrimeSite) for site in sites):
+            raise ValueError(f"ramified_sites: expected PrimeSite entries, not {set(sites)!r}")
+        return tuple.__new__(cls, (K, p, n, sites, MappingProxyType(
             {ell: check_override(ell, o) for ell, o in dict(overrides or {}).items()})))
 
-    @classmethod
-    def _make(cls, iterable):  # so _replace builds its tower in __new__ too
-        return cls(*iterable)
-
-    def __getnewargs__(self):  # a copy or pickle rebuilds the mapping in __new__
-        return (*self[:4], dict(self.overrides))
-
-    def __getstate__(self):  # and carries the fields alone, not what the tower keeps
-        return None
+    def __getnewargs__(self):  # overrides as a dict, which pickles where a mappingproxy does not
+        return (*self[:4], dict(self.overrides or {}))
 
     def __hash__(self):
         return hash((self.K, self.p, self.n, self.ramified_sites))
@@ -200,10 +195,12 @@ def validate_tower(T: TowerSpec, E: Optional[WeierstrassCurve] = None) -> list[V
     if not (type(T.p) is int and is_prime(T.p) and T.p > 3):
         out.append(Violation("p_gt_3", f"p = {T.p}: p > 3 required and p must be prime",
                              CITE_P_GT_3))
-    K_valid = T.K.is_valid()
+    try:
+        K_valid, d_message = T.K.is_valid(), f"d = {T.K.d} must be squarefree and not 0 or 1"
+    except ValueError as exc:  # d is beyond the factoring budget
+        K_valid, d_message = False, f"d: {exc}"
     if not K_valid:
-        out.append(Violation("d_squarefree",
-                             f"d = {T.K.d} must be squarefree and not 0 or 1"))
+        out.append(Violation("d_squarefree", d_message))
     if type(T.n) is not int or T.n < 1:
         out.append(Violation("n_positive", f"n = {T.n} must be >= 1"))
     for site in sorted(T.ramified_sites, key=lambda s: (s.ell, s.which or "")):

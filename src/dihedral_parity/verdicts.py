@@ -1,4 +1,4 @@
-"""Verdict value objects shared by the two local-constant engines."""
+"""Value records: the verdicts both local-constant engines share, and CheckedRecord."""
 
 from __future__ import annotations
 
@@ -27,8 +27,19 @@ ADDITIVE_NOT_P = "AdditiveNotP"
 ADDITIVE_P_ORD_NONANOM = "AdditiveP_OrdNonAnom"
 
 
-class ConstantVerdict(namedtuple("ConstantVerdict", "value case_tag citation detail",
-                                 defaults=("",))):
+class CheckedRecord(tuple):
+    """A record that _make, _replace, copy and pickle build by cls(*__getnewargs__())."""
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*tuple.__new__(cls, iterable).__getnewargs__())
+
+    def __getstate__(self):  # so a copy carries the fields alone
+        return None
+
+
+class ConstantVerdict(CheckedRecord, namedtuple("ConstantVerdict",
+                                               "value case_tag citation detail", defaults=("",))):
     """A value of a local constant in Z/2Z, or Undetermined (value None)."""
 
     def __new__(cls, value, case_tag, citation, detail=""):

@@ -1,5 +1,7 @@
 import importlib.util
 import json
+import tarfile
+import warnings
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -38,3 +40,16 @@ def test_compare_records_each_bound_and_the_margin():
 def test_every_end_to_end_metric_has_a_bound():
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     assert all(0 < m["bound"] < 1 for m in spec["end_to_end"])
+
+
+def test_extract_writes_the_commit_with_the_data_filter(tmp_path, monkeypatch):
+    calls = []
+    extractall = tarfile.TarFile.extractall
+    monkeypatch.setattr(tarfile.TarFile, "extractall",
+                        lambda tar, *args, **kwargs: calls.append(kwargs)
+                        or extractall(tar, *args, **kwargs))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        commit = bench_pairs.extract("HEAD", tmp_path / "tree")
+    assert len(commit) == 40 and (tmp_path / "tree" / "BENCHMARK.json").is_file()
+    assert calls == [{"filter": "data"} if hasattr(tarfile, "data_filter") else {}]

@@ -363,6 +363,22 @@ OVERRIDE_VALUES = st.one_of(
     st.sampled_from([*DEFECTS, *KV_REDUCTIONS, 1.0, 2.0, 6.0, "Good", ""]), st.text(max_size=8))
 
 
+@settings(max_examples=100, deadline=None)
+@given(OVERRIDE_VALUES)
+def test_a_config_dim_is_refused_exactly_where_analyze_refuses_it(value):
+    # one rule, parity.check_dim_Sp_E_K, which analyze raises and a config
+    # names by its field
+    try:
+        analyze(CURVES["11a1"], make_tower(-1, 5, 1, [11]), dim_Sp_E_K=value)
+    except (TypeError, ValueError) as exc:
+        assert str(exc).startswith("dim_Sp_E_K ")
+        with pytest.raises(ConfigError) as refused:
+            parse_config({**X3P1_AT_3, "dim_Sp_E_K": value})
+        assert refused.value.messages == ["dim_Sp_E_K: expected a nonnegative integer"]
+    else:
+        assert parse_config({**X3P1_AT_3, "dim_Sp_E_K": value})[2] == value
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(SiteOverrides._fields), OVERRIDE_VALUES)
 def test_a_config_override_is_refused_exactly_where_site_overrides_refuses_it(field, value):

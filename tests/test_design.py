@@ -13,8 +13,8 @@ templates in ``report``, never by an ``indent=`` call, which would put
 bracket.  A square class of Q_ell is read only by ``localarith.local_square_class``.
 Records are named tuples: no module imports ``dataclasses``, so importing
 the command line loads neither it nor ``inspect``, and a record is copied by
-``_replace`` only where its detail text alone changes, since ``_replace``
-skips the checks of a record's ``__new__``.  The oracles in
+``_replace`` only where its detail text alone changes: every other record is
+built by its constructor, with each field named where it is built.  The oracles in
 ``tests/oracles.py`` take only ``WeierstrassCurve`` from the package, so a
 bug in the code they check cannot move them too.  Every
 function the benchmark's tracer names by string still exists, and every
@@ -100,8 +100,9 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
 
 
 def test_records_are_replaced_only_in_their_detail():
-    """_replace builds its copy without the record's __new__, so it may
-    change only a field no __new__ checks or computes: a verdict's detail."""
+    """_replace runs the record's __new__ (see verdicts.CheckedRecord), but
+    the package calls it only to give a verdict a detail of its own; any
+    other record is built by its constructor, where every field is named."""
     bad = [f"{path.name}:{node.lineno}" for path in MODULES for node in ast.walk(_tree(path))
            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
            and node.func.attr == "_replace"

@@ -13,6 +13,7 @@ import copy
 import importlib
 import pickle
 import pkgutil
+import re
 from types import MappingProxyType
 
 import pytest
@@ -41,7 +42,7 @@ from dihedral_parity.localarith import LocalSquareVerdict, RamifiedQuadratic, Un
 from dihedral_parity.parity import ParityReport, ParityRow, SelmerBound, SiteAudit, analyze
 from dihedral_parity.report import report_json
 from dihedral_parity.tower import PrimeSite, QuadraticFieldSpec, TowerSpec, Violation
-from dihedral_parity.verdicts import ConstantVerdict, DeltaVerdict
+from dihedral_parity.verdicts import CheckedRecord, ConstantVerdict, DeltaVerdict
 
 E = CURVES["11a1"]
 VERDICTS = (*GAMMA_MODULE.VOCABULARY, *DELTA_MODULE.VOCABULARY)
@@ -88,14 +89,19 @@ RECORDS = {
 }
 
 
-def _record_classes():
-    """Every class defined in a module of the package that is a tuple."""
+def _classes():
+    """Every class defined in a module of the package."""
     found = set()
     for info in pkgutil.iter_modules(dihedral_parity.__path__):
         module = importlib.import_module(f"dihedral_parity.{info.name}")
-        found.update(v for v in vars(module).values() if isinstance(v, type)
-                     and issubclass(v, tuple) and v.__module__ == module.__name__)
+        found.update(v for v in vars(module).values()
+                     if isinstance(v, type) and v.__module__ == module.__name__)
     return found
+
+
+def _record_classes():
+    """Every tuple class of the package but the base CheckedRecord."""
+    return {cls for cls in _classes() if issubclass(cls, tuple)} - {CheckedRecord}
 
 
 def test_every_record_class_is_pinned():
@@ -119,22 +125,113 @@ def test_record_contract(cls):
     assert copy.deepcopy(record) == record
 
 
-@pytest.mark.parametrize("build, error", [
-    (lambda: ConstantVerdict(2, "SplitPair", "c"), ValueError),
-    (lambda: ConstantVerdict(0, "Uncovered", "c"), ValueError),
-    (lambda: ConstantVerdict(None, "SplitPair", "c"), ValueError),
-    (lambda: PrimeSite(5, "split"), ValueError),
-    (lambda: PrimeSite(5, "inert", "first"), ValueError),
-    (lambda: WeierstrassCurve(0, 0, 0, 0, 0), SingularCurveError),
-    (lambda: DihedralGroupSpec(4), ValueError),
-    (lambda: DihedralGroupSpec(1), ValueError),
-    (lambda: ClassFunction(DihedralGroupSpec(5), (1, 0, 0)), ValueError),
-    (lambda: ClassFunction(CyclicGroupSpec(3), (1, 0, 0.5)), ValueError),
-], ids=["value-2", "uncovered-with-value", "covered-without-value", "split-without-which",
-        "inert-with-which", "singular", "even-m", "m-1", "short-coeffs", "float-coeff"])
-def test_construction_checks_still_raise(build, error):
-    with pytest.raises(error):
-        build()
+# Each check a record's __new__ makes: the class, the constructor's
+# arguments and the error they raise.
+CHECKS = [
+    (ConstantVerdict, (2, "SplitPair", "c"), ValueError),
+    (ConstantVerdict, (0, "Uncovered", "c"), ValueError),
+    (ConstantVerdict, (None, "SplitPair", "c"), ValueError),
+    (PrimeSite, (5, "split"), ValueError),
+    (PrimeSite, (5, "inert", "first"), ValueError),
+    (WeierstrassCurve, (0, 0, 0, 0, 0), SingularCurveError),
+    (WeierstrassCurve, (True, -1, 1, -10, -20), ValueError),
+    (SiteOverrides, (5,), ValueError),
+    (TowerSpec, (None, 5, 1), ValueError),
+    (TowerSpec, (QuadraticFieldSpec(-1), 5, 1, {(11, "inert", None)}), ValueError),
+    (DihedralGroupSpec, (4,), ValueError),
+    (DihedralGroupSpec, (1,), ValueError),
+    (ClassFunction, (DihedralGroupSpec(5), (1, 0, 0)), ValueError),
+    (ClassFunction, (CyclicGroupSpec(3), (1, 0, 0.5)), ValueError),
+]
+CHECK_IDS = ["value-2", "uncovered-with-value", "covered-without-value", "split-without-which",
+             "inert-with-which", "singular", "bool-coefficient", "defect-5", "K-none",
+             "tuple-site", "even-m", "m-1", "short-coeffs", "float-coeff"]
+
+
+@pytest.mark.parametrize("cls, args, error", CHECKS, ids=CHECK_IDS)
+def test_construction_checks_still_raise(cls, args, error):
+    # however the record is built: by its constructor, or from a valid record
+    # by _make, _replace or (from Python 3.13) copy.replace, each field not
+    # given taking its default where it has one
+    valid = RECORDS[cls][1]()
+    fields = {**valid._asdict(), **cls._field_defaults, **dict(zip(cls._fields, args))}
+    builds = [lambda: cls(*args), lambda: cls._make(fields.values()),
+              lambda: valid._replace(**fields)]
+    if hasattr(copy, "replace"):
+        builds.append(lambda: copy.replace(valid, **fields))
+    for build in builds:
+        with pytest.raises(error):
+            build()
+
+
+def _with_mismatch(rep):
+    return [rep.rows[0]._replace(status="Mismatch"), *rep.rows[1:]]
+
+
+FLAGSHIP = analyze(WeierstrassCurve(0, -1, 1, -10, -20), make_tower(-1, 5, 1, [11]))
+CURVE = FLAGSHIP.curve
+
+
+# Each pairs a record built through _replace or _make with the constructor's
+# build of the same values: the two raise alike, or are equal records with the
+# same flags and invariants.
+@pytest.mark.parametrize("replaced, constructed", [
+    (lambda: FLAGSHIP._replace(rows=_with_mismatch(FLAGSHIP)),
+     lambda: ParityReport(*FLAGSHIP[:2], _with_mismatch(FLAGSHIP), *FLAGSHIP[3:10],
+                          FLAGSHIP.notes)),
+    (lambda: CURVE._replace(a1=1), lambda: WeierstrassCurve(1, -1, 1, -10, -20)),
+    (lambda: WeierstrassCurve._make([1, -1, 1, -10, -20]),
+     lambda: WeierstrassCurve(1, -1, 1, -10, -20)),
+    (lambda: CURVE._replace(a1=True), lambda: WeierstrassCurve(True, -1, 1, -10, -20)),
+    (lambda: GAMMA_MODULE.SPLIT_PAIR._replace(value=7),
+     lambda: ConstantVerdict(7, *GAMMA_MODULE.SPLIT_PAIR[1:])),
+    (lambda: FLAGSHIP.tower._replace(overrides=None),
+     lambda: TowerSpec(*FLAGSHIP.tower[:4], None)),
+    (lambda: DihedralGroupSpec(5)._replace(m=4), lambda: DihedralGroupSpec(4)),
+    (lambda: ClassFunction(DihedralGroupSpec(5), (1, 0, 2, -1))._replace(coeffs=(1,)),
+     lambda: ClassFunction(DihedralGroupSpec(5), (1,))),
+], ids=["mismatch-row", "curve-a1", "curve-make", "curve-bool", "verdict-value-7",
+        "tower-without-overrides", "even-m", "short-coeffs"])
+def test_replace_builds_what_the_constructor_builds(replaced, constructed):
+    try:
+        expected = constructed()
+    except ValueError as exc:
+        with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+            replaced()
+        return
+    record = replaced()
+    assert type(record) is type(expected) and record == expected
+    if isinstance(record, ParityReport):  # its flags are fields, so equal too
+        assert record.failure and not record.has_undetermined
+    elif isinstance(record, TowerSpec):
+        assert type(record.overrides) is MappingProxyType and record.overrides == {}
+    else:
+        assert record.discriminant() == expected.discriminant() == -153883
+        assert record.c_invariants() == expected.c_invariants()
+
+
+CHECKED = {ConstantVerdict, WeierstrassCurve, SiteOverrides, PrimeSite, TowerSpec, ParityReport,
+           DihedralGroupSpec, ClassFunction}
+
+
+def test_every_record_that_checks_builds_through_the_one_base():
+    # a record class whose __new__ checks or computes derives from
+    # CheckedRecord, so _make, _replace, copy and pickle run that __new__; no
+    # other class builds its records another way
+    assert {cls for cls in _record_classes() if "__new__" in vars(cls)} == CHECKED
+    assert {cls for cls in _record_classes() if issubclass(cls, CheckedRecord)} == CHECKED
+    assert {cls for cls in _classes()
+            if {"_make", "__getstate__"} & set(vars(cls))} == {CheckedRecord}
+
+
+@pytest.mark.parametrize("cls", sorted(CHECKED, key=lambda c: c.__name__),
+                         ids=lambda c: c.__name__)
+def test_a_copy_of_a_checked_record_carries_its_fields_alone(cls):
+    record = RECORDS[cls][1]()
+    vars(record)["kept"] = "a text kept outside the fields"
+    for other in (record._replace(), copy.copy(record), copy.deepcopy(record),
+                  pickle.loads(pickle.dumps(record))):
+        assert type(other) is cls and other == record and "kept" not in vars(other)
 
 
 def test_construction_checks_read_keywords():

@@ -48,13 +48,6 @@ def _names(cls):
     return list(cls._fields)
 
 
-def _rebuilt(rep, **changes):
-    """rep with changes, built by ParityReport, which reads its flags off the rows."""
-    fields = {**rep._asdict(), **changes}
-    del fields["failure"], fields["has_undetermined"]
-    return ParityReport(**fields)
-
-
 def _oracle_text(rep, level, label):
     d = oracles.report_dict(rep)
     text = json.dumps(d if label is None else {**d, "label": label}, indent=2)
@@ -100,7 +93,7 @@ def test_render_text_matches_the_oracle_on_the_corpus(case):
         assert render_text(rep) == _oracle_table(rep)
     # a Mismatch row is a bug that no input reaches, so the FAILURE line is
     # checked on a report with one row's status replaced
-    failed = _rebuilt(rep, rows=[rep.rows[0]._replace(status=MISMATCH), *rep.rows[1:]])
+    failed = rep._replace(rows=[rep.rows[0]._replace(status=MISMATCH), *rep.rows[1:]])
     assert failed.failure and render_text(failed) == _oracle_table(failed)
 
 
@@ -114,15 +107,15 @@ FLAGSHIP = (WeierstrassCurve(0, -1, 1, -10, -20), make_tower(-1, 5, 1, [11]))
 def _gamma_as_float(rep):
     row = next(r for r in rep.rows if r.gamma is not None and r.gamma.value == 1)
     gamma = ConstantVerdict(1.0, *row.gamma[1:])  # 1.0 == 1, so the verdict accepts it
-    return _rebuilt(rep, rows=[r._replace(gamma=gamma) if r is row else r for r in rep.rows])
+    return rep._replace(rows=[r._replace(gamma=gamma) if r is row else r for r in rep.rows])
 
 
 @pytest.mark.parametrize("spoil", [
     _gamma_as_float,
     # SiteOverrides refuses 2.0 itself, so the float is put in past its check
-    lambda rep: _rebuilt(rep, tower=rep.tower._replace(
+    lambda rep: rep._replace(tower=rep.tower._replace(
         overrides={13: tuple.__new__(SiteOverrides, (2.0, None, None))})),
-    lambda rep: _rebuilt(rep, mr64_sum=Bit.ONE),
+    lambda rep: rep._replace(mr64_sum=Bit.ONE),
 ], ids=["float-gamma", "float-override", "int-subclass"])
 def test_report_json_rejects_values_outside_schema_1(spoil):
     E, T = FLAGSHIP

@@ -1,3 +1,5 @@
+from itertools import count
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -101,6 +103,17 @@ def test_validate_rejects_bad_d():
     K = QuadraticFieldSpec(1)
     T = TowerSpec(K=K, p=5, n=1, ramified_sites=frozenset(), overrides={})
     assert any(v.code == "d_squarefree" for v in validate_tower(T))
+
+
+# -p*q for the first primes above 10**30 and 10**31: about 0.03 s to decline
+BEYOND_BUDGET_D = -next(filter(is_prime, count(10**30))) * next(filter(is_prime, count(10**31)))
+
+
+def test_validate_reports_a_d_beyond_the_factoring_budget():
+    # a violation that carries the factoring message, as the config's "d: ..." does
+    T = TowerSpec(QuadraticFieldSpec(BEYOND_BUDGET_D), 5, 1)
+    assert [tuple(v) for v in validate_tower(T)] == [
+        ("d_squarefree", f"d: cannot factor {BEYOND_BUDGET_D}: beyond the factoring budget", "")]
 
 
 @pytest.mark.parametrize("field, value, code", [
@@ -233,11 +246,13 @@ OVERRIDES = st.dictionaries(st.sampled_from(SMALL_PRIMES + [10**12 + 39]),
                             max_size=2)
 
 
-# Towers that construct: any d, p and n, and any sites and overrides their
-# records admit.
+# Towers that construct: any d (one beyond the factoring budget too), any
+# p and n (ints of any size, booleans and None among them), and any sites and
+# overrides their records admit.
 ANY_TOWER = st.builds(
     lambda d, *fields: TowerSpec(QuadraticFieldSpec(d), *fields),
-    st.one_of(st.integers(-10**6, 10**6), ANY_VALUE), ANY_VALUE, ANY_VALUE,
+    st.one_of(st.integers(-10**6, 10**6), ANY_VALUE, st.just(BEYOND_BUDGET_D)),
+    st.one_of(st.integers(), ANY_VALUE), st.one_of(st.integers(), ANY_VALUE),
     st.frozensets(SITES, max_size=4), OVERRIDES)
 
 
