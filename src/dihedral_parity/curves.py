@@ -5,8 +5,8 @@ divide (c4, c6) by the largest ell-power pair (ell^4k, ell^6k) that is still
 realizable by an integral model.  Realizability is decided in closed form:
 b2 = -c6 mod 12 is the only candidate, and the pair is realizable exactly
 when the b- and a-invariants it forces are integers (Kraus's conditions).  The
-reduction trichotomy, split flag and valuations are then read off the
-minimal model; Kodaira symbols are never needed downstream.
+reduction trichotomy and valuations are then read off the minimal model;
+Kodaira symbols are never needed downstream.
 """
 
 from __future__ import annotations
@@ -136,28 +136,25 @@ def minimal_model_at(E: WeierstrassCurve, ell: int) -> WeierstrassCurve:
     return E
 
 
-class LocalReductionData(namedtuple("LocalReductionData", "ell reduction_type split v_disc_min "
+class LocalReductionData(namedtuple("LocalReductionData", "ell reduction_type v_disc_min "
                                     "potentially_multiplicative minimal_model")):
     """The reduction of E over Q_ell, read off its ell-minimal model: good,
-    multiplicative or additive, and split only for multiplicative reduction."""
+    multiplicative or additive."""
 
 
 def local_reduction(E: WeierstrassCurve, ell: int) -> LocalReductionData:
     """Reduction trichotomy of E over Q_ell, from an ell-minimal model."""
     Em = minimal_model_at(E, ell)
-    c6 = Em.c_invariants()[1]
     v_disc, v_c4, _ = Em.valuations_at(ell)
     if v_disc == 0:
-        rtype, split = "good", None
+        rtype = "good"
     elif v_c4 == 0:
         rtype = "multiplicative"
-        split = is_local_square(-c6, ell)
     else:
-        rtype, split = "additive", None
+        rtype = "additive"
     return LocalReductionData(
         ell=ell,
         reduction_type=rtype,
-        split=split,
         v_disc_min=v_disc,
         # v(j) = 3 v(c4) - v(Delta_min) < 0
         potentially_multiplicative=v_c4 is not None and 3 * v_c4 < v_disc,
@@ -234,7 +231,7 @@ def reduction_over_Kv(E: WeierstrassCurve, ell: int,
     return LocalData(E, ell, ext).kv
 
 
-class FrobeniusData(namedtuple("FrobeniusData", "ell p a_ell a_ell2 ordinary")):
+class FrobeniusData(namedtuple("FrobeniusData", "ell a_ell a_ell2 ordinary")):
     """The traces of Frobenius at a good prime ell, over F_ell and F_ell^2."""
 
     def point_count(self, q: int) -> int:
@@ -245,15 +242,15 @@ class FrobeniusData(namedtuple("FrobeniusData", "ell p a_ell a_ell2 ordinary")):
         raise ValueError(f"q must be {self.ell} or {self.ell ** 2}")
 
     def anomalous_over(self, q: int) -> bool:
-        return self.point_count(q) % self.p == 0
+        return self.point_count(q) % self.ell == 0
 
 
-def frobenius_data(E: WeierstrassCurve, ell: int, p: int) -> FrobeniusData:
+def frobenius_data(E: WeierstrassCurve, ell: int) -> FrobeniusData:
     """Trace of Frobenius and ordinariness data at a good prime ell."""
-    return _frobenius(local_reduction(E, ell), p)
+    return _frobenius(local_reduction(E, ell))
 
 
-def _frobenius(red: LocalReductionData, p: int) -> FrobeniusData:
+def _frobenius(red: LocalReductionData) -> FrobeniusData:
     ell = red.ell
     if ell > POINT_COUNT_BOUND:
         raise ValueError(f"ell = {ell} exceeds the counting bound {POINT_COUNT_BOUND}")
@@ -263,16 +260,10 @@ def _frobenius(red: LocalReductionData, p: int) -> FrobeniusData:
     assert a * a <= 4 * ell, "Hasse bound violated: counting bug"
     return FrobeniusData(
         ell=ell,
-        p=p,
         a_ell=a,
         a_ell2=a * a - 2 * ell,
         ordinary=(a % ell != 0),
     )
-
-
-class ResidueFrobenius(namedtuple("ResidueFrobenius", "q a_q ordinary")):
-    """Frobenius data of the reduction of E over a local field above p, whose
-    residue field has q elements."""
 
 
 class SiteOverrides(CheckedRecord, namedtuple(
@@ -332,11 +323,8 @@ class LocalData(namedtuple("LocalData", "E ell ext overrides",
         if self.overrides.reduction_over_Kv is not None:
             return self.overrides.reduction_over_Kv
         red, ell, ext = self.red, self.ell, self.ext
-        if ext is None:
-            if red.reduction_type == "multiplicative":
-                return "multiplicative_split" if red.split else "multiplicative_nonsplit"
-            return red.reduction_type
-        check_extension(ell, ext)
+        if ext is not None:
+            check_extension(ell, ext)
         if red.reduction_type == "good":
             return "good"
         if red.potentially_multiplicative:
@@ -347,7 +335,9 @@ class LocalData(namedtuple("LocalData", "E ell ext overrides",
             if ctype == "unramified":
                 return "multiplicative_nonsplit"
             return "additive"
-        # potentially good, additive over Q_ell
+        # potentially good, additive over Q_ell, so over K_v = Q_ell itself
+        if ext is None:
+            return "additive"
         e = self.defect
         if not isinstance(e, int):
             return UNKNOWN
@@ -368,22 +358,21 @@ class LocalData(namedtuple("LocalData", "E ell ext overrides",
         if self.good_twist is None:
             return None
         t, red = self.good_twist
-        return t, _frobenius(red, self.ell)
+        return t, _frobenius(red)
 
     @cached_property
-    def residue_frobenius(self) -> Optional[ResidueFrobenius]:
-        """Frobenius data of E's reduction over K_v, with ell in the role of p:
-        read from E when E is good over Q_ell, from the good twist when K_v is
-        ramified, and None otherwise."""
+    def residue_frobenius(self) -> Optional[FrobeniusData]:
+        """Frobenius data at ell of E's residue curve over K_v, with ell in the
+        role of p: E's own when E is good over Q_ell, that of a unit twist of
+        the good twist when K_v is ramified, and None otherwise."""
         ell, ext = self.ell, self.ext
         if self.red.reduction_type == "good":
-            fd = _frobenius(self.red, ell)
-            q = ell * ell if isinstance(ext, UnramifiedQuadratic) else ell
-            return ResidueFrobenius(q, q + 1 - fd.point_count(q), fd.ordinary)
+            return _frobenius(self.red)
         if not isinstance(ext, RamifiedQuadratic) or self.twist_frobenius is None:
             return None
         t, fd = self.twist_frobenius
         # E over K_v is the twist of E^t by the unit class d/t; a nonsquare
         # unit twist negates the trace of Frobenius on the residue curve.
-        a = fd.a_ell if is_local_square(ext.d * t, ell) else -fd.a_ell
-        return ResidueFrobenius(ell, a, a % ell != 0)
+        if is_local_square(ext.d * t, ell):
+            return fd
+        return FrobeniusData(ell=ell, a_ell=-fd.a_ell, a_ell2=fd.a_ell2, ordinary=fd.ordinary)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Optional
 
 from . import verdicts as V
-from .curves import UNKNOWN, LocalData, ResidueFrobenius, WeierstrassCurve
+from .curves import UNKNOWN, FrobeniusData, LocalData, WeierstrassCurve
 from .localarith import UnramifiedQuadratic
 from .tower import SPLIT, PrimeSite, TowerSpec, check_tower, local_data
 from .verdicts import DeltaVerdict
@@ -66,7 +66,7 @@ VOCABULARY = tuple(v for v in globals().values() if isinstance(v, DeltaVerdict))
 
 
 def residue_frobenius_over_Kv(E: WeierstrassCurve, T: TowerSpec,
-                              site: PrimeSite) -> Optional[ResidueFrobenius]:
+                              site: PrimeSite) -> Optional[FrobeniusData]:
     """Frobenius data of E's reduction over K_v at a good-over-K_v site above p.
 
     When E is additive over Q_p the good model over the ramified K_v is reached
@@ -121,10 +121,12 @@ def delta_at(T: TowerSpec, v: PrimeSite, loc: Optional[LocalData]) -> DeltaVerdi
         rf = loc.residue_frobenius
         if rf is None:
             return NO_RESIDUE_TWIST
+        inert = isinstance(loc.ext, UnramifiedQuadratic)
         if rf.ordinary:
-            return GOOD_ORDINARY_P._replace(detail=f"a_q = {rf.a_q} over F_{rf.q} is prime to p")
+            q, a_q = (p * p, rf.a_ell2) if inert else (p, rf.a_ell)
+            return GOOD_ORDINARY_P._replace(detail=f"a_q = {a_q} over F_{q} is prime to p")
         # supersingular: only the inert case is known (rf there means E good over Q_p)
-        if isinstance(loc.ext, UnramifiedQuadratic):
+        if inert:
             return GOOD_SUPERSINGULAR_MR57
         return SUPERSINGULAR_OUTSIDE_MR57
     if red.potentially_multiplicative:

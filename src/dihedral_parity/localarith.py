@@ -201,13 +201,17 @@ def _factorization(n: int) -> dict[int, int]:
             continue
         f, budget = _rho_factor(m, budget)
         if f is None:
-            try:
-                shown = str(n)
-            except ValueError:  # more digits than Python prints
-                shown = f"a {abs(n).bit_length()}-bit integer"
-            raise ValueError(f"cannot factor {shown}: beyond the factoring budget")
+            raise ValueError(f"cannot factor {int_text(n)}: beyond the factoring budget")
         pending += [f, m // f]
     return dict(sorted(out.items()))
+
+
+def int_text(n) -> str:
+    """str(n), or "a N-bit integer" for an int of more digits than Python prints."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"a {abs(n).bit_length()}-bit integer"
 
 
 def prime_factors(n: int) -> list[int]:

@@ -19,6 +19,7 @@ from .localarith import (
     QuadraticExtension,
     RamifiedQuadratic,
     UnramifiedQuadratic,
+    int_text,
     is_prime,
     kronecker_symbol,
     prime_factors,
@@ -188,37 +189,40 @@ CITE_RAMIFIED_ABOVE_P = (
 )
 
 
-def validate_tower(T: TowerSpec, E: Optional[WeierstrassCurve] = None) -> list[Violation]:
+def validate_tower(T: TowerSpec) -> list[Violation]:
     """All standing-hypothesis violations of the tower (empty means valid); p, n
-    and d are ints, not True or 5.0.  E is not read: a curve is never singular."""
+    and d are ints, not True or 5.0.  An int too long to print is named by its
+    bit length."""
     out: list[Violation] = []
+    p, n, d = int_text(T.p), int_text(T.n), int_text(T.K.d)
     if not (type(T.p) is int and is_prime(T.p) and T.p > 3):
-        out.append(Violation("p_gt_3", f"p = {T.p}: p > 3 required and p must be prime",
+        out.append(Violation("p_gt_3", f"p = {p}: p > 3 required and p must be prime",
                              CITE_P_GT_3))
     try:
-        K_valid, d_message = T.K.is_valid(), f"d = {T.K.d} must be squarefree and not 0 or 1"
+        K_valid, d_message = T.K.is_valid(), f"d = {d} must be squarefree and not 0 or 1"
     except ValueError as exc:  # d is beyond the factoring budget
         K_valid, d_message = False, f"d: {exc}"
     if not K_valid:
         out.append(Violation("d_squarefree", d_message))
     if type(T.n) is not int or T.n < 1:
-        out.append(Violation("n_positive", f"n = {T.n} must be >= 1"))
+        out.append(Violation("n_positive", f"n = {n} must be >= 1"))
     for site in sorted(T.ramified_sites, key=lambda s: (s.ell, s.which or "")):
+        ell = int_text(site.ell)
         if K_valid and site.split_type != split_type(site.ell, T.K):
             out.append(Violation(
                 "site_consistency",
-                f"site above {site.ell} declared {site.split_type} but {site.ell} is "
-                f"{split_type(site.ell, T.K)} in Q(sqrt({T.K.d}))"))
+                f"site above {ell} declared {site.split_type} but {ell} is "
+                f"{split_type(site.ell, T.K)} in Q(sqrt({d}))"))
             continue
         if site.conjugate() not in T.ramified_sites:
             out.append(Violation(
                 "conjugation_closure",
-                f"ramified site set not closed under conjugation at {site.ell}"))
+                f"ramified site set not closed under conjugation at {ell}"))
         if site.split_type == RAMIFIED and site.ell != T.p:
             out.append(Violation(
                 "ramified_site_above_p",
-                f"site above {site.ell} is ramified in K/Q and in L/K but does not "
-                f"lie above p = {T.p}", CITE_RAMIFIED_ABOVE_P))
+                f"site above {ell} is ramified in K/Q and in L/K but does not "
+                f"lie above p = {p}", CITE_RAMIFIED_ABOVE_P))
     return out
 
 

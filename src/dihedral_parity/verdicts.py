@@ -32,7 +32,10 @@ class CheckedRecord(tuple):
 
     @classmethod
     def _make(cls, iterable):
-        return cls(*tuple.__new__(cls, iterable).__getnewargs__())
+        values = tuple.__new__(cls, iterable)
+        if len(values) > len(cls._fields):  # as a named tuple's _make refuses them
+            raise TypeError(f"Expected {len(cls._fields)} arguments, got {len(values)}")
+        return cls(*values.__getnewargs__())
 
     def __getstate__(self):  # so a copy carries the fields alone
         return None

@@ -28,6 +28,7 @@ from dihedral_parity.curves import (
     frobenius_data,
     local_reduction,
     minimal_model_at,
+    reduction_over_Kv,
 )
 from dihedral_parity.delta import delta
 from dihedral_parity.dihedral import (
@@ -66,7 +67,7 @@ def test_criterion_1_parity_congruence_corpus():
     rows_checked = 0
     for label, E, d, p, n, rams in PARITY_CORPUS:
         T = make_tower(d, p, n, rams)
-        assert validate_tower(T, E) == []
+        assert validate_tower(T) == []
         for row in parity_table(E, T):
             assert row.status == MATCH, (label, row.place)
             rows_checked += 1
@@ -109,7 +110,10 @@ def test_criterion_3_reduction_oracle():
         for ell in prime_factors(E.discriminant()):
             kind, split, v = oracles.reduction_type(E, ell)
             data = local_reduction(E, ell)
-            assert (data.reduction_type, data.split, data.v_disc_min) == \
+            split_over_Q_ell = {"multiplicative_split": True,
+                                "multiplicative_nonsplit": False}.get(
+                reduction_over_Kv(E, ell, None))
+            assert (data.reduction_type, split_over_Q_ell, data.v_disc_min) == \
                 (kind, split, v), (label, ell)
             checked += 1
     _report(3, f"local_reduction matches the u-substitution oracle at "
@@ -117,15 +121,15 @@ def test_criterion_3_reduction_oracle():
 
 
 def test_criterion_4_point_count_oracle():
-    assert frobenius_data(CURVES["11a1"], 5, 5).a_ell == 1
-    assert frobenius_data(CURVES["x3+x"], 3, 3).a_ell == 0
-    assert frobenius_data(CURVES["11a1"], 5, 5).anomalous_over(5)
+    assert frobenius_data(CURVES["11a1"], 5).a_ell == 1
+    assert frobenius_data(CURVES["x3+x"], 3).a_ell == 0
+    assert frobenius_data(CURVES["11a1"], 5).anomalous_over(5)
     pairs = 0
     for label, E in CURVES.items():
         for ell in (2, 3, 5, 7, 11, 13):
             if local_reduction(E, ell).v_disc_min:
                 continue
-            f = frobenius_data(E, ell, 5)
+            f = frobenius_data(E, ell)
             assert f.a_ell ** 2 <= 4 * ell
             assert f.a_ell2 == f.a_ell ** 2 - 2 * ell
             assert oracles.count_points_ext(minimal_model_at(E, ell), ell) \

@@ -1,3 +1,5 @@
+import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -9,8 +11,8 @@ import oracles
 from corpus import CURVES, TWIST_11A1_7
 from dihedral_parity import pointcount
 from dihedral_parity.curves import (
+    FrobeniusData,
     LocalData,
-    ResidueFrobenius,
     SingularCurveError,
     SiteOverrides,
     UNKNOWN,
@@ -186,6 +188,13 @@ ORACLE_SET = [
 ]
 
 
+# The reduction over Q_ell by the oracle's (type, split flag), split read off
+# the nodal cubic's point count.
+KV_BY_ORACLE = {("good", None): "good", ("multiplicative", True): "multiplicative_split",
+                ("multiplicative", False): "multiplicative_nonsplit",
+                ("additive", None): "additive"}
+
+
 @pytest.mark.parametrize("label,E", ORACLE_SET)
 def test_local_reduction_matches_oracle(label, E):
     """Exact match of type, split flag, and v(disc_min) against the
@@ -194,7 +203,7 @@ def test_local_reduction_matches_oracle(label, E):
         kind, split, v = oracles.reduction_type(E, ell)
         data = local_reduction(E, ell)
         assert data.reduction_type == kind, (label, ell)
-        assert data.split == split, (label, ell)
+        assert reduction_over_Kv(E, ell, None) == KV_BY_ORACLE[kind, split], (label, ell)
         assert data.v_disc_min == v, (label, ell)
         assert padic_valuation(minimal_model_at(E, ell).discriminant(),
                                ell) == v if v else True
@@ -339,21 +348,21 @@ def test_count_points_takes_quarter_power_work(monkeypatch):
 
 
 def test_frobenius_known_values():
-    f = frobenius_data(CURVES["11a1"], 5, 5)
+    f = frobenius_data(CURVES["11a1"], 5)
     assert f.a_ell == 1 and f.ordinary
     assert f.anomalous_over(5)  # 5 + 1 - 1 = 5
-    g = frobenius_data(CURVES["x3+x"], 3, 3)
+    g = frobenius_data(CURVES["x3+x"], 3)
     assert g.a_ell == 0 and not g.ordinary
 
 
 def test_frobenius_data_asks_for_a_good_prime_and_its_fields():
-    f = frobenius_data(CURVES["11a1"], 5, 5)
+    f = frobenius_data(CURVES["11a1"], 5)
     assert (f.point_count(5), f.point_count(25)) == (5, 25 + 1 - f.a_ell2)
     for q in (1, 4, 125):
         with pytest.raises(ValueError, match=r"^q must be 5 or 25$"):
             f.point_count(q)
     with pytest.raises(ValueError, match=r"^E has bad reduction at 11$"):
-        frobenius_data(CURVES["11a1"], 11, 5)
+        frobenius_data(CURVES["11a1"], 11)
 
 
 @pytest.mark.parametrize("ell", [0, 1, 4, -3, 121])
@@ -367,7 +376,7 @@ def test_hasse_and_a_ell2_against_field_oracle(label, E):
     for ell in (2, 3, 5, 7, 11, 13):
         if E.discriminant() % ell == 0 and local_reduction(E, ell).v_disc_min:
             continue
-        f = frobenius_data(E, ell, 5)
+        f = frobenius_data(E, ell)
         assert f.a_ell ** 2 <= 4 * ell  # Hasse
         assert f.a_ell2 == f.a_ell ** 2 - 2 * ell
         n2 = oracles.count_points_ext(minimal_model_at(E, ell), ell)
@@ -381,7 +390,7 @@ def test_reduction_over_Kv_multiplicative():
         assert reduction_over_Kv(E, 11, ext) == "multiplicative_split"
     # the twist is nonsplit at 11 over Q_11 but splits over the inert ext
     t = TWIST_11A1_7
-    assert local_reduction(t, 11).split is False
+    assert reduction_over_Kv(t, 11, None) == "multiplicative_nonsplit"
     assert reduction_over_Kv(t, 11, UnramifiedQuadratic()) == "multiplicative_split"
 
 
@@ -395,7 +404,7 @@ def test_reduction_over_Kv_potentially_good():
 
 def test_residue_trace_over_a_ramified_Kv_carries_the_twist_sign():
     # 11a1 twisted by 5 is additive at 5 and good over each ramified Q_5(sqrt d);
-    # its residue curve there is E^d, the twist by d, reduced mod 5: a_q is
+    # its residue curve there is E^d, the twist by d, reduced mod 5: a_5 is
     # 6 - #E^d(F_5), whose sign the unit class of d over the good twist sets
     E = quadratic_twist(CURVES["11a1"], 5)
     c4, c6 = E.c_invariants()
@@ -403,24 +412,24 @@ def test_residue_trace_over_a_ramified_Kv_carries_the_twist_sign():
     for d in (5, -5, 10, 15, -10, 30):
         twist = WeierstrassCurve(0, 0, 0, -27 * d ** 2 * c4, -54 * d ** 3 * c6)
         expected = 6 - oracles.count_points(oracles.minimal_model(twist, 5), 5)
-        traces.append(LocalData(E, 5, RamifiedQuadratic(d)).residue_frobenius.a_q)
+        traces.append(LocalData(E, 5, RamifiedQuadratic(d)).residue_frobenius.a_ell)
         assert traces[-1] == expected, d
     assert traces == [1, 1, -1, -1, -1, 1]
 
 
 def test_residue_field_over_an_inert_Kv_has_ell_squared_elements():
-    # K_v unramified over Q_ell has residue field F_(ell^2): a_q is the trace
-    # over it, a_ell^2 - 2 ell, here read against an exhaustive count
+    # K_v unramified over Q_ell has residue field F_(ell^2): the trace over it
+    # is a_ell2 = a_ell^2 - 2 ell, here read against an exhaustive count
     assert (LocalData(CURVES["11a1"], 7, UnramifiedQuadratic()).residue_frobenius
-            == ResidueFrobenius(49, -10, True))
+            == FrobeniusData(7, -2, -10, True))
     good = [E for E in CURVES.values()
             if all(local_reduction(E, ell).reduction_type == "good" for ell in (5, 7, 11))]
     assert len(good) >= 3
     for E, ell in product(good, (5, 7, 11)):
         rf = LocalData(E, ell, UnramifiedQuadratic()).residue_frobenius
-        assert rf.q == ell ** 2
+        assert rf.ell == ell
         count = oracles.count_points_ext(oracles.minimal_model(E, ell), ell)
-        assert rf.a_q == ell ** 2 + 1 - count
+        assert rf.a_ell2 == ell ** 2 + 1 - count
 
 
 @pytest.mark.parametrize("build", [
@@ -538,6 +547,26 @@ def test_reduction_over_Kv_follows_the_class_of_minus_c6(ell, a2, r, s, u, t):
     for kind, ext, d in exts:
         expected = KV_BY_CLASS[oracles.character_type(-c6, ell, kind, d)]
         assert LocalData(E, ell, ext).kv == expected, (kind, d)
+
+
+def test_reduction_over_Q_ell_matches_the_oracle_at_every_bad_prime():
+    # K_v = Q_ell takes the rule of every K_v, the class of -c6; the oracle
+    # counts points on the nodal cubic instead.  Twisting by ell itself makes
+    # a multiplicative prime additive, of type I_n*, so that case occurs too.
+    rng, seen = random.Random(20261020), Counter()
+    for _ in range(120):
+        E = _try_curve(tuple(rng.randint(-8, 8) for _ in range(5)))
+        if E is None:
+            continue
+        for ell in [q for q in prime_factors(E.discriminant()) if q < 200]:
+            for curve in (E, quadratic_twist(E, ell)):
+                kind, split, _ = oracles.reduction_type(curve, ell)
+                kv = reduction_over_Kv(curve, ell, None)
+                assert kv == KV_BY_ORACLE[kind, split], (curve, ell)
+                seen[kv, local_reduction(curve, ell).potentially_multiplicative] += 1
+    assert min(seen[kv, True] for kv in ("multiplicative_split", "multiplicative_nonsplit",
+                                         "additive")) >= 20, seen
+    assert seen["additive", False] >= 20, seen
 
 
 def test_twist_oracle_known_cases():

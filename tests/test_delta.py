@@ -101,12 +101,12 @@ def test_anomalous_override_forces_undetermined():
 
 
 def test_good_over_ramified_Kv_at_p():
-    # over Q_5(sqrt 5) the twist un-twists: good ordinary with a_q = -2
+    # over Q_5(sqrt 5) the twist un-twists: good ordinary with a_q = a_5 = -2
     T = make_tower(5, 5, 1, [5])
     d = delta(TWIST_37A1_5, T, _site(T, 5))
     assert (d.value, d.case_tag) == (0, V.GOOD_ORDINARY_P)
     f = residue_frobenius_over_Kv(TWIST_37A1_5, T, _site(T, 5))
-    assert f.q == 5 and f.a_q == -2
+    assert f.ell == 5 and f.a_ell == -2
 
 
 def test_invalid_tower_rejected():

@@ -25,7 +25,6 @@ from dihedral_parity.curves import (
     FrobeniusData,
     LocalData,
     LocalReductionData,
-    ResidueFrobenius,
     SingularCurveError,
     SiteOverrides,
     WeierstrassCurve,
@@ -63,10 +62,9 @@ RECORDS = {
     UnramifiedQuadratic: ("", UnramifiedQuadratic),
     RamifiedQuadratic: ("d", lambda: RamifiedQuadratic(-1)),
     WeierstrassCurve: ("a1 a2 a3 a4 a6", lambda: WeierstrassCurve(0, -1, 1, -10, -20)),
-    LocalReductionData: ("ell reduction_type split v_disc_min potentially_multiplicative "
+    LocalReductionData: ("ell reduction_type v_disc_min potentially_multiplicative "
                          "minimal_model", lambda: local_reduction(E, 11)),
-    FrobeniusData: ("ell p a_ell a_ell2 ordinary", lambda: FrobeniusData(7, 5, -2, -10, True)),
-    ResidueFrobenius: ("q a_q ordinary", lambda: ResidueFrobenius(49, -10, True)),
+    FrobeniusData: ("ell a_ell a_ell2 ordinary", lambda: FrobeniusData(7, -2, -10, True)),
     SiteOverrides: ("defect anomalous reduction_over_Kv", lambda: SiteOverrides(defect=2)),
     LocalData: ("E ell ext overrides", lambda: LocalData(E, 11, UnramifiedQuadratic())),
     QuadraticFieldSpec: ("d", lambda: QuadraticFieldSpec(-1)),
@@ -232,6 +230,18 @@ def test_a_copy_of_a_checked_record_carries_its_fields_alone(cls):
     for other in (record._replace(), copy.copy(record), copy.deepcopy(record),
                   pickle.loads(pickle.dumps(record))):
         assert type(other) is cls and other == record and "kept" not in vars(other)
+
+
+@pytest.mark.parametrize("cls", sorted(CHECKED, key=lambda c: c.__name__),
+                         ids=lambda c: c.__name__)
+def test_make_refuses_more_values_than_fields(cls):
+    # as a named tuple's _make does: TowerSpec and ParityReport read their
+    # fields by position, so an extra value was dropped without a word
+    record = RECORDS[cls][1]()
+    n = len(cls._fields)
+    with pytest.raises(TypeError, match=f"^Expected {n} arguments, got {n + 1}$"):
+        cls._make([*record, "extra"])
+    assert cls._make(record) == record
 
 
 def test_construction_checks_read_keywords():

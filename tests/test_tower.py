@@ -56,7 +56,7 @@ def test_sites_above_structure(d, ell):
 
 def test_validate_accepts_flagship():
     T = make_tower(-1, 5, 1, [11])
-    assert validate_tower(T, CURVES["11a1"]) == []
+    assert validate_tower(T) == []
 
 
 def test_validate_rejects_small_p():
@@ -114,6 +114,18 @@ def test_validate_reports_a_d_beyond_the_factoring_budget():
     T = TowerSpec(QuadraticFieldSpec(BEYOND_BUDGET_D), 5, 1)
     assert [tuple(v) for v in validate_tower(T)] == [
         ("d_squarefree", f"d: cannot factor {BEYOND_BUDGET_D}: beyond the factoring budget", "")]
+
+
+# 10**5000 has more digits than Python prints; the f-string of each message
+# raised, for d inside the try meant for the factoring budget
+@pytest.mark.parametrize("d, p, n, violation", [
+    (-1, 10**5000, 1, "p_gt_3: p = a 16610-bit integer: p > 3 required"),
+    (-1, 5, -10**5000, "n_positive: n = a 16610-bit integer must be >= 1"),
+    (10**5000, 5, 1, "d_squarefree: d = a 16610-bit integer must be squarefree"),
+], ids=["p", "n", "d"])
+def test_validate_names_an_unprintable_value_by_its_size(d, p, n, violation):
+    [only] = validate_tower(TowerSpec(QuadraticFieldSpec(d), p, n))
+    assert str(only).startswith(violation)
 
 
 @pytest.mark.parametrize("field, value, code", [
