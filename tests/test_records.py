@@ -235,8 +235,8 @@ def test_a_copy_of_a_checked_record_carries_its_fields_alone(cls):
 @pytest.mark.parametrize("cls", sorted(CHECKED, key=lambda c: c.__name__),
                          ids=lambda c: c.__name__)
 def test_make_refuses_more_values_than_fields(cls):
-    # as a named tuple's _make does: TowerSpec and ParityReport read their
-    # fields by position, so an extra value was dropped without a word
+    # as a named tuple's _make does: the __getnewargs__ of TowerSpec and
+    # ParityReport read fields by position, so an extra value would be dropped
     record = RECORDS[cls][1]()
     n = len(cls._fields)
     with pytest.raises(TypeError, match=f"^Expected {n} arguments, got {n + 1}$"):

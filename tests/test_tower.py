@@ -116,8 +116,8 @@ def test_validate_reports_a_d_beyond_the_factoring_budget():
         ("d_squarefree", f"d: cannot factor {BEYOND_BUDGET_D}: beyond the factoring budget", "")]
 
 
-# 10**5000 has more digits than Python prints; the f-string of each message
-# raised, for d inside the try meant for the factoring budget
+# 10**5000 has more digits than Python prints, so a message that formats it
+# as is raises; for d, inside the try meant for the factoring budget
 @pytest.mark.parametrize("d, p, n, violation", [
     (-1, 10**5000, 1, "p_gt_3: p = a 16610-bit integer: p > 3 required"),
     (-1, 5, -10**5000, "n_positive: n = a 16610-bit integer must be >= 1"),
