@@ -18,7 +18,7 @@ from typing import Any, Optional, Union
 
 from . import report
 from .curves import OVERRIDE_KEYS, SingularCurveError, WeierstrassCurve
-from .parity import BOUND_TOO_LONG, MAX_BOUND_DIGITS, ParityReport, analyze, bound_too_long
+from .parity import ParityReport, analyze, bound_error, max_digits
 from .parity import check_dim_Sp_E_K
 from .report import report_to_dict  # not called here: bench/tracing.py times cli.report_to_dict
 from .tower import FIRST, INERT, SECOND, SPLIT, PrimeSite, QuadraticFieldSpec
@@ -191,8 +191,8 @@ def parse_config(raw: dict, *, need_curve: bool = True):
         check_dim_Sp_E_K(dim)
     except (TypeError, ValueError):  # the last error a config can have
         raise ConfigError([*errors, "dim_Sp_E_K: expected a nonnegative integer"]) from None
-    if dim is not None and tower is not None and bound_too_long(tower.p, tower.n, dim):
-        errors.append(f"n: {BOUND_TOO_LONG}")
+    if tower is not None and (error := bound_error(tower.p, tower.n, dim)):
+        errors.append(f"n: {error}")
     if errors:
         raise ConfigError(errors)
     return curve, tower, dim
@@ -227,7 +227,7 @@ def read_curve_csv(path: str):
                     coeffs = [int(c) for c in row[1:]]
                 except ValueError:  # a malformed field, or more digits than int() reads
                     errors.append(f"{path}:{lineno}: " + (
-                        f"coefficient has more than {MAX_BOUND_DIGITS} digits"
+                        f"coefficient has more than {max_digits()} digits"
                         if all(map(_INTEGER.fullmatch, row[1:])) else "non-integer coefficient"))
                     continue
                 try:

@@ -22,9 +22,9 @@ from .localarith import (
     RamifiedQuadratic,
     UnramifiedQuadratic,
     check_extension,
-    is_local_square,
     is_prime,
     is_squarefree,
+    local_square_class,
     padic_valuation,
     quadratic_character_type,
 )
@@ -373,6 +373,6 @@ class LocalData(namedtuple("LocalData", "E ell ext overrides",
         t, fd = self.twist_frobenius
         # E over K_v is the twist of E^t by the unit class d/t; a nonsquare
         # unit twist negates the trace of Frobenius on the residue curve.
-        if is_local_square(ext.d * t, ell):
+        if local_square_class(ext.d * t, ell).is_square:
             return fd
         return FrobeniusData(ell=ell, a_ell=-fd.a_ell, a_ell2=fd.a_ell2, ordinary=fd.ordinary)

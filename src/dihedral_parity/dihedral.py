@@ -98,18 +98,6 @@ def sign_character(G: DihedralGroupSpec) -> ClassFunction:
     return _basis_character(G, 1)
 
 
-def two_dim_character(G: DihedralGroupSpec, k: int) -> ClassFunction:
-    """Character psi_k of the 2-dimensional irreducible, 1 <= k <= (m-1)/2."""
-    if not 1 <= k <= (G.m - 1) // 2:
-        raise ValueError(f"rotation weight k = {k} must be in 1..{(G.m - 1) // 2}")
-    return _basis_character(G, 1 + k)
-
-
-def irreducible_characters(G: DihedralGroupSpec) -> list[ClassFunction]:
-    """All irreducibles of D_{2m} (m odd): 1, sgn, and (m-1)/2 of degree 2."""
-    return [_basis_character(G, i) for i in range(G.n_irreducibles)]
-
-
 def induce(chi: ClassFunction, G: DihedralGroupSpec) -> ClassFunction:
     """Induce a character of the rotation subgroup C_m up to D_{2m}.
 

@@ -292,10 +292,6 @@ def local_square_class(z: int, ell: int) -> LocalSquareVerdict:
     return LocalSquareVerdict(v % 2, u % 8 if ell == 2 else kronecker_symbol(u, ell))
 
 
-def is_local_square(z: int, ell: int) -> bool:
-    return local_square_class(z, ell).is_square
-
-
 class UnramifiedQuadratic(namedtuple("UnramifiedQuadratic", "")):
     """The unramified quadratic extension of Q_ell."""
 
@@ -325,12 +321,6 @@ def check_extension(ell: int, ext: QuadraticExtension) -> None:
             raise ValueError(f"Q_{ell}(sqrt({d})) is not ramified over Q_{ell}")
     elif not isinstance(ext, UnramifiedQuadratic):
         raise ValueError(f"unsupported extension descriptor {ext!r}")
-
-
-def is_square_in_quadratic_ext(z: int, ell: int, ext: QuadraticExtension) -> bool:
-    """Is z a square in the given quadratic extension of Q_ell?"""
-    check_extension(ell, ext)  # quadratic_character_type also takes None
-    return quadratic_character_type(z, ell, ext) == "trivial"
 
 
 def quadratic_character_type(z: int, ell: int,

@@ -9,6 +9,7 @@ reported as FAILURE.
 
 from __future__ import annotations
 
+import sys
 from collections import namedtuple
 from typing import Optional
 
@@ -39,9 +40,6 @@ NOTES = ((ARCHIMEDEAN_NOTE,), (ARCHIMEDEAN_NOTE, TAME_NOTE))  # the notes a repo
 BLANKET_CITATION = (
     "all remaining primes: good reduction, unramified everywhere in the tower; "
     "both constants vanish (good-reduction and unramified cases)")
-MAX_BOUND_DIGITS = 4300  # the most digits Python prints or reads of an int by default
-_MAX_BOUND = 10 ** MAX_BOUND_DIGITS
-BOUND_TOO_LONG = f"the Selmer bound dim_Sp_E_K + p^n - 1 has more than {MAX_BOUND_DIGITS} digits"
 
 # Hypothesis labels of the parity theorem, keyed by delta case tag.
 _CONDITION_BY_TAG = {
@@ -130,11 +128,26 @@ def _audit(site: PrimeSite, dv: DeltaVerdict, shared: dict) -> SiteAudit:
                                                              SiteAudit(site, cond, True))
 
 
-def bound_too_long(p: int, n: int, dim_Sp_E_K: int) -> bool:
-    """Whether dim_Sp_E_K + p^n - 1 has more than MAX_BOUND_DIGITS digits (never for p < 2
-    or n < 1): n may decide first, as p^n >= 2^((bits of p - 1) n) and 2^(10/3) > 10."""
-    return p > 1 and n > 0 and (3 * (p.bit_length() - 1) * n > 10 * MAX_BOUND_DIGITS
-                                or dim_Sp_E_K + p ** n > _MAX_BOUND)
+def max_digits() -> int:
+    """The most digits of an int the package prints or reads: 4300, Python's
+    default, or a lower limit set for this interpreter (0 is none, and Python
+    before 3.10.7 has none)."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    return min(4300, limit) if limit else 4300
+
+
+def bound_error(p: int, n: int, dim_Sp_E_K: Optional[int]) -> Optional[str]:
+    """Why dim_Sp_E_K + p^n - 1 is too long to print, or None (always when
+    dim_Sp_E_K is None, p < 2 or n < 1): n may decide first, as p^n >=
+    2^((bits of p - 1) n) and 2^(10/3) > 10, and a bound of at most
+    3 * digits bits is below 8^digits."""
+    if dim_Sp_E_K is None or p < 2 or n < 1:
+        return None
+    digits = max_digits()
+    if (3 * (p.bit_length() - 1) * n > 10 * digits
+            or (bound := dim_Sp_E_K + p ** n).bit_length() > 3 * digits and bound > 10 ** digits):
+        return f"the Selmer bound dim_Sp_E_K + p^n - 1 has more than {digits} digits"
+    return None
 
 
 def check_dim_Sp_E_K(dim_Sp_E_K: Optional[int]) -> None:
@@ -169,8 +182,8 @@ def analyze(E: WeierstrassCurve, T: TowerSpec,
     self-conjugate site ramified in L/K.  Aggregates read the rows."""
     check_dim_Sp_E_K(dim_Sp_E_K)
     check_tower(T)
-    if dim_Sp_E_K is not None and bound_too_long(T.p, T.n, dim_Sp_E_K):
-        raise ValueError(BOUND_TOO_LONG)
+    if error := bound_error(T.p, T.n, dim_Sp_E_K):
+        raise ValueError(error)
     disc, primes = E.discriminant(), support_primes(T, E)
     shared = vars(T).setdefault("shared", {})
     # The aggregation set S: sites above p, sites ramified in L/K, and sites

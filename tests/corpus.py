@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from hypothesis import strategies as st
 
 from dihedral_parity import QuadraticFieldSpec, TowerSpec, WeierstrassCurve, sites_above
 from dihedral_parity.curves import SingularCurveError, quadratic_twist
+from dihedral_parity.localarith import is_prime
+from dihedral_parity.tower import INERT, SPLIT, split_type
 
 CURVES = {
     "11a1": WeierstrassCurve(0, -1, 1, -10, -20),
@@ -88,14 +92,45 @@ def _tower(d: int, p: int, n: int, primes: set) -> TowerSpec:
                      ramified_sites=frozenset(s for ell in primes for s in sites_above(ell, K)))
 
 
+_SQUAREFREE_D = [d for d in range(-30, 31) if QuadraticFieldSpec(d).is_valid()]
+_TOWER_P = [5, 7, 11, 13]
+
 # Valid towers: squarefree d in [-30, 30], p in {5, 7, 11, 13}, n in {1, 2},
 # and every site above one to three primes up to 23 ramified in L/K (so the
 # set is closed under conjugation); a tower that breaks a standing hypothesis
 # (a site ramified in K/Q but not above p) is dropped.
 VALID_TOWERS = st.builds(
     _tower,
-    st.sampled_from([d for d in range(-30, 31) if QuadraticFieldSpec(d).is_valid()]),
-    st.sampled_from([5, 7, 11, 13]),
+    st.sampled_from(_SQUAREFREE_D),
+    st.sampled_from(_TOWER_P),
     st.integers(1, 2),
     st.sets(st.sampled_from([2, 3, 5, 7, 11, 13, 17, 19, 23]), min_size=1, max_size=3),
 ).filter(lambda T: not T.violations)
+
+
+@lru_cache(maxsize=None)
+def _ramifiable(d: int, p: int, n: int) -> list[int]:
+    """The primes below 400 whose sites may ramify in a dihedral L/K of degree
+    p^n: p itself, or a prime unramified in K whose tame inertia of order p^n
+    the reflection inverts, so that p^n | ell + 1 when ell is inert in K and
+    p^n | ell - 1 when it splits (Serre, Local Fields, ch. IV)."""
+    K, q = QuadraticFieldSpec(d), p ** n
+    return [ell for ell in range(2, 400) if is_prime(ell) and (
+        ell == p or {INERT: ell + 1, SPLIT: ell - 1}.get(split_type(ell, K), 1) % q == 0)]
+
+
+def _realizable_tower(d: int, p: int, n: int, picks: set) -> TowerSpec:
+    primes = _ramifiable(d, p, n)
+    return _tower(d, p, n, {primes[i % len(primes)] for i in picks})
+
+
+# Realizable towers: the d, p and n of VALID_TOWERS, and every site above one
+# to three primes of _ramifiable ramified in L/K, picked by index.  Built,
+# not filtered: about 2% of the towers VALID_TOWERS draws from pass the rule.
+REALIZABLE_TOWERS = st.builds(
+    _realizable_tower,
+    st.sampled_from(_SQUAREFREE_D),
+    st.sampled_from(_TOWER_P),
+    st.integers(1, 2),
+    st.sets(st.integers(0, 63), min_size=1, max_size=3),
+)

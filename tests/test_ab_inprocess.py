@@ -29,10 +29,18 @@ def test_the_summary_holds_each_pass_and_its_quartiles(monkeypatch, capsys):
     assert ab_inprocess.main(ARGV) == 0
     out = capsys.readouterr().out
     assert out.count("\n") == 1
-    results = json.loads(out)
+    line = json.loads(out)
+    assert list(line) == ["command", "commit", "dirty", "machine", "base", "workloads"]
+    assert line["command"] == ["python3", "tools/ab_inprocess.py", *ARGV]
+    assert {"commit": line["commit"], "dirty": line["dirty"]} == \
+        ab_inprocess.bench_pairs.tree_state()
+    assert line["base"] == "0" * 40
+    assert line["machine"] == ab_inprocess.bench_pairs.machine()
+    assert set(line["machine"]) == {"python", "system", "processor", "cpus"}
+    results = line["workloads"]
     assert list(results) == ["batch"]
     result = results["batch"]
-    assert (result["base"], result["workload"], result["passes"]) == ("0" * 40, "batch", 2)
+    assert (result["workload"], result["passes"]) == ("batch", 2)
     assert result["calls_per_pass"] == 4  # one batch call per tower of the round
     seconds = result["seconds"]
     assert set(seconds) == {"wall", "cpu"}
@@ -50,10 +58,10 @@ def test_the_summary_holds_each_pass_and_its_quartiles(monkeypatch, capsys):
 def test_one_run_covers_every_workload_named(monkeypatch, capsys):
     _extract_as(monkeypatch)
     assert ab_inprocess.main([*ARGV[:4], "large_p", "batch", "large_p", *ARGV[4:]]) == 0
-    results = json.loads(capsys.readouterr().out)
+    results = json.loads(capsys.readouterr().out)["workloads"]
     assert list(results) == ["batch", "large_p"]  # in the order named, each once
     assert {w: r["workload"] for w, r in results.items()} == {w: w for w in results}
-    assert all(r["base"] == "0" * 40 and r["passes"] == 2 for r in results.values())
+    assert all(r["passes"] == 2 for r in results.values())
 
 
 def test_over_six_passes_each_side_follows_each_other_side_equally_often(monkeypatch, tmp_path):

@@ -44,9 +44,8 @@ from dihedral_parity.dihedral import (
 )
 from dihedral_parity.gamma import gamma
 from dihedral_parity.localarith import (
-    is_local_square,
     local_square_class,
-    is_square_in_quadratic_ext,
+    quadratic_character_type,
     UnramifiedQuadratic,
     padic_valuation,
     prime_factors,
@@ -153,13 +152,13 @@ def test_criterion_5_square_class_oracle():
                         oracles.odd_local_square(z, ell), (z, ell)
                     checked += 1
     for z in (1, -1, 2, -2, 5, -5, 10, -10):
-        assert is_local_square(z, 2) == (z == 1)
+        assert local_square_class(z, 2).is_square == (z == 1)
     squares49 = oracles.gf_squares(7)
     ext = UnramifiedQuadratic()
     for unit in range(1, 201):
         if unit % 7 == 0:
             continue
-        assert is_square_in_quadratic_ext(unit, 7, ext) == \
+        assert (quadratic_character_type(unit, 7, ext) == "trivial") == \
             (((unit % 7), 0) in squares49)
     _report(5, f"{checked} odd local square classes match residue enumeration; "
                "2-adic table and F_49 extension squares verified")

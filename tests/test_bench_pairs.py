@@ -52,4 +52,5 @@ def test_extract_writes_the_commit_with_the_data_filter(tmp_path, monkeypatch):
         warnings.simplefilter("error")
         commit = bench_pairs.extract("HEAD", tmp_path / "tree")
     assert len(commit) == 40 and (tmp_path / "tree" / "BENCHMARK.json").is_file()
+    assert bench_pairs.tree_state()["commit"] == commit
     assert calls == [{"filter": "data"} if hasattr(tarfile, "data_filter") else {}]

@@ -5,6 +5,7 @@ import json
 import pkgutil
 import random
 import resource
+import sys
 import weakref
 from functools import cached_property
 
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 import dihedral_parity
 import oracles
 from conftest import run_isolated, write_json
-from dihedral_parity import cli, localarith, tower
+from dihedral_parity import cli, localarith, parity, tower
 from dihedral_parity import delta as DELTA_MODULE, gamma as GAMMA_MODULE
 from dihedral_parity.curves import DEFECTS, KV_REDUCTIONS, SingularCurveError, WeierstrassCurve
 from dihedral_parity.cli import (
@@ -315,6 +316,42 @@ def test_analyze_refuses_a_selmer_bound_too_long_to_print_at_once():
         "    print(time.perf_counter() - start < 1, exc)"])
     proc = run_isolated(["-c", code], timeout=10)
     assert proc.stdout == "True " + SELMER_TOO_LONG[len("n: "):]
+
+
+def test_the_digit_cap_follows_a_lower_interpreter_limit(tmp_path, monkeypatch):
+    # 5^1500 has 1049 digits: printable by default, not under a limit of 640
+    monkeypatch.setenv("PYTHONINTMAXSTRDIGITS", "640")
+    too_long = SELMER_TOO_LONG.replace("4300", "640")
+    cfg = write_json(tmp_path / "c.json", {**FLAGSHIP_TOWER, "n": 1500, "dim_Sp_E_K": 0,
+                                           "curve": [0, -1, 1, -10, -20]})
+    curves = tmp_path / "big.csv"
+    curves.write_text(CSV_HEADER + "big,0,0,0,0," + "1" * 700 + "\n", encoding="utf-8")
+    code = "\n".join([
+        "import sys, dihedral_parity as dp",
+        "from dihedral_parity import cli",
+        "print(cli.read_curve_csv(sys.argv[1])[1][0])",
+        "K = dp.QuadraticFieldSpec(-1)",
+        "T = dp.TowerSpec(K, 5, 1500, dp.sites_above(11, K))",
+        "try:",
+        "    dp.analyze(dp.WeierstrassCurve(0, -1, 1, -10, -20), T, dim_Sp_E_K=0)",
+        "except ValueError as exc:",
+        "    print(exc)",
+        "sys.exit(cli.main(['analyze', sys.argv[2]]))"])
+    proc = run_isolated(["-c", code, str(curves), str(cfg)])
+    assert (proc.returncode, proc.stderr) == (EXIT_INVALID, "")
+    assert proc.stdout == (f"{curves}:2: coefficient has more than 640 digits\n"
+                           + too_long[len("n: "):] + too_long)
+
+
+@pytest.mark.parametrize("limit, cap", [(640, 640), (4300, 4300), (10**5, 4300), (0, 4300),
+                                        (None, 4300)])
+def test_the_digit_cap_is_4300_or_a_lower_limit(monkeypatch, limit, cap):
+    # 0 is no limit; Python before 3.10.7 has no sys.get_int_max_str_digits
+    if limit is None:
+        monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
+    else:
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: limit)
+    assert parity.max_digits() == cap
 
 
 def test_analyze_gives_the_longest_selmer_bound_a_config_may_hold():

@@ -403,18 +403,26 @@ def test_reduction_over_Kv_potentially_good():
 
 
 def test_residue_trace_over_a_ramified_Kv_carries_the_twist_sign():
-    # 11a1 twisted by 5 is additive at 5 and good over each ramified Q_5(sqrt d);
-    # its residue curve there is E^d, the twist by d, reduced mod 5: a_5 is
-    # 6 - #E^d(F_5), whose sign the unit class of d over the good twist sets
+    # E twisted by ell is additive at ell and good over each ramified Q_ell(sqrt d);
+    # its residue curve there is E^d, the twist by d, reduced mod ell: a_ell is
+    # ell + 1 - #E^d(F_ell), whose sign the unit class of d over the good twist sets
     E = quadratic_twist(CURVES["11a1"], 5)
-    c4, c6 = E.c_invariants()
-    traces = []
-    for d in (5, -5, 10, 15, -10, 30):
-        twist = WeierstrassCurve(0, 0, 0, -27 * d ** 2 * c4, -54 * d ** 3 * c6)
-        expected = 6 - oracles.count_points(oracles.minimal_model(twist, 5), 5)
-        traces.append(LocalData(E, 5, RamifiedQuadratic(d)).residue_frobenius.a_ell)
-        assert traces[-1] == expected, d
-    assert traces == [1, 1, -1, -1, -1, 1]
+    assert [LocalData(E, 5, RamifiedQuadratic(d)).residue_frobenius.a_ell
+            for d in (5, -5, 10, 15, -10, 30)] == [1, 1, -1, -1, -1, 1]
+    cases = 0
+    for ell in (5, 7, 11, 13):
+        n = next(n for n in range(2, ell) if pow(n, (ell - 1) // 2, ell) != 1)
+        for a4, a6 in product(range(-8, 9), repeat=2):
+            if (4 * a4 ** 3 + 27 * a6 ** 2) % ell == 0:  # singular, or bad at ell
+                continue
+            E = WeierstrassCurve(0, 0, 0, a4 * ell ** 2, a6 * ell ** 3)
+            for d in (ell, -ell, n * ell, -n * ell):
+                twist = WeierstrassCurve(0, 0, 0, a4 * (ell * d) ** 2, a6 * (ell * d) ** 3)
+                expected = ell + 1 - oracles.count_points(oracles.minimal_model(twist, ell), ell)
+                got = LocalData(E, ell, RamifiedQuadratic(d)).residue_frobenius.a_ell
+                assert got == expected, (a4, a6, ell, d)
+                cases += 1
+    assert cases == 4064
 
 
 def test_residue_field_over_an_inert_Kv_has_ell_squared_elements():

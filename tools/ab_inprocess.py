@@ -16,10 +16,13 @@ equally often, and the machine's drift falls on each side alike.
 Only the standard library is used.
 
 Exits 1 if in any pass the output or exit code of a side differs from the
-base's.  Otherwise it prints one JSON line: an object keyed by workload, each
-value holding the base commit, each side's seconds per pass, and the median
-and quartiles over the passes of change/base and of A/A (the second import of
-the base over the first), each on two clocks: ``wall``
+base's.  Otherwise it prints one JSON line: the command line, this tree's
+``HEAD`` (``commit``) and whether its tracked files differ from it
+(``dirty``), the machine (as ``tools/bench_pairs.py`` records it), the base
+commit, and an
+object keyed by workload, each value holding each side's seconds per pass,
+and the median and quartiles over the passes of change/base and of A/A (the
+second import of the base over the first), each on two clocks: ``wall``
 (``time.perf_counter``) and ``cpu`` (``time.thread_time``, this thread's CPU
 time alone).  A change that moves the time by less than the A/A quartiles do
 is not resolved.
@@ -123,6 +126,7 @@ def compare(clis: dict, workload: str, seed: int, rounds: int, passes: int,
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--base", required=True, help="commit to compare against")
     ap.add_argument("--workload", required=True, nargs="+", choices=sorted(workloads.ROUNDS))
@@ -132,10 +136,11 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.rounds < 1 or args.passes < 2:
         ap.error("--rounds must be at least 1 and --passes at least 2 (for quartiles)")
-    results = {}
     with tempfile.TemporaryDirectory(prefix="ab-inprocess-") as tmp:
         base_tree = Path(tmp) / "base"
-        commit = bench_pairs.extract(args.base, base_tree)
+        results = {"command": ["python3", "tools/ab_inprocess.py", *argv],
+                   **bench_pairs.tree_state(), "machine": bench_pairs.machine(),
+                   "base": bench_pairs.extract(args.base, base_tree), "workloads": {}}
         clis = {side: import_cli(f"ab{next(_IMPORTS)}_{side}", src)
                 for side, src in zip(SIDES, (base_tree / "src", ROOT / "src", base_tree / "src"))}
         for workload in dict.fromkeys(args.workload):
@@ -144,7 +149,7 @@ def main(argv=None) -> int:
             result = compare(clis, workload, args.seed, args.rounds, args.passes, work)
             if result is None:
                 return 1
-            results[workload] = {"base": commit, **result}
+            results["workloads"][workload] = result
     print(json.dumps(results))
     return 0
 

@@ -51,6 +51,21 @@ def extract(rev: str, dest: Path) -> str:
     return commit
 
 
+def machine() -> dict:
+    """The Python and the machine a measurement ran on."""
+    return {"python": platform.python_version(), "system": platform.platform(),
+            "processor": platform.processor() or platform.machine(), "cpus": os.cpu_count()}
+
+
+def tree_state() -> dict:
+    """This tree's HEAD commit and whether its tracked files differ from it."""
+    def git(*args: str) -> str:
+        return subprocess.run(["git", *args], cwd=ROOT, capture_output=True,
+                              text=True).stdout.strip()
+    return {"commit": git("rev-parse", "HEAD"),
+            "dirty": git("status", "--porcelain", "--untracked-files=no") != ""}
+
+
 def run_once(tree: Path, workload: str, seed: int) -> dict:
     """One benchmark run in tree: the JSON object of its last output line."""
     proc = subprocess.run(
@@ -101,9 +116,7 @@ def main(argv=None) -> int:
     result = {
         "command": "python3 bench/run.py --workload W --seed S "
                    f"--seconds {SECONDS} --trace 0",
-        "machine": {"python": platform.python_version(), "system": platform.platform(),
-                    "processor": platform.processor() or platform.machine(),
-                    "cpus": os.cpu_count()},
+        "machine": machine(),
         "pairs": args.pairs,
         "workloads": {},
     }

@@ -31,6 +31,10 @@ from statistics import median
 from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "tools"))
+
+import bench_pairs  # noqa: E402
+
 RUNS = 3
 SLOWEST = 20
 COMMAND = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
@@ -70,10 +74,6 @@ def _children_cpu_s() -> float:
     return usage.ru_utime + usage.ru_stime
 
 
-def _git(*args: str) -> str:
-    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True).stdout.strip()
-
-
 def run_once() -> tuple[dict, str]:
     """One Tier-1 run's figures, and its output."""
     path = os.environ.get("PYTHONPATH")
@@ -91,8 +91,7 @@ def main() -> int:
         figures, out = run_once()
         runs.append(figures)
     print(json.dumps({
-        "commit": _git("rev-parse", "HEAD"),
-        "dirty": _git("status", "--porcelain", "--untracked-files=no") != "",
+        **bench_pairs.tree_state(),
         "python": platform.python_version(),
         "command": ["python", *COMMAND[1:]],
         "runs": runs,
