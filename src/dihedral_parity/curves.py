@@ -163,14 +163,16 @@ def local_reduction(E: WeierstrassCurve, ell: int) -> LocalReductionData:
 
 
 def quadratic_twist(E: WeierstrassCurve, d: int) -> WeierstrassCurve:
-    """The quadratic twist of E by a squarefree integer d.
-
-    The twist has c-invariants (d^2 c4, d^3 c6) whenever that pair is
-    realizable by an integral model; otherwise the model scaled by u = 2
-    (always realizable) is returned.
-    """
+    """The quadratic twist of E by a squarefree integer d."""
     if d == 0 or not is_squarefree(d):
         raise ValueError(f"twist parameter must be a nonzero squarefree integer, got {d}")
+    return _twist_model(E, d)
+
+
+def _twist_model(E: WeierstrassCurve, d: int) -> WeierstrassCurve:
+    """The twist of E by a nonzero d: the model with c-invariants (d^2 c4,
+    d^3 c6) when that pair is realizable by an integral model, otherwise the
+    model scaled by u = 2 (always realizable)."""
     c4, c6 = E.c_invariants()
     M = model_from_invariants(d * d * c4, d ** 3 * c6)
     if M is None:
@@ -193,15 +195,15 @@ KV_REDUCTIONS = ("good", "multiplicative_split", "multiplicative_nonsplit", "add
 
 def good_twist_at(E: WeierstrassCurve,
                   ell: int) -> Optional[tuple[int, LocalReductionData]]:
-    """For E additive at ell: a squarefree d with quadratic_twist(E, d) good at
+    """For E additive at ell: a squarefree d with the twist of E by d good at
     ell, if one exists, and the twist's reduction data.
 
     A twist by an unramified class keeps the reduction type, so only one
     representative of each ramified square class of Q_ell^x modulo the
     unramified one is tried.
     """
-    for d in ([-1, 2, -2] if ell == 2 else [ell]):
-        red = local_reduction(quadratic_twist(E, d), ell)
+    for d in ([-1, 2, -2] if ell == 2 else [ell]):  # squarefree: no factoring needed
+        red = local_reduction(_twist_model(E, d), ell)
         if red.reduction_type == "good":
             return d, red
     return None

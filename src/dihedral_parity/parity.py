@@ -15,8 +15,8 @@ from typing import Optional
 
 from . import verdicts as V
 from .curves import WeierstrassCurve, minimal_model_at
-from .delta import VOCABULARY as DELTA_VOCABULARY, delta_at
-from .gamma import ARCHIMEDEAN_GAMMA, INFINITE_PLACE, VOCABULARY as GAMMA_VOCABULARY, gamma_at
+from .delta import delta_at
+from .gamma import ARCHIMEDEAN_GAMMA, INFINITE_PLACE, gamma_at
 from .localarith import padic_valuation
 from .tower import PrimeSite, TowerSpec, check_tower, local_data, sites_above, support_primes
 from .verdicts import CheckedRecord, DeltaVerdict
@@ -91,29 +91,36 @@ class ParityReport(CheckedRecord, namedtuple("ParityReport", "curve tower rows S
         return (*self[:10], self.notes)
 
 
-# The verdict constants of gamma.py and delta.py, by identity: a record
-# built from the tower and constants alone is the same in all its reports.
-CONSTANTS = frozenset(map(id, (*GAMMA_VOCABULARY, *DELTA_VOCABULARY)))
-
-
 def _row_for_prime(T: TowerSpec, site: PrimeSite, E: WeierstrassCurve,
                    shared: dict) -> ParityRow:
     """The row of the prime below site; its one delta entry stands for the
     conjugate pair when the prime splits in K.  Only at a self-conjugate
-    site ramified in L/K do the verdicts read E, through its LocalData.  A row
-    of two verdict constants at one of T's own primes is shared as first met."""
-    ramified = site.self_conjugate and site.ell in T.ramified_primes
+    site ramified in L/K do the verdicts read E, through its LocalData, and
+    not where the prime is not p and E's model is good there: both constants
+    then vanish whatever the curve (Rohrlich's good-reduction formula;
+    Mazur-Rubin Theorems 5.6 and 6.6), so the verdicts read only T's
+    overrides, and the row T keeps for the site is taken.  T keeps each row
+    at one of its own primes by value."""
+    ell = site.ell
+    ramified = site.self_conjugate and ell in T.ramified_primes
+    good = ramified and ell != T.p and E.discriminant() % ell != 0
+    if good and (row := shared.get(site)) is not None:
+        return row
     loc = local_data(E, T, site) if ramified else None
     g, dv = gamma_at(T, site, loc), delta_at(T, site, loc)
-    key = (site.ell, id(g), id(dv))
+    # Equal verdicts write equal texts: True == 1 == 1.0, but the engines'
+    # verdicts hold only 0, 1 or None, and their details are str.
+    key = (site, g, dv)
     row = shared.get(key)
     if row is None:
         dsum = dv.contribution()
         status = (UNDETERMINED if g.value is None or dsum is None
                   else MATCH if g.value % 2 == dsum else MISMATCH)
-        row = ParityRow(site.ell, g, ((site, dv),), dsum, status)
-        if id(g) in CONSTANTS and id(dv) in CONSTANTS and site.ell in T.sites_at:
+        row = ParityRow(ell, g, ((site, dv),), dsum, status)
+        if ell in T.sites_at:
             shared[key] = row
+    if good:
+        shared[site] = row
     return row
 
 

@@ -82,8 +82,17 @@ def _curve(ainvs):
         return None
 
 
-SMALL_CURVES = st.tuples(st.integers(0, 1), st.integers(-1, 1), st.integers(0, 1),
-                         st.integers(-50, 50), st.integers(-50, 50)).map(_curve).filter(bool)
+# The ranges of a1, a2, a3, a4 and a6 of a small curve.
+_SMALL_AINVS = ((0, 1), (-1, 1), (0, 1), (-50, 50), (-50, 50))
+SMALL_CURVES = st.tuples(*(st.integers(lo, hi) for lo, hi in _SMALL_AINVS)).map(
+    _curve).filter(bool)
+
+
+def small_curve(rng) -> WeierstrassCurve:
+    """A curve SMALL_CURVES may draw, drawn by the random.Random rng."""
+    while (E := _curve([rng.randint(lo, hi) for lo, hi in _SMALL_AINVS])) is None:
+        pass
+    return E
 
 
 def _tower(d: int, p: int, n: int, primes: set) -> TowerSpec:
@@ -99,13 +108,23 @@ _TOWER_P = [5, 7, 11, 13]
 # and every site above one to three primes up to 23 ramified in L/K (so the
 # set is closed under conjugation); a tower that breaks a standing hypothesis
 # (a site ramified in K/Q but not above p) is dropped.
+_SITE_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23]
 VALID_TOWERS = st.builds(
     _tower,
     st.sampled_from(_SQUAREFREE_D),
     st.sampled_from(_TOWER_P),
     st.integers(1, 2),
-    st.sets(st.sampled_from([2, 3, 5, 7, 11, 13, 17, 19, 23]), min_size=1, max_size=3),
+    st.sets(st.sampled_from(_SITE_PRIMES), min_size=1, max_size=3),
 ).filter(lambda T: not T.violations)
+
+
+def valid_tower(rng) -> TowerSpec:
+    """A tower VALID_TOWERS may draw, drawn by the random.Random rng."""
+    while True:
+        T = _tower(rng.choice(_SQUAREFREE_D), rng.choice(_TOWER_P), rng.randint(1, 2),
+                   set(rng.sample(_SITE_PRIMES, rng.randint(1, 3))))
+        if not T.violations:
+            return T
 
 
 @lru_cache(maxsize=None)
@@ -134,3 +153,9 @@ REALIZABLE_TOWERS = st.builds(
     st.integers(1, 2),
     st.sets(st.integers(0, 63), min_size=1, max_size=3),
 )
+
+
+def realizable_tower(rng) -> TowerSpec:
+    """A tower REALIZABLE_TOWERS may draw, drawn by the random.Random rng."""
+    return _realizable_tower(rng.choice(_SQUAREFREE_D), rng.choice(_TOWER_P), rng.randint(1, 2),
+                             set(rng.sample(range(64), rng.randint(1, 3))))

@@ -48,11 +48,14 @@ def test_the_summary_holds_each_pass_and_its_quartiles(monkeypatch, capsys):
         assert len(seconds["wall"][side]) == len(seconds["cpu"][side]) == 2
         # one thread's CPU time is never more than the wall time it ran in
         assert all(0 < c <= w for w, c in zip(seconds["wall"][side], seconds["cpu"][side]))
-    for key, clock in product(("change_over_base", "aa_over_base"), ("wall", "cpu")):
+    ratios = [key for key in result if key.endswith(("_over_base", "_over_change"))]
+    assert ratios == ["change_over_base", "aa_over_base", "cc_over_change", "cc_over_base"]
+    for key, clock in product(ratios, ("wall", "cpu")):
         s = result[key][clock]
+        side, _, reference = key.split("_")
         assert len(s["runs"]) == 2 and s["q1"] <= s["median"] <= s["q3"]
-        assert s["runs"] == [x / b for b, x in zip(seconds[clock]["base"],
-                                                   seconds[clock][key.split("_")[0]])]
+        assert s["runs"] == [x / b for b, x in zip(seconds[clock][reference],
+                                                   seconds[clock][side])]
 
 
 def test_one_run_covers_every_workload_named(monkeypatch, capsys):
@@ -64,7 +67,7 @@ def test_one_run_covers_every_workload_named(monkeypatch, capsys):
     assert all(r["passes"] == 2 for r in results.values())
 
 
-def test_over_six_passes_each_side_follows_each_other_side_equally_often(monkeypatch, tmp_path):
+def test_over_24_passes_each_side_follows_each_other_side_equally_often(monkeypatch, tmp_path):
     runs = []
 
     def run_side(cli, files):  # each side's cli is its name here
@@ -73,11 +76,30 @@ def test_over_six_passes_each_side_follows_each_other_side_equally_often(monkeyp
     monkeypatch.setattr(ab_inprocess, "run_side", run_side)
     monkeypatch.setattr(ab_inprocess, "write_rounds", lambda *args: [])
     sides = ab_inprocess.SIDES
-    assert ab_inprocess.compare(dict(zip(sides, sides)), "batch", 1, 1, 6, tmp_path)
-    passes = [tuple(runs[i:i + 3]) for i in range(0, 18, 3)]
+    assert sides == ("base", "change", "aa", "cc")
+    assert ab_inprocess.compare(dict(zip(sides, sides)), "batch", 1, 1, 24, tmp_path)
+    passes = [tuple(runs[i:i + 4]) for i in range(0, 96, 4)]
     assert sorted(passes) == sorted(permutations(sides))
     follows = Counter(pair for order in passes for pair in pairwise(order))
-    assert follows == {pair: 2 for pair in permutations(sides, 2)}
+    assert follows == {pair: 6 for pair in permutations(sides, 2)}
+    positions = Counter((i, side) for order in passes for i, side in enumerate(order))
+    assert positions == {(i, side): 6 for i in range(4) for side in sides}
+
+
+def test_each_control_imports_its_side_again(monkeypatch, capsys):
+    imported = []
+
+    def import_cli(name, src):
+        imported.append((name.rpartition("_")[2], src))
+        return ab_inprocess.bench_pairs  # any module: compare is not run
+    monkeypatch.setattr(ab_inprocess, "import_cli", import_cli)
+    monkeypatch.setattr(ab_inprocess, "compare", lambda *args: {})
+    _extract_as(monkeypatch)
+    assert ab_inprocess.main(ARGV) == 0
+    capsys.readouterr()
+    assert [side for side, _ in imported] == ["base", "change", "aa", "cc"]
+    base, change, aa, cc = (src for _, src in imported)
+    assert aa == base != change == cc == ab_inprocess.ROOT / "src"
 
 
 def test_differing_outputs_exit_1(monkeypatch, capsys):

@@ -1228,6 +1228,47 @@ def _random_csv(path, seed: int, count: int = 200):
     return path
 
 
+@pytest.mark.parametrize("d, primes", [(-1, [5, 13]), (2, [3, 5, 11])],
+                         ids=["split-sites", "inert-sites"])
+def test_a_towers_kept_rows_and_texts_are_bounded_by_the_tower(tmp_path, capsys, monkeypatch,
+                                                               d, primes):
+    # one tower at p = 5 reads a batch of 200 curves, then one of 400 others:
+    # it keeps one row text per shape and depth, so the same texts after
+    # both, and rows only at its own primes.  The second batch adds only
+    # what E decides: a row at a self-conjugate site ramified in L/K, an
+    # audit there, or a bound of |S_m| below their number.  With split
+    # ramified sites (5 and 13 in Q(i)) the tower decides every row, and
+    # the second batch adds nothing.
+    cfg = write_json(tmp_path / "tower.json", {**FLAGSHIP_TOWER, "d": d, "dim_Sp_E_K": 0,
+                                               "ramified_sites": [{"ell": q} for q in primes]})
+    parsed = parse_config(cli.load_config(str(cfg)), need_curve=False)
+    monkeypatch.setattr(cli, "parse_config", lambda *args, **kwargs: parsed)
+    T = parsed[1]
+    kept = []
+    for seed, count in ((1, 200), (2, 400)):
+        assert run_batch(str(_random_csv(tmp_path / f"{seed}.csv", seed, count)), str(cfg)) in (
+            EXIT_OK, EXIT_FAILURE)
+        assert json.loads(capsys.readouterr().out)["summary"]["curves"] == count
+        kept.append((dict(vars(T)["shared"]), set(vars(T)["row_texts"])))
+    (first, texts), (shared, texts_after) = kept
+    assert texts == texts_after and {depth for depth, *_ in texts} == {4}
+    assert first.items() <= shared.items()
+    decided_by_E = {s.ell for s in T.self_conjugate_ramified}
+    for key, value in shared.items():
+        if isinstance(value, ParityRow):
+            assert value.place in T.sites_at
+        if key not in first:
+            assert (value.place if isinstance(value, ParityRow) else
+                    value.site.ell if isinstance(value, SiteAudit) else None) in decided_by_E
+            assert not isinstance(value, SelmerBound) or value.s_m_size <= len(decided_by_E)
+    if not decided_by_E:
+        assert first.keys() == shared.keys()
+    a_q = {dv.detail for row in shared.values() if isinstance(row, ParityRow) and row.place == 5
+           for _, dv in row.deltas if dv.detail.startswith("a_q")}
+    assert len(a_q) <= 4 * 5 + 1  # |a_q| <= 2 sqrt(q) over F_q, q = 25
+    assert (len(a_q) > 1) == (5 in decided_by_E)
+
+
 def test_no_table_grows_with_the_curves_analyzed(tmp_path, capsys, monkeypatch):
     # batches of 200 different curves in one tower: what the package keeps
     # across analyses is the same size after each, and none of the towers

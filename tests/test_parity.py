@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 import oracles
 from corpus import (CURVES, PARITY_CORPUS, REALIZABLE_TOWERS, SMALL_CURVES, SMALL_TOWERS,
-                    VALID_TOWERS, make_tower)
+                    VALID_TOWERS, make_tower, realizable_tower, small_curve, valid_tower)
 from dihedral_parity import curves, localarith
-from dihedral_parity.curves import SiteOverrides, WeierstrassCurve
+from dihedral_parity.curves import DEFECTS, KV_REDUCTIONS, SiteOverrides, WeierstrassCurve
 from dihedral_parity import verdicts as V
 from dihedral_parity.delta import delta
 from dihedral_parity.gamma import gamma
@@ -25,8 +25,8 @@ from dihedral_parity.parity import (
     selmer_growth_bound,
 )
 from dihedral_parity.localarith import padic_valuation
-from dihedral_parity.report import report_to_dict
-from dihedral_parity.tower import sites_above, support_primes
+from dihedral_parity.report import report_json, report_to_dict
+from dihedral_parity.tower import TowerSpec, sites_above, support_primes
 
 
 def test_corpus_all_match():
@@ -149,6 +149,50 @@ def test_each_tower_keeps_its_own_rows():
     for (d, p, rams), kept in zip(SMALL_TOWERS[2:], first):
         rows = _rows_read_off_the_tower(analyze(CURVES["11a1"], make_tower(d, p, 1, rams)))
         assert rows == kept and not any(rows[ell] is row for ell, row in kept.items())
+
+
+def _with_overrides(rng, T):
+    """T with generated overrides at up to two of its own primes, or none."""
+    primes = sorted(T.sites_at)
+    return TowerSpec(T.K, T.p, T.n, T.ramified_sites, {
+        ell: SiteOverrides(rng.choice([None, *DEFECTS]), rng.choice([None, False, True]),
+                           rng.choice([None, *KV_REDUCTIONS]))
+        for ell in rng.sample(primes, min(len(primes), rng.randint(0, 2)))})
+
+
+def _nonminimal(rng, E, T):
+    """A model of E moved by oracles.transform and scaled at one of T's
+    ramified primes or p, so that its discriminant there is never a unit."""
+    ell = rng.choice(sorted({T.p, *T.ramified_primes}))
+    moved = oracles.transform(E, 1, *(rng.randint(-3, 3) for _ in range(3)))
+    scaled = _scaled(moved, ell)
+    assert oracles.transform(scaled, ell, 0, 0, 0) == moved
+    return scaled
+
+
+def _report_or_error(E, T):
+    """analyze's report on E in T and its texts at levels 0 and 2, or its error."""
+    try:
+        rep = analyze(E, T, dim_Sp_E_K=0)
+    except ValueError as exc:
+        return repr(exc)
+    return rep, report_json(rep), report_json(rep, 2, "label")
+
+
+def test_a_used_tower_reports_as_a_fresh_equal_tower():
+    # a tower keeps rows by value, a row at a self-conjugate site ramified in
+    # L/K away from p by its site where the model is good, and a row text per
+    # shape outside its own primes: so what it has kept from other curves
+    # moves no report and no byte
+    rng = random.Random("sharing")
+    for draw in (valid_tower, realizable_tower) * 32:
+        T = _with_overrides(rng, draw(rng))
+        for _ in range(16):
+            E = small_curve(rng)
+            if rng.random() < 0.25:
+                E = _nonminimal(rng, E, T)
+            fresh = TowerSpec(*T[:4], dict(T.overrides))
+            assert _report_or_error(E, T) == _report_or_error(E, fresh), (E, T)
 
 
 def test_analyze_rejects_invalid_tower():
@@ -297,7 +341,7 @@ def test_primality_is_tested_at_the_boundary_only(monkeypatch, case):
 
     _rebind(monkeypatch, is_prime, counted_is_prime)
     _rebind(monkeypatch, padic_valuation, marked_padic_valuation)
-    twists = _record_calls(monkeypatch, ("quadratic_twist",))["quadratic_twist"]
+    twists = _record_calls(monkeypatch, ("_twist_model",))["_twist_model"]
     analyze(E, T, dim_Sp_E_K=0)
     assert not [m for m, inside in calls if inside]
     assert len(calls) <= bound + len(twists), calls

@@ -301,12 +301,19 @@ def _kept_texts(record) -> dict:
             if isinstance(key, str) and key.isdigit()}
 
 
+def _outside(rep):
+    """rep's rows at primes outside its tower's own: each is written from a
+    text its tower keeps for its shape, and keeps none itself."""
+    return [r for r in rep.rows if r.deltas and r.place not in rep.tower.sites_at]
+
+
 def _written(rep):
     """Each record reachable from rep, its writer in report.py, and the depths
     at which rep's texts at levels 0 and 2 keep its text: none for a site in
-    a row, whose text its row's text holds."""
+    a row, whose text its row's text holds, nor for a row outside the tower."""
+    outside = _outside(rep)
     for r in rep.rows:
-        yield r, report._row, (2, 4)
+        yield r, report._row, () if r in outside else (2, 4)
         if r.gamma is not None:
             yield r.gamma, report._gamma, (3, 5)
         for s, v in r.deltas:
@@ -336,6 +343,12 @@ def test_kept_texts_are_fresh_writes():
         assert {1, 3} <= set(tower)
         for depth, text in tower.items():
             assert text == report.tower_json(_fresh(rep.tower), depth)
+        for r in _outside(rep):
+            assert not _kept_texts(r), r
+        kept = vars(rep.tower).get("row_texts", {})
+        assert {depth for depth, *_ in kept} == ({2, 4} if _outside(rep) else set())
+        for (depth, *ids), (shape, pieces) in kept.items():
+            assert ids == list(map(id, shape)) and len(pieces) == 3
         for record, write, depths in _written(rep):
             texts = _kept_texts(record)
             assert set(depths) <= set(texts), (record, depths)

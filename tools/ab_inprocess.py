@@ -5,13 +5,15 @@
 
 Extracts the commit ``--base`` with ``bench_pairs.extract`` and imports its
 ``src/dihedral_parity`` and this tree's under two package names in one
-process, with a second import of the base as an A/A control.  For each
-workload in turn, the rounds ``0 .. --rounds - 1`` of
+process, then each of them a second time: the base as an A/A control, the
+change as a C/C control.  The sides are imported in the order base, change,
+A/A, C/C, so each control runs the code of its side from a later import.
+For each workload in turn, the rounds ``0 .. --rounds - 1`` of
 ``bench/workloads.round_jobs`` are written to files once, as ``bench/run.py``
 writes them.  Each pass runs every side over all of them through
 ``cli.main(["batch", csv, config, "--jobs", "1"])``, in an order that cycles
-through the six orders of the sides from pass to pass, so that over six
-passes each side runs first, second and third, and follows each other side,
+through the 24 orders of the four sides from pass to pass, so that over 24
+passes each side runs in each position, and follows each other side,
 equally often, and the machine's drift falls on each side alike.
 Only the standard library is used.
 
@@ -21,11 +23,13 @@ base's.  Otherwise it prints one JSON line: the command line, this tree's
 (``dirty``), the machine (as ``tools/bench_pairs.py`` records it), the base
 commit, and an
 object keyed by workload, each value holding each side's seconds per pass,
-and the median and quartiles over the passes of change/base and of A/A (the
-second import of the base over the first), each on two clocks: ``wall``
-(``time.perf_counter``) and ``cpu`` (``time.thread_time``, this thread's CPU
-time alone).  A change that moves the time by less than the A/A quartiles do
-is not resolved.
+and the median and quartiles over the passes of four ratios: change/base,
+A/A (the second import of the base over the first), C/C (the second import
+of the change over the first) and the second import of the change over the
+base (``cc_over_base``, change/base from the later import), each on two
+clocks: ``wall`` (``time.perf_counter``) and ``cpu`` (``time.thread_time``,
+this thread's CPU time alone).  A change whose change/base quartiles do not
+lie outside both the A/A and the C/C quartiles is not resolved.
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ import bench_pairs  # noqa: E402
 import run as bench_run  # noqa: E402
 import workloads  # noqa: E402
 
-SIDES = ("base", "change", "aa")
+SIDES = ("base", "change", "aa", "cc")  # in the order they are imported
 ORDERS = tuple(itertools.permutations(SIDES))  # a pass's order of the sides
 CLOCKS = ("wall", "cpu")  # perf_counter and thread_time
 _IMPORTS = itertools.count()  # each import of a package takes a name of its own
@@ -112,16 +116,19 @@ def compare(clis: dict, workload: str, seed: int, rounds: int, passes: int,
                       file=sys.stderr)
                 return None
 
-    def over_base(side: str) -> dict:
-        return {clock: bench_pairs.summary([s / b for b, s in zip(by_side["base"], by_side[side])])
+    def over(side: str, reference: str) -> dict:
+        return {clock: bench_pairs.summary([s / r for r, s in zip(by_side[reference],
+                                                                    by_side[side])])
                 for clock, by_side in seconds.items()}
 
     return {
         "workload": workload, "seed": seed, "rounds": rounds, "passes": passes,
         "calls_per_pass": len(files),
         "seconds": seconds,
-        "change_over_base": over_base("change"),
-        "aa_over_base": over_base("aa"),
+        "change_over_base": over("change", "base"),
+        "aa_over_base": over("aa", "base"),
+        "cc_over_change": over("cc", "change"),
+        "cc_over_base": over("cc", "base"),
     }
 
 
@@ -142,7 +149,7 @@ def main(argv=None) -> int:
                    **bench_pairs.tree_state(), "machine": bench_pairs.machine(),
                    "base": bench_pairs.extract(args.base, base_tree), "workloads": {}}
         clis = {side: import_cli(f"ab{next(_IMPORTS)}_{side}", src)
-                for side, src in zip(SIDES, (base_tree / "src", ROOT / "src", base_tree / "src"))}
+                for side, src in zip(SIDES, (base_tree / "src", ROOT / "src") * 2)}
         for workload in dict.fromkeys(args.workload):
             work = Path(tmp) / workload
             work.mkdir()
