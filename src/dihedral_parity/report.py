@@ -96,9 +96,8 @@ _BATCH = _object(("schema_version", "tower", "reports", "errors", "summary"), 0)
 _BATCH_HEAD, _BATCH_TAIL = "%s".join(_BATCH[:3]), "%s".join(_BATCH[3:])
 
 
-def _site(s: PrimeSite, depth: int, ell: Optional[str] = None) -> str:
-    return _SITE[depth] % (_scalar(s.ell) if ell is None else ell, _str(s.split_type),
-                           _scalar(s.which))
+def _site(s: PrimeSite, depth: int) -> str:
+    return _SITE[depth] % (_scalar(s.ell), _str(s.split_type), _scalar(s.which))
 
 
 def _gamma(g: ConstantVerdict, depth: int) -> str:
@@ -110,35 +109,13 @@ def _verdict(v: DeltaVerdict, depth: int) -> str:
                                _str(v.detail), _scalar(v.pair_sum))
 
 
-def _row(r: ParityRow, depth: int, ell: Optional[str] = None) -> str:
-    """r's text, with ell (if given) written for its place and its sites' ell."""
+def _row(r: ParityRow, depth: int) -> str:
     entry = _ENTRY[depth + 2][0]
-    return _ROW[depth] % (_scalar(r.place) if ell is None else ell,
+    return _ROW[depth] % (_scalar(r.place),
                           "null" if r.gamma is None else _kept(r.gamma, depth + 1, _gamma),
-                          _array([entry + _site(s, depth + 3, ell) + _kept(v, depth + 2, _verdict)
+                          _array([entry + _site(s, depth + 3) + _kept(v, depth + 2, _verdict)
                                   for s, v in r.deltas], depth + 1),
                           _scalar(r.delta_sum), _str(r.status), _str(r.note))
-
-
-_HOLE = "\0"  # a text no writer writes: _str escapes every control character
-
-
-def _row_in(T: TowerSpec, r: ParityRow, depth: int) -> str:
-    """r's text in a report on T.  A row at one of T's own primes, and a fixed
-    row, keeps its text.  A row with one site, above its prime outside T's,
-    is T's text for its shape, kept with its fields other than the prime, with
-    the prime filled in: the fields are compared by identity, so that equal
-    values of other types (0 and 0.0, a str and its subclass) share no text."""
-    if r.place in T.sites_at or len(r.deltas) != 1 or r.deltas[0][0].ell is not r.place:
-        return _kept(r, depth, _row)
-    (site, v), = r.deltas
-    shape = (r.gamma, v, site.split_type, site.which, r.delta_sum, r.status, r.note)
-    texts = vars(T).setdefault("row_texts", {})
-    key = (depth, *map(id, shape))
-    kept = texts.get(key)
-    if kept is None:  # holds shape, so no other object takes one of its ids
-        kept = texts[key] = shape, _row(r, depth, _HOLE).split(_HOLE)
-    return _scalar(r.place).join(kept[1])
 
 
 def _audit(a: SiteAudit, depth: int) -> str:
@@ -175,7 +152,7 @@ def report_json(rep: ParityReport, level: int = 0, label: Optional[str] = None) 
         _scalar(SCHEMA_VERSION),
         _array(list(map(_scalar, rep.curve.ainvs())), depth),
         _kept(rep.tower, depth, tower_json),
-        _array([_row_in(rep.tower, r, depth + 1) for r in rep.rows], depth),
+        _array([_kept(r, depth + 1, _row) for r in rep.rows], depth),
         _sites(rep.S, depth),
         _scalar(rep.mr64_sum),
         _sites(rep.S_frak, depth),

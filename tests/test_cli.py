@@ -1228,15 +1228,42 @@ def _random_csv(path, seed: int, count: int = 200):
     return path
 
 
+TOWER_PROPERTIES = {name for cls in TowerSpec.__mro__ for name, value in vars(cls).items()
+                    if isinstance(value, cached_property)}
+
+
+def _assert_holds_only_its_own(T):
+    """T's instance dict holds TowerSpec's cached properties, what parity
+    shares across T's reports, and T's own text at each depth (a digit key)."""
+    extra = {key for key in vars(T) if not key.isdigit()} - TOWER_PROPERTIES - {"shared"}
+    assert not extra, extra
+
+
+def test_a_tower_holds_only_its_properties_shared_records_and_texts(tmp_path, capsys,
+                                                                   monkeypatch):
+    # a batch over curves with primes outside the tower's own: no table beside
+    # parity's shared records (of row texts by shape, say) is kept on the tower
+    cfg = write_json(tmp_path / "tower.json", {**FLAGSHIP_TOWER, "dim_Sp_E_K": 0})
+    parsed = parse_config(cli.load_config(str(cfg)), need_curve=False)
+    monkeypatch.setattr(cli, "parse_config", lambda *args, **kwargs: parsed)
+    T = parsed[1]
+    assert run_batch(str(_random_csv(tmp_path / "c.csv", 1, 40)), str(cfg)) in (
+        EXIT_OK, EXIT_FAILURE)
+    reports = json.loads(capsys.readouterr().out)["reports"]
+    assert any(row["place"] not in T.sites_at for rep in reports for row in rep["rows"])
+    assert {"shared", "1", "3"} <= set(vars(T))
+    _assert_holds_only_its_own(T)
+
+
 @pytest.mark.parametrize("d, primes", [(-1, [5, 13]), (2, [3, 5, 11])],
                          ids=["split-sites", "inert-sites"])
 def test_a_towers_kept_rows_and_texts_are_bounded_by_the_tower(tmp_path, capsys, monkeypatch,
                                                                d, primes):
     # one tower at p = 5 reads a batch of 200 curves, then one of 400 others:
-    # it keeps one row text per shape and depth, so the same texts after
-    # both, and rows only at its own primes.  The second batch adds only
-    # what E decides: a row at a self-conjugate site ramified in L/K, an
-    # audit there, or a bound of |S_m| below their number.  With split
+    # it keeps its own text at the two depths of a batch document, so the
+    # same texts after both, and rows only at its own primes.  The second
+    # batch adds only what E decides: a row at a self-conjugate site ramified
+    # in L/K, an audit there, or a bound of |S_m| below their number.  With split
     # ramified sites (5 and 13 in Q(i)) the tower decides every row, and
     # the second batch adds nothing.
     cfg = write_json(tmp_path / "tower.json", {**FLAGSHIP_TOWER, "d": d, "dim_Sp_E_K": 0,
@@ -1249,9 +1276,10 @@ def test_a_towers_kept_rows_and_texts_are_bounded_by_the_tower(tmp_path, capsys,
         assert run_batch(str(_random_csv(tmp_path / f"{seed}.csv", seed, count)), str(cfg)) in (
             EXIT_OK, EXIT_FAILURE)
         assert json.loads(capsys.readouterr().out)["summary"]["curves"] == count
-        kept.append((dict(vars(T)["shared"]), set(vars(T)["row_texts"])))
+        kept.append((dict(vars(T)["shared"]), {key for key in vars(T) if key.isdigit()}))
+        _assert_holds_only_its_own(T)
     (first, texts), (shared, texts_after) = kept
-    assert texts == texts_after and {depth for depth, *_ in texts} == {4}
+    assert texts == texts_after == {"1", "3"}
     assert first.items() <= shared.items()
     decided_by_E = {s.ell for s in T.self_conjugate_ramified}
     for key, value in shared.items():

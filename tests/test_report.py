@@ -302,18 +302,17 @@ def _kept_texts(record) -> dict:
 
 
 def _outside(rep):
-    """rep's rows at primes outside its tower's own: each is written from a
-    text its tower keeps for its shape, and keeps none itself."""
+    """rep's rows at primes outside its tower's own: each keeps its own text,
+    as any record the tower does not share."""
     return [r for r in rep.rows if r.deltas and r.place not in rep.tower.sites_at]
 
 
 def _written(rep):
     """Each record reachable from rep, its writer in report.py, and the depths
     at which rep's texts at levels 0 and 2 keep its text: none for a site in
-    a row, whose text its row's text holds, nor for a row outside the tower."""
-    outside = _outside(rep)
+    a row, whose text its row's text holds."""
     for r in rep.rows:
-        yield r, report._row, () if r in outside else (2, 4)
+        yield r, report._row, (2, 4)
         if r.gamma is not None:
             yield r.gamma, report._gamma, (3, 5)
         for s, v in r.deltas:
@@ -333,7 +332,7 @@ def test_kept_texts_are_fresh_writes():
     # again (a verdict constant, a fixed row, a tower, what parity shares
     # across a tower's reports) reuses it, and any other takes it along; so
     # each kept text is what its writer writes of an equal fresh record
-    seen = set()
+    seen, outside = set(), 0
     failing = ("x3-6x-6", WeierstrassCurve(0, 0, 0, -6, -6), 5, 7, 1, [2, 3, 7, 13])
     for label, E, d, p, n, rams in (*PARITY_CORPUS, failing):
         rep = analyze(E, make_tower(d, p, n, rams), dim_Sp_E_K=0)
@@ -344,11 +343,8 @@ def test_kept_texts_are_fresh_writes():
         for depth, text in tower.items():
             assert text == report.tower_json(_fresh(rep.tower), depth)
         for r in _outside(rep):
-            assert not _kept_texts(r), r
-        kept = vars(rep.tower).get("row_texts", {})
-        assert {depth for depth, *_ in kept} == ({2, 4} if _outside(rep) else set())
-        for (depth, *ids), (shape, pieces) in kept.items():
-            assert ids == list(map(id, shape)) and len(pieces) == 3
+            assert _kept_texts(r).keys() == {2, 4}, r
+        outside += len(_outside(rep))
         for record, write, depths in _written(rep):
             texts = _kept_texts(record)
             assert set(depths) <= set(texts), (record, depths)
@@ -357,6 +353,7 @@ def test_kept_texts_are_fresh_writes():
         seen.update(("audit", a.passes) for a in rep.hypothesis_audit)
         seen.add(("bound", rep.selmer_bound.applicable))
     assert seen == set(product(("audit", "bound"), (True, False)))
+    assert outside
 
 
 def test_override_and_violation_texts_read_fields_alone():
