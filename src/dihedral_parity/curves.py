@@ -20,7 +20,6 @@ from typing import Optional, Union
 from .localarith import (
     QuadraticExtension,
     RamifiedQuadratic,
-    UnramifiedQuadratic,
     check_extension,
     is_prime,
     is_squarefree,
@@ -337,16 +336,14 @@ class LocalData(namedtuple("LocalData", "E ell ext overrides",
             if ctype == "unramified":
                 return "multiplicative_nonsplit"
             return "additive"
-        # potentially good, additive over Q_ell, so over K_v = Q_ell itself
-        if ext is None:
+        # potentially good, additive over Q_ell: over K_v = Q_ell or unramified
+        # over it, K_v^ur = Q_ell^ur, so good reduction over K_v would force
+        # e = 1, contradicting additive reduction over Q_ell.
+        if not isinstance(ext, RamifiedQuadratic):
             return "additive"
         e = self.defect
         if not isinstance(e, int):
             return UNKNOWN
-        if isinstance(ext, UnramifiedQuadratic):
-            # K_v^ur = Q_ell^ur, so good reduction over K_v would force e = 1,
-            # contradicting additive reduction over Q_ell.
-            return "additive"
         if e % ell != 0:
             # tame: the totally ramified cyclic degree-e extension of Q_ell^ur is
             # unique, so good reduction over K_v is exactly e | e(K_v) = 2.

@@ -83,6 +83,19 @@ def test_additive_not_p():
     assert (d.value, d.case_tag) == (0, V.ADDITIVE_NOT_P)
 
 
+def test_additive_over_an_unramified_Kv_needs_no_defect():
+    # y^2 = x^3 - 9x - 18 is potentially good and additive at 3, which is
+    # inert in Q(sqrt 2): K_v^ur = Q_3^ur keeps it additive over K_v whatever
+    # its defect, which is unknown here, so delta is decided and gamma, which
+    # needs the defect, is not
+    rep = analyze(WeierstrassCurve(0, 0, 0, -9, -18), make_tower(2, 5, 1, [3]))
+    (row,) = [r for r in rep.rows if r.place == 3]
+    (_, d), = row.deltas
+    assert (d.value, d.case_tag) == (0, V.ADDITIVE_NOT_P)
+    assert (row.gamma.value, row.gamma.detail) == (None, "semistability defect at 3 is unknown")
+    assert row.status == UNDETERMINED
+
+
 def test_additive_above_p_ordinary_nonanomalous():
     # twist(37a1, 5): additive at p = 5 with defect 2, 5 inert in Q(sqrt 7);
     # residue trace -2 (a_5(37a1) = -2 twisted by the nonsquare class), so the

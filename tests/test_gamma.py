@@ -89,7 +89,7 @@ def test_defect_override_resolves_small_prime():
 
 def test_noncyclic_override_stays_undetermined():
     for override, detail in [
-            (SiteOverrides(defect="noncyclic"), "reduction over K_v at 3 undetermined"),
+            (SiteOverrides(defect="noncyclic"), "semistability defect at 3 is noncyclic"),
             (SiteOverrides(defect="noncyclic", reduction_over_Kv="additive"),
              "semistability defect at 3 is noncyclic")]:
         T = make_tower(-1, 5, 1, [3], overrides={3: override})

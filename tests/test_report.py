@@ -333,7 +333,8 @@ def test_kept_texts_are_fresh_writes():
     # across a tower's reports) reuses it, and any other takes it along; so
     # each kept text is what its writer writes of an equal fresh record
     seen, outside = set(), 0
-    failing = ("x3-6x-6", WeierstrassCurve(0, 0, 0, -6, -6), 5, 7, 1, [2, 3, 7, 13])
+    # supersingular over the defect extension at 7: its audit fails
+    failing = ("x3+49x", WeierstrassCurve(0, 0, 0, 49, 0), 5, 7, 1, [2, 3, 7, 13])
     for label, E, d, p, n, rams in (*PARITY_CORPUS, failing):
         rep = analyze(E, make_tower(d, p, n, rams), dim_Sp_E_K=0)
         for level, _ in product((0, 2), range(2)):
