@@ -62,7 +62,6 @@ SUPERSINGULAR_OUTSIDE_MR57 = UNCOVERED._replace(detail="supersingular at p outsi
 SUPERSINGULAR_OVER_M = UNCOVERED._replace(
     detail="reduction over the defect extension is supersingular")
 ANOMALOUS_OVER_M = UNCOVERED._replace(detail="reduction over the defect extension is anomalous")
-VOCABULARY = tuple(v for v in globals().values() if isinstance(v, DeltaVerdict))
 
 
 def residue_frobenius_over_Kv(E: WeierstrassCurve, T: TowerSpec,

@@ -57,7 +57,6 @@ ARCHIMEDEAN_GAMMA = ConstantVerdict(0, V.ARCHIMEDEAN, (
 UNCOVERED = ConstantVerdict(None, V.UNCOVERED, "no evaluated case applies; no value is asserted")
 ABELIAN_CRITERION_FAILS = UNCOVERED._replace(detail="ramified above p and the abelian "
                                              "criterion fails or the defect is unknown")
-VOCABULARY = tuple(v for v in globals().values() if isinstance(v, ConstantVerdict))
 
 
 def gamma(E: WeierstrassCurve, T: TowerSpec, u: Place) -> ConstantVerdict:

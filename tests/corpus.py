@@ -6,10 +6,18 @@ from functools import lru_cache
 
 from hypothesis import strategies as st
 
+import dihedral_parity.delta as DELTA_MODULE
+import dihedral_parity.gamma as GAMMA_MODULE
 from dihedral_parity import QuadraticFieldSpec, TowerSpec, WeierstrassCurve, sites_above
 from dihedral_parity.curves import SingularCurveError, quadratic_twist
 from dihedral_parity.localarith import is_prime
 from dihedral_parity.tower import INERT, SPLIT, split_type
+from dihedral_parity.verdicts import ConstantVerdict, DeltaVerdict
+
+# The verdict vocabulary: each verdict of fixed detail is a module constant
+# of gamma.py or delta.py, here in the order they are defined.
+GAMMA_VOCABULARY = tuple(v for v in vars(GAMMA_MODULE).values() if isinstance(v, ConstantVerdict))
+DELTA_VOCABULARY = tuple(v for v in vars(DELTA_MODULE).values() if isinstance(v, DeltaVerdict))
 
 CURVES = {
     "11a1": WeierstrassCurve(0, -1, 1, -10, -20),

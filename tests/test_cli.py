@@ -17,7 +17,6 @@ import dihedral_parity
 import oracles
 from conftest import run_isolated, write_json
 from dihedral_parity import cli, localarith, parity, tower
-from dihedral_parity import delta as DELTA_MODULE, gamma as GAMMA_MODULE
 from dihedral_parity.curves import DEFECTS, KV_REDUCTIONS, SingularCurveError, WeierstrassCurve
 from dihedral_parity.cli import (
     ConfigError,
@@ -46,8 +45,8 @@ from dihedral_parity.parity import (
 from dihedral_parity.report import report_json, tower_json
 from dihedral_parity.tower import PrimeSite, QuadraticFieldSpec, SiteOverrides, TowerSpec
 from dihedral_parity.verdicts import ConstantVerdict, DeltaVerdict
-from corpus import (CURVES, PARITY_CORPUS, SMALL_CURVES, SMALL_TOWERS, TWIST_11A1_7,
-                    VALID_TOWERS, make_tower)
+from corpus import (CURVES, DELTA_VOCABULARY, GAMMA_VOCABULARY, PARITY_CORPUS, SMALL_CURVES,
+                    SMALL_TOWERS, TWIST_11A1_7, VALID_TOWERS, make_tower)
 
 CSV_HEADER = "label,a1,a2,a3,a4,a6\n"
 
@@ -1328,7 +1327,7 @@ def test_no_table_grows_with_the_curves_analyzed(tmp_path, capsys, monkeypatch):
     assert len(towers) == 3 and sum(ref() is not None for ref in towers) == 0
     # a verdict constant or fixed row keeps, beside its fields, only its text
     # at each depth it was written at, under the depth's str key
-    for record in (*GAMMA_MODULE.VOCABULARY, *DELTA_MODULE.VOCABULARY, ARCHIMEDEAN_ROW,
+    for record in (*GAMMA_VOCABULARY, *DELTA_VOCABULARY, ARCHIMEDEAN_ROW,
                    BLANKET_ROW):
         kept = set(vars(record)) - set(record._fields)
         assert kept <= {str(depth) for depth in range(1, 10)}, kept

@@ -206,10 +206,10 @@ def test_traced_layers_still_resolve():
 
 
 def test_every_definition_in_src_has_a_user():
-    """A top-level function or class in src/, in every module, is read by
-    name elsewhere in src/ (outside its own definition and __init__.py),
-    traced by the benchmark, or imported by the acceptance suite.  A helper
-    only the other tests call belongs in tests/."""
+    """A top-level function, class or assigned name in src/, in every module,
+    is read by name elsewhere in src/ (outside its own definition and
+    __init__.py), traced by the benchmark, or imported by the acceptance
+    suite.  A helper or table only the other tests read belongs in tests/."""
     read, defined = set(), []
     for path in MODULES:
         if path.name == "__init__.py":
@@ -221,6 +221,10 @@ def test_every_definition_in_src_has_a_user():
             if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
                 defined.append((path.stem, stmt.name))
                 names.discard(stmt.name)
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                defined += [(path.stem, n.id) for target in targets for n in ast.walk(target)
+                            if isinstance(n, ast.Name)]
             read |= names
     traced = {name for names in _traced_layers().values() for name in names}
     accepted = {alias.name for node in ast.walk(_tree(ROOT / "tests" / "test_acceptance.py"))

@@ -19,8 +19,8 @@ from types import MappingProxyType
 import pytest
 
 import dihedral_parity
-from dihedral_parity import delta as DELTA_MODULE, gamma as GAMMA_MODULE
-from corpus import CURVES, make_tower
+from dihedral_parity import gamma as GAMMA_MODULE
+from corpus import CURVES, DELTA_VOCABULARY, GAMMA_VOCABULARY, make_tower
 from dihedral_parity.curves import (
     FrobeniusData,
     LocalData,
@@ -44,7 +44,7 @@ from dihedral_parity.tower import PrimeSite, QuadraticFieldSpec, TowerSpec, Viol
 from dihedral_parity.verdicts import CheckedRecord, ConstantVerdict, DeltaVerdict
 
 E = CURVES["11a1"]
-VERDICTS = (*GAMMA_MODULE.VOCABULARY, *DELTA_MODULE.VOCABULARY)
+VERDICTS = (*GAMMA_VOCABULARY, *DELTA_VOCABULARY)
 
 
 def _tower():

@@ -22,8 +22,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from corpus import PARITY_CORPUS, SMALL_CURVES, SMALL_TOWERS, make_tower
-import dihedral_parity.delta as DELTA_MODULE
+from corpus import (DELTA_VOCABULARY, GAMMA_VOCABULARY, PARITY_CORPUS, SMALL_CURVES,
+                    SMALL_TOWERS, make_tower)
 import dihedral_parity.gamma as GAMMA_MODULE
 from dihedral_parity import report
 from dihedral_parity.curves import DEFECTS, KV_REDUCTIONS, WeierstrassCurve
@@ -192,21 +192,18 @@ def test_each_writer_fills_its_template_in_field_order():
     assert set(found) == set(WRITERS)
 
 
-# The verdict vocabulary: the verdicts of fixed detail are module constants
-# of gamma.py and delta.py.  Each record keeps its text at each depth it was
-# written at, so a constant, a tower and the tower's sites and rows are each
-# written once per depth.
-CONSTANTS = [v for module, cls in ((GAMMA_MODULE, ConstantVerdict), (DELTA_MODULE, DeltaVerdict))
-             for v in vars(module).values() if isinstance(v, cls)]
+# The verdict vocabulary (see corpus.py).  Each record keeps its text at each
+# depth it was written at, so a constant, a tower and the tower's sites and
+# rows are each written once per depth.
+CONSTANTS = [*GAMMA_VOCABULARY, *DELTA_VOCABULARY]
 FIXED = {(c.case_tag, c.detail) for c in CONSTANTS}
 DEPTHS = (3, 4, 5, 6)  # those of a report alone and in a batch document, and two others
 
 
 def test_the_vocabulary_is_every_module_constant():
-    assert GAMMA_MODULE.VOCABULARY and DELTA_MODULE.VOCABULARY
-    assert [*GAMMA_MODULE.VOCABULARY, *DELTA_MODULE.VOCABULARY] == CONSTANTS
+    assert GAMMA_VOCABULARY and DELTA_VOCABULARY
     assert len({id(c) for c in CONSTANTS}) == len(CONSTANTS)
-    assert GAMMA_MODULE.ARCHIMEDEAN_GAMMA in GAMMA_MODULE.VOCABULARY
+    assert GAMMA_MODULE.ARCHIMEDEAN_GAMMA in GAMMA_VOCABULARY
 
 
 def _assert_fixed_verdicts_are_constants(rep):
@@ -260,12 +257,12 @@ def _assert_kept_as_written(v, write):
         assert report._kept(v, depth, _never) == text
 
 
-@pytest.mark.parametrize("g", GAMMA_MODULE.VOCABULARY, ids=lambda g: g.case_tag)
+@pytest.mark.parametrize("g", GAMMA_VOCABULARY, ids=lambda g: g.case_tag)
 def test_each_gamma_text_is_what_the_writer_writes(g):
     _assert_kept_as_written(g, report._gamma)
 
 
-@pytest.mark.parametrize("v", DELTA_MODULE.VOCABULARY, ids=lambda v: v.case_tag)
+@pytest.mark.parametrize("v", DELTA_VOCABULARY, ids=lambda v: v.case_tag)
 def test_each_delta_text_is_what_the_writer_writes(v):
     _assert_kept_as_written(v, report._verdict)
 
@@ -277,8 +274,8 @@ def test_each_row_text_is_what_the_writer_writes():
     # at each depth a row keeps the text _row writes of an equal fresh row,
     # and is not written again: a row of constants at any place and site
     # shape, and the two fixed rows alike
-    for g in GAMMA_MODULE.VOCABULARY:
-        for v in DELTA_MODULE.VOCABULARY:
+    for g in GAMMA_VOCABULARY:
+        for v in DELTA_VOCABULARY:
             dsum = v.contribution()
             for site, status in product(SHAPES, (MATCH, MISMATCH, UNDETERMINED)):
                 for ell in (7, 11, 10 ** 50 + 151):
